@@ -3,16 +3,17 @@
 from .acceptance import (AcceptedPoint, check_lemma_properties, is_acceptable,
                          reg_value_grad)
 from .config import (DEFAULT_CAPS, DEFAULT_TOL, AcceptanceFailure, BioptError,
-                     BisectionStall, CertificateUndefined, DegenerateCoefficient,
-                     DomainViolation, OptimalityReached, SolveCaps,
-                     SubproblemStall, Tolerances)
+                     BisectionStall, BracketFailure, CertificateUndefined,
+                     DegenerateCoefficient, DomainViolation, OptimalityReached,
+                     SolveCaps, SubproblemStall, Tolerances)
 from .driver import (EstimatingState, RunTrace, estimating_min, gap_certificate,
                      new_state, psi_star, psi_value, rate_fit, run, step_exact,
                      step_inexact, verify_trace)
 from .lower import (RelSmoothParams, ScalingFunction, bregman, reg_bregman,
                     rel_smooth_params, solve_acceptable, subproblem_solve)
-from .numerics import (Metric, power_mean_norm, prox_power, prox_power_hessian,
-                       solve_step_coefficient, uniform_convexity_gap)
+from .numerics import (Metric, monotone_root, power_mean_norm, prox_power,
+                       prox_power_hessian, solve_step_coefficient,
+                       uniform_convexity_gap)
 from .problems import (ProblemInstance, QuadraticOracle, SeparableOracle,
                        SimpleOracle, build_builtin, build_example_1d,
                        build_logbar, build_quadratic, build_separable,

@@ -10,14 +10,12 @@ class Tolerances:
     """Central numerical tolerances.
 
     grad_check      relative error allowed against finite differences
-    root_solve      relative accuracy of scalar root solves
     invariant_slack absolute slack for nonnegativity-style invariants
     acceptance_abs  absolute slack in acceptance-set comparisons
     acceptance_rel  relative slack in acceptance-set comparisons
     """
 
     grad_check: float = 1e-6
-    root_solve: float = 1e-12
     invariant_slack: float = 1e-10
     acceptance_abs: float = 1e-12
     acceptance_rel: float = 1e-12
@@ -79,6 +77,10 @@ class AcceptanceFailure(BioptError):
     def __init__(self, message: str, residual_history=None):
         super().__init__(message)
         self.residual_history = residual_history or []
+
+
+class BracketFailure(BioptError):
+    """Scalar root solve found no sign change within its widening cap."""
 
 
 class BisectionStall(BioptError):

@@ -21,7 +21,8 @@ from .acceptance import AcceptedPoint
 from .config import (DEFAULT_CAPS, DEFAULT_TOL, BioptError, CertificateUndefined,
                      OptimalityReached, SolveCaps, Tolerances)
 from .lower import RelSmoothParams, rel_smooth_params, solve_acceptable
-from .numerics import Metric, power_mean_norm, solve_step_coefficient
+from .numerics import (Metric, golden_section, power_mean_norm,
+                       solve_step_coefficient)
 from .problems import ProblemInstance, SimpleOracle
 from .segment import bisect_segment, make_sprox_oracle
 
@@ -221,22 +222,10 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
         return (float(s_hat @ xh) + psi.value(xh) + c_hat
                 + 0.5 * lam * (m.norm(xh - state.x0) ** 2 - R * R))
 
-    lo, hi = -40.0, 40.0  # log-scale multiplier bracket
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = hi - inv_phi * (hi - lo)
-    d1 = lo + inv_phi * (hi - lo)
-    fc, fd = dual(math.exp(c1)), dual(math.exp(d1))
-    for _ in range(120):
-        if fc >= fd:
-            hi, d1, fd = d1, c1, fc
-            c1 = hi - inv_phi * (hi - lo)
-            fc = dual(math.exp(c1))
-        else:
-            lo, c1, fc = c1, d1, fd
-            d1 = lo + inv_phi * (hi - lo)
-            fd = dual(math.exp(d1))
-    lower = max(fc, fd)
-    return F_val - lower
+    # the dual is concave in lam, so unimodal in t = log(lam)
+    _, neg_lower = golden_section(lambda t: -dual(math.exp(t)), -40.0, 40.0,
+                                  iters=120)
+    return F_val + neg_lower
 
 
 # ---------------------------------------------------------------------------

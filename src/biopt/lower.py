@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .acceptance import AcceptedPoint, reg_value_grad
 from .config import (DEFAULT_CAPS, DEFAULT_TOL, AcceptanceFailure,
                      OptimalityReached, SolveCaps, SubproblemStall, Tolerances)
-from .numerics import prox_power
+from .numerics import prox_power, radial_solver
 from .problems import ProblemInstance, SimpleOracle
 
 
@@ -67,6 +68,12 @@ class ScalingFunction:
             grad = grad + self.instance.smooth.even_form_grad(self.y, h, 2 * k) / fac
         return val, grad
 
+    @cached_property
+    def radial(self):
+        """Solver g -> h of (D^2 f(y) + H ||h||^{p-1} B) h = -g, built once per y."""
+        return radial_solver(self.instance.metric,
+                             self.instance.smooth.hessian(self.y), self.H, self.p)
+
     def value(self, x: np.ndarray) -> float:
         return self.value_grad(x)[0]
 
@@ -105,58 +112,20 @@ def _shifted_smooth(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     return val, grad
 
 
-def _radial_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray) -> np.ndarray:
-    """Direct solver for psi = 0, q = 1: h(r) = -(2L K + 2L H r^{p-1} B)^{-1} c
-    with a monotone 1-D solve on r = ||h(r)||."""
-    m = sf.instance.metric
-    K = 2.0 * L * sf.instance.smooth.hessian(sf.y)
-    HB = 2.0 * L * sf.H * m.B
-    p = sf.p
-    if p == 1:
-        return -np.linalg.solve(K + HB, c_shift)
-
-    def h_of(r: float) -> np.ndarray | None:
-        try:
-            return -np.linalg.solve(K + (r ** (p - 1)) * HB, c_shift)
-        except np.linalg.LinAlgError:
-            return None
-
-    h0 = h_of(0.0)
-    if h0 is not None and m.norm(h0) == 0.0:
-        return h0
-    # bracket the root of ||h(r)|| - r
-    r_hi = 1.0 if h0 is None else max(m.norm(h0), 1e-12)
-    for _ in range(200):
-        hh = h_of(r_hi)
-        if hh is not None and m.norm(hh) <= r_hi:
-            break
-        r_hi *= 2.0
-    r_lo = 0.0
-    for _ in range(120):
-        r_mid = 0.5 * (r_lo + r_hi)
-        hh = h_of(r_mid)
-        if hh is None or m.norm(hh) > r_mid:
-            r_lo = r_mid
-        else:
-            r_hi = r_mid
-        if r_hi - r_lo <= 1e-16 * max(r_hi, 1.0):
-            break
-    return h_of(r_hi)
-
-
 def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
                      psi: SimpleOracle, tol: float,
                      cap: int = DEFAULT_CAPS.inner_subproblem) -> np.ndarray:
     """Minimize <c,h> + 2L sum_k D^{2k}f(y)[h]^{2k}/(2k)! + psi(y+h) + 2LH d_{p+1}(h).
 
-    psi = 0 with q = 1 takes the radial reduction; otherwise a backtracking
+    psi = 0 with q = 1 takes the radial reduction (the step solves
+    (2L D^2f(y) + 2LH ||h||^{p-1} B) h = -c); otherwise a backtracking
     proximal-gradient loop on the shifted objective.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     m = sf.instance.metric
     if psi.kind == "zero" and sf.q == 1:
-        return _radial_solve(sf, L, c_shift)
+        return sf.radial(c_shift / (2.0 * L))
 
     y = sf.y
     h = np.zeros(m.dim)

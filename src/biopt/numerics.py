@@ -4,6 +4,11 @@ Points live in a Euclidean space E whose norm is induced by a symmetric
 positive-definite operator B: ||x|| = <Bx, x>^{1/2}, with dual norm
 ||g||_* = <g, B^{-1}g>^{1/2}.  The prox powers d_{p+1}(x) = ||x||^{p+1}/(p+1)
 and their gradients are the regularizers used everywhere.
+
+The scalar solvers: monotone_root (bisection of a nondecreasing function to
+floating-point resolution), radial_solver (the secular equation
+(K + c||h||^{p-1}B) h = -g in r = ||h||, on one eigendecomposition of K) and
+golden_section (minimization of a unimodal function on an interval).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import math
 
 import numpy as np
 
-from .config import DegenerateCoefficient
+from .config import BracketFailure, DegenerateCoefficient
 
 
 class Metric:
@@ -146,3 +151,89 @@ def uniform_convexity_gap(metric: Metric, x: np.ndarray, y: np.ndarray, p: int) 
     d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
     lower = (2.0 ** (1 - p) / (p + 1)) * metric.norm(d) ** (p + 1)
     return vy - vx - float(gx @ d) - lower
+
+
+_MAX_WIDENINGS = 200
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def monotone_root(phi, lo: float, hi: float) -> float:
+    """Root of a nondecreasing scalar function phi from the guess [lo, hi].
+
+    Doubles the bracket away from the side whose sign is wrong, at most
+    _MAX_WIDENINGS times in all, and raises BracketFailure when that finds
+    no phi(lo) <= 0 <= phi(hi).  Then bisects (phi(mid) < 0 moves lo) until
+    the midpoint equals an endpoint, i.e. to floating-point resolution.
+    """
+    for _ in range(_MAX_WIDENINGS):
+        if phi(lo) > 0.0:
+            lo = hi - 2.0 * (hi - lo)
+        elif phi(hi) < 0.0:
+            hi = lo + 2.0 * (hi - lo)
+        else:
+            break
+    else:
+        raise BracketFailure(f"no sign change of phi on [{lo!r}, {hi!r}]")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if phi(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
+    """Solver g -> h of (K + c ||h||^{p-1} B) h = -g for symmetric PSD K, c > 0.
+
+    With B = L L^T (Cholesky; L = I for the identity metric), the basis
+    S = L^{-T} V, where V diagonalizes L^{-1} K L^{-T} = V diag(lam) V^T,
+    gives S^T K S = diag(lam) and S^T B S = I.  So h = -S (w / (lam + c r^{p-1}))
+    with w = S^T g and r = ||h|| = ||w / (lam + c r^{p-1})||, a 1-D equation
+    solved by monotone_root.  K is decomposed once, here.
+    """
+    K = np.asarray(K, dtype=float)
+    if metric.is_identity:
+        lam, S = np.linalg.eigh(K)
+    else:
+        Linv = np.linalg.inv(metric._chol)
+        lam, V = np.linalg.eigh(Linv @ K @ Linv.T)
+        S = Linv.T @ V
+    lam = np.maximum(lam, 0.0)  # K is PSD: negative eigenvalues are roundoff
+    e = p - 1
+
+    def solve(g: np.ndarray) -> np.ndarray:
+        w = S.T @ g
+        if not np.any(w):
+            return np.zeros_like(w)
+
+        def norm_h(r):  # nonincreasing in r; inf where lam + c r^{p-1} hits 0
+            den = lam + c * r ** e
+            return float(np.linalg.norm(w / den)) if den[0] > 0.0 else math.inf
+
+        hi = max(norm_h(0.0) if lam[0] > 0.0 else 1.0, 1e-12)
+        r = monotone_root(lambda r: r - norm_h(r), 0.0, hi)
+        return -(S @ (w / (lam + c * r ** e)))
+
+    return solve
+
+
+def golden_section(obj, lo: float, hi: float, iters: int) -> tuple[float, float]:
+    """Golden-section minimization of a unimodal obj on [lo, hi]: one new
+    evaluation per step; returns the final bracket's midpoint and its value."""
+    a, b = float(lo), float(hi)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = obj(c), obj(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = obj(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = obj(d)
+    x = 0.5 * (a + b)
+    return x, obj(x)

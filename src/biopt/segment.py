@@ -17,7 +17,8 @@ import numpy as np
 from .acceptance import AcceptedPoint
 from .config import DEFAULT_CAPS, DEFAULT_TOL, BisectionStall, SolveCaps, Tolerances
 from .lower import RelSmoothParams, solve_acceptable
-from .numerics import power_mean_norm
+from .numerics import (_INV_PHI, golden_section, monotone_root, power_mean_norm,
+                       radial_solver)
 from .problems import ProblemInstance, QuadraticOracle, SeparableOracle
 
 
@@ -30,73 +31,17 @@ class SproxResult:
     objective: float
 
 
-def _example_objective(x, xbar, tau, ubar):
-    m = xbar + tau * ubar
-    return 0.5 * x * x + abs(x) + 0.25 * (x - m) ** 4
-
-
-def exact_sprox_1d(xbar: float, ubar: float) -> SproxResult:
-    """Case-table segment-search prox for F(x) = x^2/2 + |x|, p = 3, H = 1.
+def _sprox_1d(xbar: float, ubar: float, H: float, p: int, weight: float,
+              stationary_roots) -> SproxResult:
+    """Candidate enumerator of the segment-search prox of
+    F(x) = x^2/2 + weight*|x| with regularizer H|x - m|^{p+1}/(p+1).
 
     Candidates: the zero point on the interior of the segment (objective 0),
-    and per endpoint the stationary roots of x +- 1 + (x - m)^3 = 0 with the
-    matching sign, plus x = 0 with subgradient m^3 when |m| <= 1.  The winner
-    minimizes the joint objective.
-    """
-    xbar = float(xbar)
-    ubar = float(ubar)
-    candidates = []  # (x, tau, g, branch)
-    if ubar != 0.0:
-        ti = -xbar / ubar
-        if 0.0 < ti < 1.0:
-            candidates.append((0.0, ti, 0.0, "interior"))
-    for tau, tag in ((0.0, "tau0"), (1.0, "tau1")):
-        m = xbar + tau * ubar
-        # x > 0, g = +1:  x + 1 + (x - m)^3 = 0
-        pos = np.roots([1.0, -3.0 * m, 3.0 * m * m + 1.0, 1.0 - m ** 3])
-        for r in pos:
-            if abs(r.imag) < 1e-10 and r.real > 1e-12:
-                candidates.append((float(r.real), tau, 1.0, f"{tag}_pos"))
-        # x < 0, g = -1:  x - 1 + (x - m)^3 = 0
-        neg = np.roots([1.0, -3.0 * m, 3.0 * m * m + 1.0, -1.0 - m ** 3])
-        for r in neg:
-            if abs(r.imag) < 1e-10 and r.real < -1e-12:
-                candidates.append((float(r.real), tau, -1.0, f"{tag}_neg"))
-        if abs(m) <= 1.0:
-            side = "pos" if m >= 0.0 else "neg"
-            candidates.append((0.0, tau, m ** 3, f"{tag}_{side}"))
-    best = min(candidates,
-               key=lambda c: _example_objective(c[0], xbar, c[1], ubar))
-    x, tau, g, branch = best
-    return SproxResult(np.array([x]), tau, g, branch,
-                       _example_objective(x, xbar, tau, ubar))
-
-
-def _monotone_root(phi, lo: float, hi: float, iters: int = 200) -> float:
-    """Root of a strictly increasing scalar function on a bracketing interval."""
-    flo, fhi = phi(lo), phi(hi)
-    while flo > 0.0:
-        lo -= (hi - lo) + 1.0
-        flo = phi(lo)
-    while fhi < 0.0:
-        hi += (hi - lo) + 1.0
-        fhi = phi(hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
-                           weight: float = 1.0) -> SproxResult:
-    """Segment-search prox of F(x) = x^2/2 + weight*|x| for arbitrary H, p.
-
-    Same candidate structure as the cubic case table, with the signed
-    stationarity equations x +- weight + H|x - m|^{p-1}(x - m) = 0 solved by
-    monotone bisection instead of closed-form roots.
+    and per endpoint anchor m the stationary roots x of
+    x + s*weight + H|x - m|^{p-1}(x - m) = 0 with sign s = +-1, given by
+    stationary_roots(m, s), plus x = 0 with subgradient H|m|^{p-1}m when
+    that lies in [-weight, weight].  The winner minimizes the joint
+    objective.
     """
     xbar, ubar, H = float(xbar), float(ubar), float(H)
 
@@ -104,31 +49,53 @@ def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
         m = xbar + tau * ubar
         return 0.5 * x * x + weight * abs(x) + H * abs(x - m) ** (p + 1) / (p + 1)
 
-    candidates = []
+    candidates = []  # (x, tau, g, branch)
     if ubar != 0.0:
         ti = -xbar / ubar
         if 0.0 < ti < 1.0:
             candidates.append((0.0, ti, 0.0, "interior"))
     for tau, tag in ((0.0, "tau0"), (1.0, "tau1")):
         m = xbar + tau * ubar
-
-        def phi(x, s):
-            return x + s * weight + H * abs(x - m) ** (p - 1) * (x - m)
-
-        span = abs(m) + weight + 1.0
-        xp = _monotone_root(lambda x: phi(x, 1.0), 0.0, span)
-        if xp > 1e-12:
-            candidates.append((xp, tau, weight, f"{tag}_pos"))
-        xn = _monotone_root(lambda x: phi(x, -1.0), -span, 0.0)
-        if xn < -1e-12:
-            candidates.append((xn, tau, -weight, f"{tag}_neg"))
+        for s, side in ((1.0, "pos"), (-1.0, "neg")):
+            for x in stationary_roots(m, s):
+                if s * x > 1e-12:
+                    candidates.append((x, tau, s * weight, f"{tag}_{side}"))
         g0 = H * abs(m) ** (p - 1) * m
         if abs(g0) <= weight:
             side = "pos" if m >= 0.0 else "neg"
             candidates.append((0.0, tau, g0, f"{tag}_{side}"))
-    best = min(candidates, key=lambda c: objective(c[0], c[1]))
-    x, tau, g, branch = best
+    x, tau, g, branch = min(candidates, key=lambda c: objective(c[0], c[1]))
     return SproxResult(np.array([x]), tau, g, branch, objective(x, tau))
+
+
+def _cubic_roots(m: float, s: float) -> list[float]:
+    """Real roots of x + s + (x - m)^3 = 0 in closed form (np.roots)."""
+    roots = np.roots([1.0, -3.0 * m, 3.0 * m * m + 1.0, s - m ** 3])
+    return [float(r.real) for r in roots if abs(r.imag) < 1e-10]
+
+
+def exact_sprox_1d(xbar: float, ubar: float) -> SproxResult:
+    """Case-table segment-search prox for F(x) = x^2/2 + |x|, p = 3, H = 1.
+
+    The stationary equations x +- 1 + (x - m)^3 = 0 are cubics, solved in
+    closed form.
+    """
+    return _sprox_1d(xbar, ubar, 1.0, 3, 1.0, _cubic_roots)
+
+
+def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
+                           weight: float = 1.0) -> SproxResult:
+    """Segment-search prox of F(x) = x^2/2 + weight*|x| for arbitrary H, p.
+
+    The same candidates as exact_sprox_1d, with the signed stationarity
+    equations x +- weight + H|x - m|^{p-1}(x - m) = 0 solved by monotone_root.
+    """
+    def roots(m, s):
+        span = abs(m) + weight + 1.0
+        phi = lambda x: x + s * weight + H * abs(x - m) ** (p - 1) * (x - m)
+        return [monotone_root(phi, min(0.0, s * span), max(0.0, s * span))]
+
+    return _sprox_1d(xbar, ubar, H, p, weight, roots)
 
 
 def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
@@ -136,34 +103,19 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     """Exact segment-search prox for a quadratic f with psi = 0, identity metric.
 
     Inner problem at anchor m: (Q + H r^{p-1} I) h = -(Q m - c) with the
-    radial root r = ||h||, solved on the eigenbasis of Q; the outer tau
-    minimization on [0, 1] is convex and handled by golden section.
+    radial root r = ||h||, solved by radial_solver on one eigendecomposition
+    of Q; the outer tau minimization on [0, 1] is convex and handled by
+    golden section.
     """
     sm = instance.smooth
     if instance.simple.kind != "zero" or not instance.metric.is_identity:
         raise ValueError("sprox_quadratic needs psi = 0 and the identity metric")
     if not isinstance(sm, QuadraticOracle):
         raise ValueError("sprox_quadratic needs a quadratic smooth part")
-    evals, evecs = np.linalg.eigh(sm.Q)
+    radial = radial_solver(instance.metric, sm.Q, H, p)
 
     def inner(m):
-        rhs = evecs.T @ (sm.Q @ m - sm.c)
-
-        def norm_h(r):
-            return float(np.linalg.norm(rhs / (evals + H * r ** (p - 1))))
-
-        r_hi = max(norm_h(0.0) if np.all(evals > 0) else 1.0, 1e-12)
-        while norm_h(r_hi) > r_hi:
-            r_hi *= 2.0
-        r_lo = 0.0
-        for _ in range(120):
-            r_mid = 0.5 * (r_lo + r_hi)
-            if norm_h(r_mid) > r_mid:
-                r_lo = r_mid
-            else:
-                r_hi = r_mid
-        r = 0.5 * (r_lo + r_hi)
-        h = -(evecs @ (rhs / (evals + H * r ** (p - 1))))
+        h = radial(sm.Q @ m - sm.c)
         x = m + h
         val = sm.value(x) + H * np.linalg.norm(h) ** (p + 1) / (p + 1)
         return x, val
@@ -174,7 +126,7 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     if float(u @ u) == 0.0:
         tau = 0.0
     else:
-        tau, _ = _golden_scalar(tau_obj, 0.0, 1.0, iters=90)
+        tau, _ = golden_section(tau_obj, 0.0, 1.0, iters=90)
         # convex in tau: keep the better endpoint if the polish sits near one
         for t_end in (0.0, 1.0):
             if tau_obj(t_end) <= tau_obj(tau):
@@ -190,14 +142,13 @@ def make_sprox_oracle(instance: ProblemInstance, H: float, p: int):
             and sm.Q[0, 0] == 1.0 and sm.c[0] == 0.0
             and instance.simple.kind == "l1"):
         w = instance.simple.weight
-        if p == 3 and H == 1.0 and w == 1.0:
-            def oracle(xbar, u):
+
+        def oracle(xbar, u):
+            if p == 3 and H == 1.0 and w == 1.0:
                 res = exact_sprox_1d(xbar[0], u[0])
-                return res.x_plus, res.tau_plus, np.array([res.g_plus])
-        else:
-            def oracle(xbar, u):
+            else:
                 res = exact_sprox_1d_general(xbar[0], u[0], H, p, weight=w)
-                return res.x_plus, res.tau_plus, np.array([res.g_plus])
+            return res.x_plus, res.tau_plus, np.array([res.g_plus])
         return oracle
     if instance.simple.kind == "zero" and isinstance(sm, QuadraticOracle) \
             and instance.metric.is_identity:
@@ -247,26 +198,31 @@ def _vectorized_1d(instance: ProblemInstance):
     return lambda x: fval(x) + pval(x)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_PHI2 = 1.0 - _INV_PHI
 
 
 def _golden_min_vec(obj, lo, hi, iters=110):
-    """Vectorized golden-section minimization over per-element brackets."""
+    """Vectorized golden-section minimization over per-element brackets.
+
+    Bracket [a, a + w], interior points a + PHI2 w and a + PHI w (PHI2 =
+    1 - PHI = PHI^2).  Keeping the better point's side makes that point the
+    other interior point of the new bracket, so each step evaluates obj
+    once.  Masks enter by arithmetic: np.where is slow on irregular masks.
+    """
     a = np.asarray(lo, dtype=float).copy()
-    b = np.asarray(hi, dtype=float).copy()
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = obj(c)
-    fd = obj(d)
+    w = np.asarray(hi, dtype=float) - a
+    f_new = obj(a + _PHI2 * w)  # the left interior point
+    f_keep = obj(a + _INV_PHI * w)
+    new_left = np.ones(a.shape, dtype=bool)
     for _ in range(iters):
-        take_left = fc <= fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        c = b - _INV_PHI * (b - a)
-        d = a + _INV_PHI * (b - a)
-        fc = obj(c)
-        fd = obj(d)
-    x = 0.5 * (a + b)
+        # keep [a, a + PHI w] when the left point is no worse than the right
+        left = (f_new == f_keep) | ((f_new < f_keep) == new_left)
+        f_keep = np.fmin(f_new, f_keep)
+        a = a + ~left * (_PHI2 * w)
+        w = _INV_PHI * w
+        new_left = left  # the kept point moves to the other interior slot
+        f_new = obj(a + (_INV_PHI - (_INV_PHI - _PHI2) * left) * w)
+    x = a + 0.5 * w
     return x, obj(x)
 
 
@@ -312,8 +268,8 @@ def _inner_solver_1d(instance, anchor_lo, anchor_hi, H, p):
 
 
 def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
-                    H: float, p: int, grid_tau: int = 10000,
-                    inner_tol: float = 1e-10) -> tuple[np.ndarray, float, float]:
+                    H: float, p: int,
+                    grid_tau: int = 10000) -> tuple[np.ndarray, float, float]:
     """Grid-scan + polish minimization of the segment-search objective.
 
     Scans tau on a uniform grid, solves the inner x-problem at each tau by
@@ -369,29 +325,11 @@ def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
             best_x, best_val, best_j = xT, val, j
     lo_t = taus[max(best_j - 1, 0)]
     hi_t = taus[min(best_j + 1, grid_tau)]
-    tau, val = _golden_scalar(lambda t: solve_at(t)[1], lo_t, hi_t, iters=60)
+    tau, val = golden_section(lambda t: solve_at(t)[1], lo_t, hi_t, iters=60)
     if val < best_val:
         xT, val = solve_at(tau)
         return xT, float(tau), float(val)
     return best_x, float(taus[best_j]), float(best_val)
-
-
-def _golden_scalar(obj, lo, hi, iters=80):
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = obj(c), obj(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = obj(d)
-    x = 0.5 * (a + b)
-    return x, obj(x)
 
 
 # ---------------------------------------------------------------------------

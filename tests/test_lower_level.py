@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from biopt import (AcceptanceFailure, OptimalityReached, ScalingFunction,
-                   SimpleOracle, SolveCaps, SubproblemStall, bregman,
+from biopt import (AcceptanceFailure, Metric, OptimalityReached,
+                   ScalingFunction, SimpleOracle, SolveCaps, SubproblemStall, bregman,
                    build_example_1d, build_logbar, build_quadratic,
                    reg_bregman, rel_smooth_params, solve_acceptable,
                    subproblem_solve)
@@ -129,16 +129,22 @@ class TestSubproblemSolve:
                                 tol=1e-12)
         assert h_pg[0] == pytest.approx(h_rad[0], abs=1e-8)
 
-    def test_multidim_radial_stationarity(self):
+    @pytest.mark.parametrize("metric", ["identity", "spd"])
+    def test_multidim_radial_stationarity(self, metric):
         rng = np.random.default_rng(12)
         G = rng.standard_normal((3, 3))
         inst = build_quadratic(G.T @ G + np.eye(3), rng.standard_normal(3))
+        if metric == "spd":
+            W = rng.standard_normal((3, 3))
+            inst.metric = Metric(W @ W.T + 3.0 * np.eye(3))
+            assert not inst.metric.is_diagonal
+        m = inst.metric
         sf = ScalingFunction(inst, rng.standard_normal(3), 2.0, 2)
         c = rng.standard_normal(3)
         L = 1.5
         h = subproblem_solve(sf, L, c, SimpleOracle("zero"), tol=1e-12)
-        # optimality: c + 2L Q h + 2L H ||h|| h = 0
-        res = c + 2 * L * (inst.smooth.Q @ h) + 2 * L * 2.0 * np.linalg.norm(h) * h
+        # optimality: c + 2L Q h + 2L H ||h||_B B h = 0
+        res = c + 2 * L * (inst.smooth.Q @ h) + 2 * L * 2.0 * m.norm(h) * m.apply(h)
         np.testing.assert_allclose(res, np.zeros(3), atol=1e-9)
 
     def test_invalid_tol(self):

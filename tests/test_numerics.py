@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biopt import (DegenerateCoefficient, Metric, power_mean_norm, prox_power,
-                   prox_power_hessian, solve_step_coefficient,
-                   uniform_convexity_gap)
+from biopt import (BracketFailure, DegenerateCoefficient, Metric, monotone_root,
+                   power_mean_norm, prox_power, prox_power_hessian,
+                   solve_step_coefficient, uniform_convexity_gap)
 
 
 def random_spd(dim, seed):
@@ -134,6 +134,28 @@ class TestPowerMeanNorm:
     def test_endpoints(self):
         assert power_mean_norm(1.0, 3.0, 7.0, 2) == pytest.approx(3.0)
         assert power_mean_norm(0.0, 3.0, 7.0, 2) == pytest.approx(7.0)
+
+
+class TestMonotoneRoot:
+    def test_frozen_root(self):
+        # x^3 = 2 from the bracket [0, 1]: widens hi, then bisects to resolution
+        x = monotone_root(lambda x: x ** 3 - 2.0, 0.0, 1.0)
+        assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+
+    def test_widens_low_side(self):
+        x = monotone_root(lambda x: x + 5.0, 0.0, 1.0)
+        assert x == pytest.approx(-5.0, abs=1e-14)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_sign_change_raises_after_bounded_steps(self, sign):
+        calls = []
+
+        def phi(x):
+            calls.append(x)
+            return sign  # never changes sign
+        with pytest.raises(BracketFailure):
+            monotone_root(phi, 0.0, 1.0)
+        assert len(calls) <= 1000
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
