@@ -4,8 +4,8 @@ from .acceptance import (AcceptedPoint, check_lemma_properties, is_acceptable,
                          reg_value_grad)
 from .config import (DEFAULT_CAPS, DEFAULT_TOL, AcceptanceFailure, BioptError,
                      BisectionStall, BracketFailure, CertificateUndefined,
-                     DegenerateCoefficient, DomainViolation, OptimalityReached,
-                     SolveCaps, SubproblemStall, Tolerances)
+                     DegenerateCoefficient, DomainViolation, InvariantViolation,
+                     OptimalityReached, SolveCaps, SubproblemStall, Tolerances)
 from .driver import (EstimatingState, RunTrace, estimating_min, gap_certificate,
                      new_state, psi_star, psi_value, rate_fit, run, step_exact,
                      step_inexact, verify_trace)

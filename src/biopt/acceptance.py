@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, InvariantViolation, Tolerances
 from .numerics import prox_power
 from .problems import ProblemInstance
 
@@ -62,13 +62,14 @@ class AcceptedPoint:
         self.reg_grad_norm = m.dual_norm(reg_grad + self.g)
         slack = tol.acceptance_abs + tol.acceptance_rel * self.grad_F_norm
         if self.reg_grad_norm > beta * self.grad_F_norm + slack:
-            raise AssertionError(
+            raise InvariantViolation(
                 "acceptance inequality violated: "
                 f"{self.reg_grad_norm:.3e} > {beta:.3g} * {self.grad_F_norm:.3e}")
         rep = check_lemma_properties(self, H, p, x_star=None)
         bad = [k for k, v in rep.items() if v is not None and not v["ok"]]
         if bad:
-            raise AssertionError(f"accepted-point property failed: {bad}")
+            raise InvariantViolation(f"accepted-point property failed: {bad}",
+                                     families=bad)
 
     def composite_grad(self) -> np.ndarray:
         """grad f(T) + g (the dual vector whose norm drives the drivers)."""

@@ -104,7 +104,7 @@ def cmd_run(config_path, jobs):
         else:
             for cfg in configs:
                 click.echo(_run_one(cfg))
-    except (BioptError, AssertionError) as exc:
+    except BioptError as exc:
         click.echo(f"solver failure: {exc}", err=True)
         sys.exit(SOLVER_EXIT)
     except (OSError, ValueError) as exc:

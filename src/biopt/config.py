@@ -9,14 +9,10 @@ from dataclasses import dataclass
 class Tolerances:
     """Central numerical tolerances.
 
-    grad_check      relative error allowed against finite differences
-    invariant_slack absolute slack for nonnegativity-style invariants
     acceptance_abs  absolute slack in acceptance-set comparisons
     acceptance_rel  relative slack in acceptance-set comparisons
     """
 
-    grad_check: float = 1e-6
-    invariant_slack: float = 1e-10
     acceptance_abs: float = 1e-12
     acceptance_rel: float = 1e-12
 
@@ -89,3 +85,12 @@ class BisectionStall(BioptError):
 
 class CertificateUndefined(BioptError):
     """Gap certificate requested before any model mass accumulated."""
+
+
+class InvariantViolation(BioptError):
+    """Invariant families failed, at driver iteration k (None elsewhere)."""
+
+    def __init__(self, message: str, k: int | None = None, families=()):
+        super().__init__(message)
+        self.k = k
+        self.families = list(families)

@@ -17,14 +17,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acceptance import AcceptedPoint
 from .config import (DEFAULT_CAPS, DEFAULT_TOL, BioptError, CertificateUndefined,
-                     OptimalityReached, SolveCaps, Tolerances)
+                     InvariantViolation, OptimalityReached, SolveCaps,
+                     Tolerances)
 from .lower import RelSmoothParams, rel_smooth_params, solve_acceptable
-from .numerics import (Metric, golden_section, power_mean_norm,
-                       solve_step_coefficient)
+from .numerics import Metric, golden_section, solve_step_coefficient
 from .problems import ProblemInstance, SimpleOracle
 from .segment import bisect_segment, make_sprox_oracle
+
+# a step with g_k at or below this ends the run as optimal: x moves, k stays
+OPTIMAL_G = 1e-14
+FAMILIES = ("descent", "A_nondecreasing", "estimating_lower",
+            "estimating_upper", "coefficient_equation", "residual_bound",
+            "gap_bound")
 
 
 @dataclass
@@ -79,6 +84,34 @@ def _absorb(state: EstimatingState, instance: ProblemInstance, a: float,
         state.const += a * w * (instance.smooth.value(T) - float(gT @ T))
 
 
+def step_rates(mode: str, H: float, p: int, beta: float | None,
+               coeff_factor: float | None) -> tuple[float, float]:
+    """(c0, b0): a_k^2/A_{k+1} = c0 g_k^{(1-p)/p} and B_cert grows by
+    b0 A_{k+1} g_k^{(p+1)/p}; the exact driver ignores beta and coeff_factor."""
+    if mode == "exact":
+        factor, b, base = 1.0, 0.5, (1.0 / H) ** (1.0 / p)
+    else:
+        factor, b, base = coeff_factor, 0.25, ((1.0 - beta) / H) ** (1.0 / p)
+    return factor * base, b * base
+
+
+def _advance(state: EstimatingState, instance: ProblemInstance, rates,
+             p: int, g_k: float, pieces, x_next: np.ndarray) -> float | None:
+    """Step tail: move to x_next; unless it is optimal (then None), solve for
+    a, absorb the pieces and advance A, B_cert, upsilon and k."""
+    state.x = x_next
+    if g_k <= OPTIMAL_G:
+        return None
+    c0, b0 = rates
+    a = solve_step_coefficient(state.A, c0 * g_k ** ((1.0 - p) / p))
+    _absorb(state, instance, a, pieces)
+    state.A += a
+    state.B_cert += b0 * state.A * g_k ** ((p + 1) / p)
+    state.upsilon = estimating_min(state, instance.simple)
+    state.k += 1
+    return a
+
+
 def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
                p: int, sprox_oracle) -> dict:
     """One iteration of the exact segment-search driver."""
@@ -88,107 +121,62 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
     g = np.asarray(g, dtype=float)
     grad_f = instance.smooth.grad(x_plus)
     g_k = state.metric.dual_norm(grad_f + g)
-    if g_k <= 1e-14:
-        state.x = x_plus
-        return {"status": "optimal", "g_k": g_k, "branch": "exact", "tau": tau}
-    c = (1.0 / H) ** (1.0 / p) * g_k ** ((1.0 - p) / p)
-    a = solve_step_coefficient(state.A, c)
-    _absorb(state, instance, a, [(1.0, x_plus)])
-    state.A += a
-    state.B_cert += 0.5 * (1.0 / H) ** (1.0 / p) * state.A * g_k ** ((p + 1) / p)
-    state.upsilon = estimating_min(state, instance.simple)
-    state.x = x_plus
-    state.k += 1
-    return {"status": "running", "g_k": g_k, "a": a, "branch": "exact",
-            "tau": tau, "residual": g_k}
+    a = _advance(state, instance, step_rates("exact", H, p, None, None), p,
+                 g_k, [(1.0, x_plus)], x_plus)
+    return {"status": "optimal" if a is None else "running", "g_k": g_k,
+            "a": a, "branch": "exact", "tau": tau, "residual": g_k}
 
 
 def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
                  p: int, beta: float, params: RelSmoothParams,
                  caps: SolveCaps = DEFAULT_CAPS, tol: Tolerances = DEFAULT_TOL,
-                 coeff_factor: float = 0.25, acceptance_solver=None,
-                 collect=None) -> dict:
+                 coeff_factor: float = 0.25, collect=None) -> dict:
     """One iteration of the inexact (three-branch) segment-search driver."""
-    if acceptance_solver is None:
-        acceptance_solver = solve_acceptable
     u = state.upsilon - state.x
-    lower_iters = 0
-    bisections = 0
-
+    seg = None
     try:
-        return _step_inexact_body(state, instance, H, p, beta, params, caps,
-                                  tol, coeff_factor, acceptance_solver,
-                                  collect, u, lower_iters, bisections)
+        # OptimalityReached is raised here before any state changes
+        ap0, lower_iters = solve_acceptable(instance, state.x, H, p, beta,
+                                            params, caps=caps, tol=tol)
+        if collect is not None:
+            collect(ap0)
+        ap, branch = ap0, "case_i"
+        if state.metric.norm(u) != 0.0 and float(ap0.composite_grad() @ u) < 0.0:
+            ap, it1 = solve_acceptable(instance, state.upsilon, H, p, beta,
+                                       params, caps=caps, tol=tol)
+            lower_iters += it1
+            if collect is not None:
+                collect(ap)
+            branch = "case_ii"
+            if float(ap.composite_grad() @ u) > 0.0:
+                branch = "case_iii"
+                seg = bisect_segment(instance, state.x, u, ap0, ap, H, p, beta,
+                                     params, caps=caps, tol=tol, collect=collect)
     except OptimalityReached as opt:
         state.x = np.asarray(opt.point, dtype=float)
         return {"status": "optimal", "g_k": 0.0, "branch": "optimal",
                 "lower_iters": 0, "bisections": 0, "residual": 0.0}
 
-
-def _step_inexact_body(state, instance, H, p, beta, params, caps, tol,
-                       coeff_factor, acceptance_solver, collect, u,
-                       lower_iters, bisections) -> dict:
-    ap0, it0 = acceptance_solver(instance, state.x, H, p, beta, params,
-                                 caps=caps, tol=tol)
-    lower_iters += it0
-    if collect is not None:
-        collect(ap0)
-    prod0 = float(ap0.composite_grad() @ u)
-    if state.metric.norm(u) == 0.0 or prod0 >= 0.0:
-        branch = "case_i"
-        pieces = [(1.0, ap0.T)]
-        x_next = ap0.T
-        g_k = ap0.grad_F_norm
-        G_vec = ap0.composite_grad()
+    if seg is None:
+        bisections = 0
+        pieces = [(1.0, ap.T)]
+        x_next = ap.T
+        g_k = ap.grad_F_norm
+        G_vec = ap.composite_grad()
     else:
-        ap1, it1 = acceptance_solver(instance, state.upsilon, H, p, beta,
-                                     params, caps=caps, tol=tol)
-        lower_iters += it1
-        if collect is not None:
-            collect(ap1)
-        prod1 = float(ap1.composite_grad() @ u)
-        if prod1 <= 0.0:
-            branch = "case_ii"
-            pieces = [(1.0, ap1.T)]
-            x_next = ap1.T
-            g_k = ap1.grad_F_norm
-            G_vec = ap1.composite_grad()
-        else:
-            branch = "case_iii"
-            seg = bisect_segment(instance, state.x, u, ap0, ap1, H, p, beta,
-                                 params, caps=caps, tol=tol, collect=collect)
-            bisections = seg.bisections
-            lower_iters += seg.lower_iters
-            alpha = seg.alpha
-            x_next = alpha * seg.T1.T + (1.0 - alpha) * seg.T2.T
-            g_k = seg.g_k
-            G_vec = alpha * seg.T1.composite_grad() \
-                + (1.0 - alpha) * seg.T2.composite_grad()
-            bound = 2.0 ** (1.0 / (p + 1)) * g_k
-            res = state.metric.dual_norm(G_vec)
-            if res > bound * (1.0 + 1e-9) + 1e-12:
-                raise AssertionError(
-                    f"combined subgradient too large: {res:.3e} > {bound:.3e}")
-            pieces = [(alpha, seg.T1.T), (1.0 - alpha, seg.T2.T)]
-
-    residual = state.metric.dual_norm(G_vec)
-    if g_k <= 1e-14:
-        state.x = x_next
-        return {"status": "optimal", "g_k": g_k, "branch": branch,
-                "lower_iters": lower_iters, "bisections": bisections,
-                "residual": residual}
-    c = coeff_factor * ((1.0 - beta) / H) ** (1.0 / p) * g_k ** ((1.0 - p) / p)
-    a = solve_step_coefficient(state.A, c)
-    _absorb(state, instance, a, pieces)
-    state.A += a
-    state.B_cert += 0.25 * ((1.0 - beta) / H) ** (1.0 / p) \
-        * state.A * g_k ** ((p + 1) / p)
-    state.upsilon = estimating_min(state, instance.simple)
-    state.x = x_next
-    state.k += 1
-    return {"status": "running", "g_k": g_k, "a": a, "branch": branch,
-            "lower_iters": lower_iters, "bisections": bisections,
-            "residual": residual}
+        bisections = seg.bisections
+        lower_iters += seg.lower_iters
+        alpha = seg.alpha
+        pieces = [(alpha, seg.T1.T), (1.0 - alpha, seg.T2.T)]
+        x_next = alpha * seg.T1.T + (1.0 - alpha) * seg.T2.T
+        g_k = seg.g_k
+        G_vec = alpha * seg.T1.composite_grad() \
+            + (1.0 - alpha) * seg.T2.composite_grad()
+    a = _advance(state, instance, step_rates("inexact", H, p, beta, coeff_factor),
+                 p, g_k, pieces, x_next)
+    return {"status": "optimal" if a is None else "running", "g_k": g_k,
+            "a": a, "branch": branch, "lower_iters": lower_iters,
+            "bisections": bisections, "residual": state.metric.dual_norm(G_vec)}
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +285,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         budget: int = 200, epsilon: float | None = None, R: float | None = None,
         x0: np.ndarray | None = None, coeff_factor: float = 0.25,
         caps: SolveCaps = DEFAULT_CAPS, tol: Tolerances = DEFAULT_TOL,
-        collect=None, check_invariants: bool = True) -> RunTrace:
+        collect=None) -> RunTrace:
     """Drive one of the three methods to a certified stop or budget exhaustion.
 
     mode "exact" uses a closed-form segment-search oracle; "inexact" uses the
@@ -357,8 +345,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
                         "residual"):
                 if key in step_info:
                     rec[key] = step_info[key]
-        ps = psi_star(state, psi)
-        rec["psi_star"] = ps
+        rec["psi_star"] = psi_star(state, psi)
         rec["AF_plus_B"] = state.A * F_val + state.B_cert
         if x_star is not None:
             rec["psi_at_xstar"] = psi_value(state, psi, x_star)
@@ -369,21 +356,15 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         if state.A > 0.0 and R is not None:
             rec["gap_cert"] = gap_certificate(state, instance, R)
             rec["gap_bound"] = R * R / (2.0 * state.A)
-        if check_invariants:
-            slack = 1e-8 * (1.0 + abs(ps))
-            if rec["AF_plus_B"] > ps + slack:
-                raise AssertionError(
-                    f"estimating-sequence lower invariant failed at k={state.k}: "
-                    f"{rec['AF_plus_B']:.12e} > {ps:.12e}")
-            if x_star is not None:
-                ub = rec["psi_xstar_bound"]
-                if rec["psi_at_xstar"] > ub + 1e-8 * (1.0 + abs(ub)):
-                    raise AssertionError(
-                        f"estimating-sequence upper invariant failed at k={state.k}")
+        bad = invariant_violations(
+            config, trace.records[-1] if trace.records else None, rec)
+        if bad:
+            raise InvariantViolation(f"invariants {bad} failed at k={state.k}",
+                                     k=state.k, families=bad)
+        trace.records.append(rec)
         return rec
 
-    trace.records.append(record(None))
-    prev_F = trace.records[0]["F_val"]
+    record(None)
     status = "budget"
     for _ in range(budget):
         if mode == "exact":
@@ -392,22 +373,15 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
             info = step_inexact(state, instance, H, p, beta, params,
                                 caps=caps, tol=tol, coeff_factor=coeff_factor,
                                 collect=collect)
+        rec = record(info)
         if info["status"] == "optimal":
             status = "optimal"
-            trace.records.append(record(info))
             break
-        rec = record(info)
-        if check_invariants and rec["F_val"] > prev_F + 1e-10 * (1.0 + abs(prev_F)):
-            raise AssertionError(f"descent violated at k={state.k}")
-        prev_F = rec["F_val"]
-        trace.records.append(rec)
-        if epsilon is not None:
-            if rec.get("gap_cert") is not None and rec["gap_cert"] <= epsilon:
-                status = "gap_reached"
-                break
-            if R is not None and state.A >= R * R / (2.0 * epsilon):
-                status = "gap_reached"
-                break
+        if epsilon is not None and (
+                rec.get("gap_cert") is not None and rec["gap_cert"] <= epsilon
+                or R is not None and state.A >= R * R / (2.0 * epsilon)):
+            status = "gap_reached"
+            break
     trace.status = status
     return trace
 
@@ -444,58 +418,77 @@ def rate_fit(trace: RunTrace, k_min: int, k_max: int) -> tuple[float, list[str]]
     return slope, warnings
 
 
-def verify_trace(trace: RunTrace) -> dict:
-    """Replay every per-iteration invariant recorded in a trace.
+def invariant_violations(config: dict, prev: dict | None, rec: dict) -> list[str]:
+    """The invariant families that record rec breaks after record prev (None
+    for the first); run and verify_trace both call it.  Sums, bounds and
+    recurrences are recomputed from the config and the recorded k, F_val, A,
+    B_cert, a and g_k.  A field the config makes required fails each family
+    that reads it when it is missing."""
+    p, F_star, R, R0 = config["p"], config["F_star"], config["R"], config["R0"]
+    c0, b0 = step_rates(config["mode"], config["H"], p, config["beta"],
+                        config["coeff_factor"])
+    k, F, A, B = rec["k"], rec["F_val"], rec["A"], rec["B_cert"]
+    a, g_k, res = rec.get("a"), rec.get("g_k"), rec.get("residual")
+    g_ok = g_k is not None and g_k > 0.0
+    step = prev is not None and k == prev["k"] + 1
+    if prev is None:
+        seq_ok, B_ok = k == 0 and A == 0.0, B == 0.0
+    elif prev.get("g_k") is not None and prev["g_k"] <= OPTIMAL_G:
+        seq_ok, B_ok = False, True  # nothing follows the final optimal record
+    elif step:
+        seq_ok = a is not None and a > 0.0 and abs(prev["A"] + a - A) <= 1e-12 * A
+        B_ok = g_ok and abs(prev["B_cert"] + b0 * A * g_k ** ((p + 1) / p)
+                            - B) <= 1e-12 * B
+    else:  # the final optimal record repeats k, A and B_cert
+        seq_ok = k == prev["k"] and A == prev["A"] \
+            and g_k is not None and g_k <= OPTIMAL_G
+        B_ok = B == prev["B_cert"]
 
-    Returns {invariant: {"ok": bool, "violations": [k, ...]}}; purely
-    arithmetic on the recorded fields, so tampered traces fail loudly.
+    bad = []
+    if prev is not None and F > prev["F_val"] + 1e-10 * (1.0 + abs(prev["F_val"])):
+        bad.append("descent")
+    if not seq_ok:
+        bad.append("A_nondecreasing")
+    ps = rec.get("psi_star")
+    if not B_ok or ps is None or A * F + B > ps + 1e-8 * (1.0 + abs(ps)):
+        bad.append("estimating_lower")
+    if R0 is not None:
+        ub = A * F_star + 0.5 * R0 * R0
+        psx = rec.get("psi_at_xstar")
+        if psx is None or psx > ub + 1e-8 * (1.0 + abs(ub)):
+            bad.append("estimating_upper")
+    if step:
+        c = c0 * g_k ** ((1.0 - p) / p) if g_ok else math.nan
+        if a is None or not (A > 0.0 and abs(a * a / A - c) <= 1e-6 * c):
+            bad.append("coefficient_equation")
+    if step or res is not None:
+        if res is None or g_k is None \
+                or res > 2.0 ** (1.0 / (p + 1)) * g_k * (1.0 + 1e-9) + 1e-12:
+            bad.append("residual_bound")
+    cert, F_gap = rec.get("gap_cert"), rec.get("F_gap")
+    gap_ok = R is None or A <= 0.0 \
+        or cert is not None and cert <= R * R / (2.0 * A) + 1e-9
+    if F_star is not None:
+        gap = F - F_star
+        gap_ok = gap_ok and F_gap is not None and abs(F_gap - gap) <= 1e-9 \
+            and (cert is None or cert >= gap - 1e-9)
+    if not gap_ok:
+        bad.append("gap_bound")
+    return bad
+
+
+def verify_trace(trace: RunTrace) -> dict:
+    """Replay every per-iteration invariant of a trace.
+
+    Returns {family: {"ok": bool, "violations": [k, ...]}}; purely
+    arithmetic on the recorded fields and the config (see
+    invariant_violations), so tampered or stripped traces fail loudly.
     """
-    cfg = trace.config
-    p = cfg.get("p", 3)
-    H = cfg.get("H")
-    beta = cfg.get("beta", 0.0)
-    factor = cfg.get("coeff_factor", 0.25)
-    mode = cfg.get("mode", "inexact")
-    checks = {name: [] for name in (
-        "descent", "A_nondecreasing", "estimating_lower", "estimating_upper",
-        "coefficient_equation", "residual_bound", "gap_bound")}
+    checks = {name: [] for name in FAMILIES}
     prev = None
     for rec in trace.records:
-        k = rec["k"]
-        if prev is not None:
-            if rec["F_val"] > prev["F_val"] + 1e-10 * (1.0 + abs(prev["F_val"])):
-                checks["descent"].append(k)
-            if rec["A"] < prev["A"] - 1e-12:
-                checks["A_nondecreasing"].append(k)
-            a = rec.get("a")
-            g_k = rec.get("g_k")
-            if a is not None and g_k is not None and g_k > 0 and H:
-                if mode == "exact":
-                    c = (1.0 / H) ** (1.0 / p) * g_k ** ((1.0 - p) / p)
-                else:
-                    c = factor * ((1.0 - beta) / H) ** (1.0 / p) \
-                        * g_k ** ((1.0 - p) / p)
-                lhs = a * a / rec["A"]
-                if abs(lhs - c) > 1e-6 * max(c, 1e-300):
-                    checks["coefficient_equation"].append(k)
-        ps = rec.get("psi_star")
-        if ps is not None and rec.get("AF_plus_B") is not None:
-            if rec["AF_plus_B"] > ps + 1e-8 * (1.0 + abs(ps)):
-                checks["estimating_lower"].append(k)
-        if rec.get("psi_at_xstar") is not None:
-            ub = rec["psi_xstar_bound"]
-            if rec["psi_at_xstar"] > ub + 1e-8 * (1.0 + abs(ub)):
-                checks["estimating_upper"].append(k)
-        res, g_k = rec.get("residual"), rec.get("g_k")
-        if res is not None and g_k is not None:
-            if res > 2.0 ** (1.0 / (p + 1)) * g_k * (1.0 + 1e-9) + 1e-12:
-                checks["residual_bound"].append(k)
-        if rec.get("gap_cert") is not None and rec.get("gap_bound") is not None:
-            if rec["gap_cert"] > rec["gap_bound"] + 1e-9:
-                checks["gap_bound"].append(k)
-            gap = rec.get("F_gap")
-            if gap is not None and rec["gap_cert"] < gap - 1e-9:
-                checks["gap_bound"].append(k)
+        for name in invariant_violations(trace.config, prev, rec):
+            checks[name].append(rec["k"])
         prev = rec
     return {name: {"ok": not bad, "violations": bad}
             for name, bad in checks.items()}

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from biopt import (AcceptedPoint, build_example_1d, build_logbar,
-                   build_quadratic, check_lemma_properties, exact_sprox_1d,
-                   is_acceptable, reg_value_grad, rel_smooth_params,
-                   solve_acceptable)
+from biopt import (AcceptedPoint, InvariantViolation, build_example_1d,
+                   build_logbar, build_quadratic, check_lemma_properties,
+                   exact_sprox_1d, is_acceptable, reg_value_grad,
+                   rel_smooth_params, solve_acceptable)
 
 
 def fd_grad(fun, x, eps=1e-6):
@@ -96,7 +96,8 @@ class TestAcceptedPoint:
 
     def test_invalid_pair_rejected(self):
         inst = build_example_1d()
-        with pytest.raises(AssertionError, match="acceptance inequality violated"):
+        with pytest.raises(InvariantViolation,
+                           match="acceptance inequality violated"):
             AcceptedPoint(inst, np.array([0.0]), 1.0, 3, 0.1,
                           np.array([5.0]), np.array([1.0]))
 

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from biopt import (BioptError, CertificateUndefined, Metric, RunTrace,
-                   SimpleOracle, build_builtin, build_example_1d,
-                   build_quadratic, estimating_min, gap_certificate, new_state,
-                   psi_star, psi_value, rate_fit, run, verify_trace)
+import biopt.driver
+from biopt import (BioptError, CertificateUndefined, InvariantViolation,
+                   Metric, RunTrace, SimpleOracle, build_builtin,
+                   build_example_1d, build_quadratic, estimating_min,
+                   gap_certificate, new_state, psi_star, psi_value, rate_fit,
+                   run, verify_trace)
+from biopt.cli import main
 
 
 class TestEstimatingSequence:
@@ -208,6 +212,37 @@ class TestRateFit:
             rate_fit(trace, 1, 10)
 
 
+def strip_certificates(trace):
+    for rec in trace.records:
+        for key in ("psi_star", "gap_cert", "gap_bound", "psi_at_xstar",
+                    "residual", "a"):
+            rec.pop(key, None)
+        rec["A"] = 1e9
+
+
+def drop_psi_star(trace):
+    del trace.records[3]["psi_star"]
+
+
+def halve_B_cert(trace):
+    trace.records[3]["B_cert"] *= 0.5
+
+
+def scale_mass(trace):
+    for rec in trace.records:
+        rec["A"] *= 4.0
+        if rec["a"] is not None:
+            rec["a"] *= 4.0
+
+
+def swap_records(trace):
+    trace.records[3], trace.records[4] = trace.records[4], trace.records[3]
+
+
+def drop_mode(trace):
+    del trace.config["mode"]
+
+
 class TestVerifyTrace:
     def clean_trace(self):
         return run(build_builtin("quad-3", seed=9), "exact", p=2, H=1.0,
@@ -242,6 +277,39 @@ class TestVerifyTrace:
                 rec["gap_cert"] = rec["gap_bound"] + 1.0
         rep = verify_trace(bad)
         assert not rep["gap_bound"]["ok"]
+
+    @pytest.mark.parametrize("tamper, family", [
+        (strip_certificates, "estimating_lower"),
+        (drop_psi_star, "estimating_lower"),
+        (halve_B_cert, "estimating_lower"),
+        (scale_mass, "estimating_lower"),
+        (swap_records, "A_nondecreasing"),
+        (drop_mode, None),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_tampered_inexact_trace_fails(self, tamper, family, tmp_path):
+        # family None: a config without a key it needs is a trace error
+        trace = run(build_builtin("quad-5", seed=1), "inexact", p=3,
+                    beta=0.2, H=1.0, budget=30)
+        assert len(trace.records) > 5
+        tamper(trace)
+        path = tmp_path / "t.ndjson"
+        trace.write_ndjson(str(path))
+        result = CliRunner().invoke(main, ["verify", str(path)])
+        if family is None:
+            assert result.exit_code == 2
+            assert "trace error" in result.output
+        else:
+            assert result.exit_code == 1
+            assert f"{family}: FAIL" in result.output
+
+    def test_run_raises_on_broken_invariant(self, monkeypatch):
+        monkeypatch.setattr(biopt.driver, "gap_certificate",
+                            lambda state, instance, R: R * R / state.A + 1.0)
+        with pytest.raises(InvariantViolation) as err:
+            run(build_builtin("quad-3", seed=9), "exact", p=2, H=1.0,
+                budget=5)
+        assert err.value.families == ["gap_bound"]
+        assert err.value.k == 1
 
 
 def test_run_is_deterministic():
