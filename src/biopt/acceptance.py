@@ -77,8 +77,7 @@ class AcceptedPoint:
 
 
 def check_lemma_properties(accepted: AcceptedPoint, H: float, p: int,
-                           x_star: np.ndarray | None = None,
-                           rel_slack: float = 1e-9) -> dict:
+                           x_star: np.ndarray | None = None) -> dict:
     """Diagnostic report for the first-order consequences of acceptance.
 
     Checks the residual bracket
@@ -86,8 +85,10 @@ def check_lemma_properties(accepted: AcceptedPoint, H: float, p: int,
     the descent inner product
       <grad f(T)+g, xbar - T> >= (H/(1+beta)) r^{p+1},
     its norm form (only when beta <= 1/p), and, when x* is known and
-    beta <= 3/8, the contraction ||T - x*|| <= (5/4) ||xbar - x*||.
+    beta <= 3/8, the contraction ||T - x*|| <= (5/4) ||xbar - x*||.  The
+    relative slack is fixed here, so no caller can loosen the audit.
     """
+    rel_slack = 1e-9
     inst = accepted._instance
     m = inst.metric
     beta = accepted.beta_used

@@ -226,12 +226,6 @@ class RunTrace:
     records: list = field(default_factory=list)
     status: str = "running"
 
-    @property
-    def final_gap(self) -> float | None:
-        if not self.records:
-            return None
-        return self.records[-1].get("gap_cert")
-
     def write_ndjson(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(json.dumps({"type": "config", **self.config},

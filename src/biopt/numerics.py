@@ -5,10 +5,12 @@ positive-definite operator B: ||x|| = <Bx, x>^{1/2}, with dual norm
 ||g||_* = <g, B^{-1}g>^{1/2}.  The prox powers d_{p+1}(x) = ||x||^{p+1}/(p+1)
 and their gradients are the regularizers used everywhere.
 
-The scalar solvers: monotone_root (bisection of a nondecreasing function to
-floating-point resolution), radial_solver (the secular equation
-(K + c||h||^{p-1}B) h = -g in r = ||h||, on one eigendecomposition of K) and
-golden_section (minimization of a unimodal function on an interval).
+The scalar solvers: monotone_root (root of a nondecreasing function:
+safeguarded Newton when a slope is given, bisection to floating-point
+resolution otherwise), radial_solver (the secular equation
+(K + c||h||^{p-1}B) h = -g, on one eigendecomposition of K, by Newton on
+its concave reciprocal form) and golden_section (minimization of a unimodal
+function on an interval).
 """
 
 from __future__ import annotations
@@ -157,31 +159,64 @@ _MAX_WIDENINGS = 200
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def monotone_root(phi, lo: float, hi: float) -> float:
+def monotone_root(phi, lo: float, hi: float, dphi=None) -> float:
     """Root of a nondecreasing scalar function phi from the guess [lo, hi].
 
     Doubles the bracket away from the side whose sign is wrong, at most
     _MAX_WIDENINGS times in all, and raises BracketFailure when that finds
-    no phi(lo) <= 0 <= phi(hi).  Then bisects (phi(mid) < 0 moves lo) until
-    the midpoint equals an endpoint, i.e. to floating-point resolution.
+    no phi(lo) <= 0 <= phi(hi).  Without the slope dphi it then bisects
+    (phi(mid) < 0 moves lo) until the midpoint equals an endpoint, i.e. to
+    floating-point resolution.  With the slope dphi it takes Newton steps
+    from the bracket end with the smaller |phi| and keeps the bracket by the
+    same rule.  A step that leaves the bracket, or is longer than half the
+    step before the last, is replaced by the midpoint, so the steps halve at
+    least every other iteration.  It stops when a Newton step is below one
+    ulp or gains nothing on |phi| without a sign change (phi at roundoff
+    level), or when the midpoint equals an endpoint.
     """
+    f_lo, f_hi = phi(lo), phi(hi)
     for _ in range(_MAX_WIDENINGS):
-        if phi(lo) > 0.0:
+        if f_lo > 0.0:
             lo = hi - 2.0 * (hi - lo)
-        elif phi(hi) < 0.0:
+            f_lo = phi(lo)
+        elif f_hi < 0.0:
             hi = lo + 2.0 * (hi - lo)
+            f_hi = phi(hi)
         else:
             break
     else:
         raise BracketFailure(f"no sign change of phi on [{lo!r}, {hi!r}]")
+    if dphi is None:
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return mid
+            if phi(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+    step = step_before = hi - lo
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if phi(mid) < 0.0:
-            lo = mid
+        x, fx = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+        if fx == 0.0:
+            return x
+        d = dphi(x)
+        new = x - fx / d if d > 0.0 else math.nan
+        if abs(new - x) < math.ulp(x):
+            return x
+        newton = lo < new < hi and abs(new - x) <= 0.5 * step_before
+        if not newton:
+            new = 0.5 * (lo + hi)
+            if new == lo or new == hi:
+                return new
+        step_before, step = step, abs(new - x)
+        f_new = phi(new)
+        if newton and (f_new < 0.0) == (fx < 0.0) and abs(f_new) >= abs(fx):
+            return x  # a Newton step that gains nothing: phi is at roundoff level
+        if f_new < 0.0:
+            lo, f_lo = new, f_new
         else:
-            hi = mid
+            hi, f_hi = new, f_new
 
 
 def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
@@ -189,9 +224,20 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
 
     With B = L L^T (Cholesky; L = I for the identity metric), the basis
     S = L^{-T} V, where V diagonalizes L^{-1} K L^{-T} = V diag(lam) V^T,
-    gives S^T K S = diag(lam) and S^T B S = I.  So h = -S (w / (lam + c r^{p-1}))
-    with w = S^T g and r = ||h|| = ||w / (lam + c r^{p-1})||, a 1-D equation
-    solved by monotone_root.  K is decomposed once, here.
+    gives S^T K S = diag(lam) and S^T B S = I.  So h = -S (w / (lam + s))
+    with w = S^T g, the shift s = c r^{p-1} and r = ||h|| = n(s) =
+    ||w / (lam + s)||.  K is decomposed once, here.
+
+    The 1-D equation is solved in s as phi(s) = 1/n(s) - (c/s)^{1/(p-1)} = 0.
+    phi is increasing and concave (1/n is the reciprocal form of More &
+    Sorensen), so a Newton step never passes the root from the left and
+    lands left of it from the right; monotone_root takes these steps with
+    the slope sum(w^2/(lam+s)^3)/n^3 + (c/s)^{1/(p-1)}/((p-1) s).  The
+    bracket comes from the 1-D roots rho_i of lam_i rho + c rho^p = |w_i|:
+    each lies in [b_i/2, b_i] with b_i = min(|w_i|/lam_i, (|w_i|/c)^{1/p}),
+    and max_i rho_i <= r <= ||rho||, so r lies in [max(b)/2, ||b||].
+    (See More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983, and
+    Nesterov & Polyak, Math. Program. 108, 2006, section 5.)
     """
     K = np.asarray(K, dtype=float)
     if metric.is_identity:
@@ -207,14 +253,40 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
         w = S.T @ g
         if not np.any(w):
             return np.zeros_like(w)
+        if e == 0:  # p = 1: the shift is c, the system is linear
+            return -(S @ (w / (lam + c)))
+        a = np.abs(w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.fmin(a / lam, (a / c) ** (1.0 / p))
+        s_lo, s_hi = c * (0.5 * float(b.max())) ** e, c * math.hypot(*b) ** e
+        if s_hi == 0.0:  # the shift underflows: lam + s == lam
+            return -(S @ (w / lam))
+        # n(s) = scale ||z||, z = w_hat/(lam + s): |z| <= 1 at s_hi, so z*z
+        # neither overflows nor underflows to 0 on the bracket; scale is a
+        # power of two, so the scaling itself rounds nothing
+        scale = math.ldexp(1.0, math.frexp(float(np.max(a / (lam + s_hi))))[1])
+        w_hat = w / scale
+        cache = {}
 
-        def norm_h(r):  # nonincreasing in r; inf where lam + c r^{p-1} hits 0
-            den = lam + c * r ** e
-            return float(np.linalg.norm(w / den)) if den[0] > 0.0 else math.inf
+        def terms(s):  # n(s) and sum(w^2/(lam+s)^3)/n(s)^3, once per s
+            if s not in cache:
+                v = 1.0 / (lam + s)
+                z = w_hat * v
+                q = z * z
+                n_hat = math.sqrt(q.sum())
+                cache[s] = (scale * n_hat, float(q @ v) / (scale * n_hat ** 3))
+            return cache[s]
 
-        hi = max(norm_h(0.0) if lam[0] > 0.0 else 1.0, 1e-12)
-        r = monotone_root(lambda r: r - norm_h(r), 0.0, hi)
-        return -(S @ (w / (lam + c * r ** e)))
+        def phi(s):  # -inf and an infinite slope below the domain s > 0
+            return 1.0 / terms(s)[0] - (c / s) ** (1.0 / e) if s > 0.0 else -math.inf
+
+        def dphi(s):
+            if s <= 0.0:
+                return math.inf
+            return terms(s)[1] + (c / s) ** (1.0 / e) / (e * s)
+
+        s = monotone_root(phi, s_lo, s_hi, dphi)
+        return -(S @ (w / (lam + s)))
 
     return solve
 

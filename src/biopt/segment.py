@@ -104,8 +104,9 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
 
     Inner problem at anchor m: (Q + H r^{p-1} I) h = -(Q m - c) with the
     radial root r = ||h||, solved by radial_solver on one eigendecomposition
-    of Q; the outer tau minimization on [0, 1] is convex and handled by
-    golden section.
+    of Q.  The tau-objective V(tau) = min_x f(x) + H d_{p+1}(x - xbar - tau*u)
+    is convex with the envelope slope V'(tau) = <grad f(x(tau)), u>, so tau
+    is 0 when V'(0) >= 0, 1 when V'(1) <= 0, and the root of V' otherwise.
     """
     sm = instance.smooth
     if instance.simple.kind != "zero" or not instance.metric.is_identity:
@@ -114,25 +115,20 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
         raise ValueError("sprox_quadratic needs a quadratic smooth part")
     radial = radial_solver(instance.metric, sm.Q, H, p)
 
-    def inner(m):
-        h = radial(sm.Q @ m - sm.c)
-        x = m + h
-        val = sm.value(x) + H * np.linalg.norm(h) ** (p + 1) / (p + 1)
-        return x, val
+    def inner(tau):
+        m = xbar + tau * u
+        return m + radial(sm.Q @ m - sm.c)
 
-    def tau_obj(tau):
-        return inner(xbar + tau * u)[1]
+    def slope(tau):
+        return float(sm.grad(inner(tau)) @ u)
 
-    if float(u @ u) == 0.0:
+    if slope(0.0) >= 0.0:
         tau = 0.0
+    elif slope(1.0) <= 0.0:
+        tau = 1.0
     else:
-        tau, _ = golden_section(tau_obj, 0.0, 1.0, iters=90)
-        # convex in tau: keep the better endpoint if the polish sits near one
-        for t_end in (0.0, 1.0):
-            if tau_obj(t_end) <= tau_obj(tau):
-                tau = t_end
-    x, _ = inner(xbar + tau * u)
-    return x, float(tau), np.zeros(instance.dim)
+        tau = monotone_root(slope, 0.0, 1.0)
+    return inner(tau), float(tau), np.zeros(instance.dim)
 
 
 def make_sprox_oracle(instance: ProblemInstance, H: float, p: int):
@@ -243,8 +239,13 @@ def _inner_solver_1d(instance, anchor_lo, anchor_hi, H, p):
     def solve(anchors):
         m = np.asarray(anchors, dtype=float)
 
-        def total(x):
-            return F(x) + H * np.abs(x - m) ** (p + 1) / (p + 1)
+        def total(x):  # |x - m|^{p+1} by in-place products: np.power is slower
+            reg = np.abs(x - m)
+            a = reg.copy()
+            for _ in range(p):
+                reg *= a
+            reg *= H / (p + 1)
+            return F(x) + reg
 
         # level-set bracket: H d(T - m) <= F(base) + H d(base - m) - F_lb
         Fm = F(m)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from biopt import (BracketFailure, DegenerateCoefficient, Metric, monotone_root,
                    power_mean_norm, prox_power, prox_power_hessian,
                    solve_step_coefficient, uniform_convexity_gap)
+from biopt import numerics
 
 
 def random_spd(dim, seed):
@@ -156,6 +157,114 @@ class TestMonotoneRoot:
         with pytest.raises(BracketFailure):
             monotone_root(phi, 0.0, 1.0)
         assert len(calls) <= 1000
+
+    def test_slope_path_converges_fast(self):
+        # x^3 = 2 with its slope: Newton reaches full precision where
+        # bisection to resolution takes about 55 evaluations
+        calls = []
+
+        def phi(x):
+            calls.append(x)
+            return x ** 3 - 2.0
+        x = monotone_root(phi, 0.0, 1.0, dphi=lambda x: 3.0 * x * x)
+        assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("slope", [1e-3, -1.0, 0.0])
+    def test_slope_out_of_bracket_falls_back_to_bisection(self, slope):
+        # each Newton step of a wrong slope leaves [lo, hi] (or is undefined)
+        calls = []
+
+        def phi(x):
+            calls.append(x)
+            return x - 0.3
+        x = monotone_root(phi, 0.0, 1.0, dphi=lambda x: slope)
+        assert x == pytest.approx(0.3, abs=1e-15)
+        assert len(calls) <= 200
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_slope_path_without_sign_change_raises(self, sign):
+        calls = []
+
+        def phi(x):
+            calls.append(x)
+            return sign
+        with pytest.raises(BracketFailure):
+            monotone_root(phi, 0.0, 1.0, dphi=lambda x: 1.0)
+        assert len(calls) <= 1000
+
+
+class TestRadialSolverStress:
+    """(K + c||h||^{p-1}B) h = -g over p, metric, K's scale and rank, c, ||g||.
+
+    The bisection to resolution that the Newton solve replaced gave, on this
+    same sweep (1620 solves), a worst relative residual
+    ||Kh + c||h||^{p-1}Bh + g|| / ||g|| of 1.12e-4 (a singular K scaled by
+    1e4 with ||g|| = 1e-8: eigendecomposition roundoff), a worst residual of
+    10.9 eps relative to ||K|| ||h|| + c||h||^{p-1}||Bh|| + ||g||, and took
+    up to 109 evaluations of the secular function per solve (65 on average).
+    """
+    BISECTION_REL = 1.13e-4
+    BISECTION_BACKWARD = 10.9
+
+    def test_residual_no_worse_than_bisection(self, monkeypatch):
+        evals = []
+
+        def counting_root(phi, lo, hi, dphi=None):
+            n = len(evals)
+            evals.append(0)
+
+            def counted(x):
+                evals[n] += 1
+                return phi(x)
+            return monotone_root(counted, lo, hi, dphi)
+        monkeypatch.setattr(numerics, "monotone_root", counting_root)
+
+        d = 6
+        rng = np.random.default_rng(0)
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        spectra = (np.logspace(-2, 1, d), np.r_[0.0, np.logspace(-1, 1, d - 1)])
+        G = np.random.default_rng(3).standard_normal((d, d))
+        metrics = (Metric(dim=d), Metric(G @ G.T / d + 0.5 * np.eye(d)))
+        gs = [np.random.default_rng(100 + j).standard_normal(d) for j in range(3)]
+        worst_rel = worst_backward = 0.0
+        for p in (2, 3, 4):
+            for metric in metrics:
+                for spectrum in spectra:
+                    for k_scale in (1e-4, 1.0, 1e4):
+                        K = k_scale * (V @ np.diag(spectrum) @ V.T)
+                        k_norm = np.linalg.norm(K, 2)
+                        for c in (1e-3, 1.0, 1e3):
+                            solve = numerics.radial_solver(metric, K, c, p)
+                            for g_norm in (1e-8, 1e-4, 1.0, 1e3, 1e6):
+                                for g0 in gs:
+                                    g = g0 * (g_norm / np.linalg.norm(g0))
+                                    h = solve(g)
+                                    reg = c * metric.norm(h) ** (p - 1) * metric.apply(h)
+                                    res = np.linalg.norm(K @ h + reg + g)
+                                    scale = (k_norm * np.linalg.norm(h)
+                                             + np.linalg.norm(reg) + g_norm)
+                                    worst_rel = max(worst_rel, res / g_norm)
+                                    worst_backward = max(
+                                        worst_backward,
+                                        res / (np.finfo(float).eps * scale))
+        assert len(evals) == 1620
+        assert worst_rel <= self.BISECTION_REL
+        assert worst_backward <= self.BISECTION_BACKWARD
+        assert max(evals) <= 20
+
+    @pytest.mark.parametrize("g_norm", [1e-300, 1e300])
+    @pytest.mark.parametrize("spectrum", [[0.0, 1.0, 2.0], [1.0, 1e3, 2.0]])
+    def test_extreme_gradient_scales(self, g_norm, spectrum):
+        # squares of w and of 1/(lam + s) would under- or overflow here
+        K = np.diag(spectrum)
+        g = g_norm * np.array([1.0, -2.0, 0.5])
+        for p in (2, 3, 4):
+            h = numerics.radial_solver(Metric(dim=3), K, 1.0, p)(g)
+            big = np.max(np.abs(h))
+            r = big * np.linalg.norm(h / big)
+            res = K @ h + r ** (p - 1) * h + g
+            assert np.max(np.abs(res)) <= 1e-13 * np.max(np.abs(g))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])

@@ -114,6 +114,32 @@ class TestSproxQuadratic:
         _, _, ref_val = sprox_reference(inst, xbar, u, 2.0, 2, grid_tau=150)
         assert val == pytest.approx(ref_val, abs=1e-6)
 
+    def test_tau_first_order_condition(self):
+        # V(tau) = min_x f(x) + H d_{p+1}(x - xbar - tau u) is convex with
+        # V'(tau) = <grad f(x(tau)), u>: zero inside, >= 0 at 0, <= 0 at 1
+        inst = build_builtin("quad-5", seed=1)
+        x_star = np.linalg.solve(inst.smooth.Q, inst.smooth.c)
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(60):
+            xbar, u = rng.standard_normal(5), 2.0 * rng.standard_normal(5)
+            if rng.random() < 0.5:  # point u toward x*, so tau = 1 occurs
+                u = rng.uniform(0.2, 1.5) * (x_star - xbar) + 0.1 * u
+            H, p = rng.choice([0.5, 1.0, 4.0]), int(rng.integers(2, 5))
+            x, tau, _ = sprox_quadratic(inst, xbar, u, H, p)
+            grad = inst.smooth.grad(x)
+            slope = float(grad @ u)
+            if tau == 0.0:
+                assert slope >= 0.0
+                seen.add("tau0")
+            elif tau == 1.0:
+                assert slope <= 0.0
+                seen.add("tau1")
+            else:
+                assert abs(slope) <= 1e-9 * (1.0 + np.linalg.norm(grad) * np.linalg.norm(u))
+                seen.add("interior")
+        assert seen == {"tau0", "tau1", "interior"}
+
     def test_rejects_wrong_structure(self):
         inst = build_example_1d()
         with pytest.raises(ValueError, match="psi = 0"):
