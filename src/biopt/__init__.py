@@ -1,7 +1,6 @@
 """Convex composite minimization via accelerated high-order proximal points."""
 
-from .acceptance import (AcceptedPoint, check_lemma_properties, is_acceptable,
-                         reg_value_grad)
+from .acceptance import AcceptedPoint, check_lemma_properties, evaluate
 from .config import (DEFAULT_CAPS, DEFAULT_TOL, AcceptanceFailure, BioptError,
                      BisectionStall, BracketFailure, CertificateUndefined,
                      DegenerateCoefficient, DomainViolation, InvariantViolation,

@@ -7,6 +7,9 @@ regularized composite gradient is dominated by the plain composite gradient:
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from .config import DEFAULT_TOL, InvariantViolation, Tolerances
@@ -14,26 +17,28 @@ from .numerics import prox_power
 from .problems import ProblemInstance
 
 
-def reg_value_grad(instance: ProblemInstance, anchor: np.ndarray, H: float,
-                   p: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and gradient of f(x) + H d_{p+1}(x - anchor)."""
+@dataclass(frozen=True)
+class PointEval:
+    """grad f and f^p_{anchor,H} = f + H d_{p+1}(. - anchor) at x, from one
+    oracle call; d = prox_power(x - anchor).  Outside the domain of f:
+    reg_value inf, the rest None."""
+
+    x: np.ndarray
+    grad: np.ndarray | None
+    reg_value: float
+    reg_grad: np.ndarray | None
+    d: tuple[float, np.ndarray] | None
+
+
+def evaluate(instance: ProblemInstance, anchor: np.ndarray, H: float, p: int,
+             x: np.ndarray) -> PointEval:
+    """One smooth-oracle evaluation at x, with the regularizer added."""
     x = np.asarray(x, dtype=float)
-    dval, dgrad = prox_power(instance.metric, x - anchor, p)
-    return instance.smooth.value(x) + H * dval, instance.smooth.grad(x) + H * dgrad
-
-
-def is_acceptable(instance: ProblemInstance, anchor: np.ndarray, H: float,
-                  p: int, beta: float, T: np.ndarray, g: np.ndarray,
-                  tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Defining inequality of the acceptance set, with absolute + relative slack.
-
-    The caller certifies g in partial psi(T) (constructive witness from a
-    prox step or a closed form).
-    """
-    _, reg_grad = reg_value_grad(instance, anchor, H, p, T)
-    lhs = instance.metric.dual_norm(reg_grad + g)
-    rhs = instance.metric.dual_norm(instance.smooth.grad(T) + g)
-    return lhs <= beta * rhs + tol.acceptance_abs + tol.acceptance_rel * rhs
+    value, grad = instance.smooth.value_grad(x)
+    if grad is None:
+        return PointEval(x, None, math.inf, None, None)
+    dval, dgrad = d = prox_power(instance.metric, x - anchor, p)
+    return PointEval(x, grad, value + H * dval, grad + H * dgrad, d)
 
 
 class AcceptedPoint:
@@ -41,12 +46,14 @@ class AcceptedPoint:
 
     Construction asserts the defining inequality and the first-order
     consequences (the two-sided residual bracket and the descent inner
-    product); an AcceptedPoint that exists is always valid.
+    product); an AcceptedPoint that exists is always valid.  ev, the
+    caller's evaluation at T, is refused unless taken at T itself; the
+    regularizer term is recomputed here, so its anchor, H and p cannot differ.
     """
 
     def __init__(self, instance: ProblemInstance, anchor: np.ndarray, H: float,
                  p: int, beta: float, T: np.ndarray, g: np.ndarray,
-                 tol: Tolerances = DEFAULT_TOL):
+                 tol: Tolerances = DEFAULT_TOL, ev: PointEval | None = None):
         self._instance = instance
         self.T = np.asarray(T, dtype=float)
         self.g = np.asarray(g, dtype=float)
@@ -55,8 +62,14 @@ class AcceptedPoint:
         self.H = float(H)
         self.p = int(p)
         m = instance.metric
-        self.grad_f = instance.smooth.grad(self.T)
-        _, reg_grad = reg_value_grad(instance, self.anchor, H, p, self.T)
+        if ev is None:
+            ev = evaluate(instance, self.anchor, H, p, self.T)
+        elif not np.array_equal(ev.x, self.T):
+            raise InvariantViolation("evaluation was taken at a point other than T")
+        if ev.grad is None:
+            raise InvariantViolation("accepted point outside the domain of f")
+        self.grad_f = ev.grad
+        reg_grad = self.grad_f + H * prox_power(m, self.T - self.anchor, p)[1]
         self.r = m.norm(self.T - self.anchor)
         self.grad_F_norm = m.dual_norm(self.grad_f + self.g)
         self.reg_grad_norm = m.dual_norm(reg_grad + self.g)

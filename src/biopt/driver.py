@@ -20,7 +20,7 @@ import numpy as np
 from .config import (DEFAULT_CAPS, DEFAULT_TOL, BioptError, CertificateUndefined,
                      InvariantViolation, OptimalityReached, SolveCaps,
                      Tolerances)
-from .lower import RelSmoothParams, rel_smooth_params, solve_acceptable
+from .lower import rel_smooth_params, solve_acceptable
 from .numerics import Metric, golden_section, solve_step_coefficient
 from .problems import ProblemInstance, SimpleOracle
 from .segment import bisect_segment, make_sprox_oracle
@@ -79,9 +79,9 @@ def _absorb(state: EstimatingState, instance: ProblemInstance, a: float,
     Each piece is (weight, T); l_T(x) = f(T) + <grad f(T), x - T>.
     """
     for w, T in pieces:
-        gT = instance.smooth.grad(T)
+        fT, gT = instance.smooth.value_grad(T)
         state.s = state.s + a * w * gT
-        state.const += a * w * (instance.smooth.value(T) - float(gT @ T))
+        state.const += a * w * (fT - float(gT @ T))
 
 
 def step_rates(mode: str, H: float, p: int, beta: float | None,
@@ -128,22 +128,22 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
 
 
 def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
-                 p: int, beta: float, params: RelSmoothParams,
-                 caps: SolveCaps = DEFAULT_CAPS, tol: Tolerances = DEFAULT_TOL,
-                 coeff_factor: float = 0.25, collect=None) -> dict:
+                 p: int, beta: float, caps: SolveCaps = DEFAULT_CAPS,
+                 tol: Tolerances = DEFAULT_TOL, coeff_factor: float = 0.25,
+                 collect=None) -> dict:
     """One iteration of the inexact (three-branch) segment-search driver."""
     u = state.upsilon - state.x
     seg = None
     try:
         # OptimalityReached is raised here before any state changes
         ap0, lower_iters = solve_acceptable(instance, state.x, H, p, beta,
-                                            params, caps=caps, tol=tol)
+                                            caps=caps, tol=tol)
         if collect is not None:
             collect(ap0)
         ap, branch = ap0, "case_i"
         if state.metric.norm(u) != 0.0 and float(ap0.composite_grad() @ u) < 0.0:
             ap, it1 = solve_acceptable(instance, state.upsilon, H, p, beta,
-                                       params, caps=caps, tol=tol)
+                                       caps=caps, tol=tol)
             lower_iters += it1
             if collect is not None:
                 collect(ap)
@@ -151,7 +151,7 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
             if float(ap.composite_grad() @ u) > 0.0:
                 branch = "case_iii"
                 seg = bisect_segment(instance, state.x, u, ap0, ap, H, p, beta,
-                                     params, caps=caps, tol=tol, collect=collect)
+                                     caps=caps, tol=tol, collect=collect)
     except OptimalityReached as opt:
         state.x = np.asarray(opt.point, dtype=float)
         return {"status": "optimal", "g_k": 0.0, "branch": "optimal",
@@ -295,12 +295,9 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
             M_next = instance.smooth.deriv_bound(p + 1)
         if M_next is None or M_next <= 0:
             raise ValueError("superfast mode needs a positive M_{p+1} bound")
-        params = rel_smooth_params(p, M_next)
-        H = params.H
-    else:
-        if H is None:
-            raise ValueError(f"mode {mode!r} needs H")
-        params = RelSmoothParams(xi=2.0, H=H, mu=0.5, L=1.5, kappa=1.0 / 3.0)
+        H = rel_smooth_params(p, M_next).H
+    elif H is None:
+        raise ValueError(f"mode {mode!r} needs H")
 
     if x0 is None:
         x0 = instance.meta.get("x0")
@@ -364,9 +361,8 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         if mode == "exact":
             info = step_exact(state, instance, H, p, oracle)
         else:
-            info = step_inexact(state, instance, H, p, beta, params,
-                                caps=caps, tol=tol, coeff_factor=coeff_factor,
-                                collect=collect)
+            info = step_inexact(state, instance, H, p, beta, caps=caps, tol=tol,
+                                coeff_factor=coeff_factor, collect=collect)
         rec = record(info)
         if info["status"] == "optimal":
             status = "optimal"

@@ -16,6 +16,7 @@ function on an interval).
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -266,16 +267,14 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
         # power of two, so the scaling itself rounds nothing
         scale = math.ldexp(1.0, math.frexp(float(np.max(a / (lam + s_hi))))[1])
         w_hat = w / scale
-        cache = {}
 
+        @cache
         def terms(s):  # n(s) and sum(w^2/(lam+s)^3)/n(s)^3, once per s
-            if s not in cache:
-                v = 1.0 / (lam + s)
-                z = w_hat * v
-                q = z * z
-                n_hat = math.sqrt(q.sum())
-                cache[s] = (scale * n_hat, float(q @ v) / (scale * n_hat ** 3))
-            return cache[s]
+            v = 1.0 / (lam + s)
+            z = w_hat * v
+            q = z * z
+            n_hat = math.sqrt(q.sum())
+            return scale * n_hat, float(q @ v) / (scale * n_hat ** 3)
 
         def phi(s):  # -inf and an infinite slope below the domain s > 0
             return 1.0 / terms(s)[0] - (c / s) ** (1.0 / e) if s > 0.0 else -math.inf

@@ -167,7 +167,9 @@ _FAMILIES = {
 # ---------------------------------------------------------------------------
 
 class SmoothOracle:
-    """Interface of the smooth part f."""
+    """Interface of the smooth part f.  The lower level evaluates each point
+    once, through value_grad, and fixes the data at each anchor once, through
+    even_form_at."""
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -175,16 +177,26 @@ class SmoothOracle:
     def grad(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """(f, grad f) from one evaluation; (inf, None) outside the domain."""
+        if not self.in_domain(x):
+            return math.inf, None
+        return self.value(x), self.grad(x)
+
     def hessian(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def even_form_at(self, y: np.ndarray, order: int):
+        """h -> (even_form, even_form_grad) at h, with the data at y computed once."""
         raise NotImplementedError
 
     def even_form(self, y: np.ndarray, h: np.ndarray, order: int) -> float:
         """D^{order} f(y)[h]^{order} for even order."""
-        raise NotImplementedError
+        return self.even_form_at(y, order)(h)[0]
 
     def even_form_grad(self, y: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
         """h-gradient of even_form: order * D^{order} f(y)[h]^{order-1}."""
-        raise NotImplementedError
+        return self.even_form_at(y, order)(h)[1]
 
     def deriv_bound(self, order: int) -> float | None:
         """Uniform bound M_order(f) on the operating region, if declared."""
@@ -224,37 +236,40 @@ class SeparableOracle(SmoothOracle):
             raise DomainViolation(f"domain violation at row {idx}", index=idx)
         return t
 
+    def _inside(self, t: np.ndarray) -> bool:
+        return not self.open_domain or bool(np.all(t > 0.0))
+
     def in_domain(self, x: np.ndarray) -> bool:
-        if not self.open_domain:
-            return True
-        return bool(np.all(self.A @ np.asarray(x, dtype=float) - self.b > 0.0))
+        return not self.open_domain or self._inside(self._slacks(x, check=False))
 
     def value(self, x: np.ndarray) -> float:
-        if self.open_domain and not self.in_domain(x):
-            return math.inf
-        return float(np.sum(self.deriv(self._slacks(x, check=False), 0)))
+        t = self._slacks(x, check=False)
+        return float(np.sum(self.deriv(t, 0))) if self._inside(t) else math.inf
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         t = self._slacks(x)
         return self.A.T @ self.deriv(t, 1)
 
+    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        t = self._slacks(x, check=False)
+        if not self._inside(t):
+            return math.inf, None
+        return float(np.sum(self.deriv(t, 0))), self.A.T @ self.deriv(t, 1)
+
     def hessian(self, x: np.ndarray) -> np.ndarray:
         t = self._slacks(x)
         return (self.A * self.deriv(t, 2)[:, None]).T @ self.A
 
-    def even_form(self, y: np.ndarray, h: np.ndarray, order: int) -> float:
+    def even_form_at(self, y: np.ndarray, order: int):
         if order < 2 or order % 2:
             raise ValueError("order must be even and >= 2")
-        t = self._slacks(y)
-        s = self.A @ np.asarray(h, dtype=float)
-        return float(np.sum(self.deriv(t, order) * s ** order))
+        w = self.deriv(self._slacks(y), order)
 
-    def even_form_grad(self, y: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
-        if order < 2 or order % 2:
-            raise ValueError("order must be even and >= 2")
-        t = self._slacks(y)
-        s = self.A @ np.asarray(h, dtype=float)
-        return order * (self.A.T @ (self.deriv(t, order) * s ** (order - 1)))
+        def form(h: np.ndarray) -> tuple[float, np.ndarray]:
+            s = self.A @ np.asarray(h, dtype=float)
+            return (float(np.sum(w * s ** order)),
+                    order * (self.A.T @ (w * s ** (order - 1))))
+        return form
 
     def deriv_bound(self, order: int) -> float | None:
         row_norms = np.linalg.norm(self.A, axis=1)
@@ -299,16 +314,14 @@ class QuadraticOracle(SmoothOracle):
     def hessian(self, x: np.ndarray) -> np.ndarray:
         return self.Q.copy()
 
-    def even_form(self, y: np.ndarray, h: np.ndarray, order: int) -> float:
-        if order == 2:
-            h = np.asarray(h, dtype=float)
-            return float(h @ (self.Q @ h))
-        return 0.0
+    def even_form_at(self, y: np.ndarray, order: int):
+        Q = self.Q if order == 2 else np.zeros_like(self.Q)
 
-    def even_form_grad(self, y: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
-        if order == 2:
-            return 2.0 * (self.Q @ np.asarray(h, dtype=float))
-        return np.zeros(self.dim)
+        def form(h: np.ndarray) -> tuple[float, np.ndarray]:
+            h = np.asarray(h, dtype=float)
+            Qh = Q @ h
+            return float(h @ Qh), 2.0 * Qh
+        return form
 
     def deriv_bound(self, order: int) -> float | None:
         if order == 2:

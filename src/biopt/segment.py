@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .acceptance import AcceptedPoint
 from .config import DEFAULT_CAPS, DEFAULT_TOL, BisectionStall, SolveCaps, Tolerances
-from .lower import RelSmoothParams, solve_acceptable
+from .lower import solve_acceptable
 from .numerics import (_INV_PHI, golden_section, monotone_root, power_mean_norm,
                        radial_solver)
 from .problems import ProblemInstance, QuadraticOracle, SeparableOracle
@@ -107,6 +108,7 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     of Q.  The tau-objective V(tau) = min_x f(x) + H d_{p+1}(x - xbar - tau*u)
     is convex with the envelope slope V'(tau) = <grad f(x(tau)), u>, so tau
     is 0 when V'(0) >= 0, 1 when V'(1) <= 0, and the root of V' otherwise.
+    V' is memoized, so monotone_root's bracket check reuses V'(0) and V'(1).
     """
     sm = instance.smooth
     if instance.simple.kind != "zero" or not instance.metric.is_identity:
@@ -119,6 +121,7 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
         m = xbar + tau * u
         return m + radial(sm.Q @ m - sm.c)
 
+    @cache
     def slope(tau):
         return float(sm.grad(inner(tau)) @ u)
 
@@ -311,11 +314,9 @@ def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
         return np.array([best_x]), float(best_tau), float(best_val)
 
     # generic low-dimensional path: near-exact lower-level solve per tau
-    params = RelSmoothParams(xi=2.0, H=H, mu=0.5, L=1.5, kappa=1.0 / 3.0)
-
     def solve_at(tau):
         anchor = xbar + tau * u
-        ap, _ = solve_acceptable(instance, anchor, H, p, beta=1e-8, params=params)
+        ap, _ = solve_acceptable(instance, anchor, H, p, beta=1e-8)
         dval = instance.metric.norm(ap.T - anchor) ** (p + 1) / (p + 1)
         return ap.T, instance.F(ap.T) + H * dval
 
@@ -353,8 +354,7 @@ class SegmentResult:
 
 def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
                    end0: AcceptedPoint, end1: AcceptedPoint, H: float, p: int,
-                   beta: float, params: RelSmoothParams,
-                   caps: SolveCaps = DEFAULT_CAPS,
+                   beta: float, caps: SolveCaps = DEFAULT_CAPS,
                    tol: Tolerances = DEFAULT_TOL,
                    collect=None) -> SegmentResult:
     """Bracketing bisection on the directional products along the segment.
@@ -384,7 +384,7 @@ def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
                                  bisections=i, lower_iters=lower_total)
         tau_mid = 0.5 * (tau1 + tau2)
         anchor = x_k + tau_mid * u_k
-        ap, iters = solve_acceptable(instance, anchor, H, p, beta, params,
+        ap, iters = solve_acceptable(instance, anchor, H, p, beta,
                                      caps=caps, tol=tol)
         lower_total += iters
         if collect is not None:

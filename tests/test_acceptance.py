@@ -12,8 +12,8 @@ import pytest
 
 from biopt import (Metric, ScalingFunction, bregman, build_builtin,
                    build_example_1d, build_logbar, check_lemma_properties,
-                   exact_sprox_1d, prox_power, rate_fit, reg_bregman,
-                   reg_value_grad, rel_smooth_params, run, sprox_reference)
+                   evaluate, exact_sprox_1d, prox_power, rate_fit, reg_bregman,
+                   rel_smooth_params, run, sprox_reference)
 
 
 def report(num, ok, desc):
@@ -253,15 +253,15 @@ def test_criterion_9_gradients_and_determinism(tmp_path):
     quad = build_builtin("quad-3", seed=7)
     anchor = rng.standard_normal(3)
     xq = rng.standard_normal(3)
-    _, g = reg_value_grad(quad, anchor, 2.0, 3, xq)
-    check(lambda z: reg_value_grad(quad, anchor, 2.0, 3, z)[0], g, xq)
+    g = evaluate(quad, anchor, 2.0, 3, xq).reg_grad
+    check(lambda z: evaluate(quad, anchor, 2.0, 3, z).reg_value, g, xq)
 
     lb = build_logbar(10, 4, seed=1)
     y = lb.meta["x0"]
     sf = ScalingFunction(lb, y, 3.0, 4)
     xl = y + 0.03 * rng.standard_normal(4)
     _, g = sf.value_grad(xl)
-    check(sf.value, g, xl)
+    check(lambda z: sf.value_grad(z)[0], g, xl)
     h = 0.1 * rng.standard_normal(4)
     for order in (2, 4):
         g = lb.smooth.even_form_grad(y, h, order)

@@ -3,8 +3,8 @@ import pytest
 
 from biopt import (AcceptedPoint, InvariantViolation, build_example_1d,
                    build_logbar, build_quadratic, check_lemma_properties,
-                   exact_sprox_1d, is_acceptable, reg_value_grad,
-                   rel_smooth_params, solve_acceptable)
+                   evaluate, exact_sprox_1d, rel_smooth_params,
+                   solve_acceptable)
 
 
 def fd_grad(fun, x, eps=1e-6):
@@ -15,6 +15,11 @@ def fd_grad(fun, x, eps=1e-6):
         e[i] = eps
         g[i] = (fun(x + e) - fun(x - e)) / (2 * eps)
     return g
+
+
+def reg_value_grad(inst, anchor, H, p, x):
+    ev = evaluate(inst, anchor, H, p, x)
+    return ev.reg_value, ev.reg_grad
 
 
 class TestRegValueGrad:
@@ -46,21 +51,24 @@ class TestRegValueGrad:
 
 
 class TestIsAcceptable:
+    """Membership in the acceptance set, as AcceptedPoint decides it."""
+
     def test_exact_prox_point_always_acceptable(self):
         # T from the exact 1-D oracle is a true prox minimizer: residual zero,
         # so it belongs to the acceptance set even with beta = 0
         inst = build_example_1d()
         for xbar in (2.0, -1.5, 0.7):
             res = exact_sprox_1d(xbar, 0.0)
-            T = res.x_plus
-            g = np.array([res.g_plus])
-            assert is_acceptable(inst, np.array([xbar]), 1.0, 3, 0.0, T, g)
+            ap = AcceptedPoint(inst, np.array([xbar]), 1.0, 3, 0.0, res.x_plus,
+                               np.array([res.g_plus]))
+            assert ap.reg_grad_norm <= 1e-12 * (1.0 + ap.grad_F_norm)
 
     def test_far_point_rejected(self):
         inst = build_example_1d()
-        T = np.array([5.0])
-        g = np.array([1.0])
-        assert not is_acceptable(inst, np.array([0.0]), 1.0, 3, 0.2, T, g)
+        with pytest.raises(InvariantViolation,
+                           match="acceptance inequality violated"):
+            AcceptedPoint(inst, np.array([0.0]), 1.0, 3, 0.2,
+                          np.array([5.0]), np.array([1.0]))
 
 
 class TestAcceptedPoint:
@@ -69,7 +77,7 @@ class TestAcceptedPoint:
         p = 2
         params = rel_smooth_params(p, inst.smooth.deriv_bound(p + 1))
         y = inst.meta["x0"]
-        ap, iters = solve_acceptable(inst, y, params.H, p, beta, params)
+        ap, iters = solve_acceptable(inst, y, params.H, p, beta)
         return inst, ap, iters
 
     def test_constructive_solver_output_validates(self):
@@ -116,7 +124,7 @@ def test_residual_bracket_is_tight_in_beta():
     y = inst.meta["x0"]
     widths = []
     for beta in (0.3, 0.03, 0.003):
-        ap, _ = solve_acceptable(inst, y, params.H, p, beta, params)
+        ap, _ = solve_acceptable(inst, y, params.H, p, beta)
         ratio = params.H * ap.r ** p / ap.grad_F_norm
         widths.append(abs(ratio - 1.0))
         assert 1.0 - beta - 1e-9 <= ratio <= 1.0 + beta + 1e-9

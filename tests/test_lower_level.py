@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from biopt import (AcceptanceFailure, Metric, OptimalityReached,
-                   ScalingFunction, SimpleOracle, SolveCaps, SubproblemStall, bregman,
-                   build_example_1d, build_logbar, build_quadratic,
-                   reg_bregman, rel_smooth_params, solve_acceptable,
-                   subproblem_solve)
+import biopt.driver
+import biopt.segment
+from biopt import (AcceptanceFailure, AcceptedPoint, InvariantViolation, Metric,
+                   OptimalityReached, ScalingFunction, SimpleOracle, SolveCaps,
+                   SubproblemStall, bregman, build_example_1d, build_logbar,
+                   build_quadratic, evaluate, reg_bregman, rel_smooth_params, run,
+                   solve_acceptable, subproblem_solve)
 
 
 def fd_grad(fun, x, eps=1e-6):
@@ -61,7 +63,7 @@ class TestScalingFunction:
         sf = ScalingFunction(inst, y, 4.0, p)
         x = y + 0.05 * np.arange(1.0, 4.0)
         _, g = sf.value_grad(x)
-        want = fd_grad(sf.value, x)
+        want = fd_grad(lambda z: sf.value_grad(z)[0], x)
         np.testing.assert_allclose(g, want, rtol=1e-5, atol=1e-7)
 
     def test_truncation_order(self):
@@ -167,7 +169,7 @@ class TestSolveAcceptable:
         inst = build_logbar(10, 4, seed=3)
         p = 3
         prm = rel_smooth_params(p, inst.smooth.deriv_bound(p + 1))
-        ap, iters = solve_acceptable(inst, inst.meta["x0"], prm.H, p, 0.25, prm)
+        ap, iters = solve_acceptable(inst, inst.meta["x0"], prm.H, p, 0.25)
         assert iters <= 30
         assert inst.smooth.in_domain(ap.T)
 
@@ -176,14 +178,14 @@ class TestSolveAcceptable:
         p = 2
         prm = rel_smooth_params(p, inst.smooth.deriv_bound(p + 1))
         y = inst.meta["x0"]
-        _, it_loose = solve_acceptable(inst, y, prm.H, p, 0.3, prm)
-        _, it_tight = solve_acceptable(inst, y, prm.H, p, 1e-4, prm)
+        _, it_loose = solve_acceptable(inst, y, prm.H, p, 0.3)
+        _, it_tight = solve_acceptable(inst, y, prm.H, p, 1e-4)
         assert it_tight >= it_loose
 
     def test_l1_instance_produces_valid_subgradient(self):
         inst = build_example_1d()
         prm = rel_smooth_params(3, 1.0)  # any positive M; H comes out 3
-        ap, _ = solve_acceptable(inst, np.array([2.0]), prm.H, 3, 0.25, prm)
+        ap, _ = solve_acceptable(inst, np.array([2.0]), prm.H, 3, 0.25)
         assert inst.simple.in_subdifferential(ap.T, ap.g, tol=1e-6)
 
     def test_anchor_at_optimum_raises(self):
@@ -191,7 +193,7 @@ class TestSolveAcceptable:
         inst = build_example_1d()
         prm = rel_smooth_params(3, 1.0)
         with pytest.raises(OptimalityReached, match="already optimal"):
-            solve_acceptable(inst, np.array([0.0]), prm.H, 3, 0.25, prm)
+            solve_acceptable(inst, np.array([0.0]), prm.H, 3, 0.25)
 
     def test_cap_exhaustion(self):
         inst = build_logbar(10, 4, seed=3)
@@ -199,5 +201,54 @@ class TestSolveAcceptable:
         prm = rel_smooth_params(p, inst.smooth.deriv_bound(p + 1))
         caps = SolveCaps(outer_acceptance=1, inner_subproblem=500, bisections=60)
         with pytest.raises(AcceptanceFailure) as exc:
-            solve_acceptable(inst, inst.meta["x0"], prm.H, p, 1e-8, prm, caps=caps)
+            solve_acceptable(inst, inst.meta["x0"], prm.H, p, 1e-8, caps=caps)
         assert len(exc.value.residual_history) == 1
+
+
+class TestOneEvaluationPerPoint:
+    def test_slack_products_per_acceptance_iteration(self, monkeypatch):
+        # every slack product t = A x - b of SeparableOracle goes through
+        # _slacks; count them inside solve_acceptable, split by the point:
+        # the anchor y (value and gradient, Hessian for the radial solve,
+        # even-form weights) or an iterate z_i.  The loop before the fused
+        # evaluation made 11.2 products per acceptance iteration at iterates
+        # and 18 per call at the anchor on this run.
+        inst = build_logbar(10, 5, seed=0)
+        sm = inst.smooth
+        slacks, counts = sm._slacks, {"anchor": 0, "iterate": 0}
+        calls, iters, anchor = [0], [0], []
+
+        def counted_slacks(x, *args, **kwargs):
+            if anchor:
+                counts["anchor" if np.array_equal(x, anchor[0]) else "iterate"] += 1
+            return slacks(x, *args, **kwargs)
+
+        def counted_solve(instance, y, *args, **kwargs):
+            anchor.append(np.asarray(y, dtype=float))
+            calls[0] += 1
+            try:
+                ap, i = solve_acceptable(instance, y, *args, **kwargs)
+            finally:
+                anchor.pop()
+            iters[0] += i
+            return ap, i
+
+        monkeypatch.setattr(sm, "_slacks", counted_slacks)
+        monkeypatch.setattr(biopt.driver, "solve_acceptable", counted_solve)
+        monkeypatch.setattr(biopt.segment, "solve_acceptable", counted_solve)
+        run(inst, "superfast", p=3, beta=0.2, budget=200)
+        assert iters[0] >= 500
+        assert counts["iterate"] <= 1.1 * iters[0]
+        assert counts["anchor"] <= 3 * calls[0]
+
+    def test_accepted_point_rejects_evaluation_at_another_point(self):
+        inst = build_logbar(10, 4, seed=3)
+        p = 2
+        prm = rel_smooth_params(p, inst.smooth.deriv_bound(p + 1))
+        y = inst.meta["x0"]
+        ap, _ = solve_acceptable(inst, y, prm.H, p, 0.25)
+        ev = evaluate(inst, y, prm.H, p, ap.T)
+        AcceptedPoint(inst, y, prm.H, p, 0.25, ap.T, ap.g, ev=ev)
+        elsewhere = evaluate(inst, y, prm.H, p, ap.T + 1e-9)
+        with pytest.raises(InvariantViolation, match="other than T"):
+            AcceptedPoint(inst, y, prm.H, p, 0.25, ap.T, ap.g, ev=elsewhere)

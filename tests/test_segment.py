@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biopt import (BisectionStall, RelSmoothParams, SolveCaps, bisect_segment,
+from biopt import (BisectionStall, SolveCaps, bisect_segment,
                    build_builtin, build_example_1d, build_logbar,
                    build_quadratic, exact_sprox_1d, exact_sprox_1d_general,
                    make_sprox_oracle, solve_acceptable, sprox_quadratic,
@@ -205,18 +205,17 @@ class TestBisectSegment:
         inst = build_builtin("quad-2", seed=21)
         p = 2
         H = 1.0
-        prm = RelSmoothParams(xi=2.0, H=H, mu=0.5, L=1.5, kappa=1.0 / 3.0)
         beta = 0.2
         x_k = inst.x_star - np.array([1.0, 0.5])
         u_k = np.array([2.0, 1.3])
-        end0, _ = solve_acceptable(inst, x_k, H, p, beta, prm)
-        end1, _ = solve_acceptable(inst, x_k + u_k, H, p, beta, prm)
-        return inst, x_k, u_k, end0, end1, H, p, beta, prm
+        end0, _ = solve_acceptable(inst, x_k, H, p, beta)
+        end1, _ = solve_acceptable(inst, x_k + u_k, H, p, beta)
+        return inst, x_k, u_k, end0, end1, H, p, beta
 
     def test_bracket_invariants(self):
-        inst, x_k, u_k, end0, end1, H, p, beta, prm = self.setup_case()
+        inst, x_k, u_k, end0, end1, H, p, beta = self.setup_case()
         collected = []
-        seg = bisect_segment(inst, x_k, u_k, end0, end1, H, p, beta, prm,
+        seg = bisect_segment(inst, x_k, u_k, end0, end1, H, p, beta,
                              collect=collected.append)
         assert seg.beta1 <= 0.0 <= seg.beta2
         assert 0.0 <= seg.tau1 < seg.tau2 <= 1.0
@@ -234,15 +233,15 @@ class TestBisectSegment:
         assert seg.lower_iters >= seg.bisections
 
     def test_rejects_unbracketed_endpoints(self):
-        inst, x_k, u_k, end0, end1, H, p, beta, prm = self.setup_case()
+        inst, x_k, u_k, end0, end1, H, p, beta = self.setup_case()
         with pytest.raises(ValueError, match="requires beta1 < 0 < beta2"):
-            bisect_segment(inst, x_k, u_k, end1, end0, H, p, beta, prm)
+            bisect_segment(inst, x_k, u_k, end1, end0, H, p, beta)
 
     def test_stall_on_tiny_cap(self):
-        inst, x_k, u_k, end0, end1, H, p, beta, prm = self.setup_case()
+        inst, x_k, u_k, end0, end1, H, p, beta = self.setup_case()
         # raise H so the termination threshold is far out of reach
         H_big = 1e12
         caps = SolveCaps(outer_acceptance=200, inner_subproblem=500, bisections=0)
         with pytest.raises(BisectionStall):
-            bisect_segment(inst, x_k, u_k, end0, end1, H_big, p, beta, prm,
+            bisect_segment(inst, x_k, u_k, end0, end1, H_big, p, beta,
                            caps=caps)
