@@ -11,8 +11,7 @@ from .driver import (EstimatingState, RunTrace, estimating_min, gap_certificate,
 from .lower import (RelSmoothParams, ScalingFunction, bregman, reg_bregman,
                     rel_smooth_params, solve_acceptable, subproblem_solve)
 from .numerics import (Metric, monotone_root, power_mean_norm, prox_power,
-                       prox_power_hessian, solve_step_coefficient,
-                       uniform_convexity_gap)
+                       solve_step_coefficient, uniform_convexity_gap)
 from .problems import (ProblemInstance, QuadraticOracle, SeparableOracle,
                        SimpleOracle, build_builtin, build_example_1d,
                        build_logbar, build_quadratic, build_separable,

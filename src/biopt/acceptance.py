@@ -17,6 +17,12 @@ from .numerics import prox_power
 from .problems import ProblemInstance
 
 
+def subproblem_tol(scale: float) -> float:
+    """Residual tolerance of the lower level's step subproblem whose linear
+    term has dual norm scale: relative 1e-10, floored at 1e-12."""
+    return max(1e-12, 1e-10 * scale)
+
+
 @dataclass(frozen=True)
 class PointEval:
     """grad f and f^p_{anchor,H} = f + H d_{p+1}(. - anchor) at x, from one
@@ -44,9 +50,14 @@ def evaluate(instance: ProblemInstance, anchor: np.ndarray, H: float, p: int,
 class AcceptedPoint:
     """A certified acceptable solution of the prox subproblem at anchor ybar.
 
-    Construction asserts the defining inequality and the first-order
-    consequences (the two-sided residual bracket and the descent inner
-    product); an AcceptedPoint that exists is always valid.  ev, the
+    Construction asserts g in the subdifferential of psi at T, the defining
+    inequality and the first-order consequences (the two-sided residual
+    bracket and the descent inner product); an AcceptedPoint that exists is
+    always valid.  The lower level's g errs by at most its subproblem
+    residual, subproblem_tol(||c||_*) for the step's linear term c, which is
+    not known here; so membership allows 100 subproblem_tol(||grad f(T)||_*
+    + ||g||_*) (on the quad l1/box cells ||c||_* <= 7.3 times that scale
+    and the error <= 0.66 subproblem_tol).  ev, the
     caller's evaluation at T, is refused unless taken at T itself; the
     regularizer term is recomputed here, so its anchor, H and p cannot differ.
     """
@@ -71,6 +82,10 @@ class AcceptedPoint:
         self.grad_f = ev.grad
         reg_grad = self.grad_f + H * prox_power(m, self.T - self.anchor, p)[1]
         self.r = m.norm(self.T - self.anchor)
+        witness_tol = 100.0 * subproblem_tol(m.dual_norm(self.grad_f)
+                                             + m.dual_norm(self.g))
+        if not instance.simple.in_subdifferential(self.T, self.g, tol=witness_tol):
+            raise InvariantViolation("g is not in the subdifferential of psi at T")
         self.grad_F_norm = m.dual_norm(self.grad_f + self.g)
         self.reg_grad_norm = m.dual_norm(reg_grad + self.g)
         slack = tol.acceptance_abs + tol.acceptance_rel * self.grad_F_norm

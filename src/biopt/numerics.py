@@ -8,9 +8,9 @@ and their gradients are the regularizers used everywhere.
 The scalar solvers: monotone_root (root of a nondecreasing function:
 safeguarded Newton when a slope is given, bisection to floating-point
 resolution otherwise), radial_solver (the secular equation
-(K + c||h||^{p-1}B) h = -g, on one eigendecomposition of K, by Newton on
-its concave reciprocal form) and golden_section (minimization of a unimodal
-function on an interval).
+(K + c r^{p-1}B) h = -g with r^2 = ||h||^2 + a^2, on one eigendecomposition
+of K, by Newton on its reciprocal form) and golden_section (minimization of
+a unimodal function on an interval).
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class Metric:
             return float(np.linalg.norm(g))
         return float(math.sqrt(max(float(g @ self.solve(g)), 0.0)))
 
-    def inner(self, g: np.ndarray, x: np.ndarray) -> float:
-        """Dual pairing <g, x>."""
-        return float(g @ x)
-
 
 def _check_finite(x: np.ndarray) -> None:
     if not np.all(np.isfinite(x)):
@@ -104,18 +100,6 @@ def prox_power(metric: Metric, x: np.ndarray, p: int) -> tuple[float, np.ndarray
     value = r ** (p + 1) / (p + 1)
     grad = (r ** (p - 1)) * metric.apply(x)
     return value, grad
-
-
-def prox_power_hessian(metric: Metric, x: np.ndarray, p: int) -> np.ndarray:
-    """Hessian ||x||^{p-1} B + (p-1) ||x||^{p-3} (Bx)(Bx)^T of d_{p+1}."""
-    x = np.asarray(x, dtype=float)
-    r = metric.norm(x)
-    if p == 1:
-        return metric.B.copy()
-    if r == 0.0:
-        return np.zeros((metric.dim, metric.dim))
-    bx = metric.apply(x)
-    return (r ** (p - 1)) * metric.B + (p - 1) * (r ** (p - 3)) * np.outer(bx, bx)
 
 
 def solve_step_coefficient(A: float, c: float) -> float:
@@ -221,22 +205,30 @@ def monotone_root(phi, lo: float, hi: float, dphi=None) -> float:
 
 
 def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
-    """Solver g -> h of (K + c ||h||^{p-1} B) h = -g for symmetric PSD K, c > 0.
+    """Solver (g, a) -> h of (K + c r^{p-1} B) h = -g, r^2 = ||h||^2 + a^2,
+    for symmetric PSD K, c > 0 and a norm offset a >= 0 (default 0).
 
-    With B = L L^T (Cholesky; L = I for the identity metric), the basis
+    The offset is the norm of a block of the point held fixed elsewhere (a
+    face of the composite step); a = 0 is the plain secular equation.  With
+    B = L L^T (Cholesky; L = I for the identity metric), the basis
     S = L^{-T} V, where V diagonalizes L^{-1} K L^{-T} = V diag(lam) V^T,
     gives S^T K S = diag(lam) and S^T B S = I.  So h = -S (w / (lam + s))
-    with w = S^T g, the shift s = c r^{p-1} and r = ||h|| = n(s) =
-    ||w / (lam + s)||.  K is decomposed once, here.
+    with w = S^T g, the shift s = c r^{p-1}, n(s) = ||w / (lam + s)|| and
+    r = r(s) = (n(s)^2 + a^2)^{1/2}.  K is decomposed once, here.
 
-    The 1-D equation is solved in s as phi(s) = 1/n(s) - (c/s)^{1/(p-1)} = 0.
-    phi is increasing and concave (1/n is the reciprocal form of More &
-    Sorensen), so a Newton step never passes the root from the left and
-    lands left of it from the right; monotone_root takes these steps with
-    the slope sum(w^2/(lam+s)^3)/n^3 + (c/s)^{1/(p-1)}/((p-1) s).  The
-    bracket comes from the 1-D roots rho_i of lam_i rho + c rho^p = |w_i|:
-    each lies in [b_i/2, b_i] with b_i = min(|w_i|/lam_i, (|w_i|/c)^{1/p}),
-    and max_i rho_i <= r <= ||rho||, so r lies in [max(b)/2, ||b||].
+    The 1-D equation is solved in s as phi(s) = 1/r(s) - (c/s)^{1/(p-1)} = 0,
+    with the slope sum(w^2/(lam+s)^3)/r^3 + (c/s)^{1/(p-1)}/((p-1) s).  phi
+    is increasing; for a = 0 it is also concave (1/n is the reciprocal form
+    of More & Sorensen), so a Newton step never passes the root from the
+    left and lands left of it from the right.  For a > 0 concavity is not
+    guaranteed; monotone_root's midpoint safeguard keeps the bracket and the
+    halving of the steps either way.  The bracket comes from the 1-D roots
+    rho_i of lam_i rho + c rho^p = |w_i|: each lies in [b_i/2, b_i] with
+    b_i = min(|w_i|/lam_i, (|w_i|/c)^{1/p}), and max_i rho_i <= n <= ||rho||,
+    so the offset-free root s_0 lies in [c (max(b)/2)^{p-1}, c ||b||^{p-1}].
+    An offset only lowers phi, so the root s* >= s_0 and n(s*) <= n(s_0)
+    <= ||b||; and r >= a gives s* >= c a^{p-1}.  Hence s* lies in
+    [max(c (max(b)/2)^{p-1}, c a^{p-1}), c (||b||^2 + a^2)^{(p-1)/2}].
     (See More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983, and
     Nesterov & Polyak, Math. Program. 108, 2006, section 5.)
     """
@@ -250,31 +242,32 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     lam = np.maximum(lam, 0.0)  # K is PSD: negative eigenvalues are roundoff
     e = p - 1
 
-    def solve(g: np.ndarray) -> np.ndarray:
+    def solve(g: np.ndarray, a: float = 0.0) -> np.ndarray:
         w = S.T @ g
         if not np.any(w):
             return np.zeros_like(w)
         if e == 0:  # p = 1: the shift is c, the system is linear
             return -(S @ (w / (lam + c)))
-        a = np.abs(w)
+        abs_w = np.abs(w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            b = np.fmin(a / lam, (a / c) ** (1.0 / p))
-        s_lo, s_hi = c * (0.5 * float(b.max())) ** e, c * math.hypot(*b) ** e
+            b = np.fmin(abs_w / lam, (abs_w / c) ** (1.0 / p))
+        s_lo = max(c * (0.5 * float(b.max())) ** e, c * a ** e)
+        s_hi = c * math.hypot(*b, a) ** e
         if s_hi == 0.0:  # the shift underflows: lam + s == lam
             return -(S @ (w / lam))
-        # n(s) = scale ||z||, z = w_hat/(lam + s): |z| <= 1 at s_hi, so z*z
-        # neither overflows nor underflows to 0 on the bracket; scale is a
-        # power of two, so the scaling itself rounds nothing
-        scale = math.ldexp(1.0, math.frexp(float(np.max(a / (lam + s_hi))))[1])
-        w_hat = w / scale
+        # r(s) = scale ||(z, a_hat)||, z = w_hat/(lam + s): |z| <= 1 at s_hi,
+        # so z*z neither overflows nor underflows to 0 on the bracket; scale
+        # is a power of two, so the scaling itself rounds nothing
+        scale = math.ldexp(1.0, math.frexp(float(np.max(abs_w / (lam + s_hi))))[1])
+        w_hat, a_hat = w / scale, a / scale
 
         @cache
-        def terms(s):  # n(s) and sum(w^2/(lam+s)^3)/n(s)^3, once per s
+        def terms(s):  # r(s) and sum(w^2/(lam+s)^3)/r(s)^3, once per s
             v = 1.0 / (lam + s)
             z = w_hat * v
             q = z * z
-            n_hat = math.sqrt(q.sum())
-            return scale * n_hat, float(q @ v) / (scale * n_hat ** 3)
+            r_hat = math.hypot(math.sqrt(q.sum()), a_hat)
+            return scale * r_hat, float(q @ v) / (scale * r_hat ** 3)
 
         def phi(s):  # -inf and an infinite slope below the domain s > 0
             return 1.0 / terms(s)[0] - (c / s) ** (1.0 / e) if s > 0.0 else -math.inf

@@ -87,15 +87,6 @@ class SimpleOracle:
         ok &= (x < self.hi - tol) | (g >= -tol)
         return bool(np.all(ok))
 
-    def to_json(self) -> dict:
-        out = {"kind": "none" if self.kind == "zero" else self.kind}
-        if self.kind == "l1":
-            out["weight"] = self.weight
-        if self.kind == "box":
-            out["lo"] = self.lo.tolist()
-            out["hi"] = self.hi.tolist()
-        return out
-
     @staticmethod
     def from_json(spec: dict | None) -> "SimpleOracle":
         if not spec or spec.get("kind") in (None, "none", "zero"):

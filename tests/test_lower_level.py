@@ -7,9 +7,10 @@ import biopt.driver
 import biopt.segment
 from biopt import (AcceptanceFailure, AcceptedPoint, InvariantViolation, Metric,
                    OptimalityReached, ScalingFunction, SimpleOracle, SolveCaps,
-                   SubproblemStall, bregman, build_example_1d, build_logbar,
-                   build_quadratic, evaluate, reg_bregman, rel_smooth_params, run,
-                   solve_acceptable, subproblem_solve)
+                   SubproblemStall, bregman, build_builtin, build_example_1d,
+                   build_logbar, build_quadratic, evaluate, reg_bregman,
+                   rel_smooth_params, run, solve_acceptable, subproblem_solve,
+                   verify_trace)
 
 
 def fd_grad(fun, x, eps=1e-6):
@@ -156,12 +157,85 @@ class TestSubproblemSolve:
             subproblem_solve(sf, 1.5, np.array([1.0]), SimpleOracle("zero"), tol=0.0)
 
     def test_stall_reports_best_iterate(self):
+        # q = 2 (p = 4): no face step, so one proximal-gradient step stalls
         inst = build_example_1d()
-        sf = ScalingFunction(inst, np.array([2.0]), 1.0, 3)
+        sf = ScalingFunction(inst, np.array([2.0]), 1.0, 4)
         with pytest.raises(SubproblemStall) as exc:
             subproblem_solve(sf, 1.5, np.array([1.0]), inst.simple,
                              tol=1e-14, cap=1)
         assert exc.value.best is not None
+
+
+def composite_case(kind, seed, d=6, diagonal=False):
+    """Seeded quadratic with psi = 0.5||x||_1 or the box [-0.5, 0.5]^d, an
+    anchor y and a step linear term c; the metric is I or a seeded diagonal."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((d, d))
+    psi = (SimpleOracle("l1", weight=0.5) if kind == "l1"
+           else SimpleOracle("box", lo=-0.5 * np.ones(d), hi=0.5 * np.ones(d)))
+    inst = build_quadratic(G.T @ G / d + 0.5 * np.eye(d), rng.standard_normal(d),
+                           psi=psi)
+    y = rng.uniform(-1.0, 1.0, d) * (1.0 if kind == "l1" else 0.5)
+    c = 2.0 * rng.standard_normal(d)
+    if diagonal:
+        inst.metric = Metric(np.diag(rng.uniform(0.5, 3.0, d)))
+    return inst, y, c
+
+
+class TestFaceStep:
+    L = 1.5
+
+    def solve(self, inst, y, c, p):
+        return subproblem_solve(ScalingFunction(inst, y, 1.0, p), self.L, c,
+                                inst.simple, tol=1e-12)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("kind", ["l1", "box"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_agrees_with_prox_gradient(self, kind, p, diagonal, monkeypatch):
+        face_step, jumps, proxes = biopt.lower._face_step, [], []
+
+        def counted_face_step(*args):
+            h = face_step(*args)
+            jumps.append(h is not None)
+            return h
+        monkeypatch.setattr(biopt.lower, "_face_step", counted_face_step)
+        cases = [composite_case(kind, seed, diagonal=diagonal) for seed in range(5)]
+        for inst, _, _ in cases:
+            prox = inst.simple.scaled_prox
+            monkeypatch.setattr(inst.simple, "scaled_prox",
+                                lambda *a, prox=prox: proxes.append(1) or prox(*a))
+        with_face = [self.solve(inst, y, c, p) for inst, y, c in cases]
+        steps_with_face = len(proxes)
+        proxes.clear()
+        monkeypatch.setattr(biopt.lower, "_face_step", lambda *args: None)
+        for (inst, y, c), h in zip(cases, with_face):
+            np.testing.assert_allclose(h, self.solve(inst, y, c, p), atol=1e-9)
+            # the step's witness -grad s(h) lies in the subdifferential of psi
+            m = inst.metric
+            reg = m.norm(h) ** (p - 1) * m.apply(h)
+            g = -(c + 2 * self.L * (inst.smooth.Q @ h + reg))
+            assert inst.simple.in_subdifferential(y + h, g, tol=1e-9)
+        assert sum(jumps) >= len(cases)
+        assert steps_with_face < len(proxes)
+
+    def test_wrong_first_face_still_converges(self, monkeypatch):
+        # seed 2: the first face's minimizer lies inside that face but is not
+        # the step (its zero set has subgradients beyond the weight), so the
+        # residual test rejects it and the loop goes on to the right face
+        inst, y, c = composite_case("l1", 2)
+        face_step, jumps = biopt.lower._face_step, []
+
+        def recorded_face_step(*args):
+            h = face_step(*args)
+            jumps.append(h)
+            return h
+        monkeypatch.setattr(biopt.lower, "_face_step", recorded_face_step)
+        h = self.solve(inst, y, c, 2)
+        assert jumps[0] is not None
+        assert np.max(np.abs(jumps[0] - h)) > 1e-3
+        monkeypatch.setattr(biopt.lower, "_face_step", lambda *args: None)
+        np.testing.assert_allclose(h, self.solve(inst, y, c, 2), atol=1e-9)
 
 
 class TestSolveAcceptable:
@@ -203,6 +277,55 @@ class TestSolveAcceptable:
         with pytest.raises(AcceptanceFailure) as exc:
             solve_acceptable(inst, inst.meta["x0"], prm.H, p, 1e-8, caps=caps)
         assert len(exc.value.residual_history) == 1
+
+
+def probe_instance():
+    """quad-10 seed 1 with 0.5||x||_1: the cell whose proximal-gradient loop
+    stalled while backtracking accepted on an absolute slack."""
+    base = build_builtin("quad-10", 1)
+    return build_quadratic(base.smooth.Q, base.smooth.c,
+                           psi=SimpleOracle("l1", weight=0.5))
+
+
+class TestCompositeRegression:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_probe_cell_reaches_optimal(self, p):
+        tr = run(probe_instance(), "inexact", p=p, beta=0.1, H=1.0,
+                 epsilon=1e-4, R=10.0, x0=np.ones(10))
+        assert tr.status == "optimal"
+        families = verify_trace(tr)
+        assert len(families) == 7
+        assert all(fam["ok"] for fam in families.values())
+
+
+class TestSubgradientWitness:
+    def accepted(self):
+        # T has zero coordinates (2, 5, 9) and free ones of both signs
+        inst = probe_instance()
+        y = 0.1 * np.ones(10)
+        ap, _ = solve_acceptable(inst, y, 1.0, 2, 0.1)
+        assert np.count_nonzero(ap.T == 0.0) >= 1 and ap.T[0] < 0.0
+        return inst, y, ap
+
+    def test_untampered_witness_is_accepted(self):
+        inst, y, ap = self.accepted()
+        assert inst.simple.in_subdifferential(ap.T, ap.g, tol=1e-12)
+        AcceptedPoint(inst, y, 1.0, 2, 0.1, ap.T, ap.g)
+
+    def test_wrong_sign_at_free_coordinate(self):
+        inst, y, ap = self.accepted()
+        g = ap.g.copy()
+        g[0] = -g[0]
+        with pytest.raises(InvariantViolation, match="subdifferential"):
+            AcceptedPoint(inst, y, 1.0, 2, 0.1, ap.T, g)
+
+    def test_beyond_weight_at_zero(self):
+        inst, y, ap = self.accepted()
+        i = int(np.flatnonzero(ap.T == 0.0)[0])
+        g = ap.g.copy()
+        g[i] = 1.5 * inst.simple.weight
+        with pytest.raises(InvariantViolation, match="subdifferential"):
+            AcceptedPoint(inst, y, 1.0, 2, 0.1, ap.T, g)
 
 
 class TestOneEvaluationPerPoint:

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biopt import (BracketFailure, DegenerateCoefficient, Metric, monotone_root,
-                   power_mean_norm, prox_power, prox_power_hessian,
-                   solve_step_coefficient, uniform_convexity_gap)
+                   power_mean_norm, prox_power, solve_step_coefficient,
+                   uniform_convexity_gap)
 from biopt import numerics
+
+
+def prox_power_hessian(metric, x, p):
+    """Hessian ||x||^{p-1} B + (p-1) ||x||^{p-3} (Bx)(Bx)^T of d_{p+1}."""
+    r = metric.norm(x)
+    if r == 0.0:
+        return np.zeros((metric.dim, metric.dim))
+    bx = metric.apply(x)
+    return (r ** (p - 1)) * metric.B + (p - 1) * (r ** (p - 3)) * np.outer(bx, bx)
 
 
 def random_spd(dim, seed):
@@ -37,7 +46,7 @@ class TestMetric:
         m = Metric(B)
         x = np.array([0.3, -1.0, 2.0])
         g = m.apply(x)
-        assert m.inner(g, x) == pytest.approx(m.dual_norm(g) * m.norm(x))
+        assert float(g @ x) == pytest.approx(m.dual_norm(g) * m.norm(x))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -252,6 +261,30 @@ class TestRadialSolverStress:
         assert worst_rel <= self.BISECTION_REL
         assert worst_backward <= self.BISECTION_BACKWARD
         assert max(evals) <= 20
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_norm_offset(self, p):
+        # (K + c r^{p-1} B) h = -g with r^2 = ||h||^2 + a^2, to roundoff
+        d = 5
+        rng = np.random.default_rng(7)
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        G = rng.standard_normal((d, d))
+        for metric in (Metric(dim=d), Metric(G @ G.T / d + 0.5 * np.eye(d))):
+            for spectrum in (np.logspace(-2, 1, d),
+                             np.r_[0.0, np.logspace(-1, 1, d - 1)]):
+                K = V @ np.diag(spectrum) @ V.T
+                for c in (1e-2, 1.0, 1e2):
+                    solve = numerics.radial_solver(metric, K, c, p)
+                    for a in (1e-6, 0.3, 1.0, 1e3):
+                        g = rng.standard_normal(d)
+                        h = solve(g, a)
+                        r = math.hypot(metric.norm(h), a)
+                        reg = c * r ** (p - 1) * metric.apply(h)
+                        res = np.linalg.norm(K @ h + reg + g)
+                        scale = (np.linalg.norm(K, 2) * np.linalg.norm(h)
+                                 + np.linalg.norm(reg) + np.linalg.norm(g))
+                        assert res <= 20 * np.finfo(float).eps * scale
+                    assert np.array_equal(solve(g, 0.0), solve(g))
 
     @pytest.mark.parametrize("g_norm", [1e-300, 1e300])
     @pytest.mark.parametrize("spectrum", [[0.0, 1.0, 2.0], [1.0, 1e3, 2.0]])
