@@ -25,11 +25,12 @@ def subproblem_tol(scale: float) -> float:
 
 @dataclass(frozen=True)
 class PointEval:
-    """grad f and f^p_{anchor,H} = f + H d_{p+1}(. - anchor) at x, from one
+    """f, grad f and f^p_{anchor,H} = f + H d_{p+1}(. - anchor) at x, from one
     oracle call; d = prox_power(x - anchor).  Outside the domain of f:
-    reg_value inf, the rest None."""
+    value and reg_value inf, the rest None."""
 
     x: np.ndarray
+    value: float
     grad: np.ndarray | None
     reg_value: float
     reg_grad: np.ndarray | None
@@ -42,9 +43,9 @@ def evaluate(instance: ProblemInstance, anchor: np.ndarray, H: float, p: int,
     x = np.asarray(x, dtype=float)
     value, grad = instance.smooth.value_grad(x)
     if grad is None:
-        return PointEval(x, None, math.inf, None, None)
+        return PointEval(x, value, None, math.inf, None, None)
     dval, dgrad = d = prox_power(instance.metric, x - anchor, p)
-    return PointEval(x, grad, value + H * dval, grad + H * dgrad, d)
+    return PointEval(x, value, grad, value + H * dval, grad + H * dgrad, d)
 
 
 class AcceptedPoint:
@@ -79,7 +80,7 @@ class AcceptedPoint:
             raise InvariantViolation("evaluation was taken at a point other than T")
         if ev.grad is None:
             raise InvariantViolation("accepted point outside the domain of f")
-        self.grad_f = ev.grad
+        self.f, self.grad_f = ev.value, ev.grad
         reg_grad = self.grad_f + H * prox_power(m, self.T - self.anchor, p)[1]
         self.r = m.norm(self.T - self.anchor)
         witness_tol = 100.0 * subproblem_tol(m.dual_norm(self.grad_f)

@@ -72,14 +72,13 @@ def psi_star(state: EstimatingState, psi: SimpleOracle) -> float:
     return psi_value(state, psi, estimating_min(state, psi))
 
 
-def _absorb(state: EstimatingState, instance: ProblemInstance, a: float,
-            pieces: list[tuple[float, np.ndarray]]) -> None:
+def _absorb(state: EstimatingState, a: float,
+            pieces: list[tuple[float, np.ndarray, float, np.ndarray]]) -> None:
     """Add a * (sum_j w_j l_{T_j}) to the affine accumulators.
 
-    Each piece is (weight, T); l_T(x) = f(T) + <grad f(T), x - T>.
+    Each piece is (weight, T, f(T), grad f(T)); l_T(x) = f(T) + <grad f(T), x - T>.
     """
-    for w, T in pieces:
-        fT, gT = instance.smooth.value_grad(T)
+    for w, T, fT, gT in pieces:
         state.s = state.s + a * w * gT
         state.const += a * w * (fT - float(gT @ T))
 
@@ -104,7 +103,7 @@ def _advance(state: EstimatingState, instance: ProblemInstance, rates,
         return None
     c0, b0 = rates
     a = solve_step_coefficient(state.A, c0 * g_k ** ((1.0 - p) / p))
-    _absorb(state, instance, a, pieces)
+    _absorb(state, a, pieces)
     state.A += a
     state.B_cert += b0 * state.A * g_k ** ((p + 1) / p)
     state.upsilon = estimating_min(state, instance.simple)
@@ -119,10 +118,10 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
     x_plus, tau, g = sprox_oracle(state.x, u)
     x_plus = np.asarray(x_plus, dtype=float)
     g = np.asarray(g, dtype=float)
-    grad_f = instance.smooth.grad(x_plus)
+    f_plus, grad_f = instance.smooth.value_grad(x_plus)
     g_k = state.metric.dual_norm(grad_f + g)
     a = _advance(state, instance, step_rates("exact", H, p, None, None), p,
-                 g_k, [(1.0, x_plus)], x_plus)
+                 g_k, [(1.0, x_plus, f_plus, grad_f)], x_plus)
     return {"status": "optimal" if a is None else "running", "g_k": g_k,
             "a": a, "branch": "exact", "tau": tau, "residual": g_k}
 
@@ -159,7 +158,7 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
 
     if seg is None:
         bisections = 0
-        pieces = [(1.0, ap.T)]
+        pieces = [(1.0, ap.T, ap.f, ap.grad_f)]
         x_next = ap.T
         g_k = ap.grad_F_norm
         G_vec = ap.composite_grad()
@@ -167,7 +166,8 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
         bisections = seg.bisections
         lower_iters += seg.lower_iters
         alpha = seg.alpha
-        pieces = [(alpha, seg.T1.T), (1.0 - alpha, seg.T2.T)]
+        pieces = [(w, T.T, T.f, T.grad_f)
+                  for w, T in ((alpha, seg.T1), (1.0 - alpha, seg.T2))]
         x_next = alpha * seg.T1.T + (1.0 - alpha) * seg.T2.T
         g_k = seg.g_k
         G_vec = alpha * seg.T1.composite_grad() \
@@ -184,9 +184,9 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
 # ---------------------------------------------------------------------------
 
 def gap_certificate(state: EstimatingState, instance: ProblemInstance,
-                    R: float) -> float:
+                    R: float, F_val: float) -> float:
     """F(x_k) minus a certified lower bound of min over {||x-x0|| <= R} of
-    the averaged linear model (s x + const)/A + psi(x).
+    the averaged linear model (s x + const)/A + psi(x); F_val = F(x_k).
 
     psi = 0 has the closed-form ball minimum; otherwise the Lagrangian dual
     of the ball constraint is maximized over the scalar multiplier, and any
@@ -199,7 +199,6 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     m = state.metric
     s_hat = state.s / state.A
     c_hat = state.const / state.A
-    F_val = instance.F(state.x)
     if psi.kind == "zero":
         lower = float(s_hat @ state.x0) - R * m.dual_norm(s_hat) + c_hat
         return F_val - lower
@@ -345,7 +344,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
             rec["dist_upsilon"] = instance.metric.norm(state.upsilon - x_star)
         rec["u_norm"] = instance.metric.norm(state.upsilon - state.x)
         if state.A > 0.0 and R is not None:
-            rec["gap_cert"] = gap_certificate(state, instance, R)
+            rec["gap_cert"] = gap_certificate(state, instance, R, F_val)
             rec["gap_bound"] = R * R / (2.0 * state.A)
         bad = invariant_violations(
             config, trace.records[-1] if trace.records else None, rec)

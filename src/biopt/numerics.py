@@ -16,7 +16,6 @@ a unimodal function on an interval).
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -157,7 +156,12 @@ def monotone_root(phi, lo: float, hi: float, dphi=None) -> float:
     step before the last, is replaced by the midpoint, so the steps halve at
     least every other iteration.  It stops when a Newton step is below one
     ulp or gains nothing on |phi| without a sign change (phi at roundoff
-    level), or when the midpoint equals an endpoint.
+    level), or when the midpoint equals an endpoint.  Noise of size eta in
+    phi ends the search where |phi| is a few eta, but the band it masks may
+    be halved to resolution, so callers keep phi's own roundoff small (see
+    sprox_quadratic).  A step that gains nothing across the root is no stop:
+    two values and slopes cannot tell noise from a convex phi such as
+    exp(x) - 1, where Newton from the left lands far right of the root.
     """
     f_lo, f_hi = phi(lo), phi(hi)
     for _ in range(_MAX_WIDENINGS):
@@ -261,13 +265,18 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
         scale = math.ldexp(1.0, math.frexp(float(np.max(abs_w / (lam + s_hi))))[1])
         w_hat, a_hat = w / scale, a / scale
 
-        @cache
-        def terms(s):  # r(s) and sum(w^2/(lam+s)^3)/r(s)^3, once per s
-            v = 1.0 / (lam + s)
-            z = w_hat * v
-            q = z * z
-            r_hat = math.hypot(math.sqrt(q.sum()), a_hat)
-            return scale * r_hat, float(q @ v) / (scale * r_hat ** 3)
+        memo_s, memo = None, None
+
+        def terms(s):  # r(s) and sum(w^2/(lam+s)^3)/r(s)^3, for the last s:
+            nonlocal memo_s, memo  # monotone_root asks dphi(s) after phi(s)
+            if s != memo_s:
+                v = 1.0 / (lam + s)
+                z = w_hat * v
+                q = z * z
+                r_hat = math.hypot(math.sqrt(q.sum()), a_hat)
+                memo_s = s
+                memo = scale * r_hat, float(q @ v) / (scale * r_hat ** 3)
+            return memo
 
         def phi(s):  # -inf and an infinite slope below the domain s > 0
             return 1.0 / terms(s)[0] - (c / s) ** (1.0 / e) if s > 0.0 else -math.inf

@@ -103,12 +103,20 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
                     H: float, p: int) -> tuple[np.ndarray, float, np.ndarray]:
     """Exact segment-search prox for a quadratic f with psi = 0, identity metric.
 
-    Inner problem at anchor m: (Q + H r^{p-1} I) h = -(Q m - c) with the
-    radial root r = ||h||, solved by radial_solver on one eigendecomposition
-    of Q.  The tau-objective V(tau) = min_x f(x) + H d_{p+1}(x - xbar - tau*u)
-    is convex with the envelope slope V'(tau) = <grad f(x(tau)), u>, so tau
-    is 0 when V'(0) >= 0, 1 when V'(1) <= 0, and the root of V' otherwise.
-    V' is memoized, so monotone_root's bracket check reuses V'(0) and V'(1).
+    Inner problem at anchor m = xbar + tau*u: (Q + s I) h = -grad f(m) with
+    the shift s = H ||h||^{p-1}, solved by radial_solver on one
+    eigendecomposition of Q; x(tau) = m + h.  The tau-objective V(tau) =
+    min_x f(x) + H d_{p+1}(x - m) is convex with the envelope slope
+    V'(tau) = <grad f(x), u>, so tau is 0 when V'(0) >= 0, 1 when V'(1) <= 0,
+    and the root of V' otherwise, by monotone_root's safeguarded Newton.
+
+    Both slopes are formed without cancellation, so near the root they carry
+    roundoff of their own size, not of the size of Qx and c:
+    grad f(m) = grad f(xbar) + tau Q u, and grad f(x) = -s h by the inner
+    equation, so V' = -s <h, u>.  Differentiating the inner equation in tau
+    (m' = u) gives J x' = s u + k <h, u> h with J = Q + s I + k h h^T and
+    k = (p-1) s / ||h||^2, and V'' = <Q u, x'>.  The point at each tau is
+    memoized, so V'' and the returned x reuse the radial solve V' made.
     """
     sm = instance.smooth
     if instance.simple.kind != "zero" or not instance.metric.is_identity:
@@ -116,22 +124,30 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     if not isinstance(sm, QuadraticOracle):
         raise ValueError("sprox_quadratic needs a quadratic smooth part")
     radial = radial_solver(instance.metric, sm.Q, H, p)
-
-    def inner(tau):
-        m = xbar + tau * u
-        return m + radial(sm.Q @ m - sm.c)
+    g0, Qu = sm.grad(xbar), sm.Q @ u
 
     @cache
+    def point(tau):  # x(tau), h, the shift s and V'(tau)
+        h = radial(g0 + tau * Qu)
+        s = H * float(np.linalg.norm(h)) ** (p - 1)
+        return xbar + tau * u + h, h, s, -s * float(h @ u)
+
     def slope(tau):
-        return float(sm.grad(inner(tau)) @ u)
+        return point(tau)[3]
+
+    def curvature(tau):  # never at h = 0: there V' = 0 ends the search
+        _, h, s, _ = point(tau)
+        k = (p - 1) * s / float(h @ h)
+        J = sm.Q + s * np.eye(len(h)) + k * np.outer(h, h)
+        return float(Qu @ np.linalg.solve(J, s * u + (k * float(h @ u)) * h))
 
     if slope(0.0) >= 0.0:
         tau = 0.0
     elif slope(1.0) <= 0.0:
         tau = 1.0
     else:
-        tau = monotone_root(slope, 0.0, 1.0)
-    return inner(tau), float(tau), np.zeros(instance.dim)
+        tau = monotone_root(slope, 0.0, 1.0, curvature)
+    return point(tau)[0], float(tau), np.zeros(instance.dim)
 
 
 def make_sprox_oracle(instance: ProblemInstance, H: float, p: int):

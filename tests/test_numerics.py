@@ -203,6 +203,28 @@ class TestMonotoneRoot:
         assert len(calls) <= 1000
 
 
+    @pytest.mark.parametrize("eta", [1e-12, 1e-10, 1e-8])
+    def test_slope_path_with_noise_at_root(self, eta):
+        # atan(x - r) with its exact slope plus noise +-eta of alternating
+        # sign: the sign of phi is noise where |atan(x - r)| < eta.  The search
+        # ends within 3 eta of r (a Newton step below one ulp, or one that
+        # gains nothing on |phi| without a sign change, where |phi| <= 2 eta)
+        # and in no more evaluations than bisection to resolution takes
+        for r in np.linspace(0.05, 1.95, 39):
+            bisection = []
+            monotone_root(lambda x: bisection.append(x) or math.atan(x - r),
+                          0.0, 2.0)
+            calls = []
+
+            def phi(x):
+                calls.append(x)
+                return math.atan(x - r) + eta * (-1.0) ** len(calls)
+            x = monotone_root(phi, 0.0, 2.0,
+                              dphi=lambda x: 1.0 / (1.0 + (x - r) ** 2))
+            assert abs(x - r) <= 3.0 * eta
+            assert len(calls) <= len(bisection)
+
+
 class TestRadialSolverStress:
     """(K + c||h||^{p-1}B) h = -g over p, metric, K's scale and rank, c, ||g||.
 

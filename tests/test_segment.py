@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import biopt.segment as segment
 from biopt import (BisectionStall, SolveCaps, bisect_segment,
                    build_builtin, build_example_1d, build_logbar,
                    build_quadratic, exact_sprox_1d, exact_sprox_1d_general,
-                   make_sprox_oracle, solve_acceptable, sprox_quadratic,
-                   sprox_reference)
+                   make_sprox_oracle, monotone_root, solve_acceptable,
+                   sprox_quadratic, sprox_reference)
 
 BRANCHES = {"interior", "tau0_pos", "tau0_neg", "tau1_pos", "tau1_neg"}
 
@@ -139,6 +140,61 @@ class TestSproxQuadratic:
                 assert abs(slope) <= 1e-9 * (1.0 + np.linalg.norm(grad) * np.linalg.norm(u))
                 seen.add("interior")
         assert seen == {"tau0", "tau1", "interior"}
+
+    def test_newton_in_tau_solve_count(self, monkeypatch):
+        # the draws of test_tau_first_order_condition; Newton on the envelope
+        # slope needs at most 16 radial solves per call with an interior tau
+        # (bisection in tau took 56 to 64)
+        solves = []
+        radial_solver = segment.radial_solver
+
+        def counting(*args):
+            solve = radial_solver(*args)
+
+            def counted(*a):
+                solves[-1] += 1
+                return solve(*a)
+            return counted
+        monkeypatch.setattr(segment, "radial_solver", counting)
+        inst = build_builtin("quad-5", seed=1)
+        x_star = np.linalg.solve(inst.smooth.Q, inst.smooth.c)
+        rng = np.random.default_rng(5)
+        interior = []
+        for _ in range(60):
+            xbar, u = rng.standard_normal(5), 2.0 * rng.standard_normal(5)
+            if rng.random() < 0.5:
+                u = rng.uniform(0.2, 1.5) * (x_star - xbar) + 0.1 * u
+            H, p = rng.choice([0.5, 1.0, 4.0]), int(rng.integers(2, 5))
+            solves.append(0)
+            _, tau, _ = sprox_quadratic(inst, xbar, u, H, p)
+            if 0.0 < tau < 1.0:
+                interior.append(solves[-1])
+        assert len(interior) >= 20
+        assert max(interior) <= 16
+
+    @pytest.mark.parametrize("d", [5, 10])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_slope_derivative_matches_fd(self, monkeypatch, d, p):
+        # the V'' handed to monotone_root against central differences of V'
+        found = []
+
+        def spy(phi, lo, hi, dphi=None):
+            found.append((phi, dphi))
+            return monotone_root(phi, lo, hi, dphi)
+        monkeypatch.setattr(segment, "monotone_root", spy)
+        inst = build_builtin(f"quad-{d}", seed=1)
+        x_star = np.linalg.solve(inst.smooth.Q, inst.smooth.c)
+        rng = np.random.default_rng(10 * d + p)
+        while not found:  # draw until tau is interior
+            xbar = rng.standard_normal(d)
+            u = 1.5 * (x_star - xbar) + 0.1 * rng.standard_normal(d)
+            sprox_quadratic(inst, xbar, u, 1.0, p)
+        slope, curvature = found[0]
+        delta = 1e-5
+        for tau in (0.2, 0.5, 0.8):
+            fd = (slope(tau + delta) - slope(tau - delta)) / (2.0 * delta)
+            assert curvature(tau) > 0.0
+            assert curvature(tau) == pytest.approx(fd, rel=1e-6)
 
     def test_rejects_wrong_structure(self):
         inst = build_example_1d()

@@ -53,7 +53,7 @@ class TestGapCertificate:
         inst = build_example_1d()
         state = new_state(inst, np.zeros(1))
         with pytest.raises(CertificateUndefined):
-            gap_certificate(state, inst, 1.0)
+            gap_certificate(state, inst, 1.0, inst.F(state.x))
 
     def test_psi_zero_closed_form(self):
         inst = build_builtin("quad-2", seed=5)
@@ -62,7 +62,7 @@ class TestGapCertificate:
         state.const = 0.5
         state.A = 2.0
         R = 3.0
-        got = gap_certificate(state, inst, R)
+        got = gap_certificate(state, inst, R, inst.F(state.x))
         s_hat = state.s / state.A
         lower = -R * np.linalg.norm(s_hat) + state.const / state.A
         assert got == pytest.approx(inst.F(state.x) - lower)
@@ -75,7 +75,7 @@ class TestGapCertificate:
         state.const = 0.4
         state.A = 1.5
         R = 2.0
-        gap = gap_certificate(state, inst, R)
+        gap = gap_certificate(state, inst, R, inst.F(state.x))
         lower = inst.F(state.x) - gap
         grid = np.linspace(0.3 - R, 0.3 + R, 40001)
         model = (state.s[0] * grid + state.const) / state.A + np.abs(grid)
@@ -304,7 +304,7 @@ class TestVerifyTrace:
 
     def test_run_raises_on_broken_invariant(self, monkeypatch):
         monkeypatch.setattr(biopt.driver, "gap_certificate",
-                            lambda state, instance, R: R * R / state.A + 1.0)
+                            lambda state, instance, R, F_val: R * R / state.A + 1.0)
         with pytest.raises(InvariantViolation) as err:
             run(build_builtin("quad-3", seed=9), "exact", p=2, H=1.0,
                 budget=5)
