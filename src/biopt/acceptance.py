@@ -12,9 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, InvariantViolation, Tolerances
+from .config import InvariantViolation
 from .numerics import prox_power
 from .problems import ProblemInstance
+
+
+# slacks of the acceptance inequality, in solve_acceptable and AcceptedPoint
+ACCEPTANCE_ABS = 1e-12
+ACCEPTANCE_REL = 1e-12
 
 
 def subproblem_tol(scale: float) -> float:
@@ -65,7 +70,7 @@ class AcceptedPoint:
 
     def __init__(self, instance: ProblemInstance, anchor: np.ndarray, H: float,
                  p: int, beta: float, T: np.ndarray, g: np.ndarray,
-                 tol: Tolerances = DEFAULT_TOL, ev: PointEval | None = None):
+                 ev: PointEval | None = None):
         self._instance = instance
         self.T = np.asarray(T, dtype=float)
         self.g = np.asarray(g, dtype=float)
@@ -89,7 +94,7 @@ class AcceptedPoint:
             raise InvariantViolation("g is not in the subdifferential of psi at T")
         self.grad_F_norm = m.dual_norm(self.grad_f + self.g)
         self.reg_grad_norm = m.dual_norm(reg_grad + self.g)
-        slack = tol.acceptance_abs + tol.acceptance_rel * self.grad_F_norm
+        slack = ACCEPTANCE_ABS + ACCEPTANCE_REL * self.grad_F_norm
         if self.reg_grad_norm > beta * self.grad_F_norm + slack:
             raise InvariantViolation(
                 "acceptance inequality violated: "

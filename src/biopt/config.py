@@ -1,20 +1,8 @@
-"""Shared tolerance and iteration-cap configuration."""
+"""Iteration caps and the typed solver errors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerances.
-
-    acceptance_abs  absolute slack in acceptance-set comparisons
-    acceptance_rel  relative slack in acceptance-set comparisons
-    """
-
-    acceptance_abs: float = 1e-12
-    acceptance_rel: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -26,7 +14,6 @@ class SolveCaps:
     bisections: int = 60
 
 
-DEFAULT_TOL = Tolerances()
 DEFAULT_CAPS = SolveCaps()
 
 

@@ -14,14 +14,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .config import (DEFAULT_CAPS, DEFAULT_TOL, BioptError, CertificateUndefined,
-                     InvariantViolation, OptimalityReached, SolveCaps,
-                     Tolerances)
+from .config import (DEFAULT_CAPS, BioptError, CertificateUndefined,
+                     InvariantViolation, OptimalityReached, SolveCaps)
 from .lower import rel_smooth_params, solve_acceptable
-from .numerics import Metric, golden_section, solve_step_coefficient
+from .numerics import Metric, monotone_root, solve_step_coefficient
 from .problems import ProblemInstance, SimpleOracle
 from .segment import bisect_segment, make_sprox_oracle
 
@@ -128,21 +128,18 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
 
 def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
                  p: int, beta: float, caps: SolveCaps = DEFAULT_CAPS,
-                 tol: Tolerances = DEFAULT_TOL, coeff_factor: float = 0.25,
-                 collect=None) -> dict:
+                 coeff_factor: float = 0.25, collect=None) -> dict:
     """One iteration of the inexact (three-branch) segment-search driver."""
     u = state.upsilon - state.x
     seg = None
     try:
         # OptimalityReached is raised here before any state changes
-        ap0, lower_iters = solve_acceptable(instance, state.x, H, p, beta,
-                                            caps=caps, tol=tol)
+        ap0, lower_iters = solve_acceptable(instance, state.x, H, p, beta, caps=caps)
         if collect is not None:
             collect(ap0)
         ap, branch = ap0, "case_i"
         if state.metric.norm(u) != 0.0 and float(ap0.composite_grad() @ u) < 0.0:
-            ap, it1 = solve_acceptable(instance, state.upsilon, H, p, beta,
-                                       caps=caps, tol=tol)
+            ap, it1 = solve_acceptable(instance, state.upsilon, H, p, beta, caps=caps)
             lower_iters += it1
             if collect is not None:
                 collect(ap)
@@ -150,7 +147,7 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
             if float(ap.composite_grad() @ u) > 0.0:
                 branch = "case_iii"
                 seg = bisect_segment(instance, state.x, u, ap0, ap, H, p, beta,
-                                     caps=caps, tol=tol, collect=collect)
+                                     caps=caps, collect=collect)
     except OptimalityReached as opt:
         state.x = np.asarray(opt.point, dtype=float)
         return {"status": "optimal", "g_k": 0.0, "branch": "optimal",
@@ -188,10 +185,14 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     """F(x_k) minus a certified lower bound of min over {||x-x0|| <= R} of
     the averaged linear model (s x + const)/A + psi(x); F_val = F(x_k).
 
-    psi = 0 has the closed-form ball minimum; otherwise the Lagrangian dual
-    of the ball constraint is maximized over the scalar multiplier, and any
-    dual value is a sound lower bound, so the returned gap always dominates
-    F(x_k) - F* when R >= ||x0 - x*||.
+    psi = 0 has the closed-form ball minimum.  Otherwise the bound is the
+    Lagrangian dual of the ball constraint at lam = e^t, with minimizer
+    x(lam) = scaled_prox(1/lam, x0 - B^{-1}s_hat/lam).  The dual is concave
+    with slope (||x(lam) - x0||^2 - R^2)/2 (Danskin), so it peaks at the root
+    of the nondecreasing phi(t) = R^2 - ||x(e^t) - x0||^2: t = -40 when
+    phi(-40) >= 0, t = 40 when phi(40) <= 0, else monotone_root's bisection
+    on [-40, 40].  Any dual value is a sound lower bound, so whatever t is,
+    the returned gap dominates F(x_k) - F* when R >= ||x0 - x*||.
     """
     if state.A <= 0.0:
         raise CertificateUndefined("certificate undefined")
@@ -202,17 +203,24 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     if psi.kind == "zero":
         lower = float(s_hat @ state.x0) - R * m.dual_norm(s_hat) + c_hat
         return F_val - lower
+    shift = m.solve(s_hat)
 
-    def dual(lam: float) -> float:
-        w = state.x0 - m.solve(s_hat) / lam
-        xh = psi.scaled_prox(1.0 / lam, w, m)
-        return (float(s_hat @ xh) + psi.value(xh) + c_hat
-                + 0.5 * lam * (m.norm(xh - state.x0) ** 2 - R * R))
+    @cache
+    def at(t: float) -> tuple[float, float]:  # phi(t) and the dual at e^t
+        lam = math.exp(t)
+        xh = psi.scaled_prox(1.0 / lam, state.x0 - shift / lam, m)
+        excess = m.norm(xh - state.x0) ** 2 - R * R
+        return -excess, (float(s_hat @ xh) + psi.value(xh) + c_hat
+                         + 0.5 * lam * excess)
 
-    # the dual is concave in lam, so unimodal in t = log(lam)
-    _, neg_lower = golden_section(lambda t: -dual(math.exp(t)), -40.0, 40.0,
-                                  iters=120)
-    return F_val + neg_lower
+    phi = lambda t: at(t)[0]
+    if phi(-40.0) >= 0.0:
+        t = -40.0
+    elif phi(40.0) <= 0.0:
+        t = 40.0
+    else:
+        t = monotone_root(phi, -40.0, 40.0)
+    return F_val - at(t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +285,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         beta: float = 0.0, H: float | None = None, M_next: float | None = None,
         budget: int = 200, epsilon: float | None = None, R: float | None = None,
         x0: np.ndarray | None = None, coeff_factor: float = 0.25,
-        caps: SolveCaps = DEFAULT_CAPS, tol: Tolerances = DEFAULT_TOL,
-        collect=None) -> RunTrace:
+        caps: SolveCaps = DEFAULT_CAPS, collect=None) -> RunTrace:
     """Drive one of the three methods to a certified stop or budget exhaustion.
 
     mode "exact" uses a closed-form segment-search oracle; "inexact" uses the
@@ -360,7 +367,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         if mode == "exact":
             info = step_exact(state, instance, H, p, oracle)
         else:
-            info = step_inexact(state, instance, H, p, beta, caps=caps, tol=tol,
+            info = step_inexact(state, instance, H, p, beta, caps=caps,
                                 coeff_factor=coeff_factor, collect=collect)
         rec = record(info)
         if info["status"] == "optimal":

@@ -15,10 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .acceptance import AcceptedPoint, evaluate, subproblem_tol
-from .config import (DEFAULT_CAPS, DEFAULT_TOL, AcceptanceFailure,
-                     DomainViolation, OptimalityReached, SolveCaps,
-                     SubproblemStall, Tolerances)
+from .acceptance import (ACCEPTANCE_ABS, ACCEPTANCE_REL, AcceptedPoint, evaluate,
+                         subproblem_tol)
+from .config import (DEFAULT_CAPS, AcceptanceFailure, DomainViolation,
+                     OptimalityReached, SolveCaps, SubproblemStall)
 from .numerics import Metric, prox_power, radial_solver
 from .problems import ProblemInstance, SimpleOracle
 
@@ -230,8 +230,8 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
 
 
 def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
-                     beta: float, caps: SolveCaps = DEFAULT_CAPS,
-                     tol: Tolerances = DEFAULT_TOL) -> tuple[AcceptedPoint, int]:
+                     beta: float,
+                     caps: SolveCaps = DEFAULT_CAPS) -> tuple[AcceptedPoint, int]:
     """Non-Euclidean composite gradient loop producing an acceptable pair.
 
     Starts at z0 = y; each step minimizes the Bregman-linearized model with
@@ -276,12 +276,11 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
         lhs = m.dual_norm(nxt.reg_grad + g)
         rhs = m.dual_norm(nxt.grad + g)
         history.append(lhs)
-        if rhs <= 100.0 * tol.acceptance_abs:
+        if rhs <= 100.0 * ACCEPTANCE_ABS:
             # composite gradient at the numerical floor: the point is optimal
             # and residual-ratio certificates would be pure roundoff
             raise OptimalityReached("anchor already optimal", point=z_next, g=g)
-        if lhs <= beta * rhs + tol.acceptance_rel * rhs:
-            return AcceptedPoint(instance, y, H, p, beta, z_next, g, tol=tol,
-                                 ev=nxt), i
+        if lhs <= beta * rhs + ACCEPTANCE_REL * rhs:
+            return AcceptedPoint(instance, y, H, p, beta, z_next, g, ev=nxt), i
         z, rho_grad_z, phi_z = nxt, rho_grad_next, phi_next
     raise AcceptanceFailure("acceptance not reached", residual_history=history)

@@ -5,12 +5,13 @@ positive-definite operator B: ||x|| = <Bx, x>^{1/2}, with dual norm
 ||g||_* = <g, B^{-1}g>^{1/2}.  The prox powers d_{p+1}(x) = ||x||^{p+1}/(p+1)
 and their gradients are the regularizers used everywhere.
 
-The scalar solvers: monotone_root (root of a nondecreasing function:
-safeguarded Newton when a slope is given, bisection to floating-point
-resolution otherwise), radial_solver (the secular equation
-(K + c r^{p-1}B) h = -g with r^2 = ||h||^2 + a^2, on one eigendecomposition
-of K, by Newton on its reciprocal form) and golden_section (minimization of
-a unimodal function on an interval).
+The scalar solvers: monotone_root, biopt's one scalar root finder (root of
+a nondecreasing function: safeguarded Newton when a slope is given,
+bisection to floating-point resolution otherwise); radial_solver (the
+secular equation (K + c r^{p-1}B) h = -g with r^2 = ||h||^2 + a^2, on one
+eigendecomposition of K, by Newton on its reciprocal form); golden_section
+(vectorized over per-element brackets; only the brute-force segment-search
+reference minimizes by it).
 """
 
 from __future__ import annotations
@@ -141,6 +142,7 @@ def uniform_convexity_gap(metric: Metric, x: np.ndarray, y: np.ndarray, p: int) 
 
 _MAX_WIDENINGS = 200
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_PHI2 = 1.0 - _INV_PHI
 
 
 def monotone_root(phi, lo: float, hi: float, dphi=None) -> float:
@@ -292,21 +294,27 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     return solve
 
 
-def golden_section(obj, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section minimization of a unimodal obj on [lo, hi]: one new
-    evaluation per step; returns the final bracket's midpoint and its value."""
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = obj(c), obj(d)
+def golden_section(obj, lo, hi, iters):
+    """Vectorized golden-section minimization over per-element brackets.
+
+    Bracket [a, a + w], interior points a + PHI2 w and a + PHI w (PHI2 =
+    1 - PHI = PHI^2).  Keeping the better point's side makes that point the
+    other interior point of the new bracket, so each step evaluates obj
+    once.  Masks enter by arithmetic: np.where is slow on irregular masks.
+    Returns the final brackets' midpoints and their values.
+    """
+    a = np.asarray(lo, dtype=float).copy()
+    w = np.asarray(hi, dtype=float) - a
+    f_new = obj(a + _PHI2 * w)  # the left interior point
+    f_keep = obj(a + _INV_PHI * w)
+    new_left = np.ones(a.shape, dtype=bool)
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = obj(d)
-    x = 0.5 * (a + b)
+        # keep [a, a + PHI w] when the left point is no worse than the right
+        left = (f_new == f_keep) | ((f_new < f_keep) == new_left)
+        f_keep = np.fmin(f_new, f_keep)
+        a = a + ~left * (_PHI2 * w)
+        w = _INV_PHI * w
+        new_left = left  # the kept point moves to the other interior slot
+        f_new = obj(a + (_INV_PHI - (_INV_PHI - _PHI2) * left) * w)
+    x = a + 0.5 * w
     return x, obj(x)

@@ -40,8 +40,12 @@ class SimpleOracle:
         self.weight = float(weight)
         self.lo = None if lo is None else np.atleast_1d(np.asarray(lo, dtype=float))
         self.hi = None if hi is None else np.atleast_1d(np.asarray(hi, dtype=float))
+        if kind == "l1" and not self.weight >= 0.0:
+            raise ValueError(f"l1 psi needs a weight >= 0, got {self.weight!r}")
         if kind == "box" and (self.lo is None or self.hi is None):
             raise ValueError("box psi needs lo and hi")
+        if kind == "box" and not np.all(self.lo <= self.hi):
+            raise ValueError("box psi needs lo <= hi")
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

@@ -16,10 +16,9 @@ from functools import cache
 import numpy as np
 
 from .acceptance import AcceptedPoint
-from .config import DEFAULT_CAPS, DEFAULT_TOL, BisectionStall, SolveCaps, Tolerances
+from .config import DEFAULT_CAPS, BisectionStall, SolveCaps
 from .lower import solve_acceptable
-from .numerics import (_INV_PHI, golden_section, monotone_root, power_mean_norm,
-                       radial_solver)
+from .numerics import golden_section, monotone_root, power_mean_norm, radial_solver
 from .problems import ProblemInstance, QuadraticOracle, SeparableOracle
 
 
@@ -32,16 +31,24 @@ class SproxResult:
     objective: float
 
 
-def _sprox_1d(xbar: float, ubar: float, H: float, p: int, weight: float,
-              stationary_roots) -> SproxResult:
-    """Candidate enumerator of the segment-search prox of
-    F(x) = x^2/2 + weight*|x| with regularizer H|x - m|^{p+1}/(p+1).
+def exact_sprox_1d(xbar: float, ubar: float) -> SproxResult:
+    """Case-table segment-search prox for example1d: F(x) = x^2/2 + |x|,
+    p = 3, H = 1 (exact_sprox_1d_general with these constants)."""
+    return exact_sprox_1d_general(xbar, ubar, 1.0, 3)
+
+
+def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
+                           weight: float = 1.0) -> SproxResult:
+    """Case-table segment-search prox of F(x) = x^2/2 + weight*|x| with
+    regularizer H|x - m|^{p+1}/(p+1), anchor m = xbar + tau*ubar.
 
     Candidates: the zero point on the interior of the segment (objective 0),
-    and per endpoint anchor m the stationary roots x of
-    x + s*weight + H|x - m|^{p-1}(x - m) = 0 with sign s = +-1, given by
-    stationary_roots(m, s), plus x = 0 with subgradient H|m|^{p-1}m when
-    that lies in [-weight, weight].  The winner minimizes the joint
+    and per endpoint anchor m the root x of the signed stationarity equation
+    x + s*weight + H|x - m|^{p-1}(x - m) = 0, s = +-1, when s*x > 0, plus
+    x = 0 with subgradient H|m|^{p-1}m when that lies in [-weight, weight].
+    The equation's left side increases with slope 1 + pH|x - m|^{p-1}, so
+    monotone_root's safeguarded Newton finds its one root from the bracket
+    between 0 and s(|m| + weight + 1).  The winner minimizes the joint
     objective.
     """
     xbar, ubar, H = float(xbar), float(ubar), float(H)
@@ -57,46 +64,20 @@ def _sprox_1d(xbar: float, ubar: float, H: float, p: int, weight: float,
             candidates.append((0.0, ti, 0.0, "interior"))
     for tau, tag in ((0.0, "tau0"), (1.0, "tau1")):
         m = xbar + tau * ubar
+        span = abs(m) + weight + 1.0
         for s, side in ((1.0, "pos"), (-1.0, "neg")):
-            for x in stationary_roots(m, s):
-                if s * x > 1e-12:
-                    candidates.append((x, tau, s * weight, f"{tag}_{side}"))
+            x = monotone_root(
+                lambda x: x + s * weight + H * abs(x - m) ** (p - 1) * (x - m),
+                min(0.0, s * span), max(0.0, s * span),
+                lambda x: 1.0 + p * H * abs(x - m) ** (p - 1))
+            if s * x > 1e-12:
+                candidates.append((x, tau, s * weight, f"{tag}_{side}"))
         g0 = H * abs(m) ** (p - 1) * m
         if abs(g0) <= weight:
             side = "pos" if m >= 0.0 else "neg"
             candidates.append((0.0, tau, g0, f"{tag}_{side}"))
     x, tau, g, branch = min(candidates, key=lambda c: objective(c[0], c[1]))
     return SproxResult(np.array([x]), tau, g, branch, objective(x, tau))
-
-
-def _cubic_roots(m: float, s: float) -> list[float]:
-    """Real roots of x + s + (x - m)^3 = 0 in closed form (np.roots)."""
-    roots = np.roots([1.0, -3.0 * m, 3.0 * m * m + 1.0, s - m ** 3])
-    return [float(r.real) for r in roots if abs(r.imag) < 1e-10]
-
-
-def exact_sprox_1d(xbar: float, ubar: float) -> SproxResult:
-    """Case-table segment-search prox for F(x) = x^2/2 + |x|, p = 3, H = 1.
-
-    The stationary equations x +- 1 + (x - m)^3 = 0 are cubics, solved in
-    closed form.
-    """
-    return _sprox_1d(xbar, ubar, 1.0, 3, 1.0, _cubic_roots)
-
-
-def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
-                           weight: float = 1.0) -> SproxResult:
-    """Segment-search prox of F(x) = x^2/2 + weight*|x| for arbitrary H, p.
-
-    The same candidates as exact_sprox_1d, with the signed stationarity
-    equations x +- weight + H|x - m|^{p-1}(x - m) = 0 solved by monotone_root.
-    """
-    def roots(m, s):
-        span = abs(m) + weight + 1.0
-        phi = lambda x: x + s * weight + H * abs(x - m) ** (p - 1) * (x - m)
-        return [monotone_root(phi, min(0.0, s * span), max(0.0, s * span))]
-
-    return _sprox_1d(xbar, ubar, H, p, weight, roots)
 
 
 def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
@@ -159,10 +140,7 @@ def make_sprox_oracle(instance: ProblemInstance, H: float, p: int):
         w = instance.simple.weight
 
         def oracle(xbar, u):
-            if p == 3 and H == 1.0 and w == 1.0:
-                res = exact_sprox_1d(xbar[0], u[0])
-            else:
-                res = exact_sprox_1d_general(xbar[0], u[0], H, p, weight=w)
+            res = exact_sprox_1d_general(xbar[0], u[0], H, p, weight=w)
             return res.x_plus, res.tau_plus, np.array([res.g_plus])
         return oracle
     if instance.simple.kind == "zero" and isinstance(sm, QuadraticOracle) \
@@ -213,34 +191,6 @@ def _vectorized_1d(instance: ProblemInstance):
     return lambda x: fval(x) + pval(x)
 
 
-_PHI2 = 1.0 - _INV_PHI
-
-
-def _golden_min_vec(obj, lo, hi, iters=110):
-    """Vectorized golden-section minimization over per-element brackets.
-
-    Bracket [a, a + w], interior points a + PHI2 w and a + PHI w (PHI2 =
-    1 - PHI = PHI^2).  Keeping the better point's side makes that point the
-    other interior point of the new bracket, so each step evaluates obj
-    once.  Masks enter by arithmetic: np.where is slow on irregular masks.
-    """
-    a = np.asarray(lo, dtype=float).copy()
-    w = np.asarray(hi, dtype=float) - a
-    f_new = obj(a + _PHI2 * w)  # the left interior point
-    f_keep = obj(a + _INV_PHI * w)
-    new_left = np.ones(a.shape, dtype=bool)
-    for _ in range(iters):
-        # keep [a, a + PHI w] when the left point is no worse than the right
-        left = (f_new == f_keep) | ((f_new < f_keep) == new_left)
-        f_keep = np.fmin(f_new, f_keep)
-        a = a + ~left * (_PHI2 * w)
-        w = _INV_PHI * w
-        new_left = left  # the kept point moves to the other interior slot
-        f_new = obj(a + (_INV_PHI - (_INV_PHI - _PHI2) * left) * w)
-    x = a + 0.5 * w
-    return x, obj(x)
-
-
 def _inner_solver_1d(instance, anchor_lo, anchor_hi, H, p):
     """Vectorized solver of min_x F(x) + H|x - m|^{p+1}/(p+1) over anchors m.
 
@@ -277,7 +227,7 @@ def _inner_solver_1d(instance, anchor_lo, anchor_hi, H, p):
             if instance.simple.kind == "box":
                 lo = np.maximum(lo, instance.simple.lo[0])
                 hi = np.minimum(hi, instance.simple.hi[0])
-            x, val = _golden_min_vec(total, lo, hi)
+            x, val = golden_section(total, lo, hi, iters=110)
             near_edge = (np.minimum(x - lo, hi - x) < 1e-3 * R) & (val > F_lb + 1e-12)
             if not np.any(near_edge):
                 break
@@ -343,7 +293,7 @@ def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
             best_x, best_val, best_j = xT, val, j
     lo_t = taus[max(best_j - 1, 0)]
     hi_t = taus[min(best_j + 1, grid_tau)]
-    tau, val = golden_section(lambda t: solve_at(t)[1], lo_t, hi_t, iters=60)
+    tau, val = golden_section(lambda t: solve_at(float(t))[1], lo_t, hi_t, iters=60)
     if val < best_val:
         xT, val = solve_at(tau)
         return xT, float(tau), float(val)
@@ -371,7 +321,6 @@ class SegmentResult:
 def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
                    end0: AcceptedPoint, end1: AcceptedPoint, H: float, p: int,
                    beta: float, caps: SolveCaps = DEFAULT_CAPS,
-                   tol: Tolerances = DEFAULT_TOL,
                    collect=None) -> SegmentResult:
     """Bracketing bisection on the directional products along the segment.
 
@@ -400,8 +349,7 @@ def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
                                  bisections=i, lower_iters=lower_total)
         tau_mid = 0.5 * (tau1 + tau2)
         anchor = x_k + tau_mid * u_k
-        ap, iters = solve_acceptable(instance, anchor, H, p, beta,
-                                     caps=caps, tol=tol)
+        ap, iters = solve_acceptable(instance, anchor, H, p, beta, caps=caps)
         lower_total += iters
         if collect is not None:
             collect(ap)

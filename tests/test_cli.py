@@ -106,6 +106,36 @@ class TestRun:
         assert result.exit_code == 0
         assert "filed exact" in result.output
 
+    @pytest.mark.parametrize("psi", [
+        {"kind": "l1", "weight": -0.5},
+        {"kind": "box", "lo": [1.0, 1.0], "hi": [-1.0, -1.0]},
+    ])
+    def test_invalid_psi_is_usage_error(self, runner, tmp_path, psi):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(
+            {"family": "quadratic", "Q": [[2.0, 0.0], [0.0, 1.0]],
+             "c": [1.0, -1.0], "psi": psi}))
+        cfg = {"instance": {"file": str(inst_path)}, "mode": "inexact", "p": 2,
+               "H": 1.0, "beta": 0.1, "budget": 20}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert "config error" in result.output
+
+    def test_parallel_jobs_match_serial(self, runner, tmp_path):
+        # the process-pool path (two workers) prints the serial lines, in order
+        cfg = {"runs": [
+            {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,
+             "budget": 20},
+            {"instance": "example1d", "mode": "inexact", "p": 3, "H": 1.0,
+             "beta": 0.1, "x0": [2.0], "budget": 20},
+        ]}
+        path = write_config(tmp_path, cfg)
+        serial = runner.invoke(main, ["run", "-c", path, "--jobs", "1"])
+        parallel = runner.invoke(main, ["run", "-c", path, "--jobs", "2"])
+        assert serial.exit_code == 0 and parallel.exit_code == 0
+        assert len(serial.output.splitlines()) == 2
+        assert parallel.output.splitlines() == serial.output.splitlines()
+
 
 class TestRateFit:
     def make_trace_file(self, tmp_path, n=100):

@@ -69,15 +69,37 @@ class TestExactSprox1d:
         assert res.objective == pytest.approx(ref_val, abs=1e-7)
 
 
+def cubic_case_table(xbar, ubar):
+    """Independent reference for exact_sprox_1d (H = 1, p = 3, weight 1): the
+    same candidates, with the stationary roots of x +- 1 + (x - m)^3 = 0 taken
+    from np.roots; returns the winning (objective, x)."""
+    def objective(x, tau):
+        return 0.5 * x * x + abs(x) + (x - xbar - tau * ubar) ** 4 / 4.0
+
+    cands = []
+    if ubar != 0.0 and 0.0 < -xbar / ubar < 1.0:
+        cands.append((0.0, -xbar / ubar))
+    for tau in (0.0, 1.0):
+        m = xbar + tau * ubar
+        for s in (1.0, -1.0):
+            roots = np.roots([1.0, -3.0 * m, 3.0 * m * m + 1.0, s - m ** 3])
+            cands += [(r.real, tau) for r in roots
+                      if abs(r.imag) < 1e-10 and s * r.real > 1e-12]
+        if abs(m) ** 3 <= 1.0:
+            cands.append((0.0, tau))
+    return min((objective(x, tau), x) for x, tau in cands)
+
+
 class TestExactSproxGeneral:
     def test_matches_cubic_special_case(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
             xbar, ubar = rng.uniform(-3.0, 3.0, size=2)
-            a = exact_sprox_1d(xbar, ubar)
-            b = exact_sprox_1d_general(xbar, ubar, 1.0, 3, weight=1.0)
-            assert b.objective == pytest.approx(a.objective, abs=1e-9)
-            assert b.x_plus[0] == pytest.approx(a.x_plus[0], abs=1e-7)
+            ref_obj, ref_x = cubic_case_table(xbar, ubar)
+            for res in (exact_sprox_1d(xbar, ubar),
+                        exact_sprox_1d_general(xbar, ubar, 1.0, 3, weight=1.0)):
+                assert res.objective == pytest.approx(ref_obj, abs=1e-9)
+                assert res.x_plus[0] == pytest.approx(ref_x, abs=1e-7)
 
     @pytest.mark.parametrize("H,p", [(2.0, 2), (0.5, 4)])
     def test_agrees_with_reference(self, H, p):

@@ -81,6 +81,80 @@ class TestGapCertificate:
         model = (state.s[0] * grid + state.const) / state.A + np.abs(grid)
         assert lower <= np.min(model) + 1e-9
 
+    @staticmethod
+    def ball_min(state, psi, R):
+        """Brute-force min of (s x + const)/A + psi(x) over ||x - x0|| <= R:
+        the boundary of the ball scanned and zoomed, plus the interior
+        candidates (l1: the origin; box: the corners) that lie in the ball."""
+        x0 = state.x0
+
+        def model(X):
+            val = (X @ state.s + state.const) / state.A
+            if psi.kind == "l1":
+                return val + psi.weight * np.abs(X).sum(axis=1)
+            inside = np.all((X >= psi.lo) & (X <= psi.hi), axis=1)
+            return np.where(inside, val, np.inf)
+
+        if psi.kind == "l1":
+            cands = np.zeros((1, len(x0)))
+        else:
+            cands = np.array(np.meshgrid(*zip(psi.lo, psi.hi))).reshape(len(x0), -1).T
+        cands = cands[np.linalg.norm(cands - x0, axis=1) <= R]
+        best = np.min(model(cands), initial=np.inf)
+        if len(x0) == 1:
+            return min(best, np.min(model(np.array([[x0[0] - R], [x0[0] + R]]))))
+        theta = np.linspace(0.0, 2.0 * np.pi, 100001)
+        for _ in range(4):
+            vals = model(x0 + R * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+            j = int(np.argmin(vals))
+            best = min(best, vals[j])
+            theta = np.linspace(theta[max(j - 1, 0)],
+                                theta[min(j + 1, len(theta) - 1)], 1001)
+        return best
+
+    @pytest.mark.parametrize("case", ["example1d", "l1-2d", "box-2d"])
+    def test_dual_lower_bound_is_tight(self, case):
+        # the ball is active in each case: the bound meets the ball minimum
+        if case == "example1d":
+            inst = build_example_1d()
+            x0, s, R = [0.3], [-2.4], 2.0
+        elif case == "l1-2d":
+            inst = build_quadratic(np.eye(2), np.zeros(2),
+                                   psi=SimpleOracle("l1", weight=0.5))
+            x0, s, R = [0.2, -0.1], [1.3, -0.2], 1.0
+        else:
+            inst = build_quadratic(np.eye(2), np.zeros(2),
+                                   psi=SimpleOracle("box", lo=[-0.5, -0.5],
+                                                    hi=[0.5, 0.5]))
+            x0, s, R = [-0.2, 0.3], [2.0, 0.4], 0.6
+        state = new_state(inst, np.array(x0))
+        state.s, state.const, state.A = np.array(s), 0.4, 2.0
+        lower = inst.F(state.x) - gap_certificate(state, inst, R, inst.F(state.x))
+        brute = self.ball_min(state, inst.simple, R)
+        assert lower <= brute + 1e-12
+        assert lower == pytest.approx(brute, abs=1e-9)
+
+    def test_inactive_ball_takes_smallest_multiplier(self, monkeypatch):
+        # the ball holds the whole box, so phi(-40) >= 0 decides t = -40 with
+        # one prox and no root search
+        inst = build_quadratic(np.eye(2), np.zeros(2),
+                               psi=SimpleOracle("box", lo=[-0.5, -0.5],
+                                                hi=[0.5, 0.5]))
+        state = new_state(inst, np.array([0.1, -0.2]))
+        state.s, state.const, state.A = np.array([1.0, -3.0]), 0.4, 2.0
+        calls = []
+        prox = inst.simple.scaled_prox
+        monkeypatch.setattr(inst.simple, "scaled_prox",
+                            lambda *a: calls.append(a) or prox(*a))
+        monkeypatch.setattr(biopt.driver, "monotone_root", None)
+        R = 5.0
+        lower = inst.F(state.x) - gap_certificate(state, inst, R, inst.F(state.x))
+        assert len(calls) == 1
+        brute = self.ball_min(state, inst.simple, R)
+        assert brute == pytest.approx((-0.5 - 1.5 + 0.4) / 2.0)
+        assert lower <= brute + 1e-12
+        assert lower == pytest.approx(brute, abs=1e-9)
+
 
 class TestRunExact:
     def test_example_1d_reaches_optimum(self):
