@@ -43,10 +43,11 @@ class PointEval:
 
 
 def evaluate(instance: ProblemInstance, anchor: np.ndarray, H: float, p: int,
-             x: np.ndarray) -> PointEval:
-    """One smooth-oracle evaluation at x, with the regularizer added."""
+             x: np.ndarray, fg=None) -> PointEval:
+    """One smooth-oracle evaluation at x, with the regularizer added; fg is
+    (f, grad f) at x when the caller already has them."""
     x = np.asarray(x, dtype=float)
-    value, grad = instance.smooth.value_grad(x)
+    value, grad = instance.smooth.value_grad(x) if fg is None else fg
     if grad is None:
         return PointEval(x, value, None, math.inf, None, None)
     dval, dgrad = d = prox_power(instance.metric, x - anchor, p)

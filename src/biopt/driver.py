@@ -123,7 +123,7 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
     a = _advance(state, instance, step_rates("exact", H, p, None, None), p,
                  g_k, [(1.0, x_plus, f_plus, grad_f)], x_plus)
     return {"status": "optimal" if a is None else "running", "g_k": g_k,
-            "a": a, "branch": "exact", "tau": tau, "residual": g_k}
+            "a": a, "branch": "exact", "tau": tau, "residual": g_k, "f": f_plus}
 
 
 def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
@@ -156,7 +156,7 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
     if seg is None:
         bisections = 0
         pieces = [(1.0, ap.T, ap.f, ap.grad_f)]
-        x_next = ap.T
+        x_next, f_next = ap.T, ap.f
         g_k = ap.grad_F_norm
         G_vec = ap.composite_grad()
     else:
@@ -165,7 +165,7 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
         alpha = seg.alpha
         pieces = [(w, T.T, T.f, T.grad_f)
                   for w, T in ((alpha, seg.T1), (1.0 - alpha, seg.T2))]
-        x_next = alpha * seg.T1.T + (1.0 - alpha) * seg.T2.T
+        x_next, f_next = alpha * seg.T1.T + (1.0 - alpha) * seg.T2.T, None
         g_k = seg.g_k
         G_vec = alpha * seg.T1.composite_grad() \
             + (1.0 - alpha) * seg.T2.composite_grad()
@@ -173,7 +173,8 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
                  p, g_k, pieces, x_next)
     return {"status": "optimal" if a is None else "running", "g_k": g_k,
             "a": a, "branch": branch, "lower_iters": lower_iters,
-            "bisections": bisections, "residual": state.metric.dual_norm(G_vec)}
+            "bisections": bisections, "residual": state.metric.dual_norm(G_vec),
+            "f": f_next}
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,9 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
     trace = RunTrace(config=config)
 
     def record(step_info: dict | None) -> dict:
-        F_val = instance.F(state.x)
+        # a step that evaluated f at its new x reports it as "f"
+        f = None if step_info is None else step_info.get("f")
+        F_val = instance.F(state.x) if f is None else f + psi.value(state.x)
         rec = {
             "k": state.k, "F_val": F_val, "A": state.A, "B_cert": state.B_cert,
             "F_gap": None if F_star is None else F_val - F_star,

@@ -63,11 +63,19 @@ class ScalingFunction:
         self._face_solvers = {}
 
     @cached_property
+    def expansion(self):
+        """f(y), grad f(y), a thunk of D^2 f(y) and the even forms at y, from
+        one oracle evaluation (SmoothOracle.expansion_at)."""
+        expansion = self.instance.smooth.expansion_at(self.y, self.q)
+        if expansion[1] is None:
+            raise DomainViolation("anchor outside the domain of f")
+        return expansion
+
+    @cached_property
     def forms(self):
         """(h -> (D^{2k} f(y)[h]^{2k}, h-gradient), (2k)!) for k = 1..q, once per y."""
-        smooth = self.instance.smooth
-        return [(smooth.even_form_at(self.y, 2 * k), math.factorial(2 * k))
-                for k in range(1, self.q + 1)]
+        return [(form, math.factorial(2 * k))
+                for k, form in enumerate(self.expansion[3], 1)]
 
     def value_grad(self, x: np.ndarray, d=None) -> tuple[float, np.ndarray]:
         """rho and its gradient at x; d is prox_power(x - y) if already known."""
@@ -84,7 +92,7 @@ class ScalingFunction:
     @cached_property
     def K(self) -> np.ndarray:
         """D^2 f(y), once per y."""
-        return self.instance.smooth.hessian(self.y)
+        return self.expansion[2]()
 
     @cached_property
     def radial(self):
@@ -185,7 +193,8 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     proximal-gradient loop on the shifted objective s(h) + psi(y+h).
 
     Backtracking halves t until the curvature along the step d is at most
-    1/t: (grad s(h+d) - grad s(h)) . d <= ||d||^2/t.  The test is
+    1/t: (grad s(h+d) - grad s(h)) . d <= ||d||^2/t, and raises
+    SubproblemStall with the last iterate after 80 halvings.  The test is
     scale-free (an absolute slack would decide it once ||d||^2/t is near
     roundoff).  For convex s it implies the descent lemma with constant 2/t,
     s(h+d) <= s(h) + grad s(h) . d + ||d||^2/t, a factor 2 looser than the
@@ -219,6 +228,8 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
             if float((sgrad_t - sgrad) @ d) <= m.norm(d) ** 2 / t:
                 break
             t *= 0.5
+        else:  # no step length passed the curvature test (e.g. a NaN gradient)
+            raise SubproblemStall("backtracking exhausted", best=h)
         residual = m.norm(d) / t
         h, sgrad = trial, sgrad_t
         if residual <= tol:
@@ -239,16 +250,16 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
     step's optimality condition, and tests acceptance on the freshest
     iterate.  The safeguard's PointEval of z_{i+1} (whose d gives grad rho)
     is the only evaluation of z_{i+1}: the test, the next step and the
-    AcceptedPoint reuse it.
+    AcceptedPoint reuse it.  Likewise the anchor's one evaluation
+    (ScalingFunction.expansion) gives f and grad f at z0 = y, D^2 f(y) and
+    the even forms; outside the domain of f it raises DomainViolation.
     """
     y = np.asarray(y, dtype=float)
     L = REL_SMOOTH_L
     sf = ScalingFunction(instance, y, H, p)
     m = instance.metric
     psi = instance.simple
-    z = evaluate(instance, y, H, p, y)
-    if z.grad is None:
-        raise DomainViolation("anchor outside the domain of f")
+    z = evaluate(instance, y, H, p, y, fg=sf.expansion[:2])
     phi_z = z.reg_value + psi.value(y)  # the d_{p+1} term is 0 at z0 = y
     rho_grad_z = sf.value_grad(y, z.d)[1]
     history = []

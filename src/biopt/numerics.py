@@ -9,7 +9,9 @@ The scalar solvers: monotone_root, biopt's one scalar root finder (root of
 a nondecreasing function: safeguarded Newton when a slope is given,
 bisection to floating-point resolution otherwise); radial_solver (the
 secular equation (K + c r^{p-1}B) h = -g with r^2 = ||h||^2 + a^2, on one
-eigendecomposition of K, by Newton on its reciprocal form); golden_section
+eigendecomposition of K, by Newton on its reciprocal form, evaluated on
+Python floats because a numpy call costs more than a small loop at the
+sizes the lower level meets); golden_section
 (vectorized over per-element brackets; only the brute-force segment-search
 reference minimizes by it).
 """
@@ -73,30 +75,27 @@ class Metric:
 
     def norm(self, x: np.ndarray) -> float:
         if self.is_identity:
-            return float(np.linalg.norm(x))
+            return math.sqrt(float(x @ x))
         return float(math.sqrt(max(float(x @ (self.B @ x)), 0.0)))
 
     def dual_norm(self, g: np.ndarray) -> float:
         if self.is_identity:
-            return float(np.linalg.norm(g))
+            return math.sqrt(float(g @ g))
         return float(math.sqrt(max(float(g @ self.solve(g)), 0.0)))
-
-
-def _check_finite(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite point")
 
 
 def prox_power(metric: Metric, x: np.ndarray, p: int) -> tuple[float, np.ndarray]:
     """Value and gradient of d_{p+1}(x) = ||x||^{p+1}/(p+1).
 
-    Gradient: ||x||^{p-1} B x.
+    Gradient: ||x||^{p-1} B x.  A non-finite entry of x makes ||x|| non-finite;
+    only then are the entries checked, and a non-finite one is a ValueError.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     x = np.asarray(x, dtype=float)
-    _check_finite(x)
     r = metric.norm(x)
+    if not math.isfinite(r) and not np.isfinite(x).all():
+        raise ValueError("non-finite point")
     value = r ** (p + 1) / (p + 1)
     grad = (r ** (p - 1)) * metric.apply(x)
     return value, grad
@@ -235,6 +234,15 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     An offset only lowers phi, so the root s* >= s_0 and n(s*) <= n(s_0)
     <= ||b||; and r >= a gives s* >= c a^{p-1}.  Hence s* lies in
     [max(c (max(b)/2)^{p-1}, c a^{p-1}), c (||b||^2 + a^2)^{(p-1)/2}].
+
+    Only the eigen-coefficients change between evaluations of phi, so each
+    solve holds them once as a list of (lam_i, w_i) float pairs and runs
+    phi and its slope as one Python loop over it; numpy does the two basis
+    changes S^T g and S (w/(lam + s)).  Evaluated with numpy arrays, phi
+    costs about 4.5 us of call overhead at any n up to 200; the loop takes
+    0.8 us at n = 5, 4.7 us at n = 50 and 9 us at n = 100.  Above n ~ 45 it
+    is the slower one, but there the eigh of K (0.3 ms at n = 50, 0.9 ms at
+    n = 100, once per K) outweighs it.
     (See More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983, and
     Nesterov & Polyak, Math. Program. 108, 2006, section 5.)
     """
@@ -246,38 +254,53 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
         lam, V = np.linalg.eigh(Linv @ K @ Linv.T)
         S = Linv.T @ V
     lam = np.maximum(lam, 0.0)  # K is PSD: negative eigenvalues are roundoff
+    lam_list = lam.tolist()
     e = p - 1
 
     def solve(g: np.ndarray, a: float = 0.0) -> np.ndarray:
         w = S.T @ g
-        if not np.any(w):
+        if not w.any():
             return np.zeros_like(w)
         if e == 0:  # p = 1: the shift is c, the system is linear
             return -(S @ (w / (lam + c)))
-        abs_w = np.abs(w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = np.fmin(abs_w / lam, (abs_w / c) ** (1.0 / p))
-        s_lo = max(c * (0.5 * float(b.max())) ** e, c * a ** e)
+        w_list = w.tolist()
+        # b_i = min(|w_i|/lam_i, (|w_i|/c)^{1/p}): 0 where w_i = 0, the power
+        # root where lam_i = 0.  The roots use numpy's power, not Python's,
+        # which differs in the last bit on a few percent of inputs
+        roots = ((np.abs(w) / c) ** (1.0 / p)).tolist()
+        b = [0.0 if w_i == 0.0 else root if lam_i == 0.0
+             else min(abs(w_i) / lam_i, root)
+             for lam_i, w_i, root in zip(lam_list, w_list, roots)]
+        s_lo = max(c * (0.5 * max(b)) ** e, c * a ** e)
         s_hi = c * math.hypot(*b, a) ** e
         if s_hi == 0.0:  # the shift underflows: lam + s == lam
             return -(S @ (w / lam))
-        # r(s) = scale ||(z, a_hat)||, z = w_hat/(lam + s): |z| <= 1 at s_hi,
-        # so z*z neither overflows nor underflows to 0 on the bracket; scale
-        # is a power of two, so the scaling itself rounds nothing
-        scale = math.ldexp(1.0, math.frexp(float(np.max(abs_w / (lam + s_hi))))[1])
-        w_hat, a_hat = w / scale, a / scale
+        if s_lo == s_hi:  # a dwarfs w: r = a, and the bracket is one float
+            return -(S @ (w / (lam + s_hi)))
+        # r(s) = scale ||(z, a_hat)||, z = w_hat/(lam + s): a_hat <= 1 and
+        # |z| <= 1 at s_hi, so z*z does not overflow on the bracket nor
+        # underflow to 0 unless a_hat dominates it, and r_hat^3 is finite;
+        # scale is a power of two, so the scaling itself rounds nothing
+        z_max = max(abs(w_i) / (lam_i + s_hi) for lam_i, w_i in zip(lam_list, w_list))
+        scale = math.ldexp(1.0, math.frexp(max(z_max, a))[1])
+        coef = [(lam_i, w_i / scale) for lam_i, w_i in zip(lam_list, w_list)]
+        a_hat = a / scale
 
         memo_s, memo = None, None
 
         def terms(s):  # r(s) and sum(w^2/(lam+s)^3)/r(s)^3, for the last s:
             nonlocal memo_s, memo  # monotone_root asks dphi(s) after phi(s)
             if s != memo_s:
-                v = 1.0 / (lam + s)
-                z = w_hat * v
-                q = z * z
-                r_hat = math.hypot(math.sqrt(q.sum()), a_hat)
+                n2 = slope = 0.0
+                for lam_i, w_i in coef:
+                    v = 1.0 / (lam_i + s)
+                    z = w_i * v
+                    q = z * z
+                    n2 += q
+                    slope += q * v
+                r_hat = math.hypot(math.sqrt(n2), a_hat)
                 memo_s = s
-                memo = scale * r_hat, float(q @ v) / (scale * r_hat ** 3)
+                memo = scale * r_hat, slope / (scale * r_hat ** 3)
             return memo
 
         def phi(s):  # -inf and an infinite slope below the domain s > 0

@@ -164,7 +164,7 @@ _FAMILIES = {
 class SmoothOracle:
     """Interface of the smooth part f.  The lower level evaluates each point
     once, through value_grad, and fixes the data at each anchor once, through
-    even_form_at."""
+    expansion_at."""
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -184,6 +184,15 @@ class SmoothOracle:
     def even_form_at(self, y: np.ndarray, order: int):
         """h -> (even_form, even_form_grad) at h, with the data at y computed once."""
         raise NotImplementedError
+
+    def expansion_at(self, y: np.ndarray, q: int):
+        """(f, grad f, thunk of D^2 f, [even_form_at(y, 2k) for k = 1..q]) at y,
+        from one evaluation; (inf, None, None, None) outside the domain."""
+        value, grad = self.value_grad(y)
+        if grad is None:
+            return value, None, None, None
+        return (value, grad, lambda: self.hessian(y),
+                [self.even_form_at(y, 2 * k) for k in range(1, q + 1)])
 
     def even_form(self, y: np.ndarray, h: np.ndarray, order: int) -> float:
         """D^{order} f(y)[h]^{order} for even order."""
@@ -226,20 +235,20 @@ class SeparableOracle(SmoothOracle):
 
     def _slacks(self, x: np.ndarray, check: bool = True) -> np.ndarray:
         t = self.A @ np.asarray(x, dtype=float) - self.b
-        if check and self.open_domain and np.any(t <= 0.0):
+        if check and self.open_domain and (t <= 0.0).any():
             idx = int(np.argmin(t))
             raise DomainViolation(f"domain violation at row {idx}", index=idx)
         return t
 
     def _inside(self, t: np.ndarray) -> bool:
-        return not self.open_domain or bool(np.all(t > 0.0))
+        return not self.open_domain or bool((t > 0.0).all())
 
     def in_domain(self, x: np.ndarray) -> bool:
         return not self.open_domain or self._inside(self._slacks(x, check=False))
 
     def value(self, x: np.ndarray) -> float:
         t = self._slacks(x, check=False)
-        return float(np.sum(self.deriv(t, 0))) if self._inside(t) else math.inf
+        return float(self.deriv(t, 0).sum()) if self._inside(t) else math.inf
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         t = self._slacks(x)
@@ -249,20 +258,35 @@ class SeparableOracle(SmoothOracle):
         t = self._slacks(x, check=False)
         if not self._inside(t):
             return math.inf, None
-        return float(np.sum(self.deriv(t, 0))), self.A.T @ self.deriv(t, 1)
+        return float(self.deriv(t, 0).sum()), self.A.T @ self.deriv(t, 1)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        t = self._slacks(x)
-        return (self.A * self.deriv(t, 2)[:, None]).T @ self.A
+        return self._hessian(self.deriv(self._slacks(x), 2))
+
+    def _hessian(self, d2: np.ndarray) -> np.ndarray:
+        return (self.A * d2[:, None]).T @ self.A
 
     def even_form_at(self, y: np.ndarray, order: int):
         if order < 2 or order % 2:
             raise ValueError("order must be even and >= 2")
-        w = self.deriv(self._slacks(y), order)
+        return self._form(self.deriv(self._slacks(y), order), order)
 
+    def expansion_at(self, y: np.ndarray, q: int):
+        """SmoothOracle.expansion_at on one slack product A y - b."""
+        t = self._slacks(y, check=False)
+        if not self._inside(t):
+            return math.inf, None, None, None
+        d2 = self.deriv(t, 2)
+        forms = [self._form(d2 if k == 1 else self.deriv(t, 2 * k), 2 * k)
+                 for k in range(1, q + 1)]
+        return (float(self.deriv(t, 0).sum()), self.A.T @ self.deriv(t, 1),
+                lambda: self._hessian(d2), forms)
+
+    def _form(self, w: np.ndarray, order: int):
+        """h -> (sum_i w_i s_i^order, its h-gradient), s = A h."""
         def form(h: np.ndarray) -> tuple[float, np.ndarray]:
             s = self.A @ np.asarray(h, dtype=float)
-            return (float(np.sum(w * s ** order)),
+            return (float((w * s ** order).sum()),
                     order * (self.A.T @ (w * s ** (order - 1))))
         return form
 

@@ -239,6 +239,28 @@ class TestRadialSolverStress:
     BISECTION_BACKWARD = 10.9
 
     def test_residual_no_worse_than_bisection(self, monkeypatch):
+        worst_rel, worst_backward, evals = self.sweep(6, monkeypatch)
+        assert len(evals) == 1620
+        assert worst_rel <= self.BISECTION_REL
+        assert worst_backward <= self.BISECTION_BACKWARD
+        assert max(evals) <= 20
+
+    @pytest.mark.parametrize("d", [1, 9, 40])
+    def test_residual_across_dimensions(self, d, monkeypatch):
+        # the same sweep and bounds at other sizes; d = 9 and 40 pass numpy's
+        # 8-accumulator threshold for sums, which the secular loop does not
+        # follow.  At d = 40 the relative residual is left out: rounding h to
+        # doubles alone leaves eps ||K|| ||h|| = 8.4e-5 ||g|| there (singular
+        # K scaled by 1e4, ||g|| = 1e-8), and any h reads 1.1e-4 to 1.6e-4
+        worst_rel, worst_backward, evals = self.sweep(d, monkeypatch)
+        assert len(evals) == 1620
+        assert d >= 40 or worst_rel <= self.BISECTION_REL
+        assert worst_backward <= self.BISECTION_BACKWARD
+        assert max(evals) <= 20
+
+    def sweep(self, d, monkeypatch):
+        """Worst relative and backward residual and the secular evaluations
+        per solve over the sweep at dimension d."""
         evals = []
 
         def counting_root(phi, lo, hi, dphi=None):
@@ -251,7 +273,6 @@ class TestRadialSolverStress:
             return monotone_root(counted, lo, hi, dphi)
         monkeypatch.setattr(numerics, "monotone_root", counting_root)
 
-        d = 6
         rng = np.random.default_rng(0)
         V, _ = np.linalg.qr(rng.standard_normal((d, d)))
         spectra = (np.logspace(-2, 1, d), np.r_[0.0, np.logspace(-1, 1, d - 1)])
@@ -279,10 +300,7 @@ class TestRadialSolverStress:
                                     worst_backward = max(
                                         worst_backward,
                                         res / (np.finfo(float).eps * scale))
-        assert len(evals) == 1620
-        assert worst_rel <= self.BISECTION_REL
-        assert worst_backward <= self.BISECTION_BACKWARD
-        assert max(evals) <= 20
+        return worst_rel, worst_backward, evals
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_norm_offset(self, p):
@@ -320,6 +338,24 @@ class TestRadialSolverStress:
             r = big * np.linalg.norm(h / big)
             res = K @ h + r ** (p - 1) * h + g
             assert np.max(np.abs(res)) <= 1e-13 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("d", [1, 9, 40])
+    @pytest.mark.parametrize("g_norm", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    def test_zero_coefficients(self, d, g_norm, a):
+        # a diagonal K has an exact eigenbasis, so w = g: lam_i = 0 meets
+        # w_i = 0 and w_i != 0, and lam_i > 0 meets w_i = 0.  With ||g|| =
+        # 1e-300 the offset a = 0.5 fixes r, and the bracket is one float.
+        lam = np.where(np.arange(d) % 4 < 2, 0.0, np.arange(d) / 4.0)
+        g = g_norm * np.where(np.arange(d) % 2 == 0, 1.0 + np.arange(d), 0.0)
+        for p in (2, 3, 4):
+            for c in (1e-3, 1.0):
+                h = numerics.radial_solver(Metric(dim=d), np.diag(lam), c, p)(g, a)
+                assert np.all(h[g == 0.0] == 0.0)
+                big = max(np.max(np.abs(h)), a)
+                r = big * math.hypot(np.linalg.norm(h / big), a / big)
+                res = lam * h + c * r ** (p - 1) * h + g
+                assert np.max(np.abs(res)) <= 1e-13 * np.max(np.abs(g))
 
 
 @pytest.mark.parametrize("p", [2, 3, 4])
