@@ -87,12 +87,15 @@ class Metric:
 def prox_power(metric: Metric, x: np.ndarray, p: int) -> tuple[float, np.ndarray]:
     """Value and gradient of d_{p+1}(x) = ||x||^{p+1}/(p+1).
 
-    Gradient: ||x||^{p-1} B x.  A non-finite entry of x makes ||x|| non-finite;
-    only then are the entries checked, and a non-finite one is a ValueError.
+    Gradient: ||x||^{p-1} B x.  A non-finite entry of x is a ValueError.
+    It makes ||x|| non-finite, so with B = I the entries are scanned only
+    then; otherwise they are scanned first, as B x of an inf would warn.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     x = np.asarray(x, dtype=float)
+    if not metric.is_identity and not np.isfinite(x).all():
+        raise ValueError("non-finite point")
     r = metric.norm(x)
     if not math.isfinite(r) and not np.isfinite(x).all():
         raise ValueError("non-finite point")

@@ -102,9 +102,10 @@ class TestProxPower:
         assert np.all(g == 0.0)
 
     def test_nonfinite_rejected(self):
-        m = Metric(dim=2)
-        with pytest.raises(ValueError, match="non-finite"):
-            prox_power(m, np.array([1.0, np.nan]), 2)
+        for m in (Metric(dim=2), Metric(random_spd(2, 5))):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="non-finite"):
+                    prox_power(m, np.array([1.0, bad]), 2)
 
 
 class TestStepCoefficient:
