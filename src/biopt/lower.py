@@ -52,7 +52,11 @@ def rel_smooth_params(p: int, M_next: float) -> RelSmoothParams:
 
 
 class ScalingFunction:
-    """rho_{y,H}(x) = sum_{k=1..q} D^{2k} f(y)[x-y]^{2k} / (2k)! + H d_{p+1}(x-y)."""
+    """rho_{y,H}(x) = sum_{k=1..q} D^{2k} f(y)[x-y]^{2k} / (2k)! + H d_{p+1}(x-y).
+
+    Also the step subproblem's cache for this one anchor: D^2 f(y), its
+    solvers and warm_start, the last call's step length and prox point.
+    """
 
     def __init__(self, instance: ProblemInstance, y: np.ndarray, H: float, p: int):
         self.instance = instance
@@ -61,6 +65,7 @@ class ScalingFunction:
         self.p = int(p)
         self.q = p // 2
         self._face_solvers = {}
+        self.warm_start = (1.0, None)
 
     @cached_property
     def expansion(self):
@@ -206,6 +211,13 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     inside it (_face_step).  The next step's residual then accepts or
     rejects the point, so the stopping rule is the same as without it; a
     wrong face costs only the proximal-gradient steps that follow.
+
+    Calls at one anchor (one sf) differ only in c, which the curvature test
+    does not involve.  So a call stores its last t and prox point in
+    sf.warm_start, and the next call at that anchor starts backtracking
+    from that t after a face step on that point's face (Nesterov, Math.
+    Program. 140, 2013, carries t likewise); the first starts from h = 0,
+    t = 1.  Only the path changes: the residual test still stops the loop.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -215,9 +227,12 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
 
     y = sf.y
     faces = set() if sf.q == 1 and psi.kind != "zero" and m.is_diagonal else None
-    h = np.zeros(m.dim)
+    t, x = sf.warm_start
+    h = None if x is None or faces is None else \
+        _face_step(sf, L, c_shift, psi, x, faces)
+    if h is None:
+        h = np.zeros(m.dim)
     sgrad = _shifted_grad(sf, L, c_shift, h)
-    t = 1.0
     for _ in range(cap):
         for _ in range(80):
             w = h - t * m.solve(sgrad)
@@ -233,6 +248,7 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
         residual = m.norm(d) / t
         h, sgrad = trial, sgrad_t
         if residual <= tol:
+            sf.warm_start = (t, x)
             return h
         jump = None if faces is None else _face_step(sf, L, c_shift, psi, x, faces)
         if jump is not None:

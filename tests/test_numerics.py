@@ -203,6 +203,28 @@ class TestMonotoneRoot:
             monotone_root(phi, 0.0, 1.0, dphi=lambda x: 1.0)
         assert len(calls) <= 1000
 
+    @pytest.mark.parametrize("dphi", [None, lambda x: 1.0])
+    @pytest.mark.parametrize("guess, root", [(0.0, 1.0), (3.0, -5.0), (-1e-300, 7.5)])
+    def test_zero_width_guess_far_from_root(self, guess, root, dphi):
+        # lo == hi is given a width first, or doubling could never move it
+        x = monotone_root(lambda x: x - root, guess, guess, dphi)
+        assert x == pytest.approx(root, abs=1e-14)
+
+    @pytest.mark.parametrize("dphi", [None, lambda x: 1.0])
+    def test_zero_width_guess_at_root(self, dphi):
+        calls = []
+
+        def phi(x):
+            calls.append(x)
+            return x - 0.25
+        assert monotone_root(phi, 0.25, 0.25, dphi) == 0.25
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("dphi", [None, lambda x: 1.0])
+    def test_zero_width_guess_without_sign_change_raises(self, dphi):
+        with pytest.raises(BracketFailure):
+            monotone_root(lambda x: 1.0, 2.0, 2.0, dphi)
+
 
     @pytest.mark.parametrize("eta", [1e-12, 1e-10, 1e-8])
     def test_slope_path_with_noise_at_root(self, eta):
