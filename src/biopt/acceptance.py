@@ -63,11 +63,10 @@ class AcceptedPoint:
     always valid.  The lower level's g errs by at most its subproblem
     residual, subproblem_tol(||c||_*) for the step's linear term c, which is
     not known here; so membership allows 100 subproblem_tol(||grad f(T)||_*
-    + ||g||_*).  On the 84 accepted points of the quad l1/box cells, with
-    the warm-started subproblem as without it, ||c||_* <= 7.3 times that
-    scale and the error is <= 8.1e-15, or 6.1e-6 subproblem_tol, as the
-    face steps end on the face's exact minimizer; proximal gradient alone
-    ended there with errors up to 0.66 subproblem_tol.  ev, the
+    + ||g||_*).  On the 84 accepted points of the quad l1/box cells, warm
+    start or not, ||c||_* <= 7.3 times that scale and the error <= 6.1e-6
+    subproblem_tol (face steps end on exact face minimizers; proximal
+    gradient alone ended there up to 0.66 subproblem_tol).  ev, the
     caller's evaluation at T, is refused unless taken at T itself; the
     regularizer term is recomputed here, so its anchor, H and p cannot differ.
     """

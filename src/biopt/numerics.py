@@ -150,14 +150,16 @@ _PHI2 = 1.0 - _INV_PHI
 def monotone_root(phi, lo: float, hi: float, dphi=None) -> float:
     """Root of a nondecreasing scalar function phi from the guess [lo, hi].
 
-    A guess lo == hi is returned if phi(lo) = 0 and otherwise widened to
-    [lo, lo + max(|lo|, 1)].  Doubles the bracket away from the side whose
-    sign is wrong, at most _MAX_WIDENINGS times in all, and raises
-    BracketFailure when that finds no phi(lo) <= 0 <= phi(hi).  Without the
-    slope dphi it then bisects (phi(mid) < 0 moves lo) until the midpoint
-    equals an endpoint, i.e. to floating-point resolution.  With the slope
-    dphi it takes Newton steps from the bracket end with the smaller |phi|
-    and keeps the bracket by the same rule.  A step that leaves the bracket, or is longer than half the
+    A guess lo == hi is returned if phi(lo) = 0 and otherwise first widened
+    to [lo, lo + max(|lo|, 1)], a width that doubling can move.
+
+    Doubles the bracket away from the side whose sign is wrong, at most
+    _MAX_WIDENINGS times in all, and raises BracketFailure when that finds
+    no phi(lo) <= 0 <= phi(hi).  Without the slope dphi it then bisects
+    (phi(mid) < 0 moves lo) until the midpoint equals an endpoint, i.e. to
+    floating-point resolution.  With the slope dphi it takes Newton steps
+    from the bracket end with the smaller |phi| and keeps the bracket by the
+    same rule.  A step that leaves the bracket, or is longer than half the
     step before the last, is replaced by the midpoint, so the steps halve at
     least every other iteration.  It stops when a Newton step is below one
     ulp or gains nothing on |phi| without a sign change (phi at roundoff
@@ -169,7 +171,7 @@ def monotone_root(phi, lo: float, hi: float, dphi=None) -> float:
     exp(x) - 1, where Newton from the left lands far right of the root.
     """
     f_lo = phi(lo)
-    if lo == hi:  # a one-point guess: its root, or a width that doubling can move
+    if lo == hi:
         if f_lo == 0.0:
             return lo
         hi = lo + max(abs(lo), 1.0)
