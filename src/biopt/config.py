@@ -24,10 +24,6 @@ class BioptError(Exception):
 class DomainViolation(BioptError):
     """Smooth-part oracle evaluated outside its domain."""
 
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
 
 class DegenerateCoefficient(BioptError):
     """Coefficient equation has no positive root (zero residual norm)."""

@@ -105,18 +105,20 @@ class ScalingFunction:
         return radial_solver(self.instance.metric, self.K, self.H, self.p)
 
     def face_solver(self, free: np.ndarray):
-        """radial_solver of the free block F (diagonal metric): (g, a) -> h_F of
-        (K_FF + H r^{p-1} B_FF) h_F = -g, r^2 = ||h_F||^2 + a^2; built once per
-        anchor and free set, since consecutive steps mostly share a face."""
+        """(radial_solver of the free block F (diagonal metric): (g, a) -> h_F of
+        (K_FF + H r^{p-1} B_FF) h_F = -g, r^2 = ||h_F||^2 + a^2, and the
+        off-diagonal block K_FA); built once per anchor and free set, since
+        consecutive steps mostly share a face."""
         key = free.tobytes()
-        solver = self._face_solvers.get(key)
-        if solver is None:
+        entry = self._face_solvers.get(key)
+        if entry is None:
             m = self.instance.metric
             metric = Metric(None if m.is_identity else np.diag(np.diag(m.B)[free]),
                             dim=int(free.sum()))
-            solver = radial_solver(metric, self.K[np.ix_(free, free)], self.H, self.p)
-            self._face_solvers[key] = solver
-        return solver
+            entry = (radial_solver(metric, self.K[np.ix_(free, free)], self.H, self.p),
+                     self.K[np.ix_(free, ~free)])
+            self._face_solvers[key] = entry
+        return entry
 
 
 def bregman(sf: ScalingFunction, x: np.ndarray, z: np.ndarray) -> float:
@@ -175,10 +177,11 @@ def _face_step(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     h = np.where(free, 0.0, x_face - y)
     if not free.any():
         return h
-    g = c_shift[free] / (2.0 * L) + sf.K[np.ix_(free, ~free)] @ h[~free]
+    solve, K_FA = sf.face_solver(free)
+    g = c_shift[free] / (2.0 * L) + K_FA @ h[~free]
     if psi.kind == "l1":
         g = g + psi.weight * pattern[free] / (2.0 * L)
-    h[free] = sf.face_solver(free)(g, sf.instance.metric.norm(h))
+    h[free] = solve(g, sf.instance.metric.norm(h))
     x_free = y[free] + h[free]
     if psi.kind == "l1":
         inside = np.all(np.sign(x_free) == pattern[free])

@@ -1,9 +1,11 @@
 """Oracles for the composite problem F = f + psi and concrete instance families.
 
-The smooth part exposes, besides values and gradients, the contracted
-even-order directional forms D^{2k} f(y)[h]^{2k} and their h-gradients;
-for separable f(x) = sum_i f_i(<a_i, x> - b_i) these reduce to scalar
-derivative data of the f_i, which keeps every oracle call O(N * dim).
+The smooth part f answers two questions of the lower level, each from one
+evaluation: f and grad f at a point (value_grad), and, at a prox center y,
+the contracted even-order forms D^{2k} f(y)[h]^{2k} with their h-gradients
+and the Hessian D^2 f(y) (expansion_at).  For separable
+f(x) = sum_i f_i(<a_i, x> - b_i) these reduce to scalar derivative data of
+the f_i at the slacks, which keeps every oracle call O(N * dim).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DomainViolation
+from .config import BioptError
 from .numerics import Metric
 
 
@@ -162,52 +164,52 @@ _FAMILIES = {
 # ---------------------------------------------------------------------------
 
 class SmoothOracle:
-    """Interface of the smooth part f.  The lower level evaluates each point
-    once, through value_grad, and fixes the data at each anchor once, through
-    expansion_at."""
+    """Interface of the smooth part f: four methods.
+
+    value(x) gives f(x), inf outside the domain of f.  value_grad(x) gives
+    (f, grad f) from one evaluation, the data of each lower-level point.
+    expansion_at(y, q) gives, from one evaluation at a prox center y,
+    (f, grad f, a thunk of D^2 f, [h -> (D^{2k} f(y)[h]^{2k}, its h-gradient)
+    for k = 1..q]), the data that build the scaling function rho_{y,H}.
+    Outside the domain both return inf and None in place of the rest.
+    deriv_bound(order) gives a declared bound M_order(f), if any.
+    """
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """(f, grad f) from one evaluation; (inf, None) outside the domain."""
-        if not self.in_domain(x):
-            return math.inf, None
-        return self.value(x), self.grad(x)
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def even_form_at(self, y: np.ndarray, order: int):
-        """h -> (even_form, even_form_grad) at h, with the data at y computed once."""
         raise NotImplementedError
 
     def expansion_at(self, y: np.ndarray, q: int):
-        """(f, grad f, thunk of D^2 f, [even_form_at(y, 2k) for k = 1..q]) at y,
-        from one evaluation; (inf, None, None, None) outside the domain."""
-        value, grad = self.value_grad(y)
-        if grad is None:
-            return value, None, None, None
-        return (value, grad, lambda: self.hessian(y),
-                [self.even_form_at(y, 2 * k) for k in range(1, q + 1)])
-
-    def even_form(self, y: np.ndarray, h: np.ndarray, order: int) -> float:
-        """D^{order} f(y)[h]^{order} for even order."""
-        return self.even_form_at(y, order)(h)[0]
-
-    def even_form_grad(self, y: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
-        """h-gradient of even_form: order * D^{order} f(y)[h]^{order-1}."""
-        return self.even_form_at(y, order)(h)[1]
+        raise NotImplementedError
 
     def deriv_bound(self, order: int) -> float | None:
         """Uniform bound M_order(f) on the operating region, if declared."""
         return None
 
-    def in_domain(self, x: np.ndarray) -> bool:
-        return True
+    # Derived from the primitives for perfbench's tracer only, which wraps
+    # these names; nothing in the library calls them.  They go when the
+    # tracer wraps value_grad and expansion_at instead.
+
+    def grad(self, x: np.ndarray) -> np.ndarray | None:
+        return self.value_grad(x)[1]
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        return self.expansion_at(x, 1)[2]()
+
+    def even_form(self, y: np.ndarray, h: np.ndarray, order: int) -> float:
+        """D^{order} f(y)[h]^{order} for even order."""
+        return self._even_form_at(y, order)(h)[0]
+
+    def even_form_grad(self, y: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
+        """h-gradient of even_form: order * D^{order} f(y)[h]^{order-1}."""
+        return self._even_form_at(y, order)(h)[1]
+
+    def _even_form_at(self, y: np.ndarray, order: int):
+        if order < 2 or order % 2:
+            raise ValueError("order must be even and >= 2")
+        return self.expansion_at(y, order // 2)[3][-1]
 
 
 class SeparableOracle(SmoothOracle):
@@ -233,54 +235,30 @@ class SeparableOracle(SmoothOracle):
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def _slacks(self, x: np.ndarray, check: bool = True) -> np.ndarray:
+    def _slacks(self, x: np.ndarray) -> np.ndarray | None:
+        """t = A x - b, or None outside the domain of f."""
         t = self.A @ np.asarray(x, dtype=float) - self.b
-        if check and self.open_domain and (t <= 0.0).any():
-            idx = int(np.argmin(t))
-            raise DomainViolation(f"domain violation at row {idx}", index=idx)
-        return t
-
-    def _inside(self, t: np.ndarray) -> bool:
-        return not self.open_domain or bool((t > 0.0).all())
-
-    def in_domain(self, x: np.ndarray) -> bool:
-        return not self.open_domain or self._inside(self._slacks(x, check=False))
+        return t if not self.open_domain or (t > 0.0).all() else None
 
     def value(self, x: np.ndarray) -> float:
-        t = self._slacks(x, check=False)
-        return float(self.deriv(t, 0).sum()) if self._inside(t) else math.inf
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
         t = self._slacks(x)
-        return self.A.T @ self.deriv(t, 1)
+        return math.inf if t is None else float(self.deriv(t, 0).sum())
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-        t = self._slacks(x, check=False)
-        if not self._inside(t):
+        t = self._slacks(x)
+        if t is None:
             return math.inf, None
         return float(self.deriv(t, 0).sum()), self.A.T @ self.deriv(t, 1)
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self._hessian(self.deriv(self._slacks(x), 2))
-
-    def _hessian(self, d2: np.ndarray) -> np.ndarray:
-        return (self.A * d2[:, None]).T @ self.A
-
-    def even_form_at(self, y: np.ndarray, order: int):
-        if order < 2 or order % 2:
-            raise ValueError("order must be even and >= 2")
-        return self._form(self.deriv(self._slacks(y), order), order)
-
     def expansion_at(self, y: np.ndarray, q: int):
-        """SmoothOracle.expansion_at on one slack product A y - b."""
-        t = self._slacks(y, check=False)
-        if not self._inside(t):
+        t = self._slacks(y)
+        if t is None:
             return math.inf, None, None, None
         d2 = self.deriv(t, 2)
         forms = [self._form(d2 if k == 1 else self.deriv(t, 2 * k), 2 * k)
                  for k in range(1, q + 1)]
         return (float(self.deriv(t, 0).sum()), self.A.T @ self.deriv(t, 1),
-                lambda: self._hessian(d2), forms)
+                lambda: (self.A * d2[:, None]).T @ self.A, forms)
 
     def _form(self, w: np.ndarray, order: int):
         """h -> (sum_i w_i s_i^order, its h-gradient), s = A h."""
@@ -311,7 +289,7 @@ class SeparableOracle(SmoothOracle):
 
 
 class QuadraticOracle(SmoothOracle):
-    """f(x) = 1/2 <Qx, x> - <c, x> with Q symmetric PSD."""
+    """f(x) = 1/2 <Qx, x> - <c, x> with Q symmetric PSD; one Q x per point."""
 
     def __init__(self, Q: np.ndarray, c: np.ndarray):
         self.Q = np.asarray(Q, dtype=float)
@@ -324,18 +302,22 @@ class QuadraticOracle(SmoothOracle):
         return self.Q.shape[0]
 
     def value(self, x: np.ndarray) -> float:
+        return self.value_grad(x)[0]
+
+    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ (self.Q @ x)) - float(self.c @ x)
+        Qx = self.Q @ x
+        return 0.5 * float(x @ Qx) - float(self.c @ x), Qx - self.c
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.Q @ np.asarray(x, dtype=float) - self.c
+    def expansion_at(self, y: np.ndarray, q: int):
+        value, grad = self.value_grad(y)
+        zero = np.zeros_like(self.Q)
+        return (value, grad, self.Q.copy,
+                [self._form(self.Q if k == 1 else zero) for k in range(1, q + 1)])
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self.Q.copy()
-
-    def even_form_at(self, y: np.ndarray, order: int):
-        Q = self.Q if order == 2 else np.zeros_like(self.Q)
-
+    @staticmethod
+    def _form(Q: np.ndarray):
+        """h -> (<Q h, h>, 2 Q h)."""
         def form(h: np.ndarray) -> tuple[float, np.ndarray]:
             h = np.asarray(h, dtype=float)
             Qh = Q @ h
@@ -413,26 +395,38 @@ def build_separable(a_rows: np.ndarray, b: np.ndarray, family: str,
 
 def newton_minimize(smooth: SmoothOracle, x0: np.ndarray, tol: float = 1e-13,
                     max_iter: int = 200) -> np.ndarray:
-    """Damped Newton for a smooth strictly convex f; feasibility-safe steps."""
+    """Damped Newton for a smooth strictly convex f; feasibility-safe steps.
+
+    Stops at ||grad f|| <= tol or once the Newton decrement
+    lambda^2 = <grad f, step> falls below f's resolution eps * max(|f|, 1)
+    (Boyd & Vandenberghe, Convex Optimization, 2004, sec. 9.5).  Where the
+    Armijo decrease 1e-4 lambda^2 is below it, rounding would decide the
+    test, so the full step is taken (this deep in the quadratic phase it
+    stays in the domain).  Raises BioptError when max_iter runs out.
+    """
     x = np.asarray(x0, dtype=float).copy()
     for _ in range(max_iter):
-        g = smooth.grad(x)
+        fx, g, hessian, _ = smooth.expansion_at(x, 1)
         if np.linalg.norm(g) <= tol:
-            break
-        Hm = smooth.hessian(x)
+            return x
         try:
-            step = np.linalg.solve(Hm + 1e-14 * np.eye(len(x)), g)
+            step = np.linalg.solve(hessian() + 1e-14 * np.eye(len(x)), g)
         except np.linalg.LinAlgError:
             step = g
+        decrement = float(g @ step)
+        resolution = np.finfo(float).eps * max(abs(fx), 1.0)
+        if 1e-4 * decrement <= resolution:
+            x = x - step
+            if decrement <= resolution:
+                return x
+            continue
         t = 1.0
-        fx = smooth.value(x)
         for _ in range(60):
-            xn = x - t * step
-            if smooth.in_domain(xn) and smooth.value(xn) <= fx - 1e-4 * t * float(g @ step):
+            if smooth.value(x - t * step) <= fx - 1e-4 * t * decrement:
                 break
             t *= 0.5
         x = x - t * step
-    return x
+    raise BioptError(f"newton_minimize: no convergence in {max_iter} iterations")
 
 
 def build_logbar(N: int, dim: int, seed: int = 0) -> ProblemInstance:

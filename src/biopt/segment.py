@@ -105,7 +105,7 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     if not isinstance(sm, QuadraticOracle):
         raise ValueError("sprox_quadratic needs a quadratic smooth part")
     radial = radial_solver(instance.metric, sm.Q, H, p)
-    g0, Qu = sm.grad(xbar), sm.Q @ u
+    g0, Qu = sm.value_grad(xbar)[1], sm.Q @ u
 
     @cache
     def point(tau):  # x(tau), h, the shift s and V'(tau)

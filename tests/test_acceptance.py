@@ -263,9 +263,8 @@ def test_criterion_9_gradients_and_determinism(tmp_path):
     _, g = sf.value_grad(xl)
     check(lambda z: sf.value_grad(z)[0], g, xl)
     h = 0.1 * rng.standard_normal(4)
-    for order in (2, 4):
-        g = lb.smooth.even_form_grad(y, h, order)
-        check(lambda hh: lb.smooth.even_form(y, hh, order), g, h)
+    for form in lb.smooth.expansion_at(y, 2)[3]:
+        check(lambda hh: form(hh)[0], form(h)[1], h)
 
     grads_ok = worst <= 1e-6
 

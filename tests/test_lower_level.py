@@ -171,13 +171,15 @@ class TestSubproblemSolve:
         # 80 halvings end in SubproblemStall carrying the last iterate, not in
         # a step that failed the test (which later made prox_power raise)
         class NanGradient(QuadraticOracle):
-            def even_form_at(self, y, order):
-                form = super().even_form_at(y, order)
+            def expansion_at(self, y, q):
+                *head, forms = super().expansion_at(y, q)
 
-                def nan_off_zero(h):
-                    value, grad = form(h)
-                    return value, grad if not h.any() else np.full(h.shape, np.nan)
-                return nan_off_zero
+                def nan_off_zero(form):
+                    def nan_form(h):
+                        value, grad = form(h)
+                        return value, grad if not h.any() else np.full(h.shape, np.nan)
+                    return nan_form
+                return (*head, [nan_off_zero(form) for form in forms])
 
         inst = ProblemInstance(NanGradient(np.eye(2), np.zeros(2)),
                                SimpleOracle("l1", weight=0.5), Metric(dim=2), 2)
@@ -286,7 +288,7 @@ class TestSolveAcceptable:
         prm = rel_smooth_params(p, inst.smooth.deriv_bound(p + 1))
         ap, iters = solve_acceptable(inst, inst.meta["x0"], prm.H, p, 0.25)
         assert iters <= 30
-        assert inst.smooth.in_domain(ap.T)
+        assert inst.smooth.value_grad(ap.T)[1] is not None
 
     def test_iterations_grow_as_beta_shrinks(self):
         inst = build_logbar(10, 4, seed=3)

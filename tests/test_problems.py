@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biopt import (DomainViolation, Metric, ProblemInstance, QuadraticOracle,
+from biopt import (BioptError, Metric, ProblemInstance, QuadraticOracle,
                    SeparableOracle, SimpleOracle, build_builtin,
                    build_example_1d, build_logbar, build_quadratic,
                    load_instance, newton_minimize)
@@ -134,7 +134,9 @@ class TestSeparableOracle:
     def test_grad_matches_fd(self):
         o = self.make()
         x = np.array([0.2, -0.4, 0.9])
-        np.testing.assert_allclose(o.grad(x), fd_grad(o.value, x), rtol=1e-6,
+        value, grad = o.value_grad(x)
+        assert value == o.value(x)
+        np.testing.assert_allclose(grad, fd_grad(o.value, x), rtol=1e-6,
                                    atol=1e-8)
 
     def test_hessian_matches_fd(self):
@@ -144,27 +146,28 @@ class TestSeparableOracle:
         for i in range(3):
             e = np.zeros(3)
             e[i] = eps
-            col = (o.grad(x + e) - o.grad(x - e)) / (2 * eps)
-            np.testing.assert_allclose(o.hessian(x)[:, i], col, rtol=1e-5,
-                                       atol=1e-7)
+            col = (o.value_grad(x + e)[1] - o.value_grad(x - e)[1]) / (2 * eps)
+            np.testing.assert_allclose(o.expansion_at(x, 1)[2]()[:, i], col,
+                                       rtol=1e-5, atol=1e-7)
 
     def test_even_form_order2_is_hessian_form(self):
         o = self.make()
         y = np.array([0.1, 0.3, -0.2])
         h = np.array([1.0, -2.0, 0.5])
-        want = float(h @ (o.hessian(y) @ h))
-        assert o.even_form(y, h, 2) == pytest.approx(want)
+        _, _, hessian, forms = o.expansion_at(y, 1)
+        assert forms[0](h)[0] == pytest.approx(float(h @ (hessian() @ h)))
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_even_form_grad_matches_fd(self, order):
         o = self.make()
         y = np.array([0.1, 0.3, -0.2])
         h = np.array([1.0, -2.0, 0.5])
-        got = o.even_form_grad(y, h, order)
-        want = fd_grad(lambda hh: o.even_form(y, hh, order), h)
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
+        form = o.expansion_at(y, order // 2)[3][-1]
+        want = fd_grad(lambda hh: form(hh)[0], h)
+        np.testing.assert_allclose(form(h)[1], want, rtol=1e-5, atol=1e-7)
 
     def test_even_form_rejects_odd_order(self):
+        # even_form survives only for the benchmark tracer, which wraps it
         o = self.make()
         with pytest.raises(ValueError, match="even"):
             o.even_form(np.zeros(3), np.ones(3), 3)
@@ -172,11 +175,10 @@ class TestSeparableOracle:
     def test_domain_violation(self):
         o = SeparableOracle(np.array([[1.0], [-1.0]]), np.array([0.0, -2.0]),
                             "log_barrier")
-        assert o.in_domain(np.array([1.0]))
-        assert not o.in_domain(np.array([-0.5]))
+        assert o.value_grad(np.array([1.0]))[1] is not None
         assert o.value(np.array([-0.5])) == math.inf
-        with pytest.raises(DomainViolation, match="domain violation at row 0"):
-            o.grad(np.array([-0.5]))
+        assert o.value_grad(np.array([-0.5])) == (math.inf, None)
+        assert o.expansion_at(np.array([-0.5]), 2) == (math.inf, None, None, None)
 
     def test_logbar_deriv_bound_dominates_samples(self):
         inst = build_logbar(10, 3, seed=1)
@@ -192,7 +194,7 @@ class TestSeparableOracle:
                 continue
             h = rng.standard_normal(3)
             h /= np.linalg.norm(h)
-            assert abs(o.even_form(x, h, 4)) <= M4 * (1.0 + 1e-12)
+            assert abs(o.expansion_at(x, 2)[3][1](h)[0]) <= M4 * (1.0 + 1e-12)
 
     def test_power4_bound_exact(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -213,9 +215,13 @@ class TestQuadraticOracle:
         o = QuadraticOracle(Q, c)
         x = np.array([0.3, 0.7])
         assert o.value(x) == pytest.approx(0.5 * x @ Q @ x - c @ x)
-        np.testing.assert_allclose(o.grad(x), Q @ x - c)
-        np.testing.assert_allclose(o.hessian(x), Q)
-        assert o.even_form(x, x, 4) == 0.0
+        value, grad, hessian, forms = o.expansion_at(x, 2)
+        assert value == o.value(x)
+        np.testing.assert_allclose(grad, Q @ x - c)
+        np.testing.assert_array_equal(o.value_grad(x)[1], grad)
+        np.testing.assert_allclose(hessian(), Q)
+        assert forms[0](x)[0] == pytest.approx(x @ Q @ x)
+        assert forms[1](x)[0] == 0.0
         assert o.deriv_bound(3) == 0.0
 
     def test_rejects_asymmetric(self):
@@ -237,7 +243,7 @@ class TestInstances:
         Q = G.T @ G + np.eye(4)
         c = rng.standard_normal(4)
         inst = build_quadratic(Q, c)
-        np.testing.assert_allclose(inst.smooth.grad(inst.x_star), np.zeros(4),
+        np.testing.assert_allclose(inst.smooth.value_grad(inst.x_star)[1], np.zeros(4),
                                    atol=1e-10)
         assert inst.F(inst.x_star) == pytest.approx(inst.F_star)
 
@@ -248,12 +254,28 @@ class TestInstances:
         x = newton_minimize(o, np.zeros(2))
         np.testing.assert_allclose(x, np.linalg.solve(Q, c), atol=1e-10)
 
+    def test_newton_reaches_gradient_floor(self):
+        # seed 1 once left the Armijo test to rounding from ||grad f|| = 2.7e-10
+        # on and ran out its 200 iterations at 1.8e-10
+        inst = build_logbar(10, 5, seed=1)
+        assert np.linalg.norm(inst.smooth.value_grad(inst.x_star)[1]) <= 1e-13
+
+    def test_newton_stops_on_decrement(self):
+        # from N = 200 the absolute tol is below the gradient's roundoff
+        inst = build_logbar(200, 50, seed=0)
+        assert np.linalg.norm(inst.smooth.value_grad(inst.x_star)[1]) <= 1e-9
+
+    def test_newton_iteration_cap_raises(self):
+        smooth = build_logbar(10, 5, seed=1).smooth
+        with pytest.raises(BioptError, match="no convergence"):
+            newton_minimize(smooth, np.ones(5), max_iter=1)
+
     def test_build_logbar_properties(self):
         inst = build_logbar(10, 5, seed=0)
         assert inst.name == "logbar-10-5"
-        assert inst.smooth.in_domain(inst.meta["x0"])
+        assert inst.smooth.value_grad(inst.meta["x0"])[1] is not None
         # the stationarity residual at the recorded optimum is negligible
-        assert np.linalg.norm(inst.smooth.grad(inst.x_star)) <= 1e-10
+        assert np.linalg.norm(inst.smooth.value_grad(inst.x_star)[1]) <= 1e-10
         # frozen instance constants (seed 0)
         assert inst.smooth.slack_min == pytest.approx(0.15877412625560283)
         assert inst.F_star == pytest.approx(-1.0756070063306515)

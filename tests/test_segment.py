@@ -124,7 +124,7 @@ class TestSproxQuadratic:
         assert tau == 0.0
         np.testing.assert_allclose(g, np.zeros(2))
         r = np.linalg.norm(x - xbar)
-        res = inst.smooth.grad(x) + 3.0 * r * (x - xbar)
+        res = inst.smooth.value_grad(x)[1] + 3.0 * r * (x - xbar)
         np.testing.assert_allclose(res, np.zeros(2), atol=1e-9)
 
     def test_agrees_with_reference(self):
@@ -150,7 +150,7 @@ class TestSproxQuadratic:
                 u = rng.uniform(0.2, 1.5) * (x_star - xbar) + 0.1 * u
             H, p = rng.choice([0.5, 1.0, 4.0]), int(rng.integers(2, 5))
             x, tau, _ = sprox_quadratic(inst, xbar, u, H, p)
-            grad = inst.smooth.grad(x)
+            grad = inst.smooth.value_grad(x)[1]
             slope = float(grad @ u)
             if tau == 0.0:
                 assert slope >= 0.0
