@@ -2,9 +2,9 @@
 
 from .acceptance import AcceptedPoint, check_lemma_properties, evaluate
 from .config import (DEFAULT_CAPS, AcceptanceFailure, BioptError, BisectionStall,
-                     BracketFailure, CertificateUndefined, DegenerateCoefficient,
-                     DomainViolation, InvariantViolation, OptimalityReached,
-                     SolveCaps, SubproblemStall)
+                     CertificateUndefined, DegenerateCoefficient, DomainViolation,
+                     InvariantViolation, OptimalityReached, SolveCaps,
+                     SubproblemStall)
 from .driver import (EstimatingState, RunTrace, estimating_min, gap_certificate,
                      new_state, psi_star, psi_value, rate_fit, run, step_exact,
                      step_inexact, verify_trace)

@@ -62,8 +62,7 @@ def _run_one(cfg: dict) -> str:
         instance, checked["mode"], p=checked["p"], beta=checked["beta"],
         H=cfg.get("H"), M_next=cfg.get("M_next"),
         budget=int(cfg.get("budget", 200)), epsilon=cfg.get("epsilon"),
-        R=cfg.get("R"), x0=None if x0 is None else np.asarray(x0, dtype=float),
-        coeff_factor=float(cfg.get("coeff_factor", 0.25)))
+        R=cfg.get("R"), x0=None if x0 is None else np.asarray(x0, dtype=float))
     if cfg.get("trace"):
         trace.write_ndjson(cfg["trace"])
     if cfg.get("summary"):

@@ -58,10 +58,6 @@ class AcceptanceFailure(BioptError):
         self.residual_history = residual_history or []
 
 
-class BracketFailure(BioptError):
-    """Scalar root solve found no sign change within its widening cap."""
-
-
 class BisectionStall(BioptError):
     """Segment-search bisection cap exceeded."""
 

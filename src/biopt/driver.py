@@ -83,14 +83,18 @@ def _absorb(state: EstimatingState, a: float,
         state.const += a * w * (fT - float(gT @ T))
 
 
-def step_rates(mode: str, H: float, p: int, beta: float | None,
-               coeff_factor: float | None) -> tuple[float, float]:
+def step_rates(mode: str, H: float, p: int,
+               beta: float | None) -> tuple[float, float]:
     """(c0, b0): a_k^2/A_{k+1} = c0 g_k^{(1-p)/p} and B_cert grows by
-    b0 A_{k+1} g_k^{(p+1)/p}; the exact driver ignores beta and coeff_factor."""
+    b0 A_{k+1} g_k^{(p+1)/p}; the exact driver ignores beta.  run and
+    verify_trace both call it, so it rejects a bad H or p with ValueError."""
+    if not (math.isfinite(H) and H > 0.0 and p >= 1):
+        raise ValueError(f"H must be positive and finite and p >= 1, got "
+                         f"H={H!r}, p={p!r}")
     if mode == "exact":
         factor, b, base = 1.0, 0.5, (1.0 / H) ** (1.0 / p)
     else:
-        factor, b, base = coeff_factor, 0.25, ((1.0 - beta) / H) ** (1.0 / p)
+        factor, b, base = 0.25, 0.25, ((1.0 - beta) / H) ** (1.0 / p)
     return factor * base, b * base
 
 
@@ -120,7 +124,7 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
     g = np.asarray(g, dtype=float)
     f_plus, grad_f = instance.smooth.value_grad(x_plus)
     g_k = state.metric.dual_norm(grad_f + g)
-    a = _advance(state, instance, step_rates("exact", H, p, None, None), p,
+    a = _advance(state, instance, step_rates("exact", H, p, None), p,
                  g_k, [(1.0, x_plus, f_plus, grad_f)], x_plus)
     return {"status": "optimal" if a is None else "running", "g_k": g_k,
             "a": a, "branch": "exact", "tau": tau, "residual": g_k, "f": f_plus}
@@ -128,7 +132,7 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
 
 def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
                  p: int, beta: float, caps: SolveCaps = DEFAULT_CAPS,
-                 coeff_factor: float = 0.25, collect=None) -> dict:
+                 collect=None) -> dict:
     """One iteration of the inexact (three-branch) segment-search driver."""
     u = state.upsilon - state.x
     seg = None
@@ -169,8 +173,8 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
         g_k = seg.g_k
         G_vec = alpha * seg.T1.composite_grad() \
             + (1.0 - alpha) * seg.T2.composite_grad()
-    a = _advance(state, instance, step_rates("inexact", H, p, beta, coeff_factor),
-                 p, g_k, pieces, x_next)
+    a = _advance(state, instance, step_rates("inexact", H, p, beta), p, g_k,
+                 pieces, x_next)
     return {"status": "optimal" if a is None else "running", "g_k": g_k,
             "a": a, "branch": branch, "lower_iters": lower_iters,
             "bisections": bisections, "residual": state.metric.dual_norm(G_vec),
@@ -189,11 +193,15 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     psi = 0 has the closed-form ball minimum.  Otherwise the bound is the
     Lagrangian dual of the ball constraint at lam = e^t, with minimizer
     x(lam) = scaled_prox(1/lam, x0 - B^{-1}s_hat/lam).  The dual is concave
-    with slope (||x(lam) - x0||^2 - R^2)/2 (Danskin), so it peaks at the root
-    of the nondecreasing phi(t) = R^2 - ||x(e^t) - x0||^2: t = -40 when
-    phi(-40) >= 0, t = 40 when phi(40) <= 0, else monotone_root's bisection
-    on [-40, 40].  Any dual value is a sound lower bound, so whatever t is,
-    the returned gap dominates F(x_k) - F* when R >= ||x0 - x*||.
+    with slope (||x(lam) - x0||^2 - R^2)/2 (Danskin), so it peaks where the
+    nondecreasing phi(t) = R^2 - ||x(e^t) - x0||^2 changes sign on
+    [-40, 40], which monotone_root finds.  Where the set F of coordinates at
+    which psi is smooth at x (SimpleOracle.free) is fixed, x solves
+    s_hat_F + psi'_F + lam B_FF (x - x0)_F = 0 (B is diagonal) and stays put
+    off F, so dx_F/dt = -(x - x0)_F and phi'(t) = 2||(x - x0)_F||^2, taken
+    from the same prox call as phi.
+    Any dual value is a sound lower bound, so whatever t is, the returned
+    gap dominates F(x_k) - F* when R >= ||x0 - x*||.
     """
     if state.A <= 0.0:
         raise CertificateUndefined("certificate undefined")
@@ -207,21 +215,16 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     shift = m.solve(s_hat)
 
     @cache
-    def at(t: float) -> tuple[float, float]:  # phi(t) and the dual at e^t
+    def at(t: float) -> tuple[float, float, float]:  # phi, phi' and the dual
         lam = math.exp(t)
         xh = psi.scaled_prox(1.0 / lam, state.x0 - shift / lam, m)
-        excess = m.norm(xh - state.x0) ** 2 - R * R
-        return -excess, (float(s_hat @ xh) + psi.value(xh) + c_hat
-                         + 0.5 * lam * excess)
+        d = xh - state.x0
+        excess = m.norm(d) ** 2 - R * R
+        return (-excess, 2.0 * m.norm(np.where(psi.free(xh), d, 0.0)) ** 2,
+                float(s_hat @ xh) + psi.value(xh) + c_hat + 0.5 * lam * excess)
 
-    phi = lambda t: at(t)[0]
-    if phi(-40.0) >= 0.0:
-        t = -40.0
-    elif phi(40.0) <= 0.0:
-        t = 40.0
-    else:
-        t = monotone_root(phi, -40.0, 40.0)
-    return F_val - at(t)[1]
+    t = monotone_root(lambda t: at(t)[0], -40.0, 40.0, lambda t: at(t)[1])
+    return F_val - at(t)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +288,8 @@ def _float_or_none(v):
 def run(instance: ProblemInstance, mode: str, p: int = 3,
         beta: float = 0.0, H: float | None = None, M_next: float | None = None,
         budget: int = 200, epsilon: float | None = None, R: float | None = None,
-        x0: np.ndarray | None = None, coeff_factor: float = 0.25,
-        caps: SolveCaps = DEFAULT_CAPS, collect=None) -> RunTrace:
+        x0: np.ndarray | None = None, caps: SolveCaps = DEFAULT_CAPS,
+        collect=None) -> RunTrace:
     """Drive one of the three methods to a certified stop or budget exhaustion.
 
     mode "exact" uses a closed-form segment-search oracle; "inexact" uses the
@@ -323,8 +326,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
 
     config = {
         "instance": instance.name, "mode": mode, "p": p, "beta": beta,
-        "H": H, "coeff_factor": coeff_factor, "budget": budget,
-        "epsilon": epsilon, "R": _float_or_none(R),
+        "H": H, "budget": budget, "epsilon": epsilon, "R": _float_or_none(R),
         "F_star": _float_or_none(F_star), "R0": _float_or_none(R0),
         "x0": x0.tolist(),
     }
@@ -352,7 +354,6 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
             rec["psi_xstar_bound"] = state.A * F_star + 0.5 * R0 * R0
             rec["dist_x"] = instance.metric.norm(state.x - x_star)
             rec["dist_upsilon"] = instance.metric.norm(state.upsilon - x_star)
-        rec["u_norm"] = instance.metric.norm(state.upsilon - state.x)
         if state.A > 0.0 and R is not None:
             rec["gap_cert"] = gap_certificate(state, instance, R, F_val)
             rec["gap_bound"] = R * R / (2.0 * state.A)
@@ -371,7 +372,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
             info = step_exact(state, instance, H, p, oracle)
         else:
             info = step_inexact(state, instance, H, p, beta, caps=caps,
-                                coeff_factor=coeff_factor, collect=collect)
+                                collect=collect)
         rec = record(info)
         if info["status"] == "optimal":
             status = "optimal"
@@ -424,8 +425,7 @@ def invariant_violations(config: dict, prev: dict | None, rec: dict) -> list[str
     B_cert, a and g_k.  A field the config makes required fails each family
     that reads it when it is missing."""
     p, F_star, R, R0 = config["p"], config["F_star"], config["R"], config["R0"]
-    c0, b0 = step_rates(config["mode"], config["H"], p, config["beta"],
-                        config["coeff_factor"])
+    c0, b0 = step_rates(config["mode"], config["H"], p, config["beta"])
     k, F, A, B = rec["k"], rec["F_val"], rec["A"], rec["B_cert"]
     a, g_k, res = rec.get("a"), rec.get("g_k"), rec.get("residual")
     g_ok = g_k is not None and g_k > 0.0

@@ -162,13 +162,12 @@ def _face_step(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     reached): there the minimizer over the face is not the subproblem's.
     """
     y = sf.y
+    free = psi.free(x)
     if psi.kind == "l1":
         pattern = np.sign(x)
-        free = pattern != 0.0
         x_face = np.zeros_like(x)
     else:
         pattern = np.where(x >= psi.hi, 1.0, np.where(x <= psi.lo, -1.0, 0.0))
-        free = pattern == 0.0
         x_face = np.where(pattern > 0.0, psi.hi, psi.lo)
     key = pattern.tobytes()
     if key in tried:

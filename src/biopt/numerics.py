@@ -5,9 +5,9 @@ positive-definite operator B: ||x|| = <Bx, x>^{1/2}, with dual norm
 ||g||_* = <g, B^{-1}g>^{1/2}.  The prox powers d_{p+1}(x) = ||x||^{p+1}/(p+1)
 and their gradients are the regularizers used everywhere.
 
-The scalar solvers: monotone_root, biopt's one scalar root finder (root of
-a nondecreasing function: safeguarded Newton when a slope is given,
-bisection to floating-point resolution otherwise); radial_solver (the
+The scalar solvers: monotone_root, biopt's one scalar root finder (the sign
+change of a nondecreasing function on a bracket, clamped to the bracket's
+ends, by safeguarded Newton with the caller's slope); radial_solver (the
 secular equation (K + c r^{p-1}B) h = -g with r^2 = ||h||^2 + a^2, on one
 eigendecomposition of K, by Newton on its reciprocal form, evaluated on
 Python floats because a numpy call costs more than a small loop at the
@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .config import BracketFailure, DegenerateCoefficient
+from .config import DegenerateCoefficient
 
 
 class Metric:
@@ -142,60 +142,35 @@ def uniform_convexity_gap(metric: Metric, x: np.ndarray, y: np.ndarray, p: int) 
     return vy - vx - float(gx @ d) - lower
 
 
-_MAX_WIDENINGS = 200
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PHI2 = 1.0 - _INV_PHI
 
 
-def monotone_root(phi, lo: float, hi: float, dphi=None) -> float:
-    """Root of a nondecreasing scalar function phi from the guess [lo, hi].
+def monotone_root(phi, lo: float, hi: float, dphi) -> float:
+    """The point of [lo, hi] where the nondecreasing phi changes sign.
 
-    A guess lo == hi is returned if phi(lo) = 0 and otherwise first widened
-    to [lo, lo + max(|lo|, 1)], a width that doubling can move.
-
-    Doubles the bracket away from the side whose sign is wrong, at most
-    _MAX_WIDENINGS times in all, and raises BracketFailure when that finds
-    no phi(lo) <= 0 <= phi(hi).  Without the slope dphi it then bisects
-    (phi(mid) < 0 moves lo) until the midpoint equals an endpoint, i.e. to
-    floating-point resolution.  With the slope dphi it takes Newton steps
-    from the bracket end with the smaller |phi| and keeps the bracket by the
-    same rule.  A step that leaves the bracket, or is longer than half the
-    step before the last, is replaced by the midpoint, so the steps halve at
-    least every other iteration.  It stops when a Newton step is below one
-    ulp or gains nothing on |phi| without a sign change (phi at roundoff
-    level), or when the midpoint equals an endpoint.  Noise of size eta in
-    phi ends the search where |phi| is a few eta, but the band it masks may
-    be halved to resolution, so callers keep phi's own roundoff small (see
-    sprox_quadratic).  A step that gains nothing across the root is no stop:
-    two values and slopes cannot tell noise from a convex phi such as
-    exp(x) - 1, where Newton from the left lands far right of the root.
+    That is lo when phi(lo) >= 0 (one evaluation), hi when phi(hi) <= 0,
+    and otherwise a root of phi inside the bracket; lo == hi returns that
+    point.  The root is found by Newton steps with the slope dphi, taken
+    from the bracket end with the smaller |phi|, and the bracket is kept by
+    the sign rule (phi(x) < 0 moves lo).  A step that leaves the bracket,
+    or is longer than half the step before the last, is replaced by the
+    midpoint, so the steps halve at least every other iteration.  It stops
+    when a Newton step is below one ulp or gains nothing on |phi| without a
+    sign change (phi at roundoff level), or when the midpoint equals an
+    endpoint.  Noise of size eta in phi ends the search where |phi| is a
+    few eta, but the band it masks may be halved to resolution, so callers
+    keep phi's own roundoff small (see sprox_quadratic).  A step that gains
+    nothing across the root is no stop: two values and slopes cannot tell
+    noise from a convex phi such as exp(x) - 1, where Newton from the left
+    lands far right of the root.
     """
     f_lo = phi(lo)
-    if lo == hi:
-        if f_lo == 0.0:
-            return lo
-        hi = lo + max(abs(lo), 1.0)
+    if f_lo >= 0.0:
+        return lo
     f_hi = phi(hi)
-    for _ in range(_MAX_WIDENINGS):
-        if f_lo > 0.0:
-            lo = hi - 2.0 * (hi - lo)
-            f_lo = phi(lo)
-        elif f_hi < 0.0:
-            hi = lo + 2.0 * (hi - lo)
-            f_hi = phi(hi)
-        else:
-            break
-    else:
-        raise BracketFailure(f"no sign change of phi on [{lo!r}, {hi!r}]")
-    if dphi is None:
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                return mid
-            if phi(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
+    if f_hi <= 0.0:
+        return hi
     step = step_before = hi - lo
     while True:
         x, fx = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
@@ -286,8 +261,6 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
         s_hi = c * math.hypot(*b, a) ** e
         if s_hi == 0.0:  # the shift underflows: lam + s == lam
             return -(S @ (w / lam))
-        if s_lo == s_hi:  # a dwarfs w: r = a, and the bracket is one float
-            return -(S @ (w / (lam + s_hi)))
         # r(s) = scale ||(z, a_hat)||, z = w_hat/(lam + s): a_hat <= 1 and
         # |z| <= 1 at s_hi, so z*z does not overflow on the bracket nor
         # underflow to 0 unless a_hat dominates it, and r_hat^3 is finite;

@@ -73,6 +73,15 @@ class SimpleOracle:
             return np.sign(w) * np.maximum(np.abs(w) - thr, 0.0)
         return np.clip(w, self.lo, self.hi)
 
+    def free(self, x: np.ndarray) -> np.ndarray:
+        """Mask of the coordinates where psi is smooth at x (l1: x_i != 0;
+        box: lo < x_i < hi; zero: all)."""
+        if self.kind == "l1":
+            return x != 0.0
+        if self.kind == "box":
+            return (self.lo < x) & (x < self.hi)
+        return np.ones(x.shape, dtype=bool)
+
     def in_subdifferential(self, x: np.ndarray, g: np.ndarray, tol: float = 1e-8) -> bool:
         """Check g in partial psi(x) componentwise (diagonal-friendly kinds)."""
         x = np.asarray(x, dtype=float)

@@ -46,10 +46,10 @@ def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
     and per endpoint anchor m the root x of the signed stationarity equation
     x + s*weight + H|x - m|^{p-1}(x - m) = 0, s = +-1, when s*x > 0, plus
     x = 0 with subgradient H|m|^{p-1}m when that lies in [-weight, weight].
-    The equation's left side increases with slope 1 + pH|x - m|^{p-1}, so
-    monotone_root's safeguarded Newton finds its one root from the bracket
-    between 0 and s(|m| + weight + 1).  The winner minimizes the joint
-    objective.
+    The left side increases with slope 1 + pH|x - m|^{p-1} and has the sign
+    of s at s(|m| + weight + 1); monotone_root between 0 and that point gives
+    the root on the s side of 0, or 0, which s*x > 1e-12 rejects.  The winner
+    minimizes the joint objective.
     """
     xbar, ubar, H = float(xbar), float(ubar), float(H)
 
@@ -88,8 +88,8 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     the shift s = H ||h||^{p-1}, solved by radial_solver on one
     eigendecomposition of Q; x(tau) = m + h.  The tau-objective V(tau) =
     min_x f(x) + H d_{p+1}(x - m) is convex with the envelope slope
-    V'(tau) = <grad f(x), u>, so tau is 0 when V'(0) >= 0, 1 when V'(1) <= 0,
-    and the root of V' otherwise, by monotone_root's safeguarded Newton.
+    V'(tau) = <grad f(x), u>, so tau is where V' changes sign on [0, 1] (0,
+    1 or the root of V'), found by monotone_root.
 
     Both slopes are formed without cancellation, so near the root they carry
     roundoff of their own size, not of the size of Qx and c:
@@ -122,12 +122,7 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
         J = sm.Q + s * np.eye(len(h)) + k * np.outer(h, h)
         return float(Qu @ np.linalg.solve(J, s * u + (k * float(h @ u)) * h))
 
-    if slope(0.0) >= 0.0:
-        tau = 0.0
-    elif slope(1.0) <= 0.0:
-        tau = 1.0
-    else:
-        tau = monotone_root(slope, 0.0, 1.0, curvature)
+    tau = monotone_root(slope, 0.0, 1.0, curvature)
     return point(tau)[0], float(tau), np.zeros(instance.dim)
 
 

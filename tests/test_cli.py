@@ -121,6 +121,14 @@ class TestRun:
         assert result.exit_code == 2
         assert "config error" in result.output
 
+    @pytest.mark.parametrize("H", [0.0, -1.0])
+    def test_nonpositive_H_is_usage_error(self, runner, tmp_path, H):
+        cfg = {"instance": "quad-3", "mode": "exact", "p": 2, "H": H,
+               "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert "H must be positive" in result.output
+
     def test_parallel_jobs_match_serial(self, runner, tmp_path):
         # the process-pool path (two workers) prints the serial lines, in order
         cfg = {"runs": [
@@ -189,6 +197,15 @@ class TestVerify:
         result = runner.invoke(main, ["verify", str(trace_path)])
         assert result.exit_code == 1
         assert "descent: FAIL" in result.output
+
+    def test_zero_H_in_trace_is_usage_error(self, runner, tmp_path):
+        trace_path = self.run_and_trace(runner, tmp_path)
+        trace = RunTrace.from_ndjson(str(trace_path))
+        trace.config["H"] = 0.0
+        trace.write_ndjson(str(trace_path))
+        result = runner.invoke(main, ["verify", str(trace_path)])
+        assert result.exit_code == 2
+        assert "H must be positive" in result.output
 
     def test_corrupt_trace_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "junk.ndjson"

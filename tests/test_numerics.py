@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biopt import (BracketFailure, DegenerateCoefficient, Metric, monotone_root,
-                   power_mean_norm, prox_power, solve_step_coefficient,
-                   uniform_convexity_gap)
+from biopt import (DegenerateCoefficient, Metric, monotone_root, power_mean_norm,
+                   prox_power, solve_step_coefficient, uniform_convexity_gap)
 from biopt import numerics
 
 
@@ -147,36 +146,56 @@ class TestPowerMeanNorm:
         assert power_mean_norm(0.0, 3.0, 7.0, 2) == pytest.approx(7.0)
 
 
-class TestMonotoneRoot:
-    def test_frozen_root(self):
-        # x^3 = 2 from the bracket [0, 1]: widens hi, then bisects to resolution
-        x = monotone_root(lambda x: x ** 3 - 2.0, 0.0, 1.0)
-        assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+def no_slope(x):
+    raise AssertionError("a clamped bracket needs no slope")
 
-    def test_widens_low_side(self):
-        x = monotone_root(lambda x: x + 5.0, 0.0, 1.0)
-        assert x == pytest.approx(-5.0, abs=1e-14)
+
+def bisection_calls(phi, lo, hi):
+    """Evaluations of phi that bisecting [lo, hi] (phi(lo) < 0 < phi(hi)) to
+    floating-point resolution takes: both ends, then midpoints (phi(mid) < 0
+    moves lo) until the midpoint equals an end."""
+    calls = 2
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return calls
+        calls += 1
+        if phi(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestMonotoneRoot:
+    def test_root_below_bracket_returns_lo(self):
+        # x + 5 has its root left of [0, 1]: phi(lo) >= 0 clamps to lo
+        calls = []
+        x = monotone_root(lambda x: calls.append(x) or x + 5.0, 0.0, 1.0,
+                          no_slope)
+        assert x == 0.0
+        assert calls == [0.0]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_no_sign_change_raises_after_bounded_steps(self, sign):
+    def test_no_sign_change_returns_an_end(self, sign):
+        # phi(lo) >= 0 returns lo after one evaluation, phi(hi) <= 0 returns
+        # hi after two, and neither asks for the slope
         calls = []
 
         def phi(x):
             calls.append(x)
-            return sign  # never changes sign
-        with pytest.raises(BracketFailure):
-            monotone_root(phi, 0.0, 1.0)
-        assert len(calls) <= 1000
+            return sign
+        x = monotone_root(phi, 0.0, 1.0, no_slope)
+        assert (x, calls) == ((0.0, [0.0]) if sign > 0.0 else (1.0, [0.0, 1.0]))
 
     def test_slope_path_converges_fast(self):
-        # x^3 = 2 with its slope: Newton reaches full precision where
-        # bisection to resolution takes about 55 evaluations
+        # x^3 = 2 on [0, 2] with its slope: Newton reaches full precision
+        # where bisection to resolution takes about 55 evaluations
         calls = []
 
         def phi(x):
             calls.append(x)
             return x ** 3 - 2.0
-        x = monotone_root(phi, 0.0, 1.0, dphi=lambda x: 3.0 * x * x)
+        x = monotone_root(phi, 0.0, 2.0, dphi=lambda x: 3.0 * x * x)
         assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
         assert len(calls) <= 10
 
@@ -192,39 +211,19 @@ class TestMonotoneRoot:
         assert x == pytest.approx(0.3, abs=1e-15)
         assert len(calls) <= 200
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_slope_path_without_sign_change_raises(self, sign):
-        calls = []
-
-        def phi(x):
-            calls.append(x)
-            return sign
-        with pytest.raises(BracketFailure):
-            monotone_root(phi, 0.0, 1.0, dphi=lambda x: 1.0)
-        assert len(calls) <= 1000
-
-    @pytest.mark.parametrize("dphi", [None, lambda x: 1.0])
     @pytest.mark.parametrize("guess, root", [(0.0, 1.0), (3.0, -5.0), (-1e-300, 7.5)])
-    def test_zero_width_guess_far_from_root(self, guess, root, dphi):
-        # lo == hi is given a width first, or doubling could never move it
-        x = monotone_root(lambda x: x - root, guess, guess, dphi)
-        assert x == pytest.approx(root, abs=1e-14)
+    def test_zero_width_guess_far_from_root(self, guess, root):
+        # lo == hi is the whole bracket, so it is returned on either side
+        assert monotone_root(lambda x: x - root, guess, guess, no_slope) == guess
 
-    @pytest.mark.parametrize("dphi", [None, lambda x: 1.0])
-    def test_zero_width_guess_at_root(self, dphi):
+    def test_zero_width_guess_at_root(self):
         calls = []
 
         def phi(x):
             calls.append(x)
             return x - 0.25
-        assert monotone_root(phi, 0.25, 0.25, dphi) == 0.25
-        assert len(calls) <= 3
-
-    @pytest.mark.parametrize("dphi", [None, lambda x: 1.0])
-    def test_zero_width_guess_without_sign_change_raises(self, dphi):
-        with pytest.raises(BracketFailure):
-            monotone_root(lambda x: 1.0, 2.0, 2.0, dphi)
-
+        assert monotone_root(phi, 0.25, 0.25, no_slope) == 0.25
+        assert calls == [0.25]
 
     @pytest.mark.parametrize("eta", [1e-12, 1e-10, 1e-8])
     def test_slope_path_with_noise_at_root(self, eta):
@@ -234,9 +233,6 @@ class TestMonotoneRoot:
         # gains nothing on |phi| without a sign change, where |phi| <= 2 eta)
         # and in no more evaluations than bisection to resolution takes
         for r in np.linspace(0.05, 1.95, 39):
-            bisection = []
-            monotone_root(lambda x: bisection.append(x) or math.atan(x - r),
-                          0.0, 2.0)
             calls = []
 
             def phi(x):
@@ -245,7 +241,8 @@ class TestMonotoneRoot:
             x = monotone_root(phi, 0.0, 2.0,
                               dphi=lambda x: 1.0 / (1.0 + (x - r) ** 2))
             assert abs(x - r) <= 3.0 * eta
-            assert len(calls) <= len(bisection)
+            assert len(calls) <= bisection_calls(lambda x: math.atan(x - r),
+                                                 0.0, 2.0)
 
 
 class TestRadialSolverStress:
@@ -286,7 +283,7 @@ class TestRadialSolverStress:
         per solve over the sweep at dimension d."""
         evals = []
 
-        def counting_root(phi, lo, hi, dphi=None):
+        def counting_root(phi, lo, hi, dphi):
             n = len(evals)
             evals.append(0)
 

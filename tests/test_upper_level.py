@@ -7,10 +7,10 @@ from click.testing import CliRunner
 
 import biopt.driver
 from biopt import (BioptError, CertificateUndefined, InvariantViolation,
-                   Metric, RunTrace, SimpleOracle, build_builtin,
-                   build_example_1d, build_quadratic, estimating_min,
-                   gap_certificate, new_state, psi_star, psi_value, rate_fit,
-                   run, verify_trace)
+                   Metric, ProblemInstance, QuadraticOracle, RunTrace,
+                   SimpleOracle, build_builtin, build_example_1d,
+                   build_quadratic, estimating_min, gap_certificate, new_state,
+                   psi_star, psi_value, rate_fit, run, verify_trace)
 from biopt.cli import main
 
 
@@ -136,7 +136,7 @@ class TestGapCertificate:
 
     def test_inactive_ball_takes_smallest_multiplier(self, monkeypatch):
         # the ball holds the whole box, so phi(-40) >= 0 decides t = -40 with
-        # one prox and no root search
+        # one prox, which also gives the dual value
         inst = build_quadratic(np.eye(2), np.zeros(2),
                                psi=SimpleOracle("box", lo=[-0.5, -0.5],
                                                 hi=[0.5, 0.5]))
@@ -146,7 +146,6 @@ class TestGapCertificate:
         prox = inst.simple.scaled_prox
         monkeypatch.setattr(inst.simple, "scaled_prox",
                             lambda *a: calls.append(a) or prox(*a))
-        monkeypatch.setattr(biopt.driver, "monotone_root", None)
         R = 5.0
         lower = inst.F(state.x) - gap_certificate(state, inst, R, inst.F(state.x))
         assert len(calls) == 1
@@ -154,6 +153,84 @@ class TestGapCertificate:
         assert brute == pytest.approx((-0.5 - 1.5 + 0.4) / 2.0)
         assert lower <= brute + 1e-12
         assert lower == pytest.approx(brute, abs=1e-9)
+
+
+    @pytest.mark.parametrize("diag", [None, [0.5, 2.0, 1.5]])
+    @pytest.mark.parametrize("kind", ["l1", "box"])
+    def test_slope_matches_finite_differences(self, kind, diag, monkeypatch):
+        # phi'(t) = 2||(x - x0)_F||^2 against one-sided differences of phi on
+        # t in [-3, 3], where coordinates enter and leave the free set F: at a
+        # kink the slope is one side's, elsewhere both sides'
+        psi = (SimpleOracle("l1", weight=0.5) if kind == "l1"
+               else SimpleOracle("box", lo=[-0.5] * 3, hi=[0.5] * 3))
+        metric = Metric(dim=3) if diag is None else Metric(np.diag(diag))
+        inst = ProblemInstance(QuadraticOracle(np.eye(3), np.zeros(3)), psi,
+                               metric, 3)
+        state = new_state(inst, np.array([0.2, -0.1, 0.4]))
+        state.s, state.const, state.A = np.array([1.3, -0.2, 0.7]), 0.4, 2.0
+        seen = []
+        root = biopt.driver.monotone_root
+        monkeypatch.setattr(biopt.driver, "monotone_root",
+                            lambda phi, lo, hi, dphi: seen.append((phi, dphi))
+                            or root(phi, lo, hi, dphi))
+        gap_certificate(state, inst, 0.5, inst.F(state.x))
+        (phi, dphi), = seen
+        h, kinks = 1e-6, 0
+        for t in np.linspace(-3.0, 3.0, 61):
+            t = float(t)
+            slope = dphi(t)
+            sides = [(phi(t + h) - phi(t)) / h, (phi(t) - phi(t - h)) / h]
+            errs = [abs(slope - fd) for fd in sides]
+            assert min(errs) <= 1e-4 * (1.0 + slope)
+            kinks += max(errs) > 1e-4 * (1.0 + slope)
+        assert kinks <= 2
+
+    def test_composite_cells_take_few_prox_calls(self, monkeypatch):
+        # the 16 composite cells unrotated (inexact, beta = 0.1, H = 1,
+        # eps = 1e-4, R = 1.01||x0 - x_ref||); bisection in t without the
+        # slope takes 57 to 63 scaled-prox calls per certificate
+        counts = []
+        certificate = biopt.driver.gap_certificate
+
+        def counted(state, instance, R, F_val):
+            before = len(prox_calls)
+            gap = certificate(state, instance, R, F_val)
+            counts.append(len(prox_calls) - before)
+            return gap
+        monkeypatch.setattr(biopt.driver, "gap_certificate", counted)
+        for d in (5, 10):
+            for seed in (0, 1):
+                base = build_builtin(f"quad-{d}", seed=seed)
+                Q, c = base.smooth.Q, base.smooth.c
+                for kind in ("l1", "box"):
+                    psi = (SimpleOracle("l1", weight=0.5) if kind == "l1" else
+                           SimpleOracle("box", lo=[-0.5] * d, hi=[0.5] * d))
+                    inst = build_quadratic(Q, c, psi=psi)
+                    x0 = np.full(d, 1.0 if kind == "l1" else 0.25)
+                    R = 1.01 * float(np.linalg.norm(x0 - prox_grad_min(inst, x0)))
+                    prox_calls = []
+                    prox = psi.scaled_prox
+                    monkeypatch.setattr(psi, "scaled_prox",
+                                        lambda *a: prox_calls.append(a) or prox(*a))
+                    for p in (2, 3):
+                        run(inst, "inexact", p=p, beta=0.1, H=1.0, budget=200,
+                            epsilon=1e-4, R=R, x0=x0)
+        assert len(counts) >= 64
+        assert sum(counts) / len(counts) <= 15.0
+        assert max(counts) <= 26
+
+
+def prox_grad_min(inst, x0):
+    """Minimizer of a quadratic plus psi by proximal gradient, to resolution."""
+    Q, c = inst.smooth.Q, inst.smooth.c
+    step = 1.0 / np.linalg.eigvalsh(Q)[-1]
+    x = x0
+    for _ in range(100000):
+        nxt = inst.simple.scaled_prox(step, x - step * (Q @ x - c), inst.metric)
+        if np.max(np.abs(nxt - x)) <= 1e-15:
+            return nxt
+        x = nxt
+    raise AssertionError("proximal gradient did not settle")
 
 
 class TestRunExact:
@@ -189,6 +266,13 @@ class TestRunExact:
     def test_exact_needs_H(self):
         with pytest.raises(ValueError, match="needs H"):
             run(build_example_1d(), "exact", p=3)
+
+    @pytest.mark.parametrize("mode", ["exact", "inexact"])
+    @pytest.mark.parametrize("p, H", [(0, 1.0), (3, 0.0), (3, -1.0),
+                                      (3, math.inf), (3, math.nan)])
+    def test_rejects_bad_H_or_p(self, mode, p, H):
+        with pytest.raises(ValueError, match="must be"):
+            run(build_builtin("quad-3", seed=9), mode, p=p, H=H, budget=5)
 
 
 class TestRunInexact:
