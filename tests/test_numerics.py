@@ -167,6 +167,15 @@ def bisection_calls(phi, lo, hi):
 
 
 class TestMonotoneRoot:
+    def test_frozen_root(self):
+        # x^3 = 2: the bracket [0, 1] lies below the root and clamps to hi;
+        # [1, 2] holds it, and the root is found to full precision
+        cube = lambda x: x ** 3 - 2.0
+        slope = lambda x: 3.0 * x * x
+        assert monotone_root(cube, 0.0, 1.0, slope) == 1.0
+        x = monotone_root(cube, 1.0, 2.0, slope)
+        assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+
     def test_root_below_bracket_returns_lo(self):
         # x + 5 has its root left of [0, 1]: phi(lo) >= 0 clamps to lo
         calls = []
@@ -176,9 +185,10 @@ class TestMonotoneRoot:
         assert calls == [0.0]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_no_sign_change_returns_an_end(self, sign):
-        # phi(lo) >= 0 returns lo after one evaluation, phi(hi) <= 0 returns
-        # hi after two, and neither asks for the slope
+    def test_no_sign_change_raises_after_bounded_steps(self, sign):
+        # without a sign change nothing is raised: phi(lo) >= 0 returns lo
+        # after one evaluation, phi(hi) <= 0 returns hi after two, and
+        # neither asks for the slope
         calls = []
 
         def phi(x):
@@ -211,18 +221,35 @@ class TestMonotoneRoot:
         assert x == pytest.approx(0.3, abs=1e-15)
         assert len(calls) <= 200
 
-    @pytest.mark.parametrize("guess, root", [(0.0, 1.0), (3.0, -5.0), (-1e-300, 7.5)])
-    def test_zero_width_guess_far_from_root(self, guess, root):
-        # lo == hi is the whole bracket, so it is returned on either side
-        assert monotone_root(lambda x: x - root, guess, guess, no_slope) == guess
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_slope_path_without_sign_change_raises(self, sign):
+        # a usable slope changes nothing: an end is returned, not an error,
+        # and the slope is never evaluated
+        calls, slopes = [], []
 
-    def test_zero_width_guess_at_root(self):
+        def phi(x):
+            calls.append(x)
+            return sign
+        x = monotone_root(phi, 0.0, 1.0, dphi=lambda x: slopes.append(x) or 1.0)
+        assert x == (0.0 if sign > 0.0 else 1.0)
+        assert len(calls) <= 2
+        assert slopes == []
+
+    # None and the raising lambda both fail if the slope is ever asked for
+    @pytest.mark.parametrize("dphi", [None, lambda x: no_slope(x)])
+    @pytest.mark.parametrize("guess, root", [(0.0, 1.0), (3.0, -5.0), (-1e-300, 7.5)])
+    def test_zero_width_guess_far_from_root(self, guess, root, dphi):
+        # lo == hi is the whole bracket, so it is returned on either side
+        assert monotone_root(lambda x: x - root, guess, guess, dphi) == guess
+
+    @pytest.mark.parametrize("dphi", [None, lambda x: no_slope(x)])
+    def test_zero_width_guess_at_root(self, dphi):
         calls = []
 
         def phi(x):
             calls.append(x)
             return x - 0.25
-        assert monotone_root(phi, 0.25, 0.25, no_slope) == 0.25
+        assert monotone_root(phi, 0.25, 0.25, dphi) == 0.25
         assert calls == [0.25]
 
     @pytest.mark.parametrize("eta", [1e-12, 1e-10, 1e-8])
