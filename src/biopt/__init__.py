@@ -1,10 +1,9 @@
 """Convex composite minimization via accelerated high-order proximal points."""
 
 from .acceptance import AcceptedPoint, check_lemma_properties, evaluate
-from .config import (DEFAULT_CAPS, AcceptanceFailure, BioptError, BisectionStall,
+from .config import (AcceptanceFailure, BioptError, BisectionStall,
                      CertificateUndefined, DegenerateCoefficient, DomainViolation,
-                     InvariantViolation, OptimalityReached, SolveCaps,
-                     SubproblemStall)
+                     InvariantViolation, OptimalityReached, SubproblemStall)
 from .driver import (EstimatingState, RunTrace, estimating_min, gap_certificate,
                      new_state, psi_star, psi_value, rate_fit, run, step_exact,
                      step_inexact, verify_trace)

@@ -102,7 +102,7 @@ class AcceptedPoint:
             raise InvariantViolation(
                 "acceptance inequality violated: "
                 f"{self.reg_grad_norm:.3e} > {beta:.3g} * {self.grad_F_norm:.3e}")
-        rep = check_lemma_properties(self, H, p, x_star=None)
+        rep = check_lemma_properties(self)
         bad = [k for k, v in rep.items() if v is not None and not v["ok"]]
         if bad:
             raise InvariantViolation(f"accepted-point property failed: {bad}",
@@ -113,9 +113,10 @@ class AcceptedPoint:
         return self.grad_f + self.g
 
 
-def check_lemma_properties(accepted: AcceptedPoint, H: float, p: int,
+def check_lemma_properties(accepted: AcceptedPoint,
                            x_star: np.ndarray | None = None) -> dict:
-    """Diagnostic report for the first-order consequences of acceptance.
+    """Diagnostic report for the first-order consequences of acceptance, with
+    the point's own H and p.
 
     Checks the residual bracket
       (1-beta) ||grad f(T)+g||_* <= H r^p <= (1+beta) ||grad f(T)+g||_*,
@@ -128,7 +129,7 @@ def check_lemma_properties(accepted: AcceptedPoint, H: float, p: int,
     rel_slack = 1e-9
     inst = accepted._instance
     m = inst.metric
-    beta = accepted.beta_used
+    beta, H, p = accepted.beta_used, accepted.H, accepted.p
     gn = accepted.grad_F_norm
     r = accepted.r
     comp = accepted.composite_grad()

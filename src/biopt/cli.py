@@ -11,7 +11,7 @@ import click
 import numpy as np
 
 from .config import BioptError
-from .driver import RunTrace, rate_fit, run, verify_trace
+from .driver import RunTrace, check_run_args, rate_fit, run, verify_trace
 from .problems import build_builtin, load_instance
 
 USAGE_EXIT = 2
@@ -38,31 +38,19 @@ def _build_instance(spec, seed: int):
     raise ValueError("instance must be a builtin name or {\"file\": path}")
 
 
-def _validate(cfg: dict) -> dict:
-    mode = cfg.get("mode", "exact")
-    p = int(cfg.get("p", 3))
-    beta = float(cfg.get("beta", 0.0))
-    if mode not in ("exact", "inexact", "superfast"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if p < 1 or (mode == "superfast" and p < 2):
-        raise ValueError("p must be >= 1 (>= 2 for superfast mode)")
-    if mode != "exact" and not 0.0 <= beta <= 3.0 / (3 * p + 2):
-        raise ValueError("beta out of range [0, 3/(3p+2)]")
-    if mode == "inexact" and cfg.get("H") is None:
-        raise ValueError("inexact mode needs H")
-    return {"mode": mode, "p": p, "beta": beta}
+def _run_args(cfg: dict) -> dict:
+    """The keyword arguments of run that a config sets (mode defaults to exact)."""
+    return {"mode": cfg.get("mode", "exact"),
+            **{k: cfg[k] for k in ("p", "beta", "H", "M_next", "budget",
+                                   "epsilon", "R") if k in cfg}}
 
 
 def _run_one(cfg: dict) -> str:
-    checked = _validate(cfg)
     seed = int(os.environ.get("BIOPT_SEED", cfg.get("seed", 0)))
     instance = _build_instance(cfg.get("instance", "example1d"), seed)
     x0 = cfg.get("x0")
-    trace = run(
-        instance, checked["mode"], p=checked["p"], beta=checked["beta"],
-        H=cfg.get("H"), M_next=cfg.get("M_next"),
-        budget=int(cfg.get("budget", 200)), epsilon=cfg.get("epsilon"),
-        R=cfg.get("R"), x0=None if x0 is None else np.asarray(x0, dtype=float))
+    trace = run(instance, x0=None if x0 is None else np.asarray(x0, dtype=float),
+                **_run_args(cfg))
     if cfg.get("trace"):
         trace.write_ndjson(cfg["trace"])
     if cfg.get("summary"):
@@ -71,7 +59,7 @@ def _run_one(cfg: dict) -> str:
     gap = last.get("gap_cert")
     total_lower = sum(r.get("lower_iters") or 0 for r in trace.records)
     total_bis = sum(r.get("bisections") or 0 for r in trace.records)
-    return (f"{instance.name} {checked['mode']} status={trace.status} "
+    return (f"{instance.name} {trace.config['mode']} status={trace.status} "
             f"k={last['k']} gap={'n/a' if gap is None else '%.6e' % gap} "
             f"lower_iters={total_lower} bisections={total_bis}")
 
@@ -91,7 +79,7 @@ def cmd_run(config_path, jobs):
     try:
         configs = _load_config(config_path)
         for cfg in configs:
-            _validate(cfg)
+            check_run_args(**_run_args(cfg))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(USAGE_EXIT)

@@ -1,20 +1,6 @@
-"""Iteration caps and the typed solver errors."""
+"""The typed solver errors."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class SolveCaps:
-    """Iteration caps for the inexact machinery."""
-
-    outer_acceptance: int = 200
-    inner_subproblem: int = 500
-    bisections: int = 60
-
-
-DEFAULT_CAPS = SolveCaps()
 
 
 class BioptError(Exception):

@@ -13,13 +13,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .config import (DEFAULT_CAPS, BioptError, CertificateUndefined,
-                     InvariantViolation, OptimalityReached, SolveCaps)
+from .config import (BioptError, CertificateUndefined, InvariantViolation,
+                     OptimalityReached)
 from .lower import rel_smooth_params, solve_acceptable
 from .numerics import Metric, monotone_root, solve_step_coefficient
 from .problems import ProblemInstance, SimpleOracle
@@ -131,19 +133,18 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
 
 
 def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
-                 p: int, beta: float, caps: SolveCaps = DEFAULT_CAPS,
-                 collect=None) -> dict:
+                 p: int, beta: float, collect=None) -> dict:
     """One iteration of the inexact (three-branch) segment-search driver."""
     u = state.upsilon - state.x
     seg = None
     try:
         # OptimalityReached is raised here before any state changes
-        ap0, lower_iters = solve_acceptable(instance, state.x, H, p, beta, caps=caps)
+        ap0, lower_iters = solve_acceptable(instance, state.x, H, p, beta)
         if collect is not None:
             collect(ap0)
         ap, branch = ap0, "case_i"
         if state.metric.norm(u) != 0.0 and float(ap0.composite_grad() @ u) < 0.0:
-            ap, it1 = solve_acceptable(instance, state.upsilon, H, p, beta, caps=caps)
+            ap, it1 = solve_acceptable(instance, state.upsilon, H, p, beta)
             lower_iters += it1
             if collect is not None:
                 collect(ap)
@@ -151,7 +152,7 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
             if float(ap.composite_grad() @ u) > 0.0:
                 branch = "case_iii"
                 seg = bisect_segment(instance, state.x, u, ap0, ap, H, p, beta,
-                                     caps=caps, collect=collect)
+                                     collect=collect)
     except OptimalityReached as opt:
         state.x = np.asarray(opt.point, dtype=float)
         return {"status": "optimal", "g_k": 0.0, "branch": "optimal",
@@ -285,35 +286,58 @@ def _float_or_none(v):
     return None if v is None else float(v)
 
 
+def _number(v, kind=numbers.Real) -> bool:
+    """v is a number of that kind within the float range (a bool, a string,
+    an infinity or a NaN is not)."""
+    return isinstance(v, kind) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
+
+
+def check_run_args(mode: str, p=3, beta=0.0, H=None, M_next=None, budget=200,
+                   epsilon=None, R=None) -> None:
+    """Raise ValueError unless run's arguments (x0 and instance aside) are
+    well formed; run calls it first, biopt run on every config before it
+    runs any."""
+    if mode not in ("exact", "inexact", "superfast"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not _number(p, numbers.Integral) or p < (2 if mode == "superfast" else 1):
+        raise ValueError(f"p must be an integer >= 1 (>= 2 for superfast "
+                         f"mode), got {p!r}")
+    if not _number(budget, numbers.Integral) or budget < 0:
+        raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
+    if not _number(beta) or mode != "exact" and not 0.0 <= beta <= 3.0 / (3 * p + 2):
+        raise ValueError(f"beta out of range [0, 3/(3p+2)]: {beta!r}")
+    if H is None and mode != "superfast":
+        raise ValueError(f"{mode} mode needs H")
+    for name, v in (("H", H), ("M_next", M_next), ("epsilon", epsilon), ("R", R)):
+        if v is not None and not (_number(v) and v > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
 def run(instance: ProblemInstance, mode: str, p: int = 3,
         beta: float = 0.0, H: float | None = None, M_next: float | None = None,
         budget: int = 200, epsilon: float | None = None, R: float | None = None,
-        x0: np.ndarray | None = None, caps: SolveCaps = DEFAULT_CAPS,
-        collect=None) -> RunTrace:
+        x0: np.ndarray | None = None, collect=None) -> RunTrace:
     """Drive one of the three methods to a certified stop or budget exhaustion.
 
     mode "exact" uses a closed-form segment-search oracle; "inexact" uses the
     lower-level acceptance solver with an explicit H; "superfast" derives H
     from the declared derivative bound M_{p+1} of the smooth part.
+    Malformed arguments raise ValueError (check_run_args).
     """
-    if mode not in ("exact", "inexact", "superfast"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "exact" and not 0.0 <= beta <= 3.0 / (3 * p + 2):
-        raise ValueError("beta out of range [0, 3/(3p+2)]")
+    check_run_args(mode, p, beta, H, M_next, budget, epsilon, R)
+    if x0 is None:
+        x0 = instance.meta.get("x0")
+    x0 = np.zeros(instance.dim) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (instance.dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, the instance has "
+                         f"dimension {instance.dim}")
     if mode == "superfast":
         if M_next is None:
             M_next = instance.smooth.deriv_bound(p + 1)
         if M_next is None or M_next <= 0:
             raise ValueError("superfast mode needs a positive M_{p+1} bound")
         H = rel_smooth_params(p, M_next).H
-    elif H is None:
-        raise ValueError(f"mode {mode!r} needs H")
-
-    if x0 is None:
-        x0 = instance.meta.get("x0")
-    if x0 is None:
-        x0 = np.zeros(instance.dim)
-    x0 = np.asarray(x0, dtype=float)
 
     state = new_state(instance, x0)
     psi = instance.simple
@@ -371,8 +395,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         if mode == "exact":
             info = step_exact(state, instance, H, p, oracle)
         else:
-            info = step_inexact(state, instance, H, p, beta, caps=caps,
-                                collect=collect)
+            info = step_inexact(state, instance, H, p, beta, collect=collect)
         rec = record(info)
         if info["status"] == "optimal":
             status = "optimal"

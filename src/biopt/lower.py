@@ -17,8 +17,8 @@ import numpy as np
 
 from .acceptance import (ACCEPTANCE_ABS, ACCEPTANCE_REL, AcceptedPoint, evaluate,
                          subproblem_tol)
-from .config import (DEFAULT_CAPS, AcceptanceFailure, DomainViolation,
-                     OptimalityReached, SolveCaps, SubproblemStall)
+from .config import (AcceptanceFailure, DomainViolation, OptimalityReached,
+                     SubproblemStall)
 from .numerics import Metric, prox_power, radial_solver
 from .problems import ProblemInstance, SimpleOracle
 
@@ -35,6 +35,8 @@ class RelSmoothParams:
 
 
 REL_SMOOTH_L = 1.5  # L of the canonical xi = 2; the lower level's step uses 2L
+MAX_ACCEPTANCE_STEPS = 200  # solve_acceptable raises AcceptanceFailure past it
+MAX_SUBPROBLEM_STEPS = 500  # subproblem_solve raises SubproblemStall past it
 
 
 def rel_smooth_params(p: int, M_next: float) -> RelSmoothParams:
@@ -191,8 +193,7 @@ def _face_step(sf: ScalingFunction, L: float, c_shift: np.ndarray,
 
 
 def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
-                     psi: SimpleOracle, tol: float,
-                     cap: int = DEFAULT_CAPS.inner_subproblem) -> np.ndarray:
+                     psi: SimpleOracle, tol: float) -> np.ndarray:
     """Minimize <c,h> + 2L sum_k D^{2k}f(y)[h]^{2k}/(2k)! + psi(y+h) + 2LH d_{p+1}(h).
 
     psi = 0 with q = 1 takes the radial reduction (the step solves
@@ -235,7 +236,7 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     if h is None:
         h = np.zeros(m.dim)
     sgrad = _shifted_grad(sf, L, c_shift, h)
-    for _ in range(cap):
+    for _ in range(MAX_SUBPROBLEM_STEPS):
         for _ in range(80):
             w = h - t * m.solve(sgrad)
             x = psi.scaled_prox(t, y + w, m)
@@ -259,8 +260,7 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
 
 
 def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
-                     beta: float,
-                     caps: SolveCaps = DEFAULT_CAPS) -> tuple[AcceptedPoint, int]:
+                     beta: float) -> tuple[AcceptedPoint, int]:
     """Non-Euclidean composite gradient loop producing an acceptable pair.
 
     Starts at z0 = y; each step minimizes the Bregman-linearized model with
@@ -281,11 +281,10 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
     phi_z = z.reg_value + psi.value(y)  # the d_{p+1} term is 0 at z0 = y
     rho_grad_z = sf.value_grad(y, z.d)[1]
     history = []
-    for i in range(1, caps.outer_acceptance + 1):
+    for i in range(1, MAX_ACCEPTANCE_STEPS + 1):
         c_shift = z.reg_grad - 2.0 * L * rho_grad_z
         subtol = subproblem_tol(m.dual_norm(c_shift))
-        h = subproblem_solve(sf, L, c_shift, psi, subtol,
-                             cap=caps.inner_subproblem)
+        h = subproblem_solve(sf, L, c_shift, psi, subtol)
         z_next = y + h
         # open-domain safeguard: halve toward z until feasible and nonincreasing
         for halvings in range(61):

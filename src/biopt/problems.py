@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BioptError
-from .numerics import Metric
+from .numerics import Metric, golden_section
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +291,14 @@ class SeparableOracle(SmoothOracle):
                 return float(2.0 * np.sum(row_norms ** 4))
             return None  # unbounded below order 4 (t unbounded)
         if self.family == "softplus":
+            # grid maxima of |f^(order)|, each polished over its two cells:
+            # the grid alone misses the peak by up to 3e-6 relative
             grid = np.linspace(-40.0, 40.0, 20001)
-            peak = float(np.max(np.abs(self.deriv(grid, order))))
+            vals = np.abs(self.deriv(grid, order))
+            i = np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1
+            _, neg = golden_section(lambda t: -np.abs(self.deriv(t, order)),
+                                    grid[i - 1], grid[i + 1], iters=60)
+            peak = max(float(np.max(vals)), -float(np.min(neg)))
             return float(peak * np.sum(row_norms ** order))
         return None
 

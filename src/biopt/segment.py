@@ -16,10 +16,12 @@ from functools import cache
 import numpy as np
 
 from .acceptance import AcceptedPoint
-from .config import DEFAULT_CAPS, BisectionStall, SolveCaps
+from .config import BisectionStall
 from .lower import solve_acceptable
 from .numerics import golden_section, monotone_root, power_mean_norm, radial_solver
-from .problems import ProblemInstance, QuadraticOracle, SeparableOracle
+from .problems import ProblemInstance, QuadraticOracle
+
+MAX_BISECTIONS = 60  # bisect_segment raises BisectionStall past it
 
 
 @dataclass
@@ -148,57 +150,24 @@ def make_sprox_oracle(instance: ProblemInstance, H: float, p: int):
 # brute-force reference oracle
 # ---------------------------------------------------------------------------
 
-def _vectorized_1d(instance: ProblemInstance):
-    """Elementwise objective F(x) for a 1-D instance, over an array of x."""
-    sm = instance.smooth
-    if isinstance(sm, QuadraticOracle):
-        q = sm.Q[0, 0]
-        c0 = sm.c[0]
+def _inner_solver_1d(instance: ProblemInstance, H: float, p: int):
+    """Vectorized solver of min_x F(x) + H|x - m|^{p+1}/(p+1) over anchors m,
+    for the one 1-D family the reference serves: F(x) = q x^2/2 - c x + w|x|
+    with a known F*.
 
-        def fval(x):
-            return 0.5 * q * x * x - c0 * x
-    elif isinstance(sm, SeparableOracle):
-        a_col = sm.A[:, 0]
-        b = sm.b
-        deriv, open_domain = sm.deriv, sm.open_domain
-
-        def fval(x):
-            t = np.multiply.outer(x, a_col) - b
-            if open_domain:
-                bad = np.any(t <= 0.0, axis=-1)
-                t = np.where(t > 0.0, t, 1.0)
-                out = np.sum(deriv(t, 0), axis=-1)
-                return np.where(bad, np.inf, out)
-            return np.sum(deriv(t, 0), axis=-1)
-    else:  # pragma: no cover - all shipped oracles are handled above
-        raise NotImplementedError("unsupported smooth oracle for 1-D reference")
-
-    psi = instance.simple
-    if psi.kind == "zero":
-        pval = lambda x: 0.0
-    elif psi.kind == "l1":
-        w = psi.weight
-        pval = lambda x: w * np.abs(x)
-    else:
-        lo, hi = psi.lo[0], psi.hi[0]
-        pval = lambda x: np.where((x >= lo - 1e-12) & (x <= hi + 1e-12), 0.0, np.inf)
-
-    return lambda x: fval(x) + pval(x)
-
-
-def _inner_solver_1d(instance, anchor_lo, anchor_hi, H, p):
-    """Vectorized solver of min_x F(x) + H|x - m|^{p+1}/(p+1) over anchors m.
-
-    The F sample behind the level-set bracket (and the lower bound F_lb when
-    F* is unknown) is taken once over [anchor_lo - 5, anchor_hi + 5], so every
-    later call with anchors in that range reuses it.
+    The minimizer x satisfies F(x) + H|x - m|^{p+1}/(p+1) <= F(m) and
+    F(x) >= F*, so it lies in the level set H|x - m|^{p+1}/(p+1) <= F(m) - F*,
+    which brackets the golden section.
     """
-    F = _vectorized_1d(instance)
-    sample = np.linspace(anchor_lo - 5.0, anchor_hi + 5.0, 4001)
-    fs = F(sample)
-    x_best = float(sample[np.argmin(fs)])
-    F_lb = (instance.F_star if instance.F_star is not None
-            else float(np.min(fs)) - 1e-9)
+    sm = instance.smooth
+    if not (isinstance(sm, QuadraticOracle) and instance.simple.kind == "l1"
+            and instance.F_star is not None):
+        raise ValueError("the 1-D sprox_reference needs F(x) = q x^2/2 - c x "
+                         "+ w|x| with a known F*")
+    q, c0, w, F_star = sm.Q[0, 0], sm.c[0], instance.simple.weight, instance.F_star
+
+    def F(x):
+        return 0.5 * q * x * x - c0 * x + w * np.abs(x)
 
     def solve(anchors):
         m = np.asarray(anchors, dtype=float)
@@ -211,23 +180,8 @@ def _inner_solver_1d(instance, anchor_lo, anchor_hi, H, p):
             reg *= H / (p + 1)
             return F(x) + reg
 
-        # level-set bracket: H d(T - m) <= F(base) + H d(base - m) - F_lb
-        Fm = F(m)
-        base = np.where(np.isfinite(Fm), m, x_best)
-        base_val = total(base)
-        R = ((p + 1) * np.maximum(base_val - F_lb, 0.0) / H) ** (1.0 / (p + 1)) + 1e-6
-        R = R + np.abs(base - m)
-        for _ in range(8):
-            lo, hi = m - R, m + R
-            if instance.simple.kind == "box":
-                lo = np.maximum(lo, instance.simple.lo[0])
-                hi = np.minimum(hi, instance.simple.hi[0])
-            x, val = golden_section(total, lo, hi, iters=110)
-            near_edge = (np.minimum(x - lo, hi - x) < 1e-3 * R) & (val > F_lb + 1e-12)
-            if not np.any(near_edge):
-                break
-            R = np.where(near_edge, 4.0 * R, R)
-        return x, val
+        R = ((p + 1) * np.maximum(F(m) - F_star, 0.0) / H) ** (1.0 / (p + 1)) + 1e-6
+        return golden_section(total, m - R, m + R, iters=110)
 
     return solve
 
@@ -247,7 +201,9 @@ def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     vectorized call and shrinks the bracket to the two cells around the best
     of them.  In higher dimension it is a golden section with one lower-level
     solve per tau.  The best grid point is kept when the polish does not
-    improve on it.  Desk-scale guardrails: dim <= 5, grid_tau <= 10^4.
+    improve on it.  Scope: in 1-D only F(x) = q x^2/2 - c x + w|x| with a
+    known F* (ValueError otherwise), in dimension 2 to 5 any instance;
+    grid_tau <= 10^4.
     """
     if instance.dim > 5:
         raise ValueError("sprox_reference is limited to dim <= 5")
@@ -258,10 +214,8 @@ def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     taus = np.linspace(0.0, 1.0, grid_tau + 1)
 
     if instance.dim == 1:
-        anchors = xbar[0] + taus * u[0]
-        solve = _inner_solver_1d(instance, float(np.min(anchors)),
-                                 float(np.max(anchors)), H, p)
-        xs, vals = solve(anchors)
+        solve = _inner_solver_1d(instance, H, p)
+        xs, vals = solve(xbar[0] + taus * u[0])
         j = int(np.argmin(vals))
         best_x, best_tau, best_val = xs[j], taus[j], vals[j]
         lo_t, hi_t = taus[max(j - 1, 0)], taus[min(j + 1, grid_tau)]
@@ -315,8 +269,7 @@ class SegmentResult:
 
 def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
                    end0: AcceptedPoint, end1: AcceptedPoint, H: float, p: int,
-                   beta: float, caps: SolveCaps = DEFAULT_CAPS,
-                   collect=None) -> SegmentResult:
+                   beta: float, collect=None) -> SegmentResult:
     """Bracketing bisection on the directional products along the segment.
 
     Maintains tau1 < tau2 with beta1 <= 0 <= beta2; each halving solves the
@@ -334,7 +287,7 @@ def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
         raise ValueError("bisection requires beta1 < 0 < beta2 at the endpoints")
     lower_total = 0
     threshold_c = 0.5 * ((1.0 - beta) / H) ** (1.0 / p)
-    for i in range(caps.bisections + 1):
+    for i in range(MAX_BISECTIONS + 1):
         alpha = beta2 / (beta2 - beta1)
         g_k = power_mean_norm(alpha, T1.grad_F_norm, T2.grad_F_norm, p)
         lhs = alpha * (tau2 - tau1) * (-beta1)
@@ -344,7 +297,7 @@ def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
                                  bisections=i, lower_iters=lower_total)
         tau_mid = 0.5 * (tau1 + tau2)
         anchor = x_k + tau_mid * u_k
-        ap, iters = solve_acceptable(instance, anchor, H, p, beta, caps=caps)
+        ap, iters = solve_acceptable(instance, anchor, H, p, beta)
         lower_total += iters
         if collect is not None:
             collect(ap)

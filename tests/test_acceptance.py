@@ -137,7 +137,7 @@ def test_criterion_4_accepted_point_audit(superfast_runs):
         x_star = entry["inst"].x_star
         for ap in entry["points"]:
             total += 1
-            rep = check_lemma_properties(ap, ap.H, ap.p, x_star=x_star)
+            rep = check_lemma_properties(ap, x_star=x_star)
             if any(v is not None and not v["ok"] for v in rep.values()):
                 bad += 1
     ok = bad == 0 and total >= 1000

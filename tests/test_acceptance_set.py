@@ -88,7 +88,7 @@ class TestAcceptedPoint:
 
     def test_lemma_properties_with_optimum(self):
         inst, ap, _ = self.build_accepted()
-        rep = check_lemma_properties(ap, ap.H, ap.p, x_star=inst.x_star)
+        rep = check_lemma_properties(ap, x_star=inst.x_star)
         for key, val in rep.items():
             assert val is None or val["ok"], (key, val)
         # beta = 1/4 <= 3/8 and <= 1/p: every consequence is active
@@ -97,7 +97,7 @@ class TestAcceptedPoint:
 
     def test_norm_form_skipped_for_large_beta(self):
         inst, ap, _ = self.build_accepted(beta=0.26)
-        rep = check_lemma_properties(ap, ap.H, ap.p, x_star=None)
+        rep = check_lemma_properties(ap)
         assert rep["contraction_5_4"] is None  # no x* supplied
         # beta = 0.26 <= 1/p = 1/2: still active for p = 2
         assert rep["descent_norm_form"] is not None

@@ -129,6 +129,30 @@ class TestRun:
         assert result.exit_code == 2
         assert "H must be positive" in result.output
 
+    @pytest.mark.parametrize("change", [
+        {"H": "1"}, {"R": "2"},
+        {"mode": "superfast", "beta": 0.2, "M_next": "5"},
+        {"epsilon": 0}, {"epsilon": -1}, {"R": -1}, {"R": 0, "epsilon": 1e-3},
+        {"p": 2.5}, {"budget": -3}, {"x0": [1.0, 2.0]},
+    ])
+    def test_malformed_config_is_usage_error(self, runner, tmp_path, change):
+        cfg = dict({"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,
+                    "budget": 5}, **change)
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error:") == 1
+        assert "status=" not in result.output
+
+    def test_bad_config_in_list_stops_before_any_run(self, runner, tmp_path):
+        cfg = {"runs": [
+            {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0, "budget": 5},
+            {"instance": "quad-3", "mode": "exact", "p": 2, "budget": 5},
+        ]}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert "exact mode needs H" in result.output
+        assert "status=" not in result.output
+
     def test_parallel_jobs_match_serial(self, runner, tmp_path):
         # the process-pool path (two workers) prints the serial lines, in order
         cfg = {"runs": [

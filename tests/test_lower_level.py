@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import biopt.driver
+import biopt.lower
 import biopt.segment
-from biopt import (AcceptanceFailure, AcceptedPoint, InvariantViolation, Metric,
-                   OptimalityReached, ProblemInstance, QuadraticOracle,
-                   ScalingFunction, SimpleOracle, SolveCaps,
-                   SubproblemStall, bregman, build_builtin, build_example_1d,
-                   build_logbar, build_quadratic, evaluate, reg_bregman,
-                   rel_smooth_params, run, solve_acceptable, subproblem_solve,
-                   verify_trace)
+from biopt import (AcceptanceFailure, AcceptedPoint, DomainViolation,
+                   InvariantViolation, Metric, OptimalityReached,
+                   ProblemInstance, QuadraticOracle, ScalingFunction,
+                   SimpleOracle, SubproblemStall, bregman,
+                   build_builtin, build_example_1d, build_logbar,
+                   build_quadratic, evaluate, reg_bregman, rel_smooth_params,
+                   run, solve_acceptable, subproblem_solve, verify_trace)
 
 
 def fd_grad(fun, x, eps=1e-6):
@@ -157,13 +158,13 @@ class TestSubproblemSolve:
         with pytest.raises(ValueError, match="tol"):
             subproblem_solve(sf, 1.5, np.array([1.0]), SimpleOracle("zero"), tol=0.0)
 
-    def test_stall_reports_best_iterate(self):
+    def test_stall_reports_best_iterate(self, monkeypatch):
         # q = 2 (p = 4): no face step, so one proximal-gradient step stalls
         inst = build_example_1d()
         sf = ScalingFunction(inst, np.array([2.0]), 1.0, 4)
+        monkeypatch.setattr(biopt.lower, "MAX_SUBPROBLEM_STEPS", 1)
         with pytest.raises(SubproblemStall) as exc:
-            subproblem_solve(sf, 1.5, np.array([1.0]), inst.simple,
-                             tol=1e-14, cap=1)
+            subproblem_solve(sf, 1.5, np.array([1.0]), inst.simple, tol=1e-14)
         assert exc.value.best is not None
 
     def test_exhausted_backtracking_is_a_stall(self):
@@ -312,14 +313,34 @@ class TestSolveAcceptable:
         with pytest.raises(OptimalityReached, match="already optimal"):
             solve_acceptable(inst, np.array([0.0]), prm.H, 3, 0.25)
 
-    def test_cap_exhaustion(self):
+    def test_cap_exhaustion(self, monkeypatch):
         inst = build_logbar(10, 4, seed=3)
         p = 2
         prm = rel_smooth_params(p, inst.smooth.deriv_bound(p + 1))
-        caps = SolveCaps(outer_acceptance=1, inner_subproblem=500, bisections=60)
+        monkeypatch.setattr(biopt.lower, "MAX_ACCEPTANCE_STEPS", 1)
         with pytest.raises(AcceptanceFailure) as exc:
-            solve_acceptable(inst, inst.meta["x0"], prm.H, p, 1e-8, caps=caps)
+            solve_acceptable(inst, inst.meta["x0"], prm.H, p, 1e-8)
         assert len(exc.value.residual_history) == 1
+
+    @pytest.mark.parametrize("H", [1.0, 0.1])
+    def test_open_domain_safeguard_ends_in_domain_violation(self, H):
+        # f(x) = x^2/2 - 10x declared only on x < 1: its minimizer x = 10 is
+        # outside, so steps leave the domain, the safeguard halves them back
+        # inside, and the loop ends in the typed error once halving cannot
+        class LeftOfOne(QuadraticOracle):
+            points = []
+
+            def value_grad(self, x):
+                self.points.append(float(x[0]))
+                return (math.inf, None) if x[0] >= 1.0 else super().value_grad(x)
+
+        smooth = LeftOfOne(np.eye(1), np.array([10.0]))
+        inst = ProblemInstance(smooth, SimpleOracle("zero"), Metric(dim=1), 1)
+        with pytest.raises(DomainViolation, match="iterate outside"):
+            solve_acceptable(inst, np.zeros(1), H, 2, 0.2)
+        pts = smooth.points
+        assert any(a >= 1.0 > b for a, b in zip(pts, pts[1:]))  # halved inside
+        assert pts[-1] >= 1.0
 
 
 def probe_instance():

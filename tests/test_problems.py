@@ -117,7 +117,7 @@ class TestScalarFamilies:
     def test_derivative_ladder_matches_fd(self, family, t0):
         o = SeparableOracle(np.array([[1.0]]), np.array([0.0]), family)
         eps = 1e-6
-        for n in range(0, 4):
+        for n in range(0, 6):
             lo = o.deriv(np.array([t0 - eps]), n)[0]
             hi = o.deriv(np.array([t0 + eps]), n)[0]
             want = o.deriv(np.array([t0]), n + 1)[0]
@@ -195,6 +195,16 @@ class TestSeparableOracle:
             h = rng.standard_normal(3)
             h /= np.linalg.norm(h)
             assert abs(o.expansion_at(x, 2)[3][1](h)[0]) <= M4 * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 6])
+    def test_softplus_deriv_bound_dominates_samples(self, order):
+        # superfast p = order - 1 reads M_order; f^(order) peaks near |t| < 4
+        A = np.array([[1.0, 2.0], [-0.5, 1.0], [0.3, 0.0]])
+        o = SeparableOracle(A, np.zeros(3), "softplus")
+        t = np.random.default_rng(order).uniform(-6.0, 6.0, 20000)
+        row_sum = np.sum(np.linalg.norm(A, axis=1) ** order)
+        peak = np.max(np.abs(o.deriv(t, order))) * row_sum
+        assert peak <= o.deriv_bound(order) * (1.0 + 1e-12)
 
     def test_power4_bound_exact(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])

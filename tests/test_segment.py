@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import biopt.segment as segment
-from biopt import (BisectionStall, SolveCaps, bisect_segment,
-                   build_builtin, build_example_1d, build_logbar,
-                   build_quadratic, exact_sprox_1d, exact_sprox_1d_general,
+from biopt import (BisectionStall, Metric, ProblemInstance, QuadraticOracle,
+                   SimpleOracle, bisect_segment, build_builtin,
+                   build_example_1d, build_logbar, build_quadratic,
+                   build_separable, exact_sprox_1d, exact_sprox_1d_general,
                    make_sprox_oracle, monotone_root, solve_acceptable,
                    sprox_quadratic, sprox_reference)
 
@@ -263,6 +264,26 @@ class TestSproxReference:
             sprox_reference(inst, np.zeros(1), np.zeros(1), 1.0, 2,
                             grid_tau=20000)
 
+    @pytest.mark.parametrize("inst", [
+        build_quadratic(np.eye(1), np.zeros(1)),  # psi = 0
+        build_quadratic(np.eye(1), np.zeros(1),
+                        psi=SimpleOracle("l1", weight=1.0)),  # F* unknown
+        build_separable(np.eye(1), np.zeros(1), "softplus"),
+    ], ids=["psi-zero", "no-F-star", "separable"])
+    def test_rejects_other_1d_instances(self, inst):
+        with pytest.raises(ValueError, match="1-D sprox_reference needs"):
+            sprox_reference(inst, np.ones(1), np.ones(1), 1.0, 3)
+
+    def test_reweighted_example_agrees_with_case_table(self):
+        # F(x) = x^2/2 + |x|/2: the family q x^2/2 - c x + w|x| with w = 1/2
+        inst = ProblemInstance(QuadraticOracle(np.eye(1), np.zeros(1)),
+                               SimpleOracle("l1", weight=0.5), Metric(dim=1), 1,
+                               optimum=(np.zeros(1), 0.0))
+        res = exact_sprox_1d_general(1.7, -0.9, 2.0, 2, weight=0.5)
+        _, _, ref_val = sprox_reference(inst, np.array([1.7]), np.array([-0.9]),
+                                        2.0, 2)
+        assert res.objective == pytest.approx(ref_val, abs=1e-7)
+
     def test_objective_dominated_by_any_feasible_pair(self):
         inst = build_example_1d()
         _, tau, val = sprox_reference(inst, np.array([1.0]), np.array([1.0]),
@@ -315,11 +336,10 @@ class TestBisectSegment:
         with pytest.raises(ValueError, match="requires beta1 < 0 < beta2"):
             bisect_segment(inst, x_k, u_k, end1, end0, H, p, beta)
 
-    def test_stall_on_tiny_cap(self):
+    def test_stall_on_tiny_cap(self, monkeypatch):
         inst, x_k, u_k, end0, end1, H, p, beta = self.setup_case()
         # raise H so the termination threshold is far out of reach
         H_big = 1e12
-        caps = SolveCaps(outer_acceptance=200, inner_subproblem=500, bisections=0)
+        monkeypatch.setattr(segment, "MAX_BISECTIONS", 0)
         with pytest.raises(BisectionStall):
-            bisect_segment(inst, x_k, u_k, end0, end1, H_big, p, beta,
-                           caps=caps)
+            bisect_segment(inst, x_k, u_k, end0, end1, H_big, p, beta)

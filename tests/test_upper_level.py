@@ -274,6 +274,20 @@ class TestRunExact:
         with pytest.raises(ValueError, match="must be"):
             run(build_builtin("quad-3", seed=9), mode, p=p, H=H, budget=5)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"epsilon": 0.0}, "epsilon must be positive"),
+        ({"epsilon": -1.0}, "epsilon must be positive"),
+        ({"R": 0.0}, "R must be positive"),
+        ({"R": -1.0}, "R must be positive"),
+        ({"p": 2.5}, "p must be an integer"),
+        ({"budget": -3}, "budget must be an integer"),
+        ({"x0": np.ones(2)}, "x0 has shape"),
+    ])
+    def test_rejects_malformed_arguments(self, change, message):
+        args = dict({"p": 2, "H": 1.0, "budget": 5}, **change)
+        with pytest.raises(ValueError, match=message):
+            run(build_builtin("quad-3", seed=9), "exact", **args)
+
 
 class TestRunInexact:
     def test_example_1d(self):
