@@ -8,10 +8,10 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from .config import BioptError
-from .driver import RunTrace, check_run_args, rate_fit, run, verify_trace
+from .driver import (RunTrace, check_run_args, rate_fit, run, start_point,
+                     verify_trace)
 from .problems import build_builtin, load_instance
 
 USAGE_EXIT = 2
@@ -45,12 +45,20 @@ def _run_args(cfg: dict) -> dict:
                                    "epsilon", "R") if k in cfg}}
 
 
-def _run_one(cfg: dict) -> str:
+def _prepared(cfg: dict):
+    """(instance, x0) of a config, once check_run_args has passed its run
+    arguments and start_point its x0 against the instance."""
+    check_run_args(**_run_args(cfg))
     seed = int(os.environ.get("BIOPT_SEED", cfg.get("seed", 0)))
     instance = _build_instance(cfg.get("instance", "example1d"), seed)
-    x0 = cfg.get("x0")
-    trace = run(instance, x0=None if x0 is None else np.asarray(x0, dtype=float),
-                **_run_args(cfg))
+    return instance, start_point(instance, cfg.get("x0"))
+
+
+def _run_one(cfg: dict, prepared=None) -> str:
+    """Run one config on its _prepared instance and x0 (a process-pool
+    worker prepares its own) and return its summary line."""
+    instance, x0 = _prepared(cfg) if prepared is None else prepared
+    trace = run(instance, x0=x0, **_run_args(cfg))
     if cfg.get("trace"):
         trace.write_ndjson(cfg["trace"])
     if cfg.get("summary"):
@@ -78,9 +86,11 @@ def cmd_run(config_path, jobs):
     """Run driver(s) described by a config file and write traces."""
     try:
         configs = _load_config(config_path)
-        for cfg in configs:
-            check_run_args(**_run_args(cfg))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        prepared = [_prepared(cfg) for cfg in configs]
+    except BioptError as exc:  # a builtin's reference solve failed
+        click.echo(f"solver failure: {exc}", err=True)
+        sys.exit(SOLVER_EXIT)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(USAGE_EXIT)
     try:
@@ -89,8 +99,8 @@ def cmd_run(config_path, jobs):
                 for line in ex.map(_run_one, configs):
                     click.echo(line)
         else:
-            for cfg in configs:
-                click.echo(_run_one(cfg))
+            for cfg, inputs in zip(configs, prepared):
+                click.echo(_run_one(cfg, inputs))
     except BioptError as exc:
         click.echo(f"solver failure: {exc}", err=True)
         sys.exit(SOLVER_EXIT)

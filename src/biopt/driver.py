@@ -309,9 +309,24 @@ def check_run_args(mode: str, p=3, beta=0.0, H=None, M_next=None, budget=200,
         raise ValueError(f"beta out of range [0, 3/(3p+2)]: {beta!r}")
     if H is None and mode != "superfast":
         raise ValueError(f"{mode} mode needs H")
+    if H is not None and mode == "superfast":
+        raise ValueError("superfast mode derives H from M_next and takes no H")
     for name, v in (("H", H), ("M_next", M_next), ("epsilon", epsilon), ("R", R)):
         if v is not None and not (_number(v) and v > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
+def start_point(instance: ProblemInstance, x0=None) -> np.ndarray:
+    """run's x0: the given one, else the instance's, else zeros; ValueError
+    unless its length is the instance's dimension.  biopt run calls it on
+    every config before it runs any."""
+    if x0 is None:
+        x0 = instance.meta.get("x0")
+    x0 = np.zeros(instance.dim) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (instance.dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, the instance has "
+                         f"dimension {instance.dim}")
+    return x0
 
 
 def run(instance: ProblemInstance, mode: str, p: int = 3,
@@ -323,15 +338,10 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
     mode "exact" uses a closed-form segment-search oracle; "inexact" uses the
     lower-level acceptance solver with an explicit H; "superfast" derives H
     from the declared derivative bound M_{p+1} of the smooth part.
-    Malformed arguments raise ValueError (check_run_args).
+    Malformed arguments raise ValueError (check_run_args, start_point).
     """
     check_run_args(mode, p, beta, H, M_next, budget, epsilon, R)
-    if x0 is None:
-        x0 = instance.meta.get("x0")
-    x0 = np.zeros(instance.dim) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (instance.dim,):
-        raise ValueError(f"x0 has shape {x0.shape}, the instance has "
-                         f"dimension {instance.dim}")
+    x0 = start_point(instance, x0)
     if mode == "superfast":
         if M_next is None:
             M_next = instance.smooth.deriv_bound(p + 1)

@@ -57,7 +57,8 @@ class ScalingFunction:
     """rho_{y,H}(x) = sum_{k=1..q} D^{2k} f(y)[x-y]^{2k} / (2k)! + H d_{p+1}(x-y).
 
     Also the step subproblem's cache for this one anchor: D^2 f(y), its
-    solvers and warm_start, the last call's step length and prox point.
+    radial solvers (each starting at its last solve's shift) and
+    warm_start, the last call's step length and prox point.
     """
 
     def __init__(self, instance: ProblemInstance, y: np.ndarray, H: float, p: int):
@@ -192,13 +193,20 @@ def _face_step(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     return h if inside else None
 
 
+def _radial(sf: ScalingFunction, psi: SimpleOracle) -> bool:
+    """Whether the step subproblem takes the radial reduction (psi = 0, q = 1)."""
+    return psi.kind == "zero" and sf.q == 1
+
+
 def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
-                     psi: SimpleOracle, tol: float) -> np.ndarray:
+                     psi: SimpleOracle, tol: float | None = None) -> np.ndarray:
     """Minimize <c,h> + 2L sum_k D^{2k}f(y)[h]^{2k}/(2k)! + psi(y+h) + 2LH d_{p+1}(h).
 
     psi = 0 with q = 1 takes the radial reduction (the step solves
-    (2L D^2f(y) + 2LH ||h||^{p-1} B) h = -c); otherwise a backtracking
-    proximal-gradient loop on the shifted objective s(h) + psi(y+h).
+    (2L D^2f(y) + 2LH ||h||^{p-1} B) h = -c), which needs no tol; otherwise
+    a backtracking proximal-gradient loop on the shifted objective
+    s(h) + psi(y+h), stopped at residual tol (subproblem_tol(||c||_*) when
+    None).
 
     Backtracking halves t until the curvature along the step d is at most
     1/t: (grad s(h+d) - grad s(h)) . d <= ||d||^2/t, and raises
@@ -222,11 +230,13 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     Program. 140, 2013, carries t likewise); the first starts from h = 0,
     t = 1.  Only the path changes: the residual test still stops the loop.
     """
-    if tol <= 0:
+    if tol is not None and tol <= 0:
         raise ValueError("tol must be > 0")
-    m = sf.instance.metric
-    if psi.kind == "zero" and sf.q == 1:
+    if _radial(sf, psi):
         return sf.radial(c_shift / (2.0 * L))
+    m = sf.instance.metric
+    if tol is None:
+        tol = subproblem_tol(m.dual_norm(c_shift))
 
     y = sf.y
     faces = set() if sf.q == 1 and psi.kind != "zero" and m.is_diagonal else None
@@ -266,11 +276,24 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
     Starts at z0 = y; each step minimizes the Bregman-linearized model with
     L = REL_SMOOTH_L, recovers the constructive psi-subgradient from the
     step's optimality condition, and tests acceptance on the freshest
-    iterate.  The safeguard's PointEval of z_{i+1} (whose d gives grad rho)
-    is the only evaluation of z_{i+1}: the test, the next step and the
-    AcceptedPoint reuse it.  Likewise the anchor's one evaluation
-    (ScalingFunction.expansion) gives f and grad f at z0 = y, D^2 f(y) and
-    the even forms; outside the domain of f it raises DomainViolation.
+    iterate.  The safeguard's PointEval of z_{i+1} is the only evaluation of
+    z_{i+1}: the test, the next step and the AcceptedPoint reuse it.
+    Likewise the anchor's one evaluation (ScalingFunction.expansion) gives f
+    and grad f at z0 = y, D^2 f(y) and the even forms; outside the domain of
+    f it raises DomainViolation.
+
+    The loop carries the dual point grad rho(z_i), which the step's linear
+    term c_i = grad f^p(z_i) - 2L grad rho(z_i) needs.  grad rho(z0) = 0,
+    since rho is smallest at its anchor.  On the radial path (psi = 0,
+    q = 1) the step's optimality condition c_i + 2L grad rho(y + h) = 0
+    gives grad rho(z_{i+1}) = -c_i/(2L) (Lu, Freund & Nesterov, SIAM J.
+    Optim. 28(1), 2018), so no oracle runs for it.  It is exact up to the
+    secular solve's roundoff and the rounding of z_{i+1} = y + h, which
+    moves grad rho by at most eps/2 ||D^2 rho|| ||z_{i+1}||.
+    ScalingFunction.value_grad still evaluates it after a safeguard
+    halving, where z_{i+1} is no longer the step's minimizer, and on every
+    proximal-gradient path (psi != 0 or q >= 2), where g is built from the
+    difference of the two dual points.
     """
     y = np.asarray(y, dtype=float)
     L = REL_SMOOTH_L
@@ -279,24 +302,11 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
     psi = instance.simple
     z = evaluate(instance, y, H, p, y, fg=sf.expansion[:2])
     phi_z = z.reg_value + psi.value(y)  # the d_{p+1} term is 0 at z0 = y
-    rho_grad_z = sf.value_grad(y, z.d)[1]
+    rho_grad_z = np.zeros(m.dim)
     history = []
     for i in range(1, MAX_ACCEPTANCE_STEPS + 1):
-        c_shift = z.reg_grad - 2.0 * L * rho_grad_z
-        subtol = subproblem_tol(m.dual_norm(c_shift))
-        h = subproblem_solve(sf, L, c_shift, psi, subtol)
-        z_next = y + h
-        # open-domain safeguard: halve toward z until feasible and nonincreasing
-        for halvings in range(61):
-            nxt = evaluate(instance, y, H, p, z_next)
-            phi_next = nxt.reg_value + psi.value(z_next) \
-                if math.isfinite(nxt.reg_value) else math.inf
-            if phi_next <= phi_z + 1e-12 * (1.0 + abs(phi_z)) or halvings == 60:
-                break  # after 60 halvings the last point is kept
-            z_next = z.x + 0.5 * (z_next - z.x)
-        if nxt.grad is None:
-            raise DomainViolation("iterate outside the domain of f")
-        rho_grad_next = sf.value_grad(z_next, nxt.d)[1]
+        nxt, phi_next, rho_grad_next = _composite_step(sf, L, psi, z, phi_z,
+                                                       rho_grad_z)
         if psi.kind == "zero":
             g = np.zeros(m.dim)
         else:
@@ -307,8 +317,34 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
         if rhs <= 100.0 * ACCEPTANCE_ABS:
             # composite gradient at the numerical floor: the point is optimal
             # and residual-ratio certificates would be pure roundoff
-            raise OptimalityReached("anchor already optimal", point=z_next, g=g)
+            raise OptimalityReached("anchor already optimal", point=nxt.x, g=g)
         if lhs <= beta * rhs + ACCEPTANCE_REL * rhs:
-            return AcceptedPoint(instance, y, H, p, beta, z_next, g, ev=nxt), i
+            return AcceptedPoint(instance, y, H, p, beta, nxt.x, g, ev=nxt), i
         z, rho_grad_z, phi_z = nxt, rho_grad_next, phi_next
     raise AcceptanceFailure("acceptance not reached", residual_history=history)
+
+
+def _composite_step(sf: ScalingFunction, L: float, psi: SimpleOracle, z,
+                    phi_z: float, rho_grad_z: np.ndarray):
+    """One step of solve_acceptable's loop from z (a PointEval) with
+    grad rho(z) = rho_grad_z: the PointEval of z_{i+1}, phi(z_{i+1}) and
+    grad rho(z_{i+1}), carried from the step on the radial path."""
+    instance, y = sf.instance, sf.y
+    c_shift = z.reg_grad - 2.0 * L * rho_grad_z
+    h = subproblem_solve(sf, L, c_shift, psi)
+    z_next = y + h
+    # open-domain safeguard: halve toward z until feasible and nonincreasing
+    for halvings in range(61):
+        nxt = evaluate(instance, y, sf.H, sf.p, z_next)
+        phi_next = nxt.reg_value + psi.value(z_next) \
+            if math.isfinite(nxt.reg_value) else math.inf
+        if phi_next <= phi_z + 1e-12 * (1.0 + abs(phi_z)) or halvings == 60:
+            break  # after 60 halvings the last point is kept
+        z_next = z.x + 0.5 * (z_next - z.x)
+    if nxt.grad is None:
+        raise DomainViolation("iterate outside the domain of f")
+    if halvings == 0 and _radial(sf, psi):
+        rho_grad_next = c_shift / (-2.0 * L)
+    else:
+        rho_grad_next = sf.value_grad(z_next, nxt.d)[1]
+    return nxt, phi_next, rho_grad_next

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import biopt.cli
 from biopt.cli import main
 from biopt import RunTrace
 
@@ -152,6 +153,45 @@ class TestRun:
         assert result.exit_code == 2
         assert "exact mode needs H" in result.output
         assert "status=" not in result.output
+
+    def test_wrong_x0_in_list_stops_before_any_run(self, runner, tmp_path):
+        # the x0 length is checked against each config's instance up front
+        cfg = {"runs": [
+            {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0, "budget": 5},
+            {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0, "budget": 5,
+             "x0": [1.0]},
+        ]}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error:") == 1
+        assert "x0 has shape (1,)" in result.output
+        assert "status=" not in result.output
+
+    def test_superfast_with_H_is_usage_error(self, runner, tmp_path):
+        # superfast derives H from M_{p+1}; a given H was silently replaced
+        cfg = {"instance": "logbar-10-3", "mode": "superfast", "p": 2,
+               "beta": 0.2, "H": 5.0, "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error:") == 1
+        assert "takes no H" in result.output
+        assert "status=" not in result.output
+
+    def test_serial_run_builds_each_instance_once(self, runner, tmp_path,
+                                                  monkeypatch):
+        # the up-front check's instance is the one that runs
+        built = []
+        build = biopt.cli.build_builtin
+        monkeypatch.setattr(biopt.cli, "build_builtin",
+                            lambda *a, **k: built.append(a) or build(*a, **k))
+        cfg = {"runs": [
+            {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0, "budget": 5},
+            {"instance": "quad-2", "mode": "exact", "p": 2, "H": 1.0, "budget": 5},
+        ]}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 0
+        assert result.output.count("status=") == 2
+        assert built == [("quad-3",), ("quad-2",)]
 
     def test_parallel_jobs_match_serial(self, runner, tmp_path):
         # the process-pool path (two workers) prints the serial lines, in order

@@ -5,6 +5,7 @@ import pytest
 
 import biopt.driver
 import biopt.lower
+import biopt.numerics
 import biopt.segment
 from biopt import (AcceptanceFailure, AcceptedPoint, DomainViolation,
                    InvariantViolation, Metric, OptimalityReached,
@@ -343,6 +344,77 @@ class TestSolveAcceptable:
         assert pts[-1] >= 1.0
 
 
+class TestCarriedDualPoint:
+    """On the radial path solve_acceptable carries grad rho(z_{i+1}) =
+    -c_i/(2L) from the step's optimality condition instead of evaluating it.
+
+    That is grad rho at y + h; the iterate is y + h rounded, which moves
+    grad rho by up to u ||D^2 rho|| ||z|| (u = eps/2, ||D^2 rho|| <= ||K|| +
+    p H r^{p-1} under the identity metric).  So the check allows 1e-12
+    relative plus twice that; the second term matters only once steps near
+    the roundoff of z (quad-5 reaches ||h|| ~ 1e-10 ||z||, where the two
+    differ by 2e-8 relative).  Measured: at most 0.2 of the allowance.
+    """
+
+    @staticmethod
+    def record(monkeypatch):
+        """Lists of (sf, PointEval of z_{i+1}, carried grad rho) per step and
+        of ScalingFunction.value_grad calls, filled while solve_acceptable runs."""
+        steps, evaluations = [], []
+        step, value_grad = biopt.lower._composite_step, ScalingFunction.value_grad
+
+        def recorded(sf, *args):
+            nxt, phi, rho_grad = step(sf, *args)
+            steps.append((sf, nxt, rho_grad))
+            return nxt, phi, rho_grad
+
+        def counted(self, *args):
+            evaluations.append(args)
+            return value_grad(self, *args)
+        monkeypatch.setattr(biopt.lower, "_composite_step", recorded)
+        monkeypatch.setattr(ScalingFunction, "value_grad", counted)
+        return steps, evaluations
+
+    @staticmethod
+    def assert_matches_evaluation(steps):
+        eps = np.finfo(float).eps
+        for sf, nxt, carried in steps:
+            want = ScalingFunction.value_grad(sf, nxt.x, nxt.d)[1]
+            r = np.linalg.norm(nxt.x - sf.y)
+            hess = np.linalg.norm(sf.K, 2) + sf.p * sf.H * r ** (sf.p - 1)
+            assert (np.linalg.norm(carried - want)
+                    <= 1e-12 * np.linalg.norm(want) + eps * hess * np.linalg.norm(nxt.x))
+
+    @pytest.mark.parametrize("name", ["logbar-10-5", "quad-5"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_evaluation_at_every_iterate(self, monkeypatch, name, p):
+        steps, evaluations = self.record(monkeypatch)
+        inst = build_builtin(name, seed=0)
+        if name == "quad-5":
+            run(inst, "inexact", p=p, beta=0.2, H=1.0, budget=40)
+        else:
+            run(inst, "superfast", p=p, beta=0.2, budget=40)
+        assert len(steps) >= 80
+        assert evaluations == []  # no step was halved, so none evaluated rho
+        self.assert_matches_evaluation(steps)
+
+    def test_halved_steps_evaluate(self, monkeypatch):
+        # test_open_domain_safeguard_ends_in_domain_violation's instance:
+        # after a safeguard halving z_{i+1} is not the step's minimizer, so
+        # grad rho is evaluated there
+        class LeftOfOne(QuadraticOracle):
+            def value_grad(self, x):
+                return (math.inf, None) if x[0] >= 1.0 else super().value_grad(x)
+
+        steps, evaluations = self.record(monkeypatch)
+        inst = ProblemInstance(LeftOfOne(np.eye(1), np.array([10.0])),
+                               SimpleOracle("zero"), Metric(dim=1), 1)
+        with pytest.raises(DomainViolation, match="iterate outside"):
+            solve_acceptable(inst, np.zeros(1), 1.0, 2, 0.2)
+        assert len(evaluations) >= 1
+        self.assert_matches_evaluation(steps)
+
+
 def probe_instance():
     """quad-10 seed 1 with 0.5||x||_1: the cell whose proximal-gradient loop
     stalled while backtracking accepted on an absolute slack."""
@@ -453,6 +525,24 @@ class TestOneEvaluationPerPoint:
         assert tr.status == "optimal"
         assert counts["solve"] >= 50
         assert counts["grad"] <= 3.0 * counts["solve"]
+
+    def test_secular_evaluations_per_radial_solve(self, monkeypatch):
+        # each solve at an anchor starts at the last one's shift: 6.07
+        # evaluations of the secular function per radial solve on this run,
+        # 7.35 when every solve starts cold
+        evals, root = [], biopt.numerics.monotone_root
+
+        def counting_root(phi, lo, hi, dphi, start=None):
+            evals.append(0)
+
+            def counted(x):
+                evals[-1] += 1
+                return phi(x)
+            return root(counted, lo, hi, dphi, start)
+        monkeypatch.setattr(biopt.numerics, "monotone_root", counting_root)
+        run(build_logbar(10, 5, seed=0), "superfast", p=3, beta=0.2, budget=200)
+        assert len(evals) >= 900
+        assert sum(evals) <= 6.6 * len(evals)
 
     def test_accepted_point_rejects_evaluation_at_another_point(self):
         inst = build_logbar(10, 4, seed=3)
