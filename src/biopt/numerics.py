@@ -267,9 +267,10 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     of the lower level (ScalingFunction.radial), one face at an anchor
     (ScalingFunction.face_solver) or one sprox_quadratic call, so its
     solves differ only in g (and a), and the shift moves little between
-    them (a median 15% between consecutive acceptance steps of superfast
-    logbar-10-5).  Secular evaluations per solve fell from 7.40 to 6.12
-    there; the shift found is the cold solve's to a few ulps.
+    them (a median 9% to 15% between consecutive acceptance steps on the
+    superfast logbar-10-5 cells).  Secular evaluations per solve fell from
+    7.40 to 6.12 on logbar-10-5 seed 0 at p = 3; the shift found is the
+    cold solve's to a few ulps.
     (See More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983, and
     Nesterov & Polyak, Math. Program. 108, 2006, section 5.)
     """
