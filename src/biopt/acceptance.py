@@ -65,8 +65,7 @@ class AcceptedPoint:
     not known here; so membership allows 100 subproblem_tol(||grad f(T)||_*
     + ||g||_*).  On the 84 accepted points of the quad l1/box cells, warm
     start or not, ||c||_* <= 7.3 times that scale and the error <= 6.1e-6
-    subproblem_tol (face steps end on exact face minimizers; proximal
-    gradient alone ended there up to 0.66 subproblem_tol).  ev, the
+    subproblem_tol, as face steps end on exact face minimizers.  ev, the
     caller's evaluation at T, is refused unless taken at T itself; the
     regularizer term is recomputed here, so its anchor, H and p cannot differ.
     """

@@ -54,10 +54,10 @@ def _prepared(cfg: dict):
     return instance, start_point(instance, cfg.get("x0"))
 
 
-def _run_one(cfg: dict, prepared=None) -> str:
-    """Run one config on its _prepared instance and x0 (a process-pool
-    worker prepares its own) and return its summary line."""
-    instance, x0 = _prepared(cfg) if prepared is None else prepared
+def _run_one(cfg: dict, prepared: tuple) -> str:
+    """Run one config on its _prepared (instance, x0) and return its
+    summary line."""
+    instance, x0 = prepared
     trace = run(instance, x0=x0, **_run_args(cfg))
     if cfg.get("trace"):
         trace.write_ndjson(cfg["trace"])
@@ -96,11 +96,11 @@ def cmd_run(config_path, jobs):
     try:
         if jobs > 1 and len(configs) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-                for line in ex.map(_run_one, configs):
+                for line in ex.map(_run_one, configs, prepared):
                     click.echo(line)
         else:
-            for cfg, inputs in zip(configs, prepared):
-                click.echo(_run_one(cfg, inputs))
+            for line in map(_run_one, configs, prepared):
+                click.echo(line)
     except BioptError as exc:
         click.echo(f"solver failure: {exc}", err=True)
         sys.exit(SOLVER_EXIT)

@@ -30,10 +30,9 @@ class OptimalityReached(BioptError):
     accepted point whose residuals are pure roundoff.
     """
 
-    def __init__(self, message: str, point=None, g=None):
+    def __init__(self, message: str, point=None):
         super().__init__(message)
         self.point = point
-        self.g = g
 
 
 class AcceptanceFailure(BioptError):

@@ -199,14 +199,14 @@ def _radial(sf: ScalingFunction, psi: SimpleOracle) -> bool:
 
 
 def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
-                     psi: SimpleOracle, tol: float | None = None) -> np.ndarray:
+                     psi: SimpleOracle) -> np.ndarray:
     """Minimize <c,h> + 2L sum_k D^{2k}f(y)[h]^{2k}/(2k)! + psi(y+h) + 2LH d_{p+1}(h).
 
     psi = 0 with q = 1 takes the radial reduction (the step solves
-    (2L D^2f(y) + 2LH ||h||^{p-1} B) h = -c), which needs no tol; otherwise
-    a backtracking proximal-gradient loop on the shifted objective
-    s(h) + psi(y+h), stopped at residual tol (subproblem_tol(||c||_*) when
-    None).
+    (2L D^2f(y) + 2LH ||h||^{p-1} B) h = -c), which needs no tolerance;
+    otherwise a backtracking proximal-gradient loop on the shifted objective
+    s(h) + psi(y+h), stopped at residual subproblem_tol(||c||_*), the error
+    AcceptedPoint's witness tolerance allows for.
 
     Backtracking halves t until the curvature along the step d is at most
     1/t: (grad s(h+d) - grad s(h)) . d <= ||d||^2/t, and raises
@@ -230,13 +230,10 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     Program. 140, 2013, carries t likewise); the first starts from h = 0,
     t = 1.  Only the path changes: the residual test still stops the loop.
     """
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be > 0")
     if _radial(sf, psi):
         return sf.radial(c_shift / (2.0 * L))
     m = sf.instance.metric
-    if tol is None:
-        tol = subproblem_tol(m.dual_norm(c_shift))
+    tol = subproblem_tol(m.dual_norm(c_shift))
 
     y = sf.y
     faces = set() if sf.q == 1 and psi.kind != "zero" and m.is_diagonal else None
@@ -317,7 +314,7 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
         if rhs <= 100.0 * ACCEPTANCE_ABS:
             # composite gradient at the numerical floor: the point is optimal
             # and residual-ratio certificates would be pure roundoff
-            raise OptimalityReached("anchor already optimal", point=nxt.x, g=g)
+            raise OptimalityReached("anchor already optimal", point=nxt.x)
         if lhs <= beta * rhs + ACCEPTANCE_REL * rhs:
             return AcceptedPoint(instance, y, H, p, beta, nxt.x, g, ev=nxt), i
         z, rho_grad_z, phi_z = nxt, rho_grad_next, phi_next

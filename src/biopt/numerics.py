@@ -173,9 +173,7 @@ def monotone_root(phi, lo: float, hi: float, dphi, start: float | None = None) -
     near the root so saves the far end and the steps in from it.  No bound
     against a cold call on [lo, hi] follows: from a start far from the
     root, or where phi is noise, the narrowed bracket's midpoints fall
-    elsewhere, and a call can take a few evaluations more (measured: at
-    most 2 more on superfast logbar-10-5, 5 on the d = 40 radial-solver
-    stress sweep, against an average of 1.1 and 1.8 fewer).
+    elsewhere, and a call can take a few evaluations more.
     """
     if start is not None and lo < start < hi:
         f_start = phi(start)
@@ -268,9 +266,8 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     (ScalingFunction.face_solver) or one sprox_quadratic call, so its
     solves differ only in g (and a), and the shift moves little between
     them (a median 9% to 15% between consecutive acceptance steps on the
-    superfast logbar-10-5 cells).  Secular evaluations per solve fell from
-    7.40 to 6.12 on logbar-10-5 seed 0 at p = 3; the shift found is the
-    cold solve's to a few ulps.
+    superfast logbar-10-5 cells), so the warm start saves secular
+    evaluations; the shift found is the cold solve's to a few ulps.
     (See More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983, and
     Nesterov & Polyak, Math. Program. 108, 2006, section 5.)
     """

@@ -408,21 +408,24 @@ def build_separable(a_rows: np.ndarray, b: np.ndarray, family: str,
                            name=name or f"separable-{family}")
 
 
-def newton_minimize(smooth: SmoothOracle, x0: np.ndarray, tol: float = 1e-13,
-                    max_iter: int = 200) -> np.ndarray:
+NEWTON_TOL = 1e-13  # newton_minimize stops at ||grad f|| <= NEWTON_TOL
+MAX_NEWTON_STEPS = 200  # newton_minimize raises BioptError past it
+
+
+def newton_minimize(smooth: SmoothOracle, x0: np.ndarray) -> np.ndarray:
     """Damped Newton for a smooth strictly convex f; feasibility-safe steps.
 
-    Stops at ||grad f|| <= tol or once the Newton decrement
+    Stops at ||grad f|| <= NEWTON_TOL or once the Newton decrement
     lambda^2 = <grad f, step> falls below f's resolution eps * max(|f|, 1)
     (Boyd & Vandenberghe, Convex Optimization, 2004, sec. 9.5).  Where the
     Armijo decrease 1e-4 lambda^2 is below it, rounding would decide the
     test, so the full step is taken (this deep in the quadratic phase it
-    stays in the domain).  Raises BioptError when max_iter runs out.
+    stays in the domain).  Raises BioptError after MAX_NEWTON_STEPS.
     """
     x = np.asarray(x0, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_STEPS):
         fx, g, hessian, _ = smooth.expansion_at(x, 1)
-        if np.linalg.norm(g) <= tol:
+        if np.linalg.norm(g) <= NEWTON_TOL:
             return x
         try:
             step = np.linalg.solve(hessian() + 1e-14 * np.eye(len(x)), g)
@@ -441,7 +444,7 @@ def newton_minimize(smooth: SmoothOracle, x0: np.ndarray, tol: float = 1e-13,
                 break
             t *= 0.5
         x = x - t * step
-    raise BioptError(f"newton_minimize: no convergence in {max_iter} iterations")
+    raise BioptError(f"newton_minimize: no convergence in {MAX_NEWTON_STEPS} iterations")
 
 
 def build_logbar(N: int, dim: int, seed: int = 0) -> ProblemInstance:

@@ -45,13 +45,14 @@ def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
     regularizer H|x - m|^{p+1}/(p+1), anchor m = xbar + tau*ubar.
 
     Candidates: the zero point on the interior of the segment (objective 0),
-    and per endpoint anchor m the root x of the signed stationarity equation
-    x + s*weight + H|x - m|^{p-1}(x - m) = 0, s = +-1, when s*x > 0, plus
-    x = 0 with subgradient H|m|^{p-1}m when that lies in [-weight, weight].
-    The left side increases with slope 1 + pH|x - m|^{p-1} and has the sign
-    of s at s(|m| + weight + 1); monotone_root between 0 and that point gives
-    the root on the s side of 0, or 0, which s*x > 1e-12 rejects.  The winner
-    minimizes the joint objective.
+    and one per endpoint anchor m, set by g0 = H|m|^{p-1}m: x = 0 with
+    subgradient g0 when |g0| <= weight, else the root x of the stationarity
+    equation x + s*weight + H|x - m|^{p-1}(x - m) = 0, s = sign(m), kept
+    when s*x > 1e-12.  The left side increases with slope 1 + pH|x - m|^{p-1}
+    and is s*weight - g0 at 0, so it has a root off 0 only on the s side and
+    only when s*g0 > weight; it has the sign of s at s(|m| + weight + 1),
+    where monotone_root's bracket ends.  The winner minimizes the joint
+    objective.
     """
     xbar, ubar, H = float(xbar), float(ubar), float(H)
 
@@ -66,18 +67,18 @@ def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
             candidates.append((0.0, ti, 0.0, "interior"))
     for tau, tag in ((0.0, "tau0"), (1.0, "tau1")):
         m = xbar + tau * ubar
-        span = abs(m) + weight + 1.0
-        for s, side in ((1.0, "pos"), (-1.0, "neg")):
-            x = monotone_root(
-                lambda x: x + s * weight + H * abs(x - m) ** (p - 1) * (x - m),
-                min(0.0, s * span), max(0.0, s * span),
-                lambda x: 1.0 + p * H * abs(x - m) ** (p - 1))
-            if s * x > 1e-12:
-                candidates.append((x, tau, s * weight, f"{tag}_{side}"))
+        s, branch = (1.0, f"{tag}_pos") if m >= 0.0 else (-1.0, f"{tag}_neg")
         g0 = H * abs(m) ** (p - 1) * m
         if abs(g0) <= weight:
-            side = "pos" if m >= 0.0 else "neg"
-            candidates.append((0.0, tau, g0, f"{tag}_{side}"))
+            candidates.append((0.0, tau, g0, branch))
+            continue
+        span = abs(m) + weight + 1.0
+        x = monotone_root(
+            lambda x: x + s * weight + H * abs(x - m) ** (p - 1) * (x - m),
+            min(0.0, s * span), max(0.0, s * span),
+            lambda x: 1.0 + p * H * abs(x - m) ** (p - 1))
+        if s * x > 1e-12:
+            candidates.append((x, tau, s * weight, branch))
     x, tau, g, branch = min(candidates, key=lambda c: objective(c[0], c[1]))
     return SproxResult(np.array([x]), tau, g, branch, objective(x, tau))
 

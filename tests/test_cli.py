@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from click.testing import CliRunner
 import biopt.cli
 from biopt.cli import main
 from biopt import RunTrace
+from biopt.driver import check_run_args, run
 
 
 @pytest.fixture
@@ -192,6 +194,38 @@ class TestRun:
         assert result.exit_code == 0
         assert result.output.count("status=") == 2
         assert built == [("quad-3",), ("quad-2",)]
+
+    def test_parallel_jobs_build_each_instance_once(self, runner, tmp_path,
+                                                    monkeypatch):
+        # the workers run the instances the up-front check built; the spy
+        # logs to a file, so a call in a (forked) worker would show too
+        log = tmp_path / "built.log"
+        build = biopt.cli.build_builtin
+
+        def spy(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{args[0]}\n")
+            return build(*args, **kwargs)
+        monkeypatch.setattr(biopt.cli, "build_builtin", spy)
+        cfg = {"runs": [
+            {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0, "budget": 5},
+            {"instance": "logbar-10-3", "mode": "superfast", "p": 2,
+             "beta": 0.2, "budget": 5},
+        ]}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg),
+                                      "--jobs", "2"])
+        assert result.exit_code == 0
+        assert result.output.count("status=") == 2
+        assert log.read_text().split() == ["quad-3", "logbar-10-3"]
+
+    def test_check_run_args_defaults_are_runs(self):
+        # biopt run checks a config's arguments up front with check_run_args,
+        # which must then judge the values run falls back to
+        check = inspect.signature(check_run_args).parameters
+        full = inspect.signature(run).parameters
+        for name, param in check.items():
+            assert param.default == full[name].default, name
+        assert list(check) == [n for n in full if n in check]
 
     def test_parallel_jobs_match_serial(self, runner, tmp_path):
         # the process-pool path (two workers) prints the serial lines, in order

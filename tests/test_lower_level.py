@@ -121,8 +121,7 @@ class TestSubproblemSolve:
         # stationarity 3h + 3h|h| = 1 -> h = (sqrt(21) - 3)/6
         inst = build_quadratic(np.array([[1.0]]), np.array([0.0]))
         sf = ScalingFunction(inst, np.array([0.0]), 1.0, 2)
-        h = subproblem_solve(sf, 1.5, np.array([-1.0]), SimpleOracle("zero"),
-                             tol=1e-12)
+        h = subproblem_solve(sf, 1.5, np.array([-1.0]), SimpleOracle("zero"))
         assert h[0] == pytest.approx((math.sqrt(21.0) - 3.0) / 6.0, abs=1e-10)
 
     def test_prox_gradient_agrees_with_radial(self):
@@ -130,9 +129,8 @@ class TestSubproblemSolve:
         inst = build_quadratic(np.array([[1.0]]), np.array([0.0]))
         sf = ScalingFunction(inst, np.array([0.0]), 1.0, 2)
         c = np.array([-1.0])
-        h_rad = subproblem_solve(sf, 1.5, c, SimpleOracle("zero"), tol=1e-12)
-        h_pg = subproblem_solve(sf, 1.5, c, SimpleOracle("l1", weight=0.0),
-                                tol=1e-12)
+        h_rad = subproblem_solve(sf, 1.5, c, SimpleOracle("zero"))
+        h_pg = subproblem_solve(sf, 1.5, c, SimpleOracle("l1", weight=0.0))
         assert h_pg[0] == pytest.approx(h_rad[0], abs=1e-8)
 
     @pytest.mark.parametrize("metric", ["identity", "spd"])
@@ -148,16 +146,10 @@ class TestSubproblemSolve:
         sf = ScalingFunction(inst, rng.standard_normal(3), 2.0, 2)
         c = rng.standard_normal(3)
         L = 1.5
-        h = subproblem_solve(sf, L, c, SimpleOracle("zero"), tol=1e-12)
+        h = subproblem_solve(sf, L, c, SimpleOracle("zero"))
         # optimality: c + 2L Q h + 2L H ||h||_B B h = 0
         res = c + 2 * L * (inst.smooth.Q @ h) + 2 * L * 2.0 * m.norm(h) * m.apply(h)
         np.testing.assert_allclose(res, np.zeros(3), atol=1e-9)
-
-    def test_invalid_tol(self):
-        inst = build_quadratic(np.array([[1.0]]), np.array([0.0]))
-        sf = ScalingFunction(inst, np.zeros(1), 1.0, 2)
-        with pytest.raises(ValueError, match="tol"):
-            subproblem_solve(sf, 1.5, np.array([1.0]), SimpleOracle("zero"), tol=0.0)
 
     def test_stall_reports_best_iterate(self, monkeypatch):
         # q = 2 (p = 4): no face step, so one proximal-gradient step stalls
@@ -165,7 +157,7 @@ class TestSubproblemSolve:
         sf = ScalingFunction(inst, np.array([2.0]), 1.0, 4)
         monkeypatch.setattr(biopt.lower, "MAX_SUBPROBLEM_STEPS", 1)
         with pytest.raises(SubproblemStall) as exc:
-            subproblem_solve(sf, 1.5, np.array([1.0]), inst.simple, tol=1e-14)
+            subproblem_solve(sf, 1.5, np.array([1.0]), inst.simple)
         assert exc.value.best is not None
 
     def test_exhausted_backtracking_is_a_stall(self):
@@ -187,8 +179,7 @@ class TestSubproblemSolve:
                                SimpleOracle("l1", weight=0.5), Metric(dim=2), 2)
         sf = ScalingFunction(inst, np.zeros(2), 1.0, 2)
         with pytest.raises(SubproblemStall, match="backtracking") as exc:
-            subproblem_solve(sf, 1.5, np.array([1.0, -2.0]), inst.simple,
-                             tol=1e-12)
+            subproblem_solve(sf, 1.5, np.array([1.0, -2.0]), inst.simple)
         np.testing.assert_array_equal(exc.value.best, np.zeros(2))
 
 
@@ -213,7 +204,7 @@ class TestFaceStep:
 
     def solve(self, inst, y, c, p):
         return subproblem_solve(ScalingFunction(inst, y, 1.0, p), self.L, c,
-                                inst.simple, tol=1e-12)
+                                inst.simple)
 
     @pytest.mark.parametrize("diagonal", [False, True])
     @pytest.mark.parametrize("kind", ["l1", "box"])
@@ -258,9 +249,9 @@ class TestFaceStep:
             inst, y, c = composite_case(kind, seed, diagonal=diagonal)
             c_next = c + 0.3 * np.random.default_rng(seed + 10).standard_normal(c.size)
             sf = ScalingFunction(inst, y, 1.0, p)
-            subproblem_solve(sf, self.L, c, inst.simple, tol=1e-12)
+            subproblem_solve(sf, self.L, c, inst.simple)
             assert sf.warm_start[1] is not None
-            h = subproblem_solve(sf, self.L, c_next, inst.simple, tol=1e-12)
+            h = subproblem_solve(sf, self.L, c_next, inst.simple)
             np.testing.assert_allclose(h, self.solve(inst, y, c_next, p), atol=1e-9)
             self.assert_witness(inst, y, c_next, h, p)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import biopt.problems
 from biopt import (BioptError, Metric, ProblemInstance, QuadraticOracle,
                    SeparableOracle, SimpleOracle, build_builtin,
                    build_example_1d, build_logbar, build_quadratic,
@@ -275,10 +276,11 @@ class TestInstances:
         inst = build_logbar(200, 50, seed=0)
         assert np.linalg.norm(inst.smooth.value_grad(inst.x_star)[1]) <= 1e-9
 
-    def test_newton_iteration_cap_raises(self):
+    def test_newton_iteration_cap_raises(self, monkeypatch):
         smooth = build_logbar(10, 5, seed=1).smooth
-        with pytest.raises(BioptError, match="no convergence"):
-            newton_minimize(smooth, np.ones(5), max_iter=1)
+        monkeypatch.setattr(biopt.problems, "MAX_NEWTON_STEPS", 1)
+        with pytest.raises(BioptError, match="no convergence in 1 iterations"):
+            newton_minimize(smooth, np.ones(5))
 
     def test_build_logbar_properties(self):
         inst = build_logbar(10, 5, seed=0)

@@ -102,6 +102,24 @@ class TestExactSproxGeneral:
                 assert res.objective == pytest.approx(ref_obj, abs=1e-9)
                 assert res.x_plus[0] == pytest.approx(ref_x, abs=1e-7)
 
+    @pytest.mark.parametrize("H,p,w", [(1.0, 3, 1.0), (2.0, 2, 0.5),
+                                       (0.5, 4, 2.0), (3.0, 5, 1.0)])
+    def test_one_root_search_per_endpoint(self, H, p, w, monkeypatch):
+        # g0 = H|m|^{p-1}m decides each endpoint: x = 0 when |g0| <= w, else
+        # the one root on the side sign(m); the objective picks among them
+        calls = []
+        root = segment.monotone_root
+        monkeypatch.setattr(segment, "monotone_root",
+                            lambda *a, **k: calls.append(1) or root(*a, **k))
+        rng = np.random.default_rng(31)
+        for scale in (1e-3, 1.0, 10.0):
+            for _ in range(100):
+                xbar, ubar = scale * rng.uniform(-3.0, 3.0, size=2)
+                calls.clear()
+                exact_sprox_1d_general(xbar, ubar, H, p, weight=w)
+                g0 = [H * abs(m) ** (p - 1) * m for m in (xbar, xbar + ubar)]
+                assert len(calls) == sum(abs(g) > w for g in g0) <= 2
+
     @pytest.mark.parametrize("H,p", [(2.0, 2), (0.5, 4)])
     def test_agrees_with_reference(self, H, p):
         inst = build_example_1d()
