@@ -63,9 +63,10 @@ class AcceptedPoint:
     always valid.  The lower level's g errs by at most its subproblem
     residual, subproblem_tol(||c||_*) for the step's linear term c, which is
     not known here; so membership allows 100 subproblem_tol(||grad f(T)||_*
-    + ||g||_*).  On the 84 accepted points of the quad l1/box cells, warm
-    start or not, ||c||_* <= 7.3 times that scale and the error <= 6.1e-6
-    subproblem_tol, as face steps end on exact face minimizers.  ev, the
+    + ||g||_*).  On the 83 accepted points of the quad l1/box cells, where
+    c carries the step's gain, ||c||_* <= 2.6 times that scale and the
+    error <= 9.7e-6 subproblem_tol(||c||_*), as face steps end on exact
+    face minimizers.  ev, the
     caller's evaluation at T, is refused unless taken at T itself; the
     regularizer term is recomputed here, so its anchor, H and p cannot differ.
     """

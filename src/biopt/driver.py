@@ -202,7 +202,12 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     off F, so dx_F/dt = -(x - x0)_F and phi'(t) = 2||(x - x0)_F||^2, taken
     from the same prox call as phi.
     Any dual value is a sound lower bound, so whatever t is, the returned
-    gap dominates F(x_k) - F* when R >= ||x0 - x*||.
+    gap dominates F(x_k) - F* when R >= ||x0 - x*||.  So phi is reported as
+    0, which ends the search, once |phi| is below its own roundoff: x_F is
+    x0_F - shift_F/lam less a threshold, good to a few ulps of
+    |x0_F| + |shift_F|/lam (off F the prox is exact), which moves
+    ||x - x0||^2 ~ R^2 by about 2R times that.  Without this the search
+    halves the band where phi is noise down to resolution.
     """
     if state.A <= 0.0:
         raise CertificateUndefined("certificate undefined")
@@ -215,13 +220,20 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
         return F_val - lower
     shift = m.solve(s_hat)
 
+    x0_scale = np.abs(state.x0)
+    shift_scale = np.abs(shift)
+
     @cache
     def at(t: float) -> tuple[float, float, float]:  # phi, phi' and the dual
         lam = math.exp(t)
         xh = psi.scaled_prox(1.0 / lam, state.x0 - shift / lam, m)
         d = xh - state.x0
+        free = psi.free(xh)
         excess = m.norm(d) ** 2 - R * R
-        return (-excess, 2.0 * m.norm(np.where(psi.free(xh), d, 0.0)) ** 2,
+        scale = m.norm(np.where(free, x0_scale + shift_scale / lam, 0.0))
+        noise = 8.0 * sys.float_info.epsilon * R * (R + scale)
+        return (-excess if abs(excess) > noise else 0.0,
+                2.0 * m.norm(np.where(free, d, 0.0)) ** 2,
                 float(s_hat @ xh) + psi.value(xh) + c_hat + 0.5 * lam * excess)
 
     t = monotone_root(lambda t: at(t)[0], -40.0, 40.0, lambda t: at(t)[1])

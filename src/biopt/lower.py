@@ -34,7 +34,10 @@ class RelSmoothParams:
     kappa: float
 
 
-REL_SMOOTH_L = 1.5  # L of the canonical xi = 2; the lower level's step uses 2L
+# L of the canonical xi = 2.  A lower-level step's gain starts at 1 and
+# doubles while the relative descent test fails, up to the cap 2L, where the
+# relative smoothness bound holds without a test (_composite_step)
+REL_SMOOTH_L = 1.5
 MAX_ACCEPTANCE_STEPS = 200  # solve_acceptable raises AcceptanceFailure past it
 MAX_SUBPROBLEM_STEPS = 500  # subproblem_solve raises SubproblemStall past it
 
@@ -58,7 +61,8 @@ class ScalingFunction:
 
     Also the step subproblem's cache for this one anchor: D^2 f(y), its
     radial solvers (each starting at its last solve's shift) and
-    warm_start, the last call's step length and prox point.
+    warm_start, the last call's gain times step length and prox point
+    (1 and y before the first call).
     """
 
     def __init__(self, instance: ProblemInstance, y: np.ndarray, H: float, p: int):
@@ -68,7 +72,7 @@ class ScalingFunction:
         self.p = int(p)
         self.q = p // 2
         self._face_solvers = {}
-        self.warm_start = (1.0, None)
+        self.warm_start = (1.0, self.y)
 
     @cached_property
     def expansion(self):
@@ -84,6 +88,14 @@ class ScalingFunction:
         """(h -> (D^{2k} f(y)[h]^{2k}, h-gradient), (2k)!) for k = 1..q, once per y."""
         return [(form, math.factorial(2 * k))
                 for k, form in enumerate(self.expansion[3], 1)]
+
+    def value(self, x: np.ndarray, dval: float) -> float:
+        """rho at x, with dval = prox_power(x - y)[0]."""
+        h = np.asarray(x, dtype=float) - self.y
+        val = self.H * dval
+        for form, fac in self.forms:
+            val += form(h)[0] / fac
+        return val
 
     def value_grad(self, x: np.ndarray, d=None) -> tuple[float, np.ndarray]:
         """rho and its gradient at x; d is prox_power(x - y) if already known."""
@@ -124,12 +136,18 @@ class ScalingFunction:
         return entry
 
 
+def bregman_term(vx: float, gx: np.ndarray, vz: float, d: np.ndarray) -> float:
+    """vz - vx - <gx, d>: the Bregman distance between x and z = x + d of a
+    function with values vx, vz at x, z and gradient gx at x."""
+    return vz - vx - float(gx @ d)
+
+
 def bregman(sf: ScalingFunction, x: np.ndarray, z: np.ndarray) -> float:
     """beta_rho(x, z) = rho(z) - rho(x) - <grad rho(x), z - x>; nonnegative."""
     vz, _ = sf.value_grad(z)
     vx, gx = sf.value_grad(x)
     d = np.asarray(z, dtype=float) - np.asarray(x, dtype=float)
-    return vz - vx - float(gx @ d)
+    return bregman_term(vx, gx, vz, d)
 
 
 def reg_bregman(instance: ProblemInstance, anchor: np.ndarray, H: float,
@@ -137,27 +155,26 @@ def reg_bregman(instance: ProblemInstance, anchor: np.ndarray, H: float,
     """Bregman distance of the regularized function f^p_{anchor,H}."""
     ez = evaluate(instance, anchor, H, p, z)
     ex = evaluate(instance, anchor, H, p, x)
-    d = ez.x - ex.x
-    return ez.reg_value - ex.reg_value - float(ex.reg_grad @ d)
+    return bregman_term(ex.reg_value, ex.reg_grad, ez.reg_value, ez.x - ex.x)
 
 
-def _shifted_grad(sf: ScalingFunction, L: float, c_shift: np.ndarray,
+def _shifted_grad(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
                   h: np.ndarray) -> np.ndarray:
     """Gradient of the step subproblem's smooth part at the shifted h = z - y."""
-    grad = c_shift + 2.0 * L * sf.H * prox_power(sf.instance.metric, h, sf.p)[1]
+    grad = c_shift + gain * sf.H * prox_power(sf.instance.metric, h, sf.p)[1]
     for form, fac in sf.forms:
-        grad = grad + 2.0 * L * form(h)[1] / fac
+        grad = grad + gain * form(h)[1] / fac
     return grad
 
 
-def _face_step(sf: ScalingFunction, L: float, c_shift: np.ndarray,
+def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
                psi: SimpleOracle, x: np.ndarray, tried: set) -> np.ndarray | None:
     """Minimizer of the q = 1 step subproblem on the face of x, if inside it.
 
     The face holds the active coordinates A (l1: x_A = 0, signs sigma on
     the rest; box: x_A at lo or hi) and frees F.  With h_A fixed there, the
     step's stationarity on F is the secular equation
-    (K_FF + H r^{p-1} B_FF) h_F = -(c_F/(2L) + [l1] w sigma_F/(2L) + K_FA h_A),
+    (K_FF + H r^{p-1} B_FF) h_F = -(c_F/gain + [l1] w sigma_F/gain + K_FA h_A),
     r^2 = ||h_F||^2 + ||h_A||^2, solved by the face's radial solver with the
     norm offset ||h_A|| (Byrd, Chin, Nocedal & Oztoprak, Math. Program. 159,
     2016).  Returns the step h, or None when the face is in tried (which
@@ -180,9 +197,9 @@ def _face_step(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     if not free.any():
         return h
     solve, K_FA = sf.face_solver(free)
-    g = c_shift[free] / (2.0 * L) + K_FA @ h[~free]
+    g = c_shift[free] / gain + K_FA @ h[~free]
     if psi.kind == "l1":
-        g = g + psi.weight * pattern[free] / (2.0 * L)
+        g = g + psi.weight * pattern[free] / gain
     h[free] = solve(g, sf.instance.metric.norm(h))
     x_free = y[free] + h[free]
     if psi.kind == "l1":
@@ -198,12 +215,13 @@ def _radial(sf: ScalingFunction, psi: SimpleOracle) -> bool:
     return psi.kind == "zero" and sf.q == 1
 
 
-def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
+def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
                      psi: SimpleOracle) -> np.ndarray:
-    """Minimize <c,h> + 2L sum_k D^{2k}f(y)[h]^{2k}/(2k)! + psi(y+h) + 2LH d_{p+1}(h).
+    """Minimize <c,h> + gain (sum_k D^{2k}f(y)[h]^{2k}/(2k)! + H d_{p+1}(h)) + psi(y+h),
+    i.e. <c,h> + gain rho(y+h) + psi(y+h), for the step's gain.
 
     psi = 0 with q = 1 takes the radial reduction (the step solves
-    (2L D^2f(y) + 2LH ||h||^{p-1} B) h = -c), which needs no tolerance;
+    (D^2f(y) + H ||h||^{p-1} B) h = -c/gain), which needs no tolerance;
     otherwise a backtracking proximal-gradient loop on the shifted objective
     s(h) + psi(y+h), stopped at residual subproblem_tol(||c||_*), the error
     AcceptedPoint's witness tolerance allows for.
@@ -219,37 +237,45 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
     For q = 1, l1 or box psi and a diagonal metric, each step that misses
     the tolerance is followed by a face step: the first time a call meets
     a face, it jumps to the minimizer on that face when it lies strictly
-    inside it (_face_step).  The next step's residual then accepts or
-    rejects the point, so the stopping rule is the same as without it; a
-    wrong face costs only the proximal-gradient steps that follow.
+    inside it (_face_step).  The jump's point is returned when -grad s there
+    is a subgradient of psi to within the tolerance (the subproblem's
+    optimality condition, which AcceptedPoint checks of the step's witness
+    g = -grad s); otherwise the next step's residual accepts or rejects it,
+    so a wrong face costs only the proximal-gradient steps that follow.
 
     Calls at one anchor (one sf) differ only in c, which the curvature test
-    does not involve.  So a call stores its last t and prox point in
-    sf.warm_start, and the next call at that anchor starts backtracking
-    from that t after a face step on that point's face (Nesterov, Math.
-    Program. 140, 2013, carries t likewise); the first starts from h = 0,
-    t = 1.  Only the path changes: the residual test still stops the loop.
+    does not involve, and in the gain, which scales s's curvature.  So a
+    call stores gain t and its last prox point in sf.warm_start, and the
+    next call at that anchor starts backtracking from that product over its
+    own gain after a face step on that point's face (Nesterov, Math.
+    Program. 140, 2013, carries t likewise); the first call starts with a
+    face step on the anchor's face, from t = 1/gain.  Only the path changes:
+    the stopping rules stay.
     """
     if _radial(sf, psi):
-        return sf.radial(c_shift / (2.0 * L))
+        return sf.radial(c_shift / gain)
     m = sf.instance.metric
     tol = subproblem_tol(m.dual_norm(c_shift))
 
     y = sf.y
     faces = set() if sf.q == 1 and psi.kind != "zero" and m.is_diagonal else None
-    t, x = sf.warm_start
-    h = None if x is None or faces is None else \
-        _face_step(sf, L, c_shift, psi, x, faces)
+    gain_t, x = sf.warm_start
+    t = gain_t / gain
+    h = None if faces is None else _face_step(sf, gain, c_shift, psi, x, faces)
+    jumped = h is not None
     if h is None:
         h = np.zeros(m.dim)
-    sgrad = _shifted_grad(sf, L, c_shift, h)
+    sgrad = _shifted_grad(sf, gain, c_shift, h)
     for _ in range(MAX_SUBPROBLEM_STEPS):
+        if jumped and psi.in_subdifferential(y + h, -sgrad, tol):
+            sf.warm_start = (gain * t, y + h)
+            return h
         for _ in range(80):
             w = h - t * m.solve(sgrad)
             x = psi.scaled_prox(t, y + w, m)
             trial = x - y
             d = trial - h
-            sgrad_t = _shifted_grad(sf, L, c_shift, trial)
+            sgrad_t = _shifted_grad(sf, gain, c_shift, trial)
             if float((sgrad_t - sgrad) @ d) <= m.norm(d) ** 2 / t:
                 break
             t *= 0.5
@@ -258,11 +284,12 @@ def subproblem_solve(sf: ScalingFunction, L: float, c_shift: np.ndarray,
         residual = m.norm(d) / t
         h, sgrad = trial, sgrad_t
         if residual <= tol:
-            sf.warm_start = (t, x)
+            sf.warm_start = (gain * t, x)
             return h
-        jump = None if faces is None else _face_step(sf, L, c_shift, psi, x, faces)
-        if jump is not None:
-            h, sgrad = jump, _shifted_grad(sf, L, c_shift, jump)
+        jump = None if faces is None else _face_step(sf, gain, c_shift, psi, x, faces)
+        jumped = jump is not None
+        if jumped:
+            h, sgrad = jump, _shifted_grad(sf, gain, c_shift, jump)
     raise SubproblemStall("subproblem stall", best=h)
 
 
@@ -270,44 +297,45 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
                      beta: float) -> tuple[AcceptedPoint, int]:
     """Non-Euclidean composite gradient loop producing an acceptable pair.
 
-    Starts at z0 = y; each step minimizes the Bregman-linearized model with
-    L = REL_SMOOTH_L, recovers the constructive psi-subgradient from the
-    step's optimality condition, and tests acceptance on the freshest
-    iterate.  The safeguard's PointEval of z_{i+1} is the only evaluation of
-    z_{i+1}: the test, the next step and the AcceptedPoint reuse it.
+    Starts at z0 = y; each step minimizes the Bregman-linearized model
+    <grad f^p(z_i), x - z_i> + psi(x) + gain beta_rho(z_i, x) with the
+    step's gain (_composite_step), recovers the constructive
+    psi-subgradient from the step's optimality condition, and tests
+    acceptance on the freshest iterate.  The safeguard's PointEval of
+    z_{i+1} is the only evaluation of z_{i+1}: the gain's test, the
+    acceptance test, the next step and the AcceptedPoint reuse it.
     Likewise the anchor's one evaluation (ScalingFunction.expansion) gives f
     and grad f at z0 = y, D^2 f(y) and the even forms; outside the domain of
     f it raises DomainViolation.
 
-    The loop carries the dual point grad rho(z_i), which the step's linear
-    term c_i = grad f^p(z_i) - 2L grad rho(z_i) needs.  grad rho(z0) = 0,
-    since rho is smallest at its anchor.  On the radial path (psi = 0,
-    q = 1) the step's optimality condition c_i + 2L grad rho(y + h) = 0
-    gives grad rho(z_{i+1}) = -c_i/(2L) (Lu, Freund & Nesterov, SIAM J.
-    Optim. 28(1), 2018), so no oracle runs for it.  It is exact up to the
-    secular solve's roundoff and the rounding of z_{i+1} = y + h, which
-    moves grad rho by at most eps/2 ||D^2 rho|| ||z_{i+1}||.
+    The loop carries rho(z_i) and the dual point grad rho(z_i), which the
+    gain's test and the step's linear term c_i = grad f^p(z_i) - gain
+    grad rho(z_i) need.  rho(z0) = 0 and grad rho(z0) = 0, since rho is
+    smallest at its anchor.  On the radial path (psi = 0, q = 1) the step's
+    optimality condition c_i + gain grad rho(y + h) = 0 gives
+    grad rho(z_{i+1}) = -c_i/gain (Lu, Freund & Nesterov, SIAM J. Optim.
+    28(1), 2018), so no oracle runs for it.  It is exact up to the secular
+    solve's roundoff and the rounding of z_{i+1} = y + h, which moves
+    grad rho by at most eps/2 ||D^2 rho|| ||z_{i+1}||.
     ScalingFunction.value_grad still evaluates it after a safeguard
     halving, where z_{i+1} is no longer the step's minimizer, and on every
     proximal-gradient path (psi != 0 or q >= 2), where g is built from the
     difference of the two dual points.
     """
     y = np.asarray(y, dtype=float)
-    L = REL_SMOOTH_L
     sf = ScalingFunction(instance, y, H, p)
     m = instance.metric
     psi = instance.simple
     z = evaluate(instance, y, H, p, y, fg=sf.expansion[:2])
     phi_z = z.reg_value + psi.value(y)  # the d_{p+1} term is 0 at z0 = y
-    rho_grad_z = np.zeros(m.dim)
+    rho_z = 0.0, np.zeros(m.dim)
     history = []
     for i in range(1, MAX_ACCEPTANCE_STEPS + 1):
-        nxt, phi_next, rho_grad_next = _composite_step(sf, L, psi, z, phi_z,
-                                                       rho_grad_z)
+        nxt, phi_next, rho_next, gain = _composite_step(sf, psi, z, phi_z, rho_z)
         if psi.kind == "zero":
             g = np.zeros(m.dim)
         else:
-            g = 2.0 * L * (rho_grad_z - rho_grad_next) - z.reg_grad
+            g = gain * (rho_z[1] - rho_next[1]) - z.reg_grad
         lhs = m.dual_norm(nxt.reg_grad + g)
         rhs = m.dual_norm(nxt.grad + g)
         history.append(lhs)
@@ -317,22 +345,60 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
             raise OptimalityReached("anchor already optimal", point=nxt.x)
         if lhs <= beta * rhs + ACCEPTANCE_REL * rhs:
             return AcceptedPoint(instance, y, H, p, beta, nxt.x, g, ev=nxt), i
-        z, rho_grad_z, phi_z = nxt, rho_grad_next, phi_next
+        z, rho_z, phi_z = nxt, rho_next, phi_next
     raise AcceptanceFailure("acceptance not reached", residual_history=history)
 
 
-def _composite_step(sf: ScalingFunction, L: float, psi: SimpleOracle, z,
-                    phi_z: float, rho_grad_z: np.ndarray):
+def _descends(z, rho_z, nxt, rho_next, gain: float) -> bool:
+    """The relative descent inequality beta_{f^p}(z, z+) <= gain
+    beta_rho(z, z+) from the PointEvals and (rho, grad rho) at z and z+,
+    with a roundoff-level slack."""
+    d = nxt.x - z.x
+    slack = 1e-12 * (1.0 + abs(z.reg_value) + gain * rho_z[0])
+    return (bregman_term(z.reg_value, z.reg_grad, nxt.reg_value, d)
+            <= gain * bregman_term(*rho_z, rho_next[0], d) + slack)
+
+
+def _composite_step(sf: ScalingFunction, psi: SimpleOracle, z, phi_z: float,
+                    rho_z: tuple[float, np.ndarray]):
     """One step of solve_acceptable's loop from z (a PointEval) with
-    grad rho(z) = rho_grad_z: the PointEval of z_{i+1}, phi(z_{i+1}) and
-    grad rho(z_{i+1}), carried from the step on the radial path."""
+    (rho(z), grad rho(z)) = rho_z: the PointEval of z_{i+1}, phi(z_{i+1}),
+    (rho(z_{i+1}), grad rho(z_{i+1})) and the step's gain.
+
+    The gain starts at 1.  A step is kept when the relative descent
+    inequality beta_{f^p}(z, z+) <= gain beta_rho(z, z+) holds up to a
+    roundoff-level slack (_descends; one bregman_term for both sides); else the gain
+    doubles, capped at 2L, and the step is redone from z.  An iterate
+    outside the domain of f fails the test.  At the cap 2L no test runs:
+    relative smoothness gives the inequality on the operating region, and
+    the safeguard below covers the rest.  The linear rate of the Bregman
+    composite gradient uses only this inequality along the iterates, with
+    factor 1 - mu/gain <= 1 - mu/(2L) (Bauschke, Bolte & Teboulle, Math.
+    Oper. Res. 42(2), 2017; backtracking on the gain: Hanzely, Richtarik &
+    Xiao, Comput. Optim. Appl. 79, 2021).  Since f^p - rho is f less its
+    even Taylor terms at y, the two Bregman distances nearly agree, and
+    gain 1 mostly passes.  The test needs no oracle call: f^p(z+) is in
+    z+'s PointEval and rho(z+) comes from its d_{p+1} and the even forms.
+    """
     instance, y = sf.instance, sf.y
-    c_shift = z.reg_grad - 2.0 * L * rho_grad_z
-    h = subproblem_solve(sf, L, c_shift, psi)
-    z_next = y + h
+    cap = 2.0 * REL_SMOOTH_L
+    gain = 1.0
+    while True:
+        c_shift = z.reg_grad - gain * rho_z[1]
+        h = subproblem_solve(sf, gain, c_shift, psi)
+        z_next = y + h
+        nxt = evaluate(instance, y, sf.H, sf.p, z_next)
+        if nxt.grad is not None:
+            rho_next = (sf.value(z_next, nxt.d[0]), c_shift / -gain) \
+                if _radial(sf, psi) else sf.value_grad(z_next, nxt.d)
+        if gain == cap or nxt.grad is not None and \
+                _descends(z, rho_z, nxt, rho_next, gain):
+            break
+        gain = min(2.0 * gain, cap)
     # open-domain safeguard: halve toward z until feasible and nonincreasing
     for halvings in range(61):
-        nxt = evaluate(instance, y, sf.H, sf.p, z_next)
+        if halvings:
+            nxt = evaluate(instance, y, sf.H, sf.p, z_next)
         phi_next = nxt.reg_value + psi.value(z_next) \
             if math.isfinite(nxt.reg_value) else math.inf
         if phi_next <= phi_z + 1e-12 * (1.0 + abs(phi_z)) or halvings == 60:
@@ -340,8 +406,6 @@ def _composite_step(sf: ScalingFunction, L: float, psi: SimpleOracle, z,
         z_next = z.x + 0.5 * (z_next - z.x)
     if nxt.grad is None:
         raise DomainViolation("iterate outside the domain of f")
-    if halvings == 0 and _radial(sf, psi):
-        rho_grad_next = c_shift / (-2.0 * L)
-    else:
-        rho_grad_next = sf.value_grad(z_next, nxt.d)[1]
-    return nxt, phi_next, rho_grad_next
+    if halvings:
+        rho_next = sf.value_grad(z_next, nxt.d)
+    return nxt, phi_next, rho_next, gain

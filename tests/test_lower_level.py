@@ -12,8 +12,9 @@ from biopt import (AcceptanceFailure, AcceptedPoint, DomainViolation,
                    ProblemInstance, QuadraticOracle, ScalingFunction,
                    SimpleOracle, SubproblemStall, bregman,
                    build_builtin, build_example_1d, build_logbar,
-                   build_quadratic, evaluate, reg_bregman, rel_smooth_params,
-                   run, solve_acceptable, subproblem_solve, verify_trace)
+                   build_quadratic, evaluate, exact_sprox_1d_general,
+                   reg_bregman, rel_smooth_params, run, solve_acceptable,
+                   sprox_reference, subproblem_solve, verify_trace)
 
 
 def fd_grad(fun, x, eps=1e-6):
@@ -117,11 +118,11 @@ class TestBregman:
 
 class TestSubproblemSolve:
     def test_radial_frozen_1d(self):
-        # 1-D, psi = 0, q = 1, p = 2, H = 1, L = 3/2, c = -1:
+        # 1-D, psi = 0, q = 1, p = 2, H = 1, gain 3, c = -1:
         # stationarity 3h + 3h|h| = 1 -> h = (sqrt(21) - 3)/6
         inst = build_quadratic(np.array([[1.0]]), np.array([0.0]))
         sf = ScalingFunction(inst, np.array([0.0]), 1.0, 2)
-        h = subproblem_solve(sf, 1.5, np.array([-1.0]), SimpleOracle("zero"))
+        h = subproblem_solve(sf, 3.0, np.array([-1.0]), SimpleOracle("zero"))
         assert h[0] == pytest.approx((math.sqrt(21.0) - 3.0) / 6.0, abs=1e-10)
 
     def test_prox_gradient_agrees_with_radial(self):
@@ -129,8 +130,8 @@ class TestSubproblemSolve:
         inst = build_quadratic(np.array([[1.0]]), np.array([0.0]))
         sf = ScalingFunction(inst, np.array([0.0]), 1.0, 2)
         c = np.array([-1.0])
-        h_rad = subproblem_solve(sf, 1.5, c, SimpleOracle("zero"))
-        h_pg = subproblem_solve(sf, 1.5, c, SimpleOracle("l1", weight=0.0))
+        h_rad = subproblem_solve(sf, 3.0, c, SimpleOracle("zero"))
+        h_pg = subproblem_solve(sf, 3.0, c, SimpleOracle("l1", weight=0.0))
         assert h_pg[0] == pytest.approx(h_rad[0], abs=1e-8)
 
     @pytest.mark.parametrize("metric", ["identity", "spd"])
@@ -145,10 +146,10 @@ class TestSubproblemSolve:
         m = inst.metric
         sf = ScalingFunction(inst, rng.standard_normal(3), 2.0, 2)
         c = rng.standard_normal(3)
-        L = 1.5
-        h = subproblem_solve(sf, L, c, SimpleOracle("zero"))
-        # optimality: c + 2L Q h + 2L H ||h||_B B h = 0
-        res = c + 2 * L * (inst.smooth.Q @ h) + 2 * L * 2.0 * m.norm(h) * m.apply(h)
+        gain = 3.0
+        h = subproblem_solve(sf, gain, c, SimpleOracle("zero"))
+        # optimality: c + gain Q h + gain H ||h||_B B h = 0
+        res = c + gain * (inst.smooth.Q @ h) + gain * 2.0 * m.norm(h) * m.apply(h)
         np.testing.assert_allclose(res, np.zeros(3), atol=1e-9)
 
     def test_stall_reports_best_iterate(self, monkeypatch):
@@ -157,7 +158,7 @@ class TestSubproblemSolve:
         sf = ScalingFunction(inst, np.array([2.0]), 1.0, 4)
         monkeypatch.setattr(biopt.lower, "MAX_SUBPROBLEM_STEPS", 1)
         with pytest.raises(SubproblemStall) as exc:
-            subproblem_solve(sf, 1.5, np.array([1.0]), inst.simple)
+            subproblem_solve(sf, 3.0, np.array([1.0]), inst.simple)
         assert exc.value.best is not None
 
     def test_exhausted_backtracking_is_a_stall(self):
@@ -179,7 +180,7 @@ class TestSubproblemSolve:
                                SimpleOracle("l1", weight=0.5), Metric(dim=2), 2)
         sf = ScalingFunction(inst, np.zeros(2), 1.0, 2)
         with pytest.raises(SubproblemStall, match="backtracking") as exc:
-            subproblem_solve(sf, 1.5, np.array([1.0, -2.0]), inst.simple)
+            subproblem_solve(sf, 3.0, np.array([1.0, -2.0]), inst.simple)
         np.testing.assert_array_equal(exc.value.best, np.zeros(2))
 
 
@@ -200,10 +201,10 @@ def composite_case(kind, seed, d=6, diagonal=False):
 
 
 class TestFaceStep:
-    L = 1.5
+    gain = 1.0
 
     def solve(self, inst, y, c, p):
-        return subproblem_solve(ScalingFunction(inst, y, 1.0, p), self.L, c,
+        return subproblem_solve(ScalingFunction(inst, y, 1.0, p), self.gain, c,
                                 inst.simple)
 
     @pytest.mark.parametrize("diagonal", [False, True])
@@ -236,7 +237,7 @@ class TestFaceStep:
         # the step's witness -grad s(h) lies in the subdifferential of psi
         m = inst.metric
         reg = m.norm(h) ** (p - 1) * m.apply(h)
-        g = -(c + 2 * self.L * (inst.smooth.Q @ h + reg))
+        g = -(c + self.gain * (inst.smooth.Q @ h + reg))
         assert inst.simple.in_subdifferential(y + h, g, tol=1e-9)
 
     @pytest.mark.parametrize("diagonal", [False, True])
@@ -249,17 +250,19 @@ class TestFaceStep:
             inst, y, c = composite_case(kind, seed, diagonal=diagonal)
             c_next = c + 0.3 * np.random.default_rng(seed + 10).standard_normal(c.size)
             sf = ScalingFunction(inst, y, 1.0, p)
-            subproblem_solve(sf, self.L, c, inst.simple)
+            subproblem_solve(sf, self.gain, c, inst.simple)
             assert sf.warm_start[1] is not None
-            h = subproblem_solve(sf, self.L, c_next, inst.simple)
+            h = subproblem_solve(sf, self.gain, c_next, inst.simple)
             np.testing.assert_allclose(h, self.solve(inst, y, c_next, p), atol=1e-9)
             self.assert_witness(inst, y, c_next, h, p)
 
     def test_wrong_first_face_still_converges(self, monkeypatch):
-        # seed 2: the first face's minimizer lies inside that face but is not
-        # the step (its zero set has subgradients beyond the weight), so the
-        # residual test rejects it and the loop goes on to the right face
-        inst, y, c = composite_case("l1", 2)
+        # seed 0 at gain 1: the anchor's face holds no minimizer inside it;
+        # the next face's minimizer lies inside that face but is not the
+        # step (its zero set has subgradients beyond the weight), so the
+        # optimality and residual tests reject it and the loop goes on to
+        # the right face
+        inst, y, c = composite_case("l1", 0)
         face_step, jumps = biopt.lower._face_step, []
 
         def recorded_face_step(*args):
@@ -268,10 +271,22 @@ class TestFaceStep:
             return h
         monkeypatch.setattr(biopt.lower, "_face_step", recorded_face_step)
         h = self.solve(inst, y, c, 2)
-        assert jumps[0] is not None
-        assert np.max(np.abs(jumps[0] - h)) > 1e-3
+        inside = [jump for jump in jumps if jump is not None]
+        assert jumps[0] is None and len(inside) >= 2
+        assert np.max(np.abs(inside[0] - h)) > 1e-3
         monkeypatch.setattr(biopt.lower, "_face_step", lambda *args: None)
         np.testing.assert_allclose(h, self.solve(inst, y, c, 2), atol=1e-9)
+
+
+class LeftOf(QuadraticOracle):
+    """f(x) = x^2/2 - 10x declared only on x < edge (1-D)."""
+
+    def __init__(self, edge):
+        super().__init__(np.eye(1), np.array([10.0]))
+        self.edge = edge
+
+    def value_grad(self, x):
+        return (math.inf, None) if x[0] >= self.edge else super().value_grad(x)
 
 
 class TestSolveAcceptable:
@@ -337,7 +352,8 @@ class TestSolveAcceptable:
 
 class TestCarriedDualPoint:
     """On the radial path solve_acceptable carries grad rho(z_{i+1}) =
-    -c_i/(2L) from the step's optimality condition instead of evaluating it.
+    -c_i/gain from the step's optimality condition instead of evaluating it;
+    rho(z_{i+1}) comes from ScalingFunction.value, without a gradient.
 
     That is grad rho at y + h; the iterate is y + h rounded, which moves
     grad rho by up to u ||D^2 rho|| ||z|| (u = eps/2, ||D^2 rho|| <= ||K|| +
@@ -349,15 +365,16 @@ class TestCarriedDualPoint:
 
     @staticmethod
     def record(monkeypatch):
-        """Lists of (sf, PointEval of z_{i+1}, carried grad rho) per step and
-        of ScalingFunction.value_grad calls, filled while solve_acceptable runs."""
+        """Lists of (sf, PointEval of z_{i+1}, carried (rho, grad rho)) per
+        step and of ScalingFunction.value_grad calls, filled while
+        solve_acceptable runs."""
         steps, evaluations = [], []
         step, value_grad = biopt.lower._composite_step, ScalingFunction.value_grad
 
         def recorded(sf, *args):
-            nxt, phi, rho_grad = step(sf, *args)
-            steps.append((sf, nxt, rho_grad))
-            return nxt, phi, rho_grad
+            nxt, phi, rho, gain = step(sf, *args)
+            steps.append((sf, nxt, rho))
+            return nxt, phi, rho, gain
 
         def counted(self, *args):
             evaluations.append(args)
@@ -369,8 +386,9 @@ class TestCarriedDualPoint:
     @staticmethod
     def assert_matches_evaluation(steps):
         eps = np.finfo(float).eps
-        for sf, nxt, carried in steps:
-            want = ScalingFunction.value_grad(sf, nxt.x, nxt.d)[1]
+        for sf, nxt, (value, carried) in steps:
+            want_value, want = ScalingFunction.value_grad(sf, nxt.x, nxt.d)
+            assert value == want_value
             r = np.linalg.norm(nxt.x - sf.y)
             hess = np.linalg.norm(sf.K, 2) + sf.p * sf.H * r ** (sf.p - 1)
             assert (np.linalg.norm(carried - want)
@@ -385,7 +403,10 @@ class TestCarriedDualPoint:
             run(inst, "inexact", p=p, beta=0.2, H=1.0, budget=40)
         else:
             run(inst, "superfast", p=p, beta=0.2, budget=40)
-        assert len(steps) >= 80
+        # gain 1 takes 64-65 steps on logbar-10-5 and 7-9 on quad-5, where
+        # the gain-1 step is the exact prox step (rho's Bregman distance is
+        # f^p's); the fixed gain 2L took at least 80 on each
+        assert len(steps) >= (60 if name == "logbar-10-5" else 7)
         assert evaluations == []  # no step was halved, so none evaluated rho
         self.assert_matches_evaluation(steps)
 
@@ -393,17 +414,110 @@ class TestCarriedDualPoint:
         # test_open_domain_safeguard_ends_in_domain_violation's instance:
         # after a safeguard halving z_{i+1} is not the step's minimizer, so
         # grad rho is evaluated there
-        class LeftOfOne(QuadraticOracle):
-            def value_grad(self, x):
-                return (math.inf, None) if x[0] >= 1.0 else super().value_grad(x)
-
         steps, evaluations = self.record(monkeypatch)
-        inst = ProblemInstance(LeftOfOne(np.eye(1), np.array([10.0])),
-                               SimpleOracle("zero"), Metric(dim=1), 1)
+        inst = ProblemInstance(LeftOf(1.0), SimpleOracle("zero"), Metric(dim=1), 1)
         with pytest.raises(DomainViolation, match="iterate outside"):
             solve_acceptable(inst, np.zeros(1), 1.0, 2, 0.2)
         assert len(evaluations) >= 1
         self.assert_matches_evaluation(steps)
+
+
+class TestAdaptiveGain:
+    """Each step of solve_acceptable starts at gain 1 and doubles it, up to
+    2L, while the relative descent inequality beta_{f^p}(z, z+) <=
+    gain beta_rho(z, z+) fails (_composite_step)."""
+
+    cap = 2.0 * biopt.lower.REL_SMOOTH_L
+
+    @staticmethod
+    def record(monkeypatch):
+        """(sf, z, PointEval of z+, gain) per step and the gains of every
+        subproblem_solve call, with its step h."""
+        steps, solves = [], []
+        step, solve = biopt.lower._composite_step, biopt.lower.subproblem_solve
+
+        def recorded_step(sf, psi, z, *args):
+            out = step(sf, psi, z, *args)
+            steps.append((sf, z, out[0], out[3]))
+            return out
+
+        def recorded_solve(sf, gain, *args):
+            h = solve(sf, gain, *args)
+            solves.append((gain, h))
+            return h
+        monkeypatch.setattr(biopt.lower, "_composite_step", recorded_step)
+        monkeypatch.setattr(biopt.lower, "subproblem_solve", recorded_solve)
+        return steps, solves
+
+    @pytest.mark.parametrize("case", ["logbar-10-5", "l1", "box"])
+    def test_descent_inequality_at_every_step(self, monkeypatch, case):
+        # rho and f^p are evaluated afresh at both points of each step; the
+        # slack is ten times the step's own
+        steps, solves = self.record(monkeypatch)
+        if case == "logbar-10-5":
+            for p in (2, 3):
+                run(build_builtin(case, seed=0), "superfast", p=p, beta=0.2,
+                    budget=40)
+        else:
+            for d, seed in ((5, 0), (5, 1), (10, 0), (10, 1)):
+                base = build_builtin(f"quad-{d}", seed)
+                psi = (SimpleOracle("l1", weight=0.5) if case == "l1" else
+                       SimpleOracle("box", lo=[-0.5] * d, hi=[0.5] * d))
+                inst = build_quadratic(base.smooth.Q, base.smooth.c, psi=psi)
+                for p in (2, 3):
+                    run(inst, "inexact", p=p, beta=0.1, H=1.0, epsilon=1e-4,
+                        R=10.0, x0=np.ones(d))
+        assert len(steps) >= 40
+        assert len(solves) >= len(steps)
+        for sf, z, nxt, gain in steps:
+            assert 1.0 <= gain <= self.cap
+            rho_z = sf.value_grad(z.x)[0]
+            b_rho = bregman(sf, z.x, nxt.x)
+            b_reg = reg_bregman(sf.instance, sf.y, sf.H, sf.p, z.x, nxt.x)
+            assert b_reg <= gain * b_rho + 1e-11 * (1.0 + abs(z.reg_value)
+                                                    + gain * rho_z)
+
+    @pytest.mark.parametrize("edge, gains", [(1.0, [1.0, 2.0, 3.0]),
+                                             (2.0, [1.0, 2.0])])
+    def test_domain_exit_doubles_the_gain(self, monkeypatch, edge, gains):
+        # f = x^2/2 - 10x on x < edge, anchor 0, H = 1, p = 2: the step at
+        # gain g solves h + h^2 = 10/g, so h = 2.70, 1.79 and 1.39 at gains
+        # 1, 2 and 3.  With edge 2 gain 2 is the first inside, and passes
+        # the test (f is quadratic, so the two Bregman distances agree).
+        # With edge 1 every gain leaves the domain; the cap runs no test,
+        # and the safeguard halves the gain-3 step once, as at the fixed
+        # gain 2L
+        steps, solves = self.record(monkeypatch)
+        inst = ProblemInstance(LeftOf(edge), SimpleOracle("zero"), Metric(dim=1), 1)
+        sf = ScalingFunction(inst, np.zeros(1), 1.0, 2)
+        z = evaluate(inst, sf.y, 1.0, 2, sf.y)
+        nxt, phi, (rho, rho_grad), gain = biopt.lower._composite_step(
+            sf, inst.simple, z, z.reg_value, (0.0, np.zeros(1)))
+        assert [g for g, _ in solves] == gains and gain == gains[-1]
+        h = solves[-1][1]
+        assert h[0] == pytest.approx((math.sqrt(1.0 + 40.0 / gain) - 1.0) / 2.0)
+        np.testing.assert_array_equal(nxt.x, h if edge == 2.0 else 0.5 * h)
+        assert phi < z.reg_value
+        want_rho, want_grad = sf.value_grad(nxt.x)
+        assert rho == pytest.approx(want_rho, rel=1e-14)
+        np.testing.assert_allclose(rho_grad, want_grad, rtol=1e-12)
+
+    def test_exact_paths_never_enter_the_lower_level(self, monkeypatch):
+        # the exact driver and the 1-D segment prox (perfbench's exact-quad
+        # and reference-1d) do not reach the gain, so their runs are unmoved
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lower level entered")
+        for module in (biopt.driver, biopt.segment):
+            monkeypatch.setattr(module, "solve_acceptable", forbidden)
+        monkeypatch.setattr(biopt.lower, "_composite_step", forbidden)
+        for p in (2, 3):
+            tr = run(build_builtin("quad-5", 0), "exact", p=p, H=1.0,
+                     budget=200, epsilon=1e-5, x0=np.ones(5))
+            assert tr.status in ("optimal", "gap_reached")
+        inst = build_example_1d()
+        for H, p in ((1.0, 3), (2.0, 2), (0.5, 4)):
+            exact_sprox_1d_general(0.7, -1.3, H, p)
+            sprox_reference(inst, np.array([0.7]), np.array([-1.3]), H, p)
 
 
 def probe_instance():
@@ -417,9 +531,12 @@ def probe_instance():
 class TestCompositeRegression:
     @pytest.mark.parametrize("p", [2, 3])
     def test_probe_cell_reaches_optimal(self, p):
+        # at p = 3 the gain-1 run certifies its gap (gap_cert 2.1e-5 <= eps
+        # at k = 6) before it reaches the optimality exit
         tr = run(probe_instance(), "inexact", p=p, beta=0.1, H=1.0,
                  epsilon=1e-4, R=10.0, x0=np.ones(10))
-        assert tr.status == "optimal"
+        assert tr.status == {2: "optimal", 3: "gap_reached"}[p]
+        assert tr.status == "optimal" or tr.records[-1]["gap_cert"] <= 1e-4
         families = verify_trace(tr)
         assert len(families) == 7
         assert all(fam["ok"] for fam in families.values())
@@ -464,6 +581,9 @@ class TestOneEvaluationPerPoint:
         # loop before the fused evaluation made 11.2 products per acceptance
         # iteration at iterates and 18 per call at the anchor on this run,
         # and 3 per call at the anchor before the shared anchor evaluation.
+        # Steps redone at a doubled gain evaluate their point again, and
+        # count as iterate products; iters counts accepted steps only (185
+        # on this run at gain 1, 973 at the fixed gain 2L).
         inst = build_logbar(10, 5, seed=0)
         sm = inst.smooth
         slacks, counts = sm._slacks, {"anchor": 0, "iterate": 0}
@@ -488,14 +608,17 @@ class TestOneEvaluationPerPoint:
         monkeypatch.setattr(biopt.driver, "solve_acceptable", counted_solve)
         monkeypatch.setattr(biopt.segment, "solve_acceptable", counted_solve)
         run(inst, "superfast", p=3, beta=0.2, budget=200)
-        assert iters[0] >= 500
+        assert iters[0] >= 150
         assert counts["iterate"] <= 1.1 * iters[0]
         assert counts["anchor"] == calls[0]
 
     def test_shifted_grad_evaluations_per_subproblem(self, monkeypatch):
-        # the warm start (the last call's step length and face at the same
-        # anchor) makes 2.6 _shifted_grad evaluations per subproblem_solve
-        # call on this run; starting every call from h = 0, t = 1 made 6.7
+        # at gain 1 each anchor of this run takes one step, so no call
+        # finds the last call's step length and face: 9 calls make 18
+        # _shifted_grad evaluations, as each starts with a face step on its
+        # anchor's face and stops at the face minimizer's optimality test.
+        # At the fixed gain 2L, 108 calls made 2.6 each with the warm start
+        # and 6.7 each starting from h = 0, t = 1
         base = build_builtin("quad-5", 2)
         inst = build_quadratic(base.smooth.Q, base.smooth.c,
                                psi=SimpleOracle("l1", weight=0.5))
@@ -514,13 +637,14 @@ class TestOneEvaluationPerPoint:
         tr = run(inst, "inexact", p=2, beta=0.1, H=1.0, epsilon=1e-4, R=10.0,
                  x0=np.ones(5))
         assert tr.status == "optimal"
-        assert counts["solve"] >= 50
+        assert counts["solve"] >= 8
         assert counts["grad"] <= 3.0 * counts["solve"]
 
     def test_secular_evaluations_per_radial_solve(self, monkeypatch):
-        # each solve at an anchor starts at the last one's shift: 6.07
-        # evaluations of the secular function per radial solve on this run,
-        # 7.35 when every solve starts cold
+        # secular evaluations in the whole run: 1359 in 186 radial solves
+        # (7.31 per solve) at gain 1, against 5908 in 973 (6.07 per solve,
+        # each starting at the last one's shift; 7.35 cold) at the fixed
+        # gain 2L.  Few steps per anchor leave the warm start little to do
         evals, root = [], biopt.numerics.monotone_root
 
         def counting_root(phi, lo, hi, dphi, start=None):
@@ -532,8 +656,8 @@ class TestOneEvaluationPerPoint:
             return root(counted, lo, hi, dphi, start)
         monkeypatch.setattr(biopt.numerics, "monotone_root", counting_root)
         run(build_logbar(10, 5, seed=0), "superfast", p=3, beta=0.2, budget=200)
-        assert len(evals) >= 900
-        assert sum(evals) <= 6.6 * len(evals)
+        assert len(evals) >= 150
+        assert sum(evals) <= 1500
 
     def test_accepted_point_rejects_evaluation_at_another_point(self):
         inst = build_logbar(10, 4, seed=3)
