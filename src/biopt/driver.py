@@ -204,7 +204,7 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     Any dual value is a sound lower bound, so whatever t is, the returned
     gap dominates F(x_k) - F* when R >= ||x0 - x*||.  So phi is reported as
     0, which ends the search, once |phi| is below its own roundoff: x_F is
-    x0_F - shift_F/lam less a threshold, good to a few ulps of
+    x0_F - shift_F/lam (less the l1 threshold), good to a few ulps of
     |x0_F| + |shift_F|/lam (off F the prox is exact), which moves
     ||x - x0||^2 ~ R^2 by about 2R times that.  Without this the search
     halves the band where phi is noise down to resolution.
