@@ -59,10 +59,8 @@ def rel_smooth_params(p: int, M_next: float) -> RelSmoothParams:
 class ScalingFunction:
     """rho_{y,H}(x) = sum_{k=1..q} D^{2k} f(y)[x-y]^{2k} / (2k)! + H d_{p+1}(x-y).
 
-    Also the step subproblem's cache for this one anchor: D^2 f(y), its
-    radial solvers (each starting at its last solve's shift) and
-    warm_start, the last call's gain times step length and prox point
-    (1 and y before the first call).
+    Also caches, for this one anchor, the oracle's expansion at y, D^2 f(y)
+    and its radial solver; nothing carries one step subproblem into the next.
     """
 
     def __init__(self, instance: ProblemInstance, y: np.ndarray, H: float, p: int):
@@ -71,8 +69,6 @@ class ScalingFunction:
         self.H = float(H)
         self.p = int(p)
         self.q = p // 2
-        self._face_solvers = {}
-        self.warm_start = (1.0, self.y)
 
     @cached_property
     def expansion(self):
@@ -119,22 +115,6 @@ class ScalingFunction:
         """Solver g -> h of (D^2 f(y) + H ||h||^{p-1} B) h = -g, built once per y."""
         return radial_solver(self.instance.metric, self.K, self.H, self.p)
 
-    def face_solver(self, free: np.ndarray):
-        """(radial_solver of the free block F (diagonal metric): (g, a) -> h_F of
-        (K_FF + H r^{p-1} B_FF) h_F = -g, r^2 = ||h_F||^2 + a^2, and the
-        off-diagonal block K_FA); built once per anchor and free set, since
-        consecutive steps mostly share a face."""
-        key = free.tobytes()
-        entry = self._face_solvers.get(key)
-        if entry is None:
-            m = self.instance.metric
-            metric = Metric(None if m.is_identity else np.diag(np.diag(m.B)[free]),
-                            dim=int(free.sum()))
-            entry = (radial_solver(metric, self.K[np.ix_(free, free)], self.H, self.p),
-                     self.K[np.ix_(free, ~free)])
-            self._face_solvers[key] = entry
-        return entry
-
 
 def bregman_term(vx: float, gx: np.ndarray, vz: float, d: np.ndarray) -> float:
     """vz - vx - <gx, d>: the Bregman distance between x and z = x + d of a
@@ -175,9 +155,9 @@ def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     the rest; box: x_A at lo or hi) and frees F.  With h_A fixed there, the
     step's stationarity on F is the secular equation
     (K_FF + H r^{p-1} B_FF) h_F = -(c_F/gain + [l1] w sigma_F/gain + K_FA h_A),
-    r^2 = ||h_F||^2 + ||h_A||^2, solved by the face's radial solver with the
-    norm offset ||h_A|| (Byrd, Chin, Nocedal & Oztoprak, Math. Program. 159,
-    2016).  Returns the step h, or None when the face is in tried (which
+    r^2 = ||h_F||^2 + ||h_A||^2, solved by a radial solver of the free block
+    (the metric is diagonal) with the norm offset ||h_A|| (Byrd, Chin,
+    Nocedal & Oztoprak, Math. Program. 159, 2016).  Returns the step h, or None when the face is in tried (which
     records it) or y + h leaves the face (a sign changes or a bound is
     reached): there the minimizer over the face is not the subproblem's.
     """
@@ -196,11 +176,14 @@ def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     h = np.where(free, 0.0, x_face - y)
     if not free.any():
         return h
-    solve, K_FA = sf.face_solver(free)
-    g = c_shift[free] / gain + K_FA @ h[~free]
+    m = sf.instance.metric
+    metric = Metric(None if m.is_identity else np.diag(np.diag(m.B)[free]),
+                    dim=int(free.sum()))
+    g = c_shift[free] / gain + sf.K[np.ix_(free, ~free)] @ h[~free]
     if psi.kind == "l1":
         g = g + psi.weight * pattern[free] / gain
-    h[free] = solve(g, sf.instance.metric.norm(h))
+    solve = radial_solver(metric, sf.K[np.ix_(free, free)], sf.H, sf.p)
+    h[free] = solve(g, m.norm(h))
     x_free = y[free] + h[free]
     if psi.kind == "l1":
         inside = np.all(np.sign(x_free) == pattern[free])
@@ -243,14 +226,8 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     g = -grad s); otherwise the next step's residual accepts or rejects it,
     so a wrong face costs only the proximal-gradient steps that follow.
 
-    Calls at one anchor (one sf) differ only in c, which the curvature test
-    does not involve, and in the gain, which scales s's curvature.  So a
-    call stores gain t and its last prox point in sf.warm_start, and the
-    next call at that anchor starts backtracking from that product over its
-    own gain after a face step on that point's face (Nesterov, Math.
-    Program. 140, 2013, carries t likewise); the first call starts with a
-    face step on the anchor's face, from t = 1/gain.  Only the path changes:
-    the stopping rules stay.
+    Each call starts with a face step on the anchor's face and backtracks
+    from t = 1/gain; it depends only on its arguments.
     """
     if _radial(sf, psi):
         return sf.radial(c_shift / gain)
@@ -259,16 +236,14 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
 
     y = sf.y
     faces = set() if sf.q == 1 and psi.kind != "zero" and m.is_diagonal else None
-    gain_t, x = sf.warm_start
-    t = gain_t / gain
-    h = None if faces is None else _face_step(sf, gain, c_shift, psi, x, faces)
+    t = 1.0 / gain
+    h = None if faces is None else _face_step(sf, gain, c_shift, psi, y, faces)
     jumped = h is not None
     if h is None:
         h = np.zeros(m.dim)
     sgrad = _shifted_grad(sf, gain, c_shift, h)
     for _ in range(MAX_SUBPROBLEM_STEPS):
         if jumped and psi.in_subdifferential(y + h, -sgrad, tol):
-            sf.warm_start = (gain * t, y + h)
             return h
         for _ in range(80):
             w = h - t * m.solve(sgrad)
@@ -284,7 +259,6 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
         residual = m.norm(d) / t
         h, sgrad = trial, sgrad_t
         if residual <= tol:
-            sf.warm_start = (gain * t, x)
             return h
         jump = None if faces is None else _face_step(sf, gain, c_shift, psi, x, faces)
         jumped = jump is not None

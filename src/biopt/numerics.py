@@ -9,9 +9,9 @@ The scalar solvers: monotone_root, biopt's one scalar root finder (the sign
 change of a nondecreasing function on a bracket, clamped to the bracket's
 ends, by safeguarded Newton with the caller's slope); radial_solver (the
 secular equation (K + c r^{p-1}B) h = -g with r^2 = ||h||^2 + a^2, on one
-eigendecomposition of K, by Newton on its reciprocal form from the last
-solve's shift, evaluated on Python floats because a numpy call costs more
-than a small loop at the sizes the lower level meets); golden_section
+eigendecomposition of K, by Newton on its reciprocal form, evaluated on
+Python floats because a numpy call costs more than a small loop at the
+sizes the lower level meets); golden_section
 (vectorized over per-element brackets; only the brute-force segment-search
 reference minimizes by it).
 """
@@ -146,7 +146,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PHI2 = 1.0 - _INV_PHI
 
 
-def monotone_root(phi, lo: float, hi: float, dphi, start: float | None = None) -> float:
+def monotone_root(phi, lo: float, hi: float, dphi) -> float:
     """The point of [lo, hi] where the nondecreasing phi changes sign.
 
     That is lo when phi(lo) >= 0 (one evaluation), hi when phi(hi) <= 0,
@@ -164,36 +164,16 @@ def monotone_root(phi, lo: float, hi: float, dphi, start: float | None = None) -
     nothing across the root is no stop: two values and slopes cannot tell
     noise from a convex phi such as exp(x) - 1, where Newton from the left
     lands far right of the root.
-
-    A start strictly inside (lo, hi), such as the root of a neighbouring
-    equation, is evaluated first and replaces the bracket end on its side;
-    a start outside (lo, hi) is ignored.  The far end is evaluated only when
-    a Newton step from the start's side is refused; it then clamps as above,
-    and the search goes on as a cold one on the narrowed bracket.  A start
-    near the root so saves the far end and the steps in from it.  No bound
-    against a cold call on [lo, hi] follows: from a start far from the
-    root, or where phi is noise, the narrowed bracket's midpoints fall
-    elsewhere, and a call can take a few evaluations more.
     """
-    if start is not None and lo < start < hi:
-        f_start = phi(start)
-        if f_start < 0.0:
-            lo, f_lo, f_hi = start, f_start, None
-        else:
-            hi, f_hi, f_lo = start, f_start, None
-    else:
-        f_lo = phi(lo)
-        if f_lo >= 0.0:
-            return lo
-        f_hi = phi(hi)
-        if f_hi <= 0.0:
-            return hi
+    f_lo = phi(lo)
+    if f_lo >= 0.0:
+        return lo
+    f_hi = phi(hi)
+    if f_hi <= 0.0:
+        return hi
     step = step_before = hi - lo
-    while True:  # f_lo or f_hi is None while that end is not yet evaluated
-        if f_hi is None or f_lo is not None and abs(f_lo) <= abs(f_hi):
-            x, fx = lo, f_lo
-        else:
-            x, fx = hi, f_hi
+    while True:
+        x, fx = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
         if fx == 0.0:
             return x
         d = dphi(x)
@@ -201,16 +181,6 @@ def monotone_root(phi, lo: float, hi: float, dphi, start: float | None = None) -
         if abs(new - x) < math.ulp(x):
             return x
         newton = lo < new < hi and abs(new - x) <= 0.5 * step_before
-        if not newton and f_lo is None:  # refused from the start's side
-            f_lo = phi(lo)
-            if f_lo >= 0.0:
-                return lo
-            continue
-        if not newton and f_hi is None:
-            f_hi = phi(hi)
-            if f_hi <= 0.0:
-                return hi
-            continue
         if not newton:
             new = 0.5 * (lo + hi)
             if new == lo or new == hi:
@@ -259,15 +229,6 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     0.8 us at n = 5, 4.7 us at n = 50 and 9 us at n = 100.  Above n ~ 45 it
     is the slower one, but there the eigh of K (0.3 ms at n = 50, 0.9 ms at
     n = 100, once per K) outweighs it.
-
-    The solver keeps the shift of its last solve and hands it to the next
-    one's monotone_root as its start.  One solver serves one K: one anchor
-    of the lower level (ScalingFunction.radial), one face at an anchor
-    (ScalingFunction.face_solver) or one sprox_quadratic call, so its
-    solves differ only in g (and a), and the shift moves little between
-    them (a median 9% to 15% between consecutive acceptance steps on the
-    superfast logbar-10-5 cells), so the warm start saves secular
-    evaluations; the shift found is the cold solve's to a few ulps.
     (See More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983, and
     Nesterov & Polyak, Math. Program. 108, 2006, section 5.)
     """
@@ -281,10 +242,8 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     lam = np.maximum(lam, 0.0)  # K is PSD: negative eigenvalues are roundoff
     lam_list = lam.tolist()
     e = p - 1
-    last_shift = None  # the shift of the last solve, where the next one starts
 
     def solve(g: np.ndarray, a: float = 0.0) -> np.ndarray:
-        nonlocal last_shift
         w = S.T @ g
         if not w.any():
             return np.zeros_like(w)
@@ -336,7 +295,7 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
                 return math.inf
             return terms(s)[1] + (c / s) ** (1.0 / e) / (e * s)
 
-        s = last_shift = monotone_root(phi, s_lo, s_hi, dphi, start=last_shift)
+        s = monotone_root(phi, s_lo, s_hi, dphi)
         return -(S @ (w / (lam + s)))
 
     return solve

@@ -82,7 +82,7 @@ class SimpleOracle:
             return (self.lo < x) & (x < self.hi)
         return np.ones(x.shape, dtype=bool)
 
-    def in_subdifferential(self, x: np.ndarray, g: np.ndarray, tol: float = 1e-8) -> bool:
+    def in_subdifferential(self, x: np.ndarray, g: np.ndarray, tol: float) -> bool:
         """Check g in partial psi(x) componentwise (diagonal-friendly kinds)."""
         x = np.asarray(x, dtype=float)
         g = np.asarray(g, dtype=float)

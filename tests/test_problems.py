@@ -81,12 +81,12 @@ class TestSimpleOracle:
 
     def test_in_subdifferential(self):
         psi = SimpleOracle("l1", weight=1.0)
-        assert psi.in_subdifferential(np.array([0.0]), np.array([0.7]))
-        assert psi.in_subdifferential(np.array([2.0]), np.array([1.0]))
-        assert not psi.in_subdifferential(np.array([2.0]), np.array([0.5]))
+        assert psi.in_subdifferential(np.array([0.0]), np.array([0.7]), tol=1e-8)
+        assert psi.in_subdifferential(np.array([2.0]), np.array([1.0]), tol=1e-8)
+        assert not psi.in_subdifferential(np.array([2.0]), np.array([0.5]), tol=1e-8)
         box = SimpleOracle("box", lo=0.0, hi=1.0)
-        assert box.in_subdifferential(np.array([0.0]), np.array([-3.0]))
-        assert not box.in_subdifferential(np.array([0.5]), np.array([1.0]))
+        assert box.in_subdifferential(np.array([0.0]), np.array([-3.0]), tol=1e-8)
+        assert not box.in_subdifferential(np.array([0.5]), np.array([1.0]), tol=1e-8)
 
     def test_json_roundtrip(self):
         for psi in (SimpleOracle("zero"), SimpleOracle("l1", weight=0.3),
