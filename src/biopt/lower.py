@@ -157,9 +157,10 @@ def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     (K_FF + H r^{p-1} B_FF) h_F = -(c_F/gain + [l1] w sigma_F/gain + K_FA h_A),
     r^2 = ||h_F||^2 + ||h_A||^2, solved by a radial solver of the free block
     (the metric is diagonal) with the norm offset ||h_A|| (Byrd, Chin,
-    Nocedal & Oztoprak, Math. Program. 159, 2016).  Returns the step h, or None when the face is in tried (which
-    records it) or y + h leaves the face (a sign changes or a bound is
-    reached): there the minimizer over the face is not the subproblem's.
+    Nocedal & Oztoprak, Math. Program. 159, 2016).  Returns the step h, or
+    None when the face is in tried (which records it) or y + h leaves the
+    face (a sign changes or a bound is reached): there the minimizer over
+    the face is not the subproblem's.
     """
     y = sf.y
     free = psi.free(x)

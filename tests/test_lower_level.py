@@ -640,8 +640,7 @@ class TestOneEvaluationPerPoint:
     def test_secular_evaluations_per_radial_solve(self, monkeypatch):
         # secular evaluations in the whole run: 1359 in 186 radial solves
         # (7.31 per solve), each from its own bracket; starting each at the
-        # last solve's shift gave the same count.  The fixed gain 2L made
-        # 973 solves at 7.35 each
+        # previous solve's shift saves none on this run
         evals, root = [], biopt.numerics.monotone_root
 
         def counting_root(phi, lo, hi, dphi):
