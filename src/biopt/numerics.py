@@ -7,13 +7,15 @@ and their gradients are the regularizers used everywhere.
 
 The scalar solvers: monotone_root, biopt's one scalar root finder (the sign
 change of a nondecreasing function on a bracket, clamped to the bracket's
-ends, by safeguarded Newton with the caller's slope); radial_solver (the
-secular equation (K + c r^{p-1}B) h = -g with r^2 = ||h||^2 + a^2, on one
-eigendecomposition of K, by Newton on its reciprocal form, evaluated on
-Python floats because a numpy call costs more than a small loop at the
-sizes the lower level meets); golden_section
-(vectorized over per-element brackets; only the brute-force segment-search
-reference minimizes by it).
+ends, by safeguarded Newton with the caller's slope); secular_shift, the
+one secular core (the shift of (diag(lam) + s I) h = -w with s = c r^{p-1}
+and r^2 = ||h||^2 + a^2, over eigen-coefficients (lam_i, w_i), by Newton on
+its reciprocal form, evaluated on Python floats because a numpy call costs
+more than a small loop at the sizes biopt meets); radial_solver (the
+secular equation (K + c r^{p-1}B) h = -g, on one eigendecomposition of K,
+through secular_shift; sprox_quadratic calls the core directly in Q's
+eigenbasis); golden_section (vectorized over per-element brackets; only the
+brute-force segment-search reference minimizes by it).
 """
 
 from __future__ import annotations
@@ -195,17 +197,13 @@ def monotone_root(phi, lo: float, hi: float, dphi) -> float:
             hi, f_hi = new, f_new
 
 
-def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
-    """Solver (g, a) -> h of (K + c r^{p-1} B) h = -g, r^2 = ||h||^2 + a^2,
-    for symmetric PSD K, c > 0 and a norm offset a >= 0 (default 0).
-
-    The offset is the norm of a block of the point held fixed elsewhere (a
-    face of the composite step); a = 0 is the plain secular equation.  With
-    B = L L^T (Cholesky; L = I for the identity metric), the basis
-    S = L^{-T} V, where V diagonalizes L^{-1} K L^{-T} = V diag(lam) V^T,
-    gives S^T K S = diag(lam) and S^T B S = I.  So h = -S (w / (lam + s))
-    with w = S^T g, the shift s = c r^{p-1}, n(s) = ||w / (lam + s)|| and
-    r = r(s) = (n(s)^2 + a^2)^{1/2}.  K is decomposed once, here.
+def secular_shift(lam: list[float], w: np.ndarray, c: float, p: int,
+                  a: float = 0.0) -> float:
+    """The shift s = c r^{p-1} of the secular equation in an eigenbasis:
+    (diag(lam) + s I) h = -w, r^2 = ||h||^2 + a^2, over the pairs (lam_i,
+    w_i) with lam_i >= 0 (a list of floats), c > 0 and an offset a >= 0.
+    Returns c for p = 1 (the system is linear) and 0 when the shift
+    underflows (then lam + s == lam).
 
     The 1-D equation is solved in s as phi(s) = 1/r(s) - (c/s)^{1/(p-1)} = 0,
     with the slope sum(w^2/(lam+s)^3)/r^3 + (c/s)^{1/(p-1)}/((p-1) s).  phi
@@ -215,22 +213,85 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     guaranteed; monotone_root's midpoint safeguard keeps the bracket and the
     halving of the steps either way.  The bracket comes from the 1-D roots
     rho_i of lam_i rho + c rho^p = |w_i|: each lies in [b_i/2, b_i] with
-    b_i = min(|w_i|/lam_i, (|w_i|/c)^{1/p}), and max_i rho_i <= n <= ||rho||,
-    so the offset-free root s_0 lies in [c (max(b)/2)^{p-1}, c ||b||^{p-1}].
-    An offset only lowers phi, so the root s* >= s_0 and n(s*) <= n(s_0)
-    <= ||b||; and r >= a gives s* >= c a^{p-1}.  Hence s* lies in
+    b_i = min(|w_i|/lam_i, (|w_i|/c)^{1/p}), and max_i rho_i <= n <= ||rho||
+    with n = ||h||, so the offset-free root s_0 lies in
+    [c (max(b)/2)^{p-1}, c ||b||^{p-1}].  An offset only lowers phi, so the
+    root s* >= s_0 and n(s*) <= n(s_0) <= ||b||; and r >= a gives
+    s* >= c a^{p-1}.  Hence s* lies in
     [max(c (max(b)/2)^{p-1}, c a^{p-1}), c (||b||^2 + a^2)^{(p-1)/2}].
 
-    Only the eigen-coefficients change between evaluations of phi, so each
-    solve holds them once as a list of (lam_i, w_i) float pairs and runs
-    phi and its slope as one Python loop over it; numpy does the two basis
-    changes S^T g and S (w/(lam + s)).  Evaluated with numpy arrays, phi
-    costs about 4.5 us of call overhead at any n up to 200; the loop takes
-    0.8 us at n = 5, 4.7 us at n = 50 and 9 us at n = 100.  Above n ~ 45 it
-    is the slower one, but there the eigh of K (0.3 ms at n = 50, 0.9 ms at
-    n = 100, once per K) outweighs it.
+    phi and its slope run as one Python loop over the pairs: evaluated with
+    numpy arrays, phi costs about 4.5 us of call overhead at any n up to
+    200; the loop takes 0.8 us at n = 5, 4.7 us at n = 50 and 9 us at
+    n = 100.  Above n ~ 45 it is the slower one, but there the eigh that
+    gives the basis (0.3 ms at n = 50, 0.9 ms at n = 100) outweighs it.
     (See More & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983, and
     Nesterov & Polyak, Math. Program. 108, 2006, section 5.)
+    """
+    e = p - 1
+    if e == 0:
+        return c
+    w_list = w.tolist()
+    # b_i = min(|w_i|/lam_i, (|w_i|/c)^{1/p}): 0 where w_i = 0, the power
+    # root where lam_i = 0.  The roots use numpy's power, not Python's,
+    # which differs in the last bit on a few percent of inputs
+    roots = ((np.abs(w) / c) ** (1.0 / p)).tolist()
+    b = [0.0 if w_i == 0.0 else root if lam_i == 0.0
+         else min(abs(w_i) / lam_i, root)
+         for lam_i, w_i, root in zip(lam, w_list, roots)]
+    s_lo = max(c * (0.5 * max(b)) ** e, c * a ** e)
+    s_hi = c * math.hypot(*b, a) ** e
+    if s_hi == 0.0:
+        return 0.0
+    # r(s) = scale ||(z, a_hat)||, z = w_hat/(lam + s): a_hat <= 1 and
+    # |z| <= 1 at s_hi, so z*z does not overflow on the bracket nor
+    # underflow to 0 unless a_hat dominates it, and r_hat^3 is finite;
+    # scale is a power of two, so the scaling itself rounds nothing
+    z_max = max(abs(w_i) / (lam_i + s_hi) for lam_i, w_i in zip(lam, w_list))
+    scale = math.ldexp(1.0, math.frexp(max(z_max, a))[1])
+    coef = [(lam_i, w_i / scale) for lam_i, w_i in zip(lam, w_list)]
+    a_hat = a / scale
+
+    memo_s, memo = None, None
+
+    def terms(s):  # r(s) and sum(w^2/(lam+s)^3)/r(s)^3, for the last s:
+        nonlocal memo_s, memo  # monotone_root asks dphi(s) after phi(s)
+        if s != memo_s:
+            n2 = slope = 0.0
+            for lam_i, w_i in coef:
+                v = 1.0 / (lam_i + s)
+                z = w_i * v
+                q = z * z
+                n2 += q
+                slope += q * v
+            r_hat = math.hypot(math.sqrt(n2), a_hat)
+            memo_s = s
+            memo = scale * r_hat, slope / (scale * r_hat ** 3)
+        return memo
+
+    def phi(s):  # -inf and an infinite slope below the domain s > 0
+        return 1.0 / terms(s)[0] - (c / s) ** (1.0 / e) if s > 0.0 else -math.inf
+
+    def dphi(s):
+        if s <= 0.0:
+            return math.inf
+        return terms(s)[1] + (c / s) ** (1.0 / e) / (e * s)
+
+    return monotone_root(phi, s_lo, s_hi, dphi)
+
+
+def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
+    """Solver (g, a) -> h of (K + c r^{p-1} B) h = -g, r^2 = ||h||^2 + a^2,
+    for symmetric PSD K, c > 0 and a norm offset a >= 0 (default 0).
+
+    The offset is the norm of a block of the point held fixed elsewhere (a
+    face of the composite step); a = 0 is the plain secular equation.  With
+    B = L L^T (Cholesky; L = I for the identity metric), the basis
+    S = L^{-T} V, where V diagonalizes L^{-1} K L^{-T} = V diag(lam) V^T,
+    gives S^T K S = diag(lam) and S^T B S = I.  So h = -S (w / (lam + s))
+    with w = S^T g and the shift s from secular_shift.  K is decomposed
+    once, here; numpy does only the two basis changes S^T g and
+    S (w/(lam + s)) per solve.
     """
     K = np.asarray(K, dtype=float)
     if metric.is_identity:
@@ -241,62 +302,12 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
         S = Linv.T @ V
     lam = np.maximum(lam, 0.0)  # K is PSD: negative eigenvalues are roundoff
     lam_list = lam.tolist()
-    e = p - 1
 
     def solve(g: np.ndarray, a: float = 0.0) -> np.ndarray:
         w = S.T @ g
         if not w.any():
             return np.zeros_like(w)
-        if e == 0:  # p = 1: the shift is c, the system is linear
-            return -(S @ (w / (lam + c)))
-        w_list = w.tolist()
-        # b_i = min(|w_i|/lam_i, (|w_i|/c)^{1/p}): 0 where w_i = 0, the power
-        # root where lam_i = 0.  The roots use numpy's power, not Python's,
-        # which differs in the last bit on a few percent of inputs
-        roots = ((np.abs(w) / c) ** (1.0 / p)).tolist()
-        b = [0.0 if w_i == 0.0 else root if lam_i == 0.0
-             else min(abs(w_i) / lam_i, root)
-             for lam_i, w_i, root in zip(lam_list, w_list, roots)]
-        s_lo = max(c * (0.5 * max(b)) ** e, c * a ** e)
-        s_hi = c * math.hypot(*b, a) ** e
-        if s_hi == 0.0:  # the shift underflows: lam + s == lam
-            return -(S @ (w / lam))
-        # r(s) = scale ||(z, a_hat)||, z = w_hat/(lam + s): a_hat <= 1 and
-        # |z| <= 1 at s_hi, so z*z does not overflow on the bracket nor
-        # underflow to 0 unless a_hat dominates it, and r_hat^3 is finite;
-        # scale is a power of two, so the scaling itself rounds nothing
-        z_max = max(abs(w_i) / (lam_i + s_hi) for lam_i, w_i in zip(lam_list, w_list))
-        scale = math.ldexp(1.0, math.frexp(max(z_max, a))[1])
-        coef = [(lam_i, w_i / scale) for lam_i, w_i in zip(lam_list, w_list)]
-        a_hat = a / scale
-
-        memo_s, memo = None, None
-
-        def terms(s):  # r(s) and sum(w^2/(lam+s)^3)/r(s)^3, for the last s:
-            nonlocal memo_s, memo  # monotone_root asks dphi(s) after phi(s)
-            if s != memo_s:
-                n2 = slope = 0.0
-                for lam_i, w_i in coef:
-                    v = 1.0 / (lam_i + s)
-                    z = w_i * v
-                    q = z * z
-                    n2 += q
-                    slope += q * v
-                r_hat = math.hypot(math.sqrt(n2), a_hat)
-                memo_s = s
-                memo = scale * r_hat, slope / (scale * r_hat ** 3)
-            return memo
-
-        def phi(s):  # -inf and an infinite slope below the domain s > 0
-            return 1.0 / terms(s)[0] - (c / s) ** (1.0 / e) if s > 0.0 else -math.inf
-
-        def dphi(s):
-            if s <= 0.0:
-                return math.inf
-            return terms(s)[1] + (c / s) ** (1.0 / e) / (e * s)
-
-        s = monotone_root(phi, s_lo, s_hi, dphi)
-        return -(S @ (w / (lam + s)))
+        return -(S @ (w / (lam + secular_shift(lam_list, w, c, p, a))))
 
     return solve
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -304,13 +305,26 @@ class SeparableOracle(SmoothOracle):
 
 
 class QuadraticOracle(SmoothOracle):
-    """f(x) = 1/2 <Qx, x> - <c, x> with Q symmetric PSD; one Q x per point."""
+    """f(x) = 1/2 <Qx, x> - <c, x> with Q symmetric PSD; one Q x per point.
+
+    Q is the oracle's own read-only copy, so the eigenbasis cached from it
+    cannot go stale.
+    """
 
     def __init__(self, Q: np.ndarray, c: np.ndarray):
-        self.Q = np.asarray(Q, dtype=float)
+        self.Q = np.array(Q, dtype=float)
+        self.Q.flags.writeable = False
         self.c = np.asarray(c, dtype=float)
         if not np.allclose(self.Q, self.Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
+
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, S) with Q = S diag(lam) S^T and S orthogonal: one eigh per
+        oracle.  lam is clamped at 0, as Q is PSD and negative eigenvalues
+        are roundoff."""
+        lam, S = np.linalg.eigh(self.Q)
+        return np.maximum(lam, 0.0), S
 
     @property
     def dim(self) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from .acceptance import AcceptedPoint
 from .config import BisectionStall
 from .lower import solve_acceptable
-from .numerics import golden_section, monotone_root, power_mean_norm, radial_solver
+from .numerics import golden_section, monotone_root, power_mean_norm, secular_shift
 from .problems import ProblemInstance, QuadraticOracle
 
 MAX_BISECTIONS = 60  # bisect_segment raises BisectionStall past it
@@ -88,45 +88,65 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     """Exact segment-search prox for a quadratic f with psi = 0, identity metric.
 
     Inner problem at anchor m = xbar + tau*u: (Q + s I) h = -grad f(m) with
-    the shift s = H ||h||^{p-1}, solved by radial_solver on one
-    eigendecomposition of Q; x(tau) = m + h.  The tau-objective V(tau) =
+    the shift s = H ||h||^{p-1}; x(tau) = m + h.  The tau-objective V(tau) =
     min_x f(x) + H d_{p+1}(x - m) is convex with the envelope slope
     V'(tau) = <grad f(x), u>, so tau is where V' changes sign on [0, 1] (0,
     1 or the root of V'), found by monotone_root.
 
-    Both slopes are formed without cancellation, so near the root they carry
-    roundoff of their own size, not of the size of Qx and c:
-    grad f(m) = grad f(xbar) + tau Q u, and grad f(x) = -s h by the inner
-    equation, so V' = -s <h, u>.  Differentiating the inner equation in tau
-    (m' = u) gives J x' = s u + k <h, u> h with J = Q + s I + k h h^T and
-    k = (p-1) s / ||h||^2, and V'' = <Q u, x'>.  The point at each tau is
-    memoized, so V'' and the returned x reuse the radial solve V' made.
+    The whole tau search runs on Python floats in Q's eigenbasis Q = S
+    diag(lam) S^T, which the oracle computes once (QuadraticOracle.eigenbasis).
+    grad f(m) = grad f(xbar) + tau Q u is affine in tau, so w = S^T grad f(m)
+    comes from the transforms of grad f(xbar) and Q u, made once per call.
+    At each tau, secular_shift gives s, h~ = S^T h = -w/(lam + s), and, as
+    grad f(x) = -s h by the inner equation, V' = -s <h~, u~> with u~ = S^T u.
+    Both slopes are formed without cancellation, so near the root they
+    carry roundoff of their own size, not of the size of Qx and c.
+    Differentiating the inner equation in tau (m' = u) gives J x' = s u +
+    k <h, u> h with J = Q + s I + k h h^T and k = (p-1) s / ||h||^2, and
+    V'' = <Q u, x'>.  In the eigenbasis J is diag(lam + s) + k h~ h~^T, so by
+    Sherman-Morrison, with D = diag(1/(lam + s)),
+    V'' = s <lam u~, D u~> + k G^2 / (1 + k <h~, D h~>), G = <lam h~, D u~>.
+    The point at each tau is memoized, so V'' reuses the shift V' found, and
+    S maps h~ back once, at the returned tau.
     """
     sm = instance.smooth
     if instance.simple.kind != "zero" or not instance.metric.is_identity:
         raise ValueError("sprox_quadratic needs psi = 0 and the identity metric")
     if not isinstance(sm, QuadraticOracle):
         raise ValueError("sprox_quadratic needs a quadratic smooth part")
-    radial = radial_solver(instance.metric, sm.Q, H, p)
-    g0, Qu = sm.value_grad(xbar)[1], sm.Q @ u
+    lam, S = sm.eigenbasis
+    lam_list = lam.tolist()
+    w0, w1 = S.T @ sm.value_grad(xbar)[1], S.T @ (sm.Q @ u)  # w = w0 + tau w1
+    u_t = (S.T @ u).tolist()
 
     @cache
-    def point(tau):  # x(tau), h, the shift s and V'(tau)
-        h = radial(g0 + tau * Qu)
-        s = H * float(np.linalg.norm(h)) ** (p - 1)
-        return xbar + tau * u + h, h, s, -s * float(h @ u)
+    def point(tau):  # h~(tau), the shift s and V'(tau)
+        w = w0 + tau * w1
+        s = secular_shift(lam_list, w, H, p)
+        h, hu = [], 0.0
+        for lam_i, w_i, u_i in zip(lam_list, w.tolist(), u_t):
+            h_i = -w_i / (lam_i + s)
+            h.append(h_i)
+            hu += h_i * u_i
+        return h, s, -s * hu
 
     def slope(tau):
-        return point(tau)[3]
+        return point(tau)[2]
 
     def curvature(tau):  # never at h = 0: there V' = 0 ends the search
-        _, h, s, _ = point(tau)
-        k = (p - 1) * s / float(h @ h)
-        J = sm.Q + s * np.eye(len(h)) + k * np.outer(h, h)
-        return float(Qu @ np.linalg.solve(J, s * u + (k * float(h @ u)) * h))
+        h, s, _ = point(tau)
+        A = G = E = n2 = 0.0
+        for lam_i, h_i, u_i in zip(lam_list, h, u_t):
+            d = 1.0 / (lam_i + s)
+            A += lam_i * u_i * u_i * d
+            G += lam_i * h_i * u_i * d
+            E += h_i * h_i * d
+            n2 += h_i * h_i
+        k = (p - 1) * s / n2
+        return s * A + k * G * G / (1.0 + k * E)
 
     tau = monotone_root(slope, 0.0, 1.0, curvature)
-    return point(tau)[0], float(tau), np.zeros(instance.dim)
+    return xbar + tau * u + S @ point(tau)[0], float(tau), np.zeros(instance.dim)
 
 
 def make_sprox_oracle(instance: ProblemInstance, H: float, p: int):

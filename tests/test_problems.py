@@ -239,6 +239,20 @@ class TestQuadraticOracle:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticOracle(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
 
+    def test_owns_read_only_Q(self):
+        # the cached eigenbasis cannot go stale: Q is the oracle's own
+        # read-only copy, and the caller's array stays writable
+        Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        inst = build_quadratic(Q, np.array([1.0, -1.0]))
+        lam, S = inst.smooth.eigenbasis
+        with pytest.raises(ValueError, match="read-only"):
+            inst.smooth.Q[0, 0] = 3.0
+        Q[0, 0] = 3.0
+        assert inst.smooth.Q[0, 0] == 2.0
+        np.testing.assert_allclose(S @ np.diag(lam) @ S.T, inst.smooth.Q, atol=1e-15)
+        again = build_quadratic(inst.smooth.Q, inst.smooth.c)  # from a read-only Q
+        np.testing.assert_array_equal(again.smooth.Q, inst.smooth.Q)
+
 
 class TestInstances:
     def test_example_1d(self):

@@ -6,7 +6,7 @@ from biopt import (BisectionStall, Metric, ProblemInstance, QuadraticOracle,
                    SimpleOracle, bisect_segment, build_builtin,
                    build_example_1d, build_logbar, build_quadratic,
                    build_separable, exact_sprox_1d, exact_sprox_1d_general,
-                   make_sprox_oracle, monotone_root, solve_acceptable,
+                   make_sprox_oracle, monotone_root, run, solve_acceptable,
                    sprox_quadratic, sprox_reference)
 
 BRANCHES = {"interior", "tau0_pos", "tau0_neg", "tau1_pos", "tau1_neg"}
@@ -184,19 +184,17 @@ class TestSproxQuadratic:
 
     def test_newton_in_tau_solve_count(self, monkeypatch):
         # the draws of test_tau_first_order_condition; Newton on the envelope
-        # slope needs at most 16 radial solves per call with an interior tau
-        # (bisection in tau took 56 to 64)
-        solves = []
-        radial_solver = segment.radial_solver
+        # slope needs at most 16 tau points (V' evaluations, one secular
+        # solve each) per call with an interior tau (bisection in tau took
+        # 56 to 64)
+        points = []
 
-        def counting(*args):
-            solve = radial_solver(*args)
-
-            def counted(*a):
-                solves[-1] += 1
-                return solve(*a)
-            return counted
-        monkeypatch.setattr(segment, "radial_solver", counting)
+        def spy(phi, lo, hi, dphi):
+            def counted(tau):
+                points[-1] += 1
+                return phi(tau)
+            return monotone_root(counted, lo, hi, dphi)
+        monkeypatch.setattr(segment, "monotone_root", spy)
         inst = build_builtin("quad-5", seed=1)
         x_star = np.linalg.solve(inst.smooth.Q, inst.smooth.c)
         rng = np.random.default_rng(5)
@@ -206,10 +204,11 @@ class TestSproxQuadratic:
             if rng.random() < 0.5:
                 u = rng.uniform(0.2, 1.5) * (x_star - xbar) + 0.1 * u
             H, p = rng.choice([0.5, 1.0, 4.0]), int(rng.integers(2, 5))
-            solves.append(0)
+            points.append(0)
             _, tau, _ = sprox_quadratic(inst, xbar, u, H, p)
             if 0.0 < tau < 1.0:
-                interior.append(solves[-1])
+                interior.append(points[-1])
+        assert len(points) == 60 and min(points) > 0
         assert len(interior) >= 20
         assert max(interior) <= 16
 
@@ -236,6 +235,42 @@ class TestSproxQuadratic:
             fd = (slope(tau + delta) - slope(tau - delta)) / (2.0 * delta)
             assert curvature(tau) > 0.0
             assert curvature(tau) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("d", [5, 10])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_inner_stationarity_at_returned_point(self, d, p):
+        # S maps h~ back once, at the returned tau: there x solves the inner
+        # problem, Qx - c + H ||x - m||^{p-1} (x - m) = 0 with m = xbar + tau u
+        inst = build_builtin(f"quad-{d}", seed=1)
+        Q, c = inst.smooth.Q, inst.smooth.c
+        x_star = np.linalg.solve(Q, c)
+        rng = np.random.default_rng(100 + 10 * d + p)
+        taus = set()
+        for _ in range(12):
+            xbar, u = rng.standard_normal(d), 2.0 * rng.standard_normal(d)
+            if rng.random() < 0.5:
+                u = rng.uniform(0.2, 1.5) * (x_star - xbar) + 0.1 * u
+            H = rng.choice([0.5, 1.0, 4.0])
+            x, tau, _ = sprox_quadratic(inst, xbar, u, H, p)
+            h = x - (xbar + tau * u)
+            reg = H * np.linalg.norm(h) ** (p - 1) * h
+            terms = np.linalg.norm(Q @ x) + np.linalg.norm(c) + np.linalg.norm(reg)
+            assert np.linalg.norm(Q @ x - c + reg) <= 1e-13 * terms
+            taus.add("interior" if 0.0 < tau < 1.0 else tau)
+        assert "interior" in taus
+
+    def test_exact_run_makes_one_eigh_and_no_solve(self, monkeypatch):
+        # Q's eigenbasis is computed once per oracle, and V'' needs no solve
+        inst = build_builtin("quad-5", seed=1)
+        calls = {"eigh": 0, "solve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        trace = run(inst, "exact", p=3, H=1.0)
+        assert len(trace.records) > 2
+        assert calls == {"eigh": 1, "solve": 0}
 
     def test_rejects_wrong_structure(self):
         inst = build_example_1d()
