@@ -290,8 +290,8 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     S = L^{-T} V, where V diagonalizes L^{-1} K L^{-T} = V diag(lam) V^T,
     gives S^T K S = diag(lam) and S^T B S = I.  So h = -S (w / (lam + s))
     with w = S^T g and the shift s from secular_shift.  K is decomposed
-    once, here; numpy does only the two basis changes S^T g and
-    S (w/(lam + s)) per solve.
+    once, here; each solve makes the two basis changes S^T g and
+    S (w/(lam + s)).
     """
     K = np.asarray(K, dtype=float)
     if metric.is_identity:
