@@ -34,11 +34,12 @@ class RelSmoothParams:
     kappa: float
 
 
-# L of the canonical xi = 2.  A lower-level step's gain starts at 1 and
-# doubles while the relative descent test fails, up to the cap 2L, where the
-# relative smoothness bound holds without a test (_composite_step)
+# L of the canonical xi = 2: on the operating region relative smoothness
+# makes a lower-level step pass the relative descent test at gain 2 (the
+# first power of two >= L; _composite_step)
 REL_SMOOTH_L = 1.5
 MAX_ACCEPTANCE_STEPS = 200  # solve_acceptable raises AcceptanceFailure past it
+MAX_GAIN_DOUBLINGS = 60  # _composite_step raises past it
 MAX_SUBPROBLEM_STEPS = 500  # subproblem_solve raises SubproblemStall past it
 
 
@@ -274,14 +275,15 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
 
     Starts at z0 = y; each step minimizes the Bregman-linearized model
     <grad f^p(z_i), x - z_i> + psi(x) + gain beta_rho(z_i, x) with the
-    step's gain (_composite_step), recovers the constructive
+    step's gain (_composite_step; linear rate factor at most 1 - mu/2 on
+    the operating region), recovers the constructive
     psi-subgradient from the step's optimality condition, and tests
-    acceptance on the freshest iterate.  The safeguard's PointEval of
-    z_{i+1} is the only evaluation of z_{i+1}: the gain's test, the
-    acceptance test, the next step and the AcceptedPoint reuse it.
-    Likewise the anchor's one evaluation (ScalingFunction.expansion) gives f
-    and grad f at z0 = y, D^2 f(y) and the even forms; outside the domain of
-    f it raises DomainViolation.
+    acceptance on the freshest iterate.  The step's PointEval of z_{i+1}
+    is the only evaluation of z_{i+1}: the gain's test, the acceptance
+    test, the next step and the AcceptedPoint reuse it.  Likewise the
+    anchor's one evaluation (ScalingFunction.expansion) gives f and grad f
+    at z0 = y, D^2 f(y) and the even forms; outside the domain of f it
+    raises DomainViolation.
 
     The loop carries rho(z_i) and the dual point grad rho(z_i), which the
     gain's test and the step's linear term c_i = grad f^p(z_i) - gain
@@ -292,21 +294,19 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
     28(1), 2018), so no oracle runs for it.  It is exact up to the secular
     solve's roundoff and the rounding of z_{i+1} = y + h, which moves
     grad rho by at most eps/2 ||D^2 rho|| ||z_{i+1}||.
-    ScalingFunction.value_grad still evaluates it after a safeguard
-    halving, where z_{i+1} is no longer the step's minimizer, and on every
-    proximal-gradient path (psi != 0 or q >= 2), where g is built from the
-    difference of the two dual points.
+    ScalingFunction.value_grad evaluates it on every proximal-gradient
+    path (psi != 0 or q >= 2), where g is built from the difference of the
+    two dual points.
     """
     y = np.asarray(y, dtype=float)
     sf = ScalingFunction(instance, y, H, p)
     m = instance.metric
     psi = instance.simple
     z = evaluate(instance, y, H, p, y, fg=sf.expansion[:2])
-    phi_z = z.reg_value + psi.value(y)  # the d_{p+1} term is 0 at z0 = y
     rho_z = 0.0, np.zeros(m.dim)
     history = []
     for i in range(1, MAX_ACCEPTANCE_STEPS + 1):
-        nxt, phi_next, rho_next, gain = _composite_step(sf, psi, z, phi_z, rho_z)
+        nxt, rho_next, gain = _composite_step(sf, psi, z, rho_z)
         if psi.kind == "zero":
             g = np.zeros(m.dim)
         else:
@@ -320,7 +320,7 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
             raise OptimalityReached("anchor already optimal", point=nxt.x)
         if lhs <= beta * rhs + ACCEPTANCE_REL * rhs:
             return AcceptedPoint(instance, y, H, p, beta, nxt.x, g, ev=nxt), i
-        z, rho_z, phi_z = nxt, rho_next, phi_next
+        z, rho_z = nxt, rho_next
     raise AcceptanceFailure("acceptance not reached", residual_history=history)
 
 
@@ -334,31 +334,31 @@ def _descends(z, rho_z, nxt, rho_next, gain: float) -> bool:
             <= gain * bregman_term(*rho_z, rho_next[0], d) + slack)
 
 
-def _composite_step(sf: ScalingFunction, psi: SimpleOracle, z, phi_z: float,
+def _composite_step(sf: ScalingFunction, psi: SimpleOracle, z,
                     rho_z: tuple[float, np.ndarray]):
     """One step of solve_acceptable's loop from z (a PointEval) with
-    (rho(z), grad rho(z)) = rho_z: the PointEval of z_{i+1}, phi(z_{i+1}),
+    (rho(z), grad rho(z)) = rho_z: the PointEval of z_{i+1},
     (rho(z_{i+1}), grad rho(z_{i+1})) and the step's gain.
 
-    The gain starts at 1.  A step is kept when the relative descent
-    inequality beta_{f^p}(z, z+) <= gain beta_rho(z, z+) holds up to a
-    roundoff-level slack (_descends; one bregman_term for both sides); else the gain
-    doubles, capped at 2L, and the step is redone from z.  An iterate
-    outside the domain of f fails the test.  At the cap 2L no test runs:
-    relative smoothness gives the inequality on the operating region, and
-    the safeguard below covers the rest.  The linear rate of the Bregman
-    composite gradient uses only this inequality along the iterates, with
-    factor 1 - mu/gain <= 1 - mu/(2L) (Bauschke, Bolte & Teboulle, Math.
-    Oper. Res. 42(2), 2017; backtracking on the gain: Hanzely, Richtarik &
-    Xiao, Comput. Optim. Appl. 79, 2021).  Since f^p - rho is f less its
-    even Taylor terms at y, the two Bregman distances nearly agree, and
+    The gain runs through 1, 2, 4, ... and the step is the first trial
+    point inside the domain of f that passes the relative descent
+    inequality beta_{f^p}(z, z+) <= gain beta_rho(z, z+) up to a
+    roundoff-level slack (_descends); after MAX_GAIN_DOUBLINGS doublings it
+    raises DomainViolation if the last trial point left the domain, else
+    SubproblemStall.  The Bregman composite gradient's linear rate uses
+    only this inequality along the iterates, with factor 1 - mu/gain
+    (Bauschke, Bolte & Teboulle, Math. Oper. Res. 42(2), 2017; backtracking
+    on the gain: Hanzely, Richtarik & Xiao, Comput. Optim. Appl. 79, 2021);
+    on the operating region relative smoothness passes gain 2 >= L, so the
+    factor there is at most 1 - mu/2.  A kept step has phi(z+) <= phi(z),
+    phi = f^p + psi, as it minimizes the model.  f^p - rho is f less its
+    even Taylor terms at y, so the two Bregman distances nearly agree and
     gain 1 mostly passes.  The test needs no oracle call: f^p(z+) is in
     z+'s PointEval and rho(z+) comes from its d_{p+1} and the even forms.
     """
     instance, y = sf.instance, sf.y
-    cap = 2.0 * REL_SMOOTH_L
     gain = 1.0
-    while True:
+    for _ in range(MAX_GAIN_DOUBLINGS + 1):
         c_shift = z.reg_grad - gain * rho_z[1]
         h = subproblem_solve(sf, gain, c_shift, psi)
         z_next = y + h
@@ -366,21 +366,9 @@ def _composite_step(sf: ScalingFunction, psi: SimpleOracle, z, phi_z: float,
         if nxt.grad is not None:
             rho_next = (sf.value(z_next, nxt.d[0]), c_shift / -gain) \
                 if _radial(sf, psi) else sf.value_grad(z_next, nxt.d)
-        if gain == cap or nxt.grad is not None and \
-                _descends(z, rho_z, nxt, rho_next, gain):
-            break
-        gain = min(2.0 * gain, cap)
-    # open-domain safeguard: halve toward z until feasible and nonincreasing
-    for halvings in range(61):
-        if halvings:
-            nxt = evaluate(instance, y, sf.H, sf.p, z_next)
-        phi_next = nxt.reg_value + psi.value(z_next) \
-            if math.isfinite(nxt.reg_value) else math.inf
-        if phi_next <= phi_z + 1e-12 * (1.0 + abs(phi_z)) or halvings == 60:
-            break  # after 60 halvings the last point is kept
-        z_next = z.x + 0.5 * (z_next - z.x)
+            if _descends(z, rho_z, nxt, rho_next, gain):
+                return nxt, rho_next, gain
+        gain *= 2.0
     if nxt.grad is None:
         raise DomainViolation("iterate outside the domain of f")
-    if halvings:
-        rho_next = sf.value_grad(z_next, nxt.d)
-    return nxt, phi_next, rho_next, gain
+    raise SubproblemStall("no gain passed the relative descent test", best=h)

@@ -47,12 +47,11 @@ def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
     Candidates: the zero point on the interior of the segment (objective 0),
     and one per endpoint anchor m, set by g0 = H|m|^{p-1}m: x = 0 with
     subgradient g0 when |g0| <= weight, else the root x of the stationarity
-    equation x + s*weight + H|x - m|^{p-1}(x - m) = 0, s = sign(m), kept
-    when s*x > 1e-12.  The left side increases with slope 1 + pH|x - m|^{p-1}
-    and is s*weight - g0 at 0, so it has a root off 0 only on the s side and
-    only when s*g0 > weight; it has the sign of s at s(|m| + weight + 1),
-    where monotone_root's bracket ends.  The winner minimizes the joint
-    objective.
+    equation x + s*weight + H|x - m|^{p-1}(x - m) = 0, s = sign(m).  The
+    left side increases with slope 1 + pH|x - m|^{p-1} and is s*weight - g0
+    at 0, so it has a root off 0 only on the s side and only when s*g0 >
+    weight; it has the sign of s at s(|m| + weight + 1), where
+    monotone_root's bracket ends.  The winner minimizes the joint objective.
     """
     xbar, ubar, H = float(xbar), float(ubar), float(H)
 
@@ -77,8 +76,7 @@ def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
             lambda x: x + s * weight + H * abs(x - m) ** (p - 1) * (x - m),
             min(0.0, s * span), max(0.0, s * span),
             lambda x: 1.0 + p * H * abs(x - m) ** (p - 1))
-        if s * x > 1e-12:
-            candidates.append((x, tau, s * weight, branch))
+        candidates.append((x, tau, s * weight, branch))
     x, tau, g, branch = min(candidates, key=lambda c: objective(c[0], c[1]))
     return SproxResult(np.array([x]), tau, g, branch, objective(x, tau))
 

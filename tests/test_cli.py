@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import biopt.cli
+import biopt.lower
 from biopt.cli import main
 from biopt import RunTrace
 from biopt.driver import check_run_args, run
@@ -82,6 +83,32 @@ class TestRun:
         result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
         assert result.exit_code == 2
 
+    def test_solver_failure_exits_1(self, runner, tmp_path, monkeypatch):
+        # a run that raises (here the acceptance cap) stops with exit 1
+        monkeypatch.setattr(biopt.lower, "MAX_ACCEPTANCE_STEPS", 1)
+        cfg = {"instance": "logbar-10-3", "mode": "inexact", "p": 2, "H": 1.0,
+               "beta": 1e-4, "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 1
+        assert result.output.count("solver failure:") == 1
+        assert "acceptance not reached" in result.output
+
+    def test_list_with_non_object_is_usage_error(self, runner, tmp_path):
+        cfg = [{"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0}, 3]
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error:") == 1
+        assert "config must be an object or a list of objects" in result.output
+
+    def test_unwritable_trace_is_usage_error(self, runner, tmp_path):
+        # the run completes, then writing its trace fails
+        cfg = {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,
+               "budget": 5, "trace": str(tmp_path / "missing" / "t.ndjson")}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error:") == 1
+        assert "No such file or directory" in result.output
+
     def test_seed_env_override(self, runner, tmp_path):
         trace_a = tmp_path / "a.ndjson"
         trace_b = tmp_path / "b.ndjson"
@@ -137,6 +164,7 @@ class TestRun:
         {"mode": "superfast", "beta": 0.2, "M_next": "5"},
         {"epsilon": 0}, {"epsilon": -1}, {"R": -1}, {"R": 0, "epsilon": 1e-3},
         {"p": 2.5}, {"budget": -3}, {"x0": [1.0, 2.0]},
+        {"instance": 5}, {"instance": {"path": "inst.json"}},
     ])
     def test_malformed_config_is_usage_error(self, runner, tmp_path, change):
         cfg = dict({"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,

@@ -330,24 +330,30 @@ class TestSolveAcceptable:
         assert len(exc.value.residual_history) == 1
 
     @pytest.mark.parametrize("H", [1.0, 0.1])
-    def test_open_domain_safeguard_ends_in_domain_violation(self, H):
+    def test_open_domain_steps_stay_inside_and_descend(self, monkeypatch, H):
         # f(x) = x^2/2 - 10x declared only on x < 1: its minimizer x = 10 is
-        # outside, so steps leave the domain, the safeguard halves them back
-        # inside, and the loop ends in the typed error once halving cannot
-        class LeftOfOne(QuadraticOracle):
-            points = []
+        # outside, so trial points leave the domain and the gain doubles
+        # until one is inside.  The iterates creep toward the edge, phi =
+        # f^p never increases, and acceptance never comes (uncapped, the
+        # loop spends all 200 steps, reaching gain 2^57 near the edge)
+        steps = []
+        step = biopt.lower._composite_step
 
-            def value_grad(self, x):
-                self.points.append(float(x[0]))
-                return (math.inf, None) if x[0] >= 1.0 else super().value_grad(x)
-
-        smooth = LeftOfOne(np.eye(1), np.array([10.0]))
-        inst = ProblemInstance(smooth, SimpleOracle("zero"), Metric(dim=1), 1)
-        with pytest.raises(DomainViolation, match="iterate outside"):
+        def recorded(*args):
+            out = step(*args)
+            steps.append(out)
+            return out
+        monkeypatch.setattr(biopt.lower, "_composite_step", recorded)
+        monkeypatch.setattr(biopt.lower, "MAX_ACCEPTANCE_STEPS", 12)
+        inst = ProblemInstance(LeftOf(1.0), SimpleOracle("zero"), Metric(dim=1), 1)
+        with pytest.raises(AcceptanceFailure) as exc:
             solve_acceptable(inst, np.zeros(1), H, 2, 0.2)
-        pts = smooth.points
-        assert any(a >= 1.0 > b for a, b in zip(pts, pts[1:]))  # halved inside
-        assert pts[-1] >= 1.0
+        assert len(exc.value.residual_history) == len(steps) == 12
+        xs = [nxt.x[0] for nxt, _, _ in steps]
+        phis = [nxt.reg_value for nxt, _, _ in steps]
+        assert all(0.0 < x < 1.0 for x in xs)
+        assert all(b <= a for a, b in zip(phis, phis[1:]))
+        assert all(gain >= 8.0 for _, _, gain in steps)
 
 
 class TestCarriedDualPoint:
@@ -372,9 +378,9 @@ class TestCarriedDualPoint:
         step, value_grad = biopt.lower._composite_step, ScalingFunction.value_grad
 
         def recorded(sf, *args):
-            nxt, phi, rho, gain = step(sf, *args)
+            nxt, rho, gain = step(sf, *args)
             steps.append((sf, nxt, rho))
-            return nxt, phi, rho, gain
+            return nxt, rho, gain
 
         def counted(self, *args):
             evaluations.append(args)
@@ -407,27 +413,14 @@ class TestCarriedDualPoint:
         # the gain-1 step is the exact prox step (rho's Bregman distance is
         # f^p's); the fixed gain 2L took at least 80 on each
         assert len(steps) >= (60 if name == "logbar-10-5" else 7)
-        assert evaluations == []  # no step was halved, so none evaluated rho
-        self.assert_matches_evaluation(steps)
-
-    def test_halved_steps_evaluate(self, monkeypatch):
-        # test_open_domain_safeguard_ends_in_domain_violation's instance:
-        # after a safeguard halving z_{i+1} is not the step's minimizer, so
-        # grad rho is evaluated there
-        steps, evaluations = self.record(monkeypatch)
-        inst = ProblemInstance(LeftOf(1.0), SimpleOracle("zero"), Metric(dim=1), 1)
-        with pytest.raises(DomainViolation, match="iterate outside"):
-            solve_acceptable(inst, np.zeros(1), 1.0, 2, 0.2)
-        assert len(evaluations) >= 1
+        assert evaluations == []  # the radial path never evaluates grad rho
         self.assert_matches_evaluation(steps)
 
 
 class TestAdaptiveGain:
-    """Each step of solve_acceptable starts at gain 1 and doubles it, up to
-    2L, while the relative descent inequality beta_{f^p}(z, z+) <=
-    gain beta_rho(z, z+) fails (_composite_step)."""
-
-    cap = 2.0 * biopt.lower.REL_SMOOTH_L
+    """Each step of solve_acceptable starts at gain 1 and doubles it while
+    the trial point leaves the domain or the relative descent inequality
+    beta_{f^p}(z, z+) <= gain beta_rho(z, z+) fails (_composite_step)."""
 
     @staticmethod
     def record(monkeypatch):
@@ -438,7 +431,7 @@ class TestAdaptiveGain:
 
         def recorded_step(sf, psi, z, *args):
             out = step(sf, psi, z, *args)
-            steps.append((sf, z, out[0], out[3]))
+            steps.append((sf, z, out[0], out[2]))
             return out
 
         def recorded_solve(sf, gain, *args):
@@ -452,7 +445,8 @@ class TestAdaptiveGain:
     @pytest.mark.parametrize("case", ["logbar-10-5", "l1", "box"])
     def test_descent_inequality_at_every_step(self, monkeypatch, case):
         # rho and f^p are evaluated afresh at both points of each step; the
-        # slack is ten times the step's own
+        # slack is ten times the step's own.  Relative smoothness with L =
+        # 1.5 passes gain 2 on these runs
         steps, solves = self.record(monkeypatch)
         if case == "logbar-10-5":
             for p in (2, 3):
@@ -470,37 +464,64 @@ class TestAdaptiveGain:
         assert len(steps) >= 40
         assert len(solves) >= len(steps)
         for sf, z, nxt, gain in steps:
-            assert 1.0 <= gain <= self.cap
+            assert 1.0 <= gain <= 2.0
             rho_z = sf.value_grad(z.x)[0]
             b_rho = bregman(sf, z.x, nxt.x)
             b_reg = reg_bregman(sf.instance, sf.y, sf.H, sf.p, z.x, nxt.x)
             assert b_reg <= gain * b_rho + 1e-11 * (1.0 + abs(z.reg_value)
                                                     + gain * rho_z)
 
-    @pytest.mark.parametrize("edge, gains", [(1.0, [1.0, 2.0, 3.0]),
-                                             (2.0, [1.0, 2.0])])
-    def test_domain_exit_doubles_the_gain(self, monkeypatch, edge, gains):
-        # f = x^2/2 - 10x on x < edge, anchor 0, H = 1, p = 2: the step at
-        # gain g solves h + h^2 = 10/g, so h = 2.70, 1.79 and 1.39 at gains
-        # 1, 2 and 3.  With edge 2 gain 2 is the first inside, and passes
-        # the test (f is quadratic, so the two Bregman distances agree).
-        # With edge 1 every gain leaves the domain; the cap runs no test,
-        # and the safeguard halves the gain-3 step once, as at the fixed
-        # gain 2L
-        steps, solves = self.record(monkeypatch)
+    @staticmethod
+    def step_from_zero(edge):
+        """_composite_step on LeftOf(edge) from the anchor 0 (H = 1, p = 2)."""
         inst = ProblemInstance(LeftOf(edge), SimpleOracle("zero"), Metric(dim=1), 1)
         sf = ScalingFunction(inst, np.zeros(1), 1.0, 2)
         z = evaluate(inst, sf.y, 1.0, 2, sf.y)
-        nxt, phi, (rho, rho_grad), gain = biopt.lower._composite_step(
-            sf, inst.simple, z, z.reg_value, (0.0, np.zeros(1)))
+        return sf, z, biopt.lower._composite_step(sf, inst.simple, z,
+                                                  (0.0, np.zeros(1)))
+
+    @pytest.mark.parametrize("edge, gains", [(1.0, [1.0, 2.0, 4.0, 8.0]),
+                                             (2.0, [1.0, 2.0])])
+    def test_domain_exit_doubles_the_gain(self, monkeypatch, edge, gains):
+        # f = x^2/2 - 10x on x < edge, anchor 0, H = 1, p = 2: the step at
+        # gain g solves h + h^2 = 10/g, so h = 2.70, 1.79, 1.16 and 0.72 at
+        # gains 1, 2, 4 and 8.  The first gain inside (2 for edge 2, 8 for
+        # edge 1) passes the test (f is quadratic, so the two Bregman
+        # distances agree), and its step is kept as it is
+        steps, solves = self.record(monkeypatch)
+        sf, z, (nxt, (rho, rho_grad), gain) = self.step_from_zero(edge)
         assert [g for g, _ in solves] == gains and gain == gains[-1]
         h = solves[-1][1]
         assert h[0] == pytest.approx((math.sqrt(1.0 + 40.0 / gain) - 1.0) / 2.0)
-        np.testing.assert_array_equal(nxt.x, h if edge == 2.0 else 0.5 * h)
-        assert phi < z.reg_value
+        np.testing.assert_array_equal(nxt.x, h)
+        assert nxt.reg_value < z.reg_value
         want_rho, want_grad = sf.value_grad(nxt.x)
         assert rho == pytest.approx(want_rho, rel=1e-14)
         np.testing.assert_allclose(rho_grad, want_grad, rtol=1e-12)
+
+    def test_gain_doublings_cap_ends_in_domain_violation(self, monkeypatch):
+        # one doubling leaves LeftOf(1) no gain inside the domain (8 is the
+        # first, as above)
+        _, solves = self.record(monkeypatch)
+        monkeypatch.setattr(biopt.lower, "MAX_GAIN_DOUBLINGS", 1)
+        with pytest.raises(DomainViolation, match="iterate outside"):
+            self.step_from_zero(1.0)
+        assert [g for g, _ in solves] == [1.0, 2.0]
+
+    def test_gain_doublings_cap_ends_in_stall(self, monkeypatch):
+        # f's value is NaN off the anchor (its gradient is finite), so the
+        # descent inequality fails at every gain
+        class NanValue(QuadraticOracle):
+            def value_grad(self, x):
+                return math.nan, super().value_grad(x)[1]
+
+        _, solves = self.record(monkeypatch)
+        monkeypatch.setattr(biopt.lower, "MAX_GAIN_DOUBLINGS", 3)
+        inst = ProblemInstance(NanValue(np.eye(1), np.array([10.0])),
+                               SimpleOracle("zero"), Metric(dim=1), 1)
+        with pytest.raises(SubproblemStall, match="descent test"):
+            solve_acceptable(inst, np.zeros(1), 1.0, 2, 0.2)
+        assert [g for g, _ in solves] == [1.0, 2.0, 4.0, 8.0]
 
     def test_exact_paths_never_enter_the_lower_level(self, monkeypatch):
         # the exact driver and the 1-D segment prox (perfbench's exact-quad

@@ -59,8 +59,13 @@ class TestExactSprox1d:
             seen.add(exact_sprox_1d(xbar, ubar).branch)
         assert seen == BRANCHES
 
+    # in the last three |m| = 1 + 1e-13 at tau = 0 puts that end's root at
+    # 7.5e-14, below a cut such as s*x > 1e-12; it wins with objective 0.25
+    # (tau = 1 gives 0.251 in the first, and the other two have no other)
     @pytest.mark.parametrize("pair", [(2.0, 1.0), (-1.5, 0.3), (0.2, -2.0),
-                                      (3.0, -4.0), (-0.4, 0.1)])
+                                      (3.0, -4.0), (-0.4, 0.1),
+                                      (1.0 + 1e-13, 1e-3), (1.0 + 1e-13, 0.0),
+                                      (-(1.0 + 1e-13), 0.0)])
     def test_agrees_with_reference(self, pair):
         inst = build_example_1d()
         xbar, ubar = pair
