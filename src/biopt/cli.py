@@ -27,6 +27,8 @@ def _load_config(path: str) -> list[dict]:
         cfg = [cfg]
     if not isinstance(cfg, list) or not all(isinstance(c, dict) for c in cfg):
         raise ValueError("config must be an object or a list of objects")
+    if not cfg:
+        raise ValueError("config has no runs")
     return cfg
 
 
@@ -117,11 +119,10 @@ def cmd_rate_fit(trace_path, kmin, kmax):
     """Fit the empirical convergence-rate exponent of a trace."""
     try:
         trace = RunTrace.from_ndjson(trace_path)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        slope, warnings = rate_fit(trace, kmin, kmax)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         click.echo(f"trace error: {exc}", err=True)
         sys.exit(USAGE_EXIT)
-    try:
-        slope, warnings = rate_fit(trace, kmin, kmax)
     except BioptError as exc:
         click.echo(f"rate-fit error: {exc}", err=True)
         sys.exit(USAGE_EXIT)
@@ -139,7 +140,7 @@ def cmd_verify(trace_path):
         if not trace.records:
             raise ValueError("trace has no iteration records")
         report = verify_trace(trace)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         click.echo(f"trace error: {exc}", err=True)
         sys.exit(USAGE_EXIT)
     failed = False

@@ -284,6 +284,8 @@ class RunTrace:
                 if not line:
                     continue
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"trace line is not an object: {line[:40]}")
                 kind = obj.pop("type", "iter")
                 if kind == "config":
                     config = obj

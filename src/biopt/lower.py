@@ -60,8 +60,11 @@ def rel_smooth_params(p: int, M_next: float) -> RelSmoothParams:
 class ScalingFunction:
     """rho_{y,H}(x) = sum_{k=1..q} D^{2k} f(y)[x-y]^{2k} / (2k)! + H d_{p+1}(x-y).
 
-    Also caches, for this one anchor, the oracle's expansion at y, D^2 f(y)
-    and its radial solver; nothing carries one step subproblem into the next.
+    rho(h) gives rho and its gradient at x = y + h; every caller in the
+    lower level (the descent test, the carried dual point, the step
+    subproblem's gradient) takes them from it.  Also caches, for this one
+    anchor, the oracle's expansion at y, D^2 f(y) and its radial solver;
+    nothing carries one step subproblem into the next.
     """
 
     def __init__(self, instance: ProblemInstance, y: np.ndarray, H: float, p: int):
@@ -86,17 +89,8 @@ class ScalingFunction:
         return [(form, math.factorial(2 * k))
                 for k, form in enumerate(self.expansion[3], 1)]
 
-    def value(self, x: np.ndarray, dval: float) -> float:
-        """rho at x, with dval = prox_power(x - y)[0]."""
-        h = np.asarray(x, dtype=float) - self.y
-        val = self.H * dval
-        for form, fac in self.forms:
-            val += form(h)[0] / fac
-        return val
-
-    def value_grad(self, x: np.ndarray, d=None) -> tuple[float, np.ndarray]:
-        """rho and its gradient at x; d is prox_power(x - y) if already known."""
-        h = np.asarray(x, dtype=float) - self.y
+    def rho(self, h: np.ndarray, d=None) -> tuple[float, np.ndarray]:
+        """rho and its gradient at y + h; d is prox_power(h) if already known."""
         dval, dgrad = prox_power(self.instance.metric, h, self.p) if d is None else d
         val = self.H * dval
         grad = self.H * dgrad
@@ -125,9 +119,10 @@ def bregman_term(vx: float, gx: np.ndarray, vz: float, d: np.ndarray) -> float:
 
 def bregman(sf: ScalingFunction, x: np.ndarray, z: np.ndarray) -> float:
     """beta_rho(x, z) = rho(z) - rho(x) - <grad rho(x), z - x>; nonnegative."""
-    vz, _ = sf.value_grad(z)
-    vx, gx = sf.value_grad(x)
-    d = np.asarray(z, dtype=float) - np.asarray(x, dtype=float)
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    vz, _ = sf.rho(z - sf.y)
+    vx, gx = sf.rho(x - sf.y)
+    d = z - x
     return bregman_term(vx, gx, vz, d)
 
 
@@ -137,15 +132,6 @@ def reg_bregman(instance: ProblemInstance, anchor: np.ndarray, H: float,
     ez = evaluate(instance, anchor, H, p, z)
     ex = evaluate(instance, anchor, H, p, x)
     return bregman_term(ex.reg_value, ex.reg_grad, ez.reg_value, ez.x - ex.x)
-
-
-def _shifted_grad(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
-                  h: np.ndarray) -> np.ndarray:
-    """Gradient of the step subproblem's smooth part at the shifted h = z - y."""
-    grad = c_shift + gain * sf.H * prox_power(sf.instance.metric, h, sf.p)[1]
-    for form, fac in sf.forms:
-        grad = grad + gain * form(h)[1] / fac
-    return grad
 
 
 def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
@@ -195,11 +181,6 @@ def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     return h if inside else None
 
 
-def _radial(sf: ScalingFunction, psi: SimpleOracle) -> bool:
-    """Whether the step subproblem takes the radial reduction (psi = 0, q = 1)."""
-    return psi.kind == "zero" and sf.q == 1
-
-
 def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
                      psi: SimpleOracle) -> np.ndarray:
     """Minimize <c,h> + gain (sum_k D^{2k}f(y)[h]^{2k}/(2k)! + H d_{p+1}(h)) + psi(y+h),
@@ -231,7 +212,7 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     Each call starts with a face step on the anchor's face and backtracks
     from t = 1/gain; it depends only on its arguments.
     """
-    if _radial(sf, psi):
+    if psi.kind == "zero" and sf.q == 1:
         return sf.radial(c_shift / gain)
     m = sf.instance.metric
     tol = subproblem_tol(m.dual_norm(c_shift))
@@ -243,7 +224,7 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     jumped = h is not None
     if h is None:
         h = np.zeros(m.dim)
-    sgrad = _shifted_grad(sf, gain, c_shift, h)
+    sgrad = c_shift + gain * sf.rho(h)[1]
     for _ in range(MAX_SUBPROBLEM_STEPS):
         if jumped and psi.in_subdifferential(y + h, -sgrad, tol):
             return h
@@ -252,7 +233,7 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
             x = psi.scaled_prox(t, y + w, m)
             trial = x - y
             d = trial - h
-            sgrad_t = _shifted_grad(sf, gain, c_shift, trial)
+            sgrad_t = c_shift + gain * sf.rho(trial)[1]
             if float((sgrad_t - sgrad) @ d) <= m.norm(d) ** 2 / t:
                 break
             t *= 0.5
@@ -265,7 +246,7 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
         jump = None if faces is None else _face_step(sf, gain, c_shift, psi, x, faces)
         jumped = jump is not None
         if jumped:
-            h, sgrad = jump, _shifted_grad(sf, gain, c_shift, jump)
+            h, sgrad = jump, c_shift + gain * sf.rho(jump)[1]
     raise SubproblemStall("subproblem stall", best=h)
 
 
@@ -287,16 +268,11 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
 
     The loop carries rho(z_i) and the dual point grad rho(z_i), which the
     gain's test and the step's linear term c_i = grad f^p(z_i) - gain
-    grad rho(z_i) need.  rho(z0) = 0 and grad rho(z0) = 0, since rho is
-    smallest at its anchor.  On the radial path (psi = 0, q = 1) the step's
-    optimality condition c_i + gain grad rho(y + h) = 0 gives
-    grad rho(z_{i+1}) = -c_i/gain (Lu, Freund & Nesterov, SIAM J. Optim.
-    28(1), 2018), so no oracle runs for it.  It is exact up to the secular
-    solve's roundoff and the rounding of z_{i+1} = y + h, which moves
-    grad rho by at most eps/2 ||D^2 rho|| ||z_{i+1}||.
-    ScalingFunction.value_grad evaluates it on every proximal-gradient
-    path (psi != 0 or q >= 2), where g is built from the difference of the
-    two dual points.
+    grad rho(z_i) need, and on the psi != 0 paths the witness g, built from
+    the difference of the two dual points.  rho(z0) = 0 and grad rho(z0) =
+    0, since rho is smallest at its anchor; each step takes both at z_{i+1}
+    from ScalingFunction.rho at the rounded iterate, with the d_{p+1} pair
+    of its PointEval.
     """
     y = np.asarray(y, dtype=float)
     sf = ScalingFunction(instance, y, H, p)
@@ -359,13 +335,10 @@ def _composite_step(sf: ScalingFunction, psi: SimpleOracle, z,
     instance, y = sf.instance, sf.y
     gain = 1.0
     for _ in range(MAX_GAIN_DOUBLINGS + 1):
-        c_shift = z.reg_grad - gain * rho_z[1]
-        h = subproblem_solve(sf, gain, c_shift, psi)
-        z_next = y + h
-        nxt = evaluate(instance, y, sf.H, sf.p, z_next)
+        h = subproblem_solve(sf, gain, z.reg_grad - gain * rho_z[1], psi)
+        nxt = evaluate(instance, y, sf.H, sf.p, y + h)
         if nxt.grad is not None:
-            rho_next = (sf.value(z_next, nxt.d[0]), c_shift / -gain) \
-                if _radial(sf, psi) else sf.value_grad(z_next, nxt.d)
+            rho_next = sf.rho(nxt.x - y, nxt.d)
             if _descends(z, rho_z, nxt, rho_next, gain):
                 return nxt, rho_next, gain
         gain *= 2.0

@@ -94,11 +94,16 @@ class TestRun:
         assert "acceptance not reached" in result.output
 
     def test_list_with_non_object_is_usage_error(self, runner, tmp_path):
-        cfg = [{"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0}, 3]
-        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
-        assert result.exit_code == 2
-        assert result.output.count("config error:") == 1
-        assert "config must be an object or a list of objects" in result.output
+        # a non-object in the list, or a list of no runs at all
+        cases = [([{"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0}, 3],
+                  "config must be an object or a list of objects"),
+                 ([], "config has no runs"),
+                 ({"runs": []}, "config has no runs")]
+        for cfg, message in cases:
+            result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+            assert result.exit_code == 2, cfg
+            assert result.output.count("config error:") == 1
+            assert message in result.output
 
     def test_unwritable_trace_is_usage_error(self, runner, tmp_path):
         # the run completes, then writing its trace fails
@@ -334,11 +339,20 @@ class TestVerify:
         assert "H must be positive" in result.output
 
     def test_corrupt_trace_is_usage_error(self, runner, tmp_path):
+        # exit 1 means a failed check or solver; a malformed trace is exit 2
+        # for both commands that read one: not JSON, a line that is not an
+        # object, iteration records without F_val or with a string F_val
+        config = '{"type": "config", "F_star": 0.0, "p": 2}\n'
+        junk = ["this is not ndjson\n", '"x"\n', "[1, 2]\n",
+                config + '{"k": 10, "A": 1.0}\n',
+                config + '{"k": 10, "A": 1.0, "F_val": "1.0"}\n']
         path = tmp_path / "junk.ndjson"
-        path.write_text("this is not ndjson\n")
-        result = runner.invoke(main, ["verify", str(path)])
-        assert result.exit_code == 2
-        assert "trace error" in result.output
+        for text in junk:
+            path.write_text(text)
+            for command in ("verify", "rate-fit"):
+                result = runner.invoke(main, [command, str(path)])
+                assert result.exit_code == 2, (command, text)
+                assert "trace error" in result.output
 
     def test_empty_trace_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "empty.ndjson"

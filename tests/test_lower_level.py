@@ -57,7 +57,7 @@ class TestScalingFunction:
         # f = x^2/2, y = 0, H = 1, p = 3 (q = 1): rho(h) = h^2/2 + h^4/4
         inst = build_example_1d()
         sf = ScalingFunction(inst, np.array([0.0]), 1.0, 3)
-        v, g = sf.value_grad(np.array([1.0]))
+        v, g = sf.rho(np.array([1.0]))
         assert v == pytest.approx(0.75)
         assert g[0] == pytest.approx(2.0)
 
@@ -67,8 +67,8 @@ class TestScalingFunction:
         y = inst.meta["x0"]
         sf = ScalingFunction(inst, y, 4.0, p)
         x = y + 0.05 * np.arange(1.0, 4.0)
-        _, g = sf.value_grad(x)
-        want = fd_grad(lambda z: sf.value_grad(z)[0], x)
+        _, g = sf.rho(x - y)
+        want = fd_grad(lambda z: sf.rho(z - y)[0], x)
         np.testing.assert_allclose(g, want, rtol=1e-5, atol=1e-7)
 
     def test_truncation_order(self):
@@ -82,7 +82,7 @@ class TestScalingFunction:
         inst = build_logbar(10, 3, seed=6)
         y = inst.meta["x0"]
         sf = ScalingFunction(inst, y, 4.0, 3)
-        v, g = sf.value_grad(y)
+        v, g = sf.rho(np.zeros(3))
         assert v == pytest.approx(0.0)
         np.testing.assert_allclose(g, np.zeros(3), atol=1e-14)
 
@@ -357,53 +357,21 @@ class TestSolveAcceptable:
 
 
 class TestCarriedDualPoint:
-    """On the radial path solve_acceptable carries grad rho(z_{i+1}) =
-    -c_i/gain from the step's optimality condition instead of evaluating it;
-    rho(z_{i+1}) comes from ScalingFunction.value, without a gradient.
+    """solve_acceptable carries (rho(z_i), grad rho(z_i)) from step to step;
+    each kept step takes the pair at z_{i+1} from ScalingFunction.rho at
+    the rounded iterate, with the d_{p+1} pair of its PointEval, on the
+    radial path as on every other."""
 
-    That is grad rho at y + h; the iterate is y + h rounded, which moves
-    grad rho by up to u ||D^2 rho|| ||z|| (u = eps/2, ||D^2 rho|| <= ||K|| +
-    p H r^{p-1} under the identity metric).  So the check allows 1e-12
-    relative plus twice that; the second term matters only once steps near
-    the roundoff of z (quad-5 reaches ||h|| ~ 1e-10 ||z||, where the two
-    differ by 2e-8 relative).  Measured: at most 0.2 of the allowance.
-    """
-
-    @staticmethod
-    def record(monkeypatch):
-        """Lists of (sf, PointEval of z_{i+1}, carried (rho, grad rho)) per
-        step and of ScalingFunction.value_grad calls, filled while
-        solve_acceptable runs."""
-        steps, evaluations = [], []
-        step, value_grad = biopt.lower._composite_step, ScalingFunction.value_grad
+    @pytest.mark.parametrize("name", ["logbar-10-5", "quad-5"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_evaluation_at_every_iterate(self, monkeypatch, name, p):
+        steps, step = [], biopt.lower._composite_step
 
         def recorded(sf, *args):
             nxt, rho, gain = step(sf, *args)
             steps.append((sf, nxt, rho))
             return nxt, rho, gain
-
-        def counted(self, *args):
-            evaluations.append(args)
-            return value_grad(self, *args)
         monkeypatch.setattr(biopt.lower, "_composite_step", recorded)
-        monkeypatch.setattr(ScalingFunction, "value_grad", counted)
-        return steps, evaluations
-
-    @staticmethod
-    def assert_matches_evaluation(steps):
-        eps = np.finfo(float).eps
-        for sf, nxt, (value, carried) in steps:
-            want_value, want = ScalingFunction.value_grad(sf, nxt.x, nxt.d)
-            assert value == want_value
-            r = np.linalg.norm(nxt.x - sf.y)
-            hess = np.linalg.norm(sf.K, 2) + sf.p * sf.H * r ** (sf.p - 1)
-            assert (np.linalg.norm(carried - want)
-                    <= 1e-12 * np.linalg.norm(want) + eps * hess * np.linalg.norm(nxt.x))
-
-    @pytest.mark.parametrize("name", ["logbar-10-5", "quad-5"])
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_matches_evaluation_at_every_iterate(self, monkeypatch, name, p):
-        steps, evaluations = self.record(monkeypatch)
         inst = build_builtin(name, seed=0)
         if name == "quad-5":
             run(inst, "inexact", p=p, beta=0.2, H=1.0, budget=40)
@@ -413,8 +381,10 @@ class TestCarriedDualPoint:
         # the gain-1 step is the exact prox step (rho's Bregman distance is
         # f^p's); the fixed gain 2L took at least 80 on each
         assert len(steps) >= (60 if name == "logbar-10-5" else 7)
-        assert evaluations == []  # the radial path never evaluates grad rho
-        self.assert_matches_evaluation(steps)
+        for sf, nxt, (value, grad) in steps:
+            want_value, want_grad = sf.rho(nxt.x - sf.y, nxt.d)
+            assert value == want_value
+            np.testing.assert_array_equal(grad, want_grad)
 
 
 class TestAdaptiveGain:
@@ -465,7 +435,7 @@ class TestAdaptiveGain:
         assert len(solves) >= len(steps)
         for sf, z, nxt, gain in steps:
             assert 1.0 <= gain <= 2.0
-            rho_z = sf.value_grad(z.x)[0]
+            rho_z = sf.rho(z.x - sf.y)[0]
             b_rho = bregman(sf, z.x, nxt.x)
             b_reg = reg_bregman(sf.instance, sf.y, sf.H, sf.p, z.x, nxt.x)
             assert b_reg <= gain * b_rho + 1e-11 * (1.0 + abs(z.reg_value)
@@ -495,7 +465,7 @@ class TestAdaptiveGain:
         assert h[0] == pytest.approx((math.sqrt(1.0 + 40.0 / gain) - 1.0) / 2.0)
         np.testing.assert_array_equal(nxt.x, h)
         assert nxt.reg_value < z.reg_value
-        want_rho, want_grad = sf.value_grad(nxt.x)
+        want_rho, want_grad = sf.rho(nxt.x - sf.y)
         assert rho == pytest.approx(want_rho, rel=1e-14)
         np.testing.assert_allclose(rho_grad, want_grad, rtol=1e-12)
 
@@ -634,23 +604,30 @@ class TestOneEvaluationPerPoint:
         assert counts["anchor"] == calls[0]
 
     def test_shifted_grad_evaluations_per_subproblem(self, monkeypatch):
-        # 9 calls make 18 _shifted_grad evaluations: each starts with a face
+        # 9 calls make 18 evaluations of grad rho: each starts with a face
         # step on its anchor's face and stops at the face minimizer's
-        # optimality test (48 evaluations without the face step)
+        # optimality test (48 evaluations without the face step).  Only
+        # ScalingFunction.rho calls made inside subproblem_solve count; the
+        # step's own rho(z+) is outside it
         base = build_builtin("quad-5", 2)
         inst = build_quadratic(base.smooth.Q, base.smooth.c,
                                psi=SimpleOracle("l1", weight=0.5))
-        shifted_grad, solve = biopt.lower._shifted_grad, biopt.lower.subproblem_solve
+        rho, solve = ScalingFunction.rho, biopt.lower.subproblem_solve
         counts = {"grad": 0, "solve": 0}
+        inside = []
 
-        def counted_grad(*args):
-            counts["grad"] += 1
-            return shifted_grad(*args)
+        def counted_rho(*args):
+            counts["grad"] += bool(inside)
+            return rho(*args)
 
         def counted_solve(*args, **kwargs):
             counts["solve"] += 1
-            return solve(*args, **kwargs)
-        monkeypatch.setattr(biopt.lower, "_shifted_grad", counted_grad)
+            inside.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(ScalingFunction, "rho", counted_rho)
         monkeypatch.setattr(biopt.lower, "subproblem_solve", counted_solve)
         tr = run(inst, "inexact", p=2, beta=0.1, H=1.0, epsilon=1e-4, R=10.0,
                  x0=np.ones(5))
