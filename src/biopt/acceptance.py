@@ -102,8 +102,7 @@ class AcceptedPoint:
             raise InvariantViolation(
                 "acceptance inequality violated: "
                 f"{self.reg_grad_norm:.3e} > {beta:.3g} * {self.grad_F_norm:.3e}")
-        rep = check_lemma_properties(self)
-        bad = [k for k, v in rep.items() if v is not None and not v["ok"]]
+        bad = [k for k, v in check_lemma_properties(self).items() if v is False]
         if bad:
             raise InvariantViolation(f"accepted-point property failed: {bad}",
                                      families=bad)
@@ -116,7 +115,8 @@ class AcceptedPoint:
 def check_lemma_properties(accepted: AcceptedPoint,
                            x_star: np.ndarray | None = None) -> dict:
     """Diagnostic report for the first-order consequences of acceptance, with
-    the point's own H and p.
+    the point's own H and p: each property maps to True or False, or to None
+    where it does not apply.
 
     Checks the residual bracket
       (1-beta) ||grad f(T)+g||_* <= H r^p <= (1+beta) ||grad f(T)+g||_*,
@@ -136,29 +136,25 @@ def check_lemma_properties(accepted: AcceptedPoint,
     hrp = H * r ** p
     scale = max(gn, hrp, 1e-300)
 
-    def entry(ok, lhs, rhs):
-        return {"ok": bool(ok), "lhs": float(lhs), "rhs": float(rhs)}
-
     report = {}
-    report["residual_bracket_lower"] = entry(
-        (1.0 - beta) * gn <= hrp + rel_slack * scale, (1.0 - beta) * gn, hrp)
-    report["residual_bracket_upper"] = entry(
-        hrp <= (1.0 + beta) * gn + rel_slack * scale, hrp, (1.0 + beta) * gn)
+    report["residual_bracket_lower"] = bool(
+        (1.0 - beta) * gn <= hrp + rel_slack * scale)
+    report["residual_bracket_upper"] = bool(
+        hrp <= (1.0 + beta) * gn + rel_slack * scale)
     ip = float(comp @ (accepted.anchor - accepted.T))
     rhs2 = (H / (1.0 + beta)) * r ** (p + 1)
-    report["descent_inner_product"] = entry(
-        ip >= rhs2 - rel_slack * max(abs(ip), rhs2, 1e-300), ip, rhs2)
+    report["descent_inner_product"] = bool(
+        ip >= rhs2 - rel_slack * max(abs(ip), rhs2, 1e-300))
     if beta <= 1.0 / p:
         rhs3 = ((1.0 - beta) / H) ** (1.0 / p) * gn ** ((p + 1) / p)
-        report["descent_norm_form"] = entry(
-            ip >= rhs3 - rel_slack * max(abs(ip), rhs3, 1e-300), ip, rhs3)
+        report["descent_norm_form"] = bool(
+            ip >= rhs3 - rel_slack * max(abs(ip), rhs3, 1e-300))
     else:
         report["descent_norm_form"] = None
     if x_star is not None and beta <= 3.0 / 8.0:
-        lhs4 = m.norm(accepted.T - x_star)
         rhs4 = 1.25 * m.norm(accepted.anchor - x_star)
-        report["contraction_5_4"] = entry(lhs4 <= rhs4 + rel_slack * max(rhs4, 1e-300),
-                                          lhs4, rhs4)
+        report["contraction_5_4"] = bool(
+            m.norm(accepted.T - x_star) <= rhs4 + rel_slack * max(rhs4, 1e-300))
     else:
         report["contraction_5_4"] = None
     return report

@@ -121,7 +121,7 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
                p: int, sprox_oracle) -> dict:
     """One iteration of the exact segment-search driver."""
     u = state.upsilon - state.x
-    x_plus, tau, g = sprox_oracle(state.x, u)
+    x_plus, _, g = sprox_oracle(state.x, u)
     x_plus = np.asarray(x_plus, dtype=float)
     g = np.asarray(g, dtype=float)
     f_plus, grad_f = instance.smooth.value_grad(x_plus)
@@ -129,30 +129,25 @@ def step_exact(state: EstimatingState, instance: ProblemInstance, H: float,
     a = _advance(state, instance, step_rates("exact", H, p, None), p,
                  g_k, [(1.0, x_plus, f_plus, grad_f)], x_plus)
     return {"status": "optimal" if a is None else "running", "g_k": g_k,
-            "a": a, "branch": "exact", "tau": tau, "residual": g_k, "f": f_plus}
+            "a": a, "branch": "exact", "residual": g_k, "f": f_plus}
 
 
 def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
-                 p: int, beta: float, collect=None) -> dict:
+                 p: int, beta: float) -> dict:
     """One iteration of the inexact (three-branch) segment-search driver."""
     u = state.upsilon - state.x
     seg = None
     try:
         # OptimalityReached is raised here before any state changes
         ap0, lower_iters = solve_acceptable(instance, state.x, H, p, beta)
-        if collect is not None:
-            collect(ap0)
         ap, branch = ap0, "case_i"
         if state.metric.norm(u) != 0.0 and float(ap0.composite_grad() @ u) < 0.0:
             ap, it1 = solve_acceptable(instance, state.upsilon, H, p, beta)
             lower_iters += it1
-            if collect is not None:
-                collect(ap)
             branch = "case_ii"
             if float(ap.composite_grad() @ u) > 0.0:
                 branch = "case_iii"
-                seg = bisect_segment(instance, state.x, u, ap0, ap, H, p, beta,
-                                     collect=collect)
+                seg = bisect_segment(instance, state.x, u, ap0, ap, H, p, beta)
     except OptimalityReached as opt:
         state.x = np.asarray(opt.point, dtype=float)
         return {"status": "optimal", "g_k": 0.0, "branch": "optimal",
@@ -300,6 +295,13 @@ def _float_or_none(v):
     return None if v is None else float(v)
 
 
+def _require(obj: dict, fields: tuple[str, ...], where: str) -> None:
+    """Raise ValueError naming every one of fields that obj lacks."""
+    missing = [name for name in fields if name not in obj]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+
+
 def _number(v, kind=numbers.Real) -> bool:
     """v is a number of that kind within the float range (a bool, a string,
     an infinity or a NaN is not)."""
@@ -346,7 +348,7 @@ def start_point(instance: ProblemInstance, x0=None) -> np.ndarray:
 def run(instance: ProblemInstance, mode: str, p: int = 3,
         beta: float = 0.0, H: float | None = None, M_next: float | None = None,
         budget: int = 200, epsilon: float | None = None, R: float | None = None,
-        x0: np.ndarray | None = None, collect=None) -> RunTrace:
+        x0: np.ndarray | None = None) -> RunTrace:
     """Drive one of the three methods to a certified stop or budget exhaustion.
 
     mode "exact" uses a closed-form segment-search oracle; "inexact" uses the
@@ -396,10 +398,8 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
                 if key in step_info:
                     rec[key] = step_info[key]
         rec["psi_star"] = psi_star(state, psi)
-        rec["AF_plus_B"] = state.A * F_val + state.B_cert
         if x_star is not None:
             rec["psi_at_xstar"] = psi_value(state, psi, x_star)
-            rec["psi_xstar_bound"] = state.A * F_star + 0.5 * R0 * R0
             rec["dist_x"] = instance.metric.norm(state.x - x_star)
             rec["dist_upsilon"] = instance.metric.norm(state.upsilon - x_star)
         if state.A > 0.0 and R is not None:
@@ -419,7 +419,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         if mode == "exact":
             info = step_exact(state, instance, H, p, oracle)
         else:
-            info = step_inexact(state, instance, H, p, beta, collect=collect)
+            info = step_inexact(state, instance, H, p, beta)
         rec = record(info)
         if info["status"] == "optimal":
             status = "optimal"
@@ -441,12 +441,15 @@ def rate_fit(trace: RunTrace, k_min: int, k_max: int) -> tuple[float, list[str]]
     """Least-squares slope of log(F(x_k) - F*) against log k on [k_min, k_max].
 
     Gaps at or below 1e-14 are dropped (double-precision floor); returns the
-    slope and any warnings emitted along the way.
+    slope and any warnings emitted along the way.  ValueError names any k or
+    F_val a record lacks.
     """
     warnings = []
     F_star = trace.config.get("F_star")
     if F_star is None:
         raise BioptError("trace has no known optimal value")
+    for i, rec in enumerate(trace.records):
+        _require(rec, ("k", "F_val"), f"trace record {i}")
     ks, gaps = [], []
     for rec in trace.records:
         k = rec["k"]
@@ -529,10 +532,15 @@ def verify_trace(trace: RunTrace) -> dict:
     Returns {family: {"ok": bool, "violations": [k, ...]}}; purely
     arithmetic on the recorded fields and the config (see
     invariant_violations), so tampered or stripped traces fail loudly.
+    ValueError names any field that every check reads and the config or a
+    record lacks.
     """
+    _require(trace.config, ("mode", "p", "H", "beta", "F_star", "R", "R0"),
+             "trace config")
     checks = {name: [] for name in FAMILIES}
     prev = None
-    for rec in trace.records:
+    for i, rec in enumerate(trace.records):
+        _require(rec, ("k", "F_val", "A", "B_cert"), f"trace record {i}")
         for name in invariant_violations(trace.config, prev, rec):
             checks[name].append(rec["k"])
         prev = rec

@@ -9,7 +9,6 @@ consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -215,13 +214,13 @@ def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     equation), then polishes tau inside the two grid cells around the best
     grid point.  The tau-objective min_x F(x) + H d_{p+1}(x - xbar - tau*u) is
     a partial minimum of a jointly convex function, hence convex in tau, so
-    its minimizer lies in that bracket.  In 1-D the polish zooms: each level
-    solves the inner problem on 101 evenly spaced taus of the bracket in one
-    vectorized call and shrinks the bracket to the two cells around the best
-    of them.  In higher dimension it is a golden section with one lower-level
-    solve per tau.  The best grid point is kept when the polish does not
-    improve on it.  Scope: in 1-D only F(x) = q x^2/2 - c x + w|x| with a
-    known F* (ValueError otherwise), in dimension 2 to 5 any instance;
+    its minimizer lies in that bracket.  The polish zooms: each of 4 levels
+    solves the inner problem on 101 evenly spaced taus of the bracket and
+    shrinks the bracket to the two cells around the best of them; the best
+    tau seen is returned.  The inner solve is one vectorized call per set of
+    taus in 1-D and one near-exact lower-level solve per tau in higher
+    dimension.  Scope: in 1-D only F(x) = q x^2/2 - c x + w|x| with a known
+    F* (ValueError otherwise), in dimension 2 to 5 any instance;
     grid_tau <= 10^4.
     """
     if instance.dim > 5:
@@ -230,42 +229,35 @@ def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
         raise ValueError("grid_tau capped at 10^4")
     xbar = np.asarray(xbar, dtype=float)
     u = np.asarray(u, dtype=float)
-    taus = np.linspace(0.0, 1.0, grid_tau + 1)
 
     if instance.dim == 1:
-        solve = _inner_solver_1d(instance, H, p)
-        xs, vals = solve(xbar[0] + taus * u[0])
+        inner = _inner_solver_1d(instance, H, p)
+
+        def solve(taus):
+            return inner(xbar[0] + taus * u[0])
+    else:
+        def solve(taus):
+            xs, vals = [], []
+            for tau in taus:
+                anchor = xbar + tau * u
+                ap, _ = solve_acceptable(instance, anchor, H, p, beta=1e-8)
+                dval = instance.metric.norm(ap.T - anchor) ** (p + 1) / (p + 1)
+                xs.append(ap.T)
+                vals.append(instance.F(ap.T) + H * dval)
+            return xs, np.array(vals)
+
+    taus = np.linspace(0.0, 1.0, grid_tau + 1)
+    xs, vals = solve(taus)
+    j = int(np.argmin(vals))
+    best_x, best_tau, best_val = xs[j], taus[j], vals[j]
+    for _ in range(4):
+        lo, hi = taus[max(j - 1, 0)], taus[min(j + 1, len(taus) - 1)]
+        taus = np.linspace(lo, hi, 101)
+        xs, vals = solve(taus)
         j = int(np.argmin(vals))
-        best_x, best_tau, best_val = xs[j], taus[j], vals[j]
-        lo_t, hi_t = taus[max(j - 1, 0)], taus[min(j + 1, grid_tau)]
-        for _ in range(4):
-            ts = np.linspace(lo_t, hi_t, 101)
-            xz, vz = solve(xbar[0] + ts * u[0])
-            i = int(np.argmin(vz))
-            if vz[i] <= best_val:
-                best_x, best_tau, best_val = xz[i], ts[i], vz[i]
-            lo_t, hi_t = ts[max(i - 1, 0)], ts[min(i + 1, 100)]
-        return np.array([best_x]), float(best_tau), float(best_val)
-
-    # generic low-dimensional path: near-exact lower-level solve per tau
-    def solve_at(tau):
-        anchor = xbar + tau * u
-        ap, _ = solve_acceptable(instance, anchor, H, p, beta=1e-8)
-        dval = instance.metric.norm(ap.T - anchor) ** (p + 1) / (p + 1)
-        return ap.T, instance.F(ap.T) + H * dval
-
-    best_x, best_val, best_j = None, math.inf, 0
-    for j, tau in enumerate(taus):
-        xT, val = solve_at(tau)
-        if val < best_val:
-            best_x, best_val, best_j = xT, val, j
-    lo_t = taus[max(best_j - 1, 0)]
-    hi_t = taus[min(best_j + 1, grid_tau)]
-    tau, val = golden_section(lambda t: solve_at(float(t))[1], lo_t, hi_t, iters=60)
-    if val < best_val:
-        xT, val = solve_at(tau)
-        return xT, float(tau), float(val)
-    return best_x, float(taus[best_j]), float(best_val)
+        if vals[j] <= best_val:
+            best_x, best_tau, best_val = xs[j], taus[j], vals[j]
+    return np.atleast_1d(best_x), float(best_tau), float(best_val)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +280,7 @@ class SegmentResult:
 
 def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
                    end0: AcceptedPoint, end1: AcceptedPoint, H: float, p: int,
-                   beta: float, collect=None) -> SegmentResult:
+                   beta: float) -> SegmentResult:
     """Bracketing bisection on the directional products along the segment.
 
     Maintains tau1 < tau2 with beta1 <= 0 <= beta2; each halving solves the
@@ -318,8 +310,6 @@ def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
         anchor = x_k + tau_mid * u_k
         ap, iters = solve_acceptable(instance, anchor, H, p, beta)
         lower_total += iters
-        if collect is not None:
-            collect(ap)
         b_mid = float(ap.composite_grad() @ u_k)
         if b_mid <= 0.0:
             tau1, T1, beta1 = tau_mid, ap, b_mid

@@ -10,10 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from biopt import (Metric, ScalingFunction, bregman, build_builtin,
-                   build_example_1d, build_logbar, check_lemma_properties,
-                   evaluate, exact_sprox_1d, prox_power, rate_fit, reg_bregman,
-                   rel_smooth_params, run, sprox_reference)
+import biopt.lower
+from biopt import (AcceptedPoint, Metric, ScalingFunction, bregman,
+                   build_builtin, build_example_1d, build_logbar,
+                   check_lemma_properties, evaluate, exact_sprox_1d,
+                   prox_power, rate_fit, reg_bregman, rel_smooth_params, run,
+                   sprox_reference)
 
 
 def report(num, ok, desc):
@@ -47,13 +49,20 @@ def exact_runs():
 @pytest.fixture(scope="module")
 def superfast_runs():
     """Superfast traces on log-barrier benchmarks, with every accepted point
-    produced by the lower level captured for later auditing."""
+    produced by the lower level captured for later auditing: the lower
+    level's AcceptedPoint is wrapped to keep each point it builds."""
     out = []
     for p, seed, budget in ((3, 0, 200), (2, 0, 500), (2, 1, 500)):
         inst = build_logbar(10, 5, seed=seed)
         points = []
-        trace = run(inst, "superfast", p=p, beta=0.2, budget=budget,
-                    collect=points.append)
+
+        def keep(*args, **kwargs):
+            points.append(AcceptedPoint(*args, **kwargs))
+            return points[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(biopt.lower, "AcceptedPoint", keep)
+            trace = run(inst, "superfast", p=p, beta=0.2, budget=budget)
         out.append({"p": p, "seed": seed, "inst": inst, "trace": trace,
                     "points": points})
     return out
@@ -138,7 +147,7 @@ def test_criterion_4_accepted_point_audit(superfast_runs):
         for ap in entry["points"]:
             total += 1
             rep = check_lemma_properties(ap, x_star=x_star)
-            if any(v is not None and not v["ok"] for v in rep.values()):
+            if False in rep.values():
                 bad += 1
     ok = bad == 0 and total >= 1000
     report(4, ok, f"first-order consequences on {total} accepted points "
@@ -151,12 +160,13 @@ def test_criterion_5_estimating_sequence_invariants(exact_runs, superfast_runs):
     violations = 0
     checked = 0
     for trace in traces:
+        F_star, R0 = trace.config["F_star"], trace.config["R0"]
         for rec in trace.records:
-            ps = rec["psi_star"]
+            A, ps = rec["A"], rec["psi_star"]
             checked += 1
-            if rec["AF_plus_B"] > ps + 1e-8 * (1.0 + abs(ps)):
+            if A * rec["F_val"] + rec["B_cert"] > ps + 1e-8 * (1.0 + abs(ps)):
                 violations += 1
-            ub = rec["psi_xstar_bound"]
+            ub = A * F_star + 0.5 * R0 * R0
             if rec["psi_at_xstar"] > ub + 1e-8 * (1.0 + abs(ub)):
                 violations += 1
     report(5, violations == 0,

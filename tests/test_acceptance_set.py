@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import biopt.acceptance
 from biopt import (AcceptedPoint, InvariantViolation, build_example_1d,
                    build_logbar, build_quadratic, check_lemma_properties,
                    evaluate, exact_sprox_1d, rel_smooth_params,
@@ -90,7 +91,7 @@ class TestAcceptedPoint:
         inst, ap, _ = self.build_accepted()
         rep = check_lemma_properties(ap, x_star=inst.x_star)
         for key, val in rep.items():
-            assert val is None or val["ok"], (key, val)
+            assert val is True or val is None, (key, val)
         # beta = 1/4 <= 3/8 and <= 1/p: every consequence is active
         assert rep["descent_norm_form"] is not None
         assert rep["contraction_5_4"] is not None
@@ -101,6 +102,25 @@ class TestAcceptedPoint:
         assert rep["contraction_5_4"] is None  # no x* supplied
         # beta = 0.26 <= 1/p = 1/2: still active for p = 2
         assert rep["descent_norm_form"] is not None
+
+    def test_point_outside_domain_rejected(self):
+        inst = build_logbar(10, 5, seed=0)
+        with pytest.raises(InvariantViolation, match="outside the domain"):
+            AcceptedPoint(inst, inst.meta["x0"], 1.0, 2, 0.2,
+                          100.0 * np.ones(5), np.zeros(5))
+
+    def test_failed_lemma_property_rejected(self, monkeypatch):
+        # a point whose report holds one False fails under that name
+        inst, ap, _ = self.build_accepted()
+        monkeypatch.setattr(
+            biopt.acceptance, "check_lemma_properties",
+            lambda accepted: {"residual_bracket_lower": True,
+                              "descent_inner_product": False,
+                              "descent_norm_form": None})
+        with pytest.raises(InvariantViolation,
+                           match="accepted-point property failed") as err:
+            AcceptedPoint(inst, ap.anchor, ap.H, ap.p, ap.beta_used, ap.T, ap.g)
+        assert err.value.families == ["descent_inner_product"]
 
     def test_invalid_pair_rejected(self):
         inst = build_example_1d()

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 import biopt.cli
 import biopt.lower
+import biopt.problems
 from biopt.cli import main
 from biopt import RunTrace
 from biopt.driver import check_run_args, run
@@ -92,6 +93,18 @@ class TestRun:
         assert result.exit_code == 1
         assert result.output.count("solver failure:") == 1
         assert "acceptance not reached" in result.output
+
+    def test_failed_reference_solve_exits_1(self, runner, tmp_path,
+                                            monkeypatch):
+        # building logbar-10-5 runs Newton for x*; its cap fails the config
+        # check with exit 1, before any run
+        monkeypatch.setattr(biopt.problems, "MAX_NEWTON_STEPS", 1)
+        cfg = {"instance": "logbar-10-5", "mode": "superfast", "p": 2,
+               "beta": 0.2, "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 1
+        assert "solver failure:" in result.output
+        assert "status=" not in result.output
 
     def test_list_with_non_object_is_usage_error(self, runner, tmp_path):
         # a non-object in the list, or a list of no runs at all
@@ -293,6 +306,18 @@ class TestRateFit:
         assert result.exit_code == 0
         assert "slope=-3.500000" in result.output
 
+    def test_gap_underflow_warns_and_truncates(self, runner, tmp_path):
+        # from k = 41 the gap sits at the 1e-14 floor: the fit stops there
+        path = self.make_trace_file(tmp_path)
+        trace = RunTrace.from_ndjson(path)
+        for rec in trace.records[40:]:
+            rec["F_val"] = 1e-14
+        trace.write_ndjson(path)
+        result = runner.invoke(main, ["rate-fit", path])
+        assert result.exit_code == 0
+        assert "warning: gap underflow at k=41; truncating range" in result.output
+        assert "slope=-3.500000" in result.output
+
     def test_too_few_points(self, runner, tmp_path):
         path = self.make_trace_file(tmp_path, n=5)
         result = runner.invoke(main, ["rate-fit", path])
@@ -341,18 +366,29 @@ class TestVerify:
     def test_corrupt_trace_is_usage_error(self, runner, tmp_path):
         # exit 1 means a failed check or solver; a malformed trace is exit 2
         # for both commands that read one: not JSON, a line that is not an
-        # object, iteration records without F_val or with a string F_val
+        # object, a config or iteration record without a field every check
+        # reads (the message names each missing field), a string F_val
         config = '{"type": "config", "F_star": 0.0, "p": 2}\n'
-        junk = ["this is not ndjson\n", '"x"\n', "[1, 2]\n",
-                config + '{"k": 10, "A": 1.0}\n',
-                config + '{"k": 10, "A": 1.0, "F_val": "1.0"}\n']
+        full = ('{"type": "config", "mode": "exact", "p": 2, "H": 1.0, '
+                '"beta": 0.0, "F_star": 0.0, "R": 1.0, "R0": 0.5}\n')
+        no_config = "trace config lacks mode, H, beta, R, R0"
+        junk = [("this is not ndjson\n", None, None), ('"x"\n', None, None),
+                ("[1, 2]\n", None, None),
+                (config + '{"k": 10, "A": 1.0}\n',
+                 no_config, "trace record 0 lacks F_val"),
+                (config + '{"k": 10, "A": 1.0, "F_val": "1.0"}\n',
+                 no_config, None),
+                (full + '{"k": 0, "F_val": 1.0}\n{"F_val": 0.5}\n',
+                 "trace record 0 lacks A, B_cert", "trace record 1 lacks k")]
         path = tmp_path / "junk.ndjson"
-        for text in junk:
+        for text, *messages in junk:
             path.write_text(text)
-            for command in ("verify", "rate-fit"):
+            for command, message in zip(("verify", "rate-fit"), messages):
                 result = runner.invoke(main, [command, str(path)])
                 assert result.exit_code == 2, (command, text)
                 assert "trace error" in result.output
+                assert message is None or message in result.output, \
+                    (command, result.output)
 
     def test_empty_trace_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "empty.ndjson"

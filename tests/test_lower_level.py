@@ -320,6 +320,11 @@ class TestSolveAcceptable:
         with pytest.raises(OptimalityReached, match="already optimal"):
             solve_acceptable(inst, np.array([0.0]), prm.H, 3, 0.25)
 
+    def test_anchor_outside_domain_raises(self):
+        inst = build_logbar(10, 5, seed=0)
+        with pytest.raises(DomainViolation, match="anchor outside"):
+            solve_acceptable(inst, 100.0 * np.ones(5), 1.0, 2, 0.2)
+
     def test_cap_exhaustion(self, monkeypatch):
         inst = build_logbar(10, 4, seed=3)
         p = 2

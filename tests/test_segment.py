@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import biopt.lower
 import biopt.segment as segment
-from biopt import (BisectionStall, Metric, ProblemInstance, QuadraticOracle,
-                   SimpleOracle, bisect_segment, build_builtin,
+from biopt import (AcceptedPoint, BisectionStall, Metric, ProblemInstance,
+                   QuadraticOracle, SimpleOracle, bisect_segment, build_builtin,
                    build_example_1d, build_logbar, build_quadratic,
                    build_separable, exact_sprox_1d, exact_sprox_1d_general,
                    make_sprox_oracle, monotone_root, run, solve_acceptable,
@@ -369,11 +370,16 @@ class TestBisectSegment:
         end1, _ = solve_acceptable(inst, x_k + u_k, H, p, beta)
         return inst, x_k, u_k, end0, end1, H, p, beta
 
-    def test_bracket_invariants(self):
+    def test_bracket_invariants(self, monkeypatch):
         inst, x_k, u_k, end0, end1, H, p, beta = self.setup_case()
-        collected = []
-        seg = bisect_segment(inst, x_k, u_k, end0, end1, H, p, beta,
-                             collect=collected.append)
+        collected = []  # the point the lower level accepts at each midpoint
+
+        def keep(*args, **kwargs):
+            collected.append(AcceptedPoint(*args, **kwargs))
+            return collected[-1]
+
+        monkeypatch.setattr(biopt.lower, "AcceptedPoint", keep)
+        seg = bisect_segment(inst, x_k, u_k, end0, end1, H, p, beta)
         assert seg.beta1 <= 0.0 <= seg.beta2
         assert 0.0 <= seg.tau1 < seg.tau2 <= 1.0
         # every halving cuts the bracket width exactly in two

@@ -425,6 +425,14 @@ class TestVerifyTrace:
         for name, res in rep.items():
             assert res["ok"], (name, res)
 
+    def test_record_after_final_optimal_record_fails(self):
+        trace = run(build_example_1d(), "exact", p=3, H=1.0,
+                    x0=np.array([2.0]), budget=50)
+        assert trace.status == "optimal"
+        trace.records.append(dict(trace.records[-1]))
+        rep = verify_trace(trace)
+        assert rep["A_nondecreasing"]["violations"] == [trace.records[-1]["k"]]
+
     def test_detects_broken_descent(self):
         trace = self.clean_trace()
         bad = copy.deepcopy(trace)
