@@ -17,9 +17,15 @@ from .numerics import prox_power
 from .problems import ProblemInstance
 
 
-# slacks of the acceptance inequality, in solve_acceptable and AcceptedPoint
+# slacks of the acceptance inequality (acceptable)
 ACCEPTANCE_ABS = 1e-12
 ACCEPTANCE_REL = 1e-12
+
+
+def acceptable(reg_norm: float, grad_norm: float, beta: float) -> bool:
+    """||grad f^p(T) + g||_* <= beta ||grad f(T) + g||_* from the two norms,
+    with slack ACCEPTANCE_ABS + ACCEPTANCE_REL ||grad f(T) + g||_*."""
+    return reg_norm <= beta * grad_norm + (ACCEPTANCE_ABS + ACCEPTANCE_REL * grad_norm)
 
 
 def subproblem_tol(scale: float) -> float:
@@ -31,10 +37,13 @@ def subproblem_tol(scale: float) -> float:
 @dataclass(frozen=True)
 class PointEval:
     """f, grad f and f^p_{anchor,H} = f + H d_{p+1}(. - anchor) at x, from one
-    oracle call; d = prox_power(x - anchor).  Outside the domain of f:
-    value and reg_value inf, the rest None."""
+    oracle call; d = prox_power(x - anchor).  Outside the domain of f: value
+    and reg_value inf, grad, reg_grad and d None."""
 
     x: np.ndarray
+    anchor: np.ndarray
+    H: float
+    p: int
     value: float
     grad: np.ndarray | None
     reg_value: float
@@ -49,56 +58,46 @@ def evaluate(instance: ProblemInstance, anchor: np.ndarray, H: float, p: int,
     x = np.asarray(x, dtype=float)
     value, grad = instance.smooth.value_grad(x) if fg is None else fg
     if grad is None:
-        return PointEval(x, value, None, math.inf, None, None)
+        return PointEval(x, anchor, H, p, value, None, math.inf, None, None)
     dval, dgrad = d = prox_power(instance.metric, x - anchor, p)
-    return PointEval(x, value, grad, value + H * dval, grad + H * dgrad, d)
+    return PointEval(x, anchor, H, p, value, grad, value + H * dval,
+                     grad + H * dgrad, d)
 
 
 class AcceptedPoint:
-    """A certified acceptable solution of the prox subproblem at anchor ybar.
+    """A certified acceptable pair (T, g) of the prox subproblem that ev, the
+    evaluation at T = ev.x, regularizes: anchor, H, p, f and gradients are ev's.
 
     Construction asserts g in the subdifferential of psi at T, the defining
-    inequality and the first-order consequences (the two-sided residual
-    bracket and the descent inner product); an AcceptedPoint that exists is
-    always valid.  The lower level's g errs by at most its subproblem
-    residual, subproblem_tol(||c||_*) for the step's linear term c, which is
-    not known here; so membership allows 100 subproblem_tol(||grad f(T)||_*
-    + ||g||_*).  On the 83 accepted points of the quad l1/box cells, where
-    c carries the step's gain, ||c||_* <= 2.6 times that scale and the
-    error <= 9.7e-6 subproblem_tol(||c||_*), as face steps end on exact
-    face minimizers.  ev, the
-    caller's evaluation at T, is refused unless taken at T itself; the
-    regularizer term is recomputed here, so its anchor, H and p cannot differ.
+    inequality (acceptable) and the first-order consequences (the two-sided
+    residual bracket and the descent inner product); an AcceptedPoint that
+    exists is always valid.  The lower level's g errs by at most its
+    subproblem residual, subproblem_tol(||c||_*) for the step's linear term
+    c, which is not known here; so membership allows 100
+    subproblem_tol(||grad f(T)||_* + ||g||_*).  On the 83 accepted points of
+    the quad l1/box cells, where c carries the step's gain, ||c||_* <= 2.6
+    times that scale and the error <= 9.7e-6 subproblem_tol(||c||_*), as
+    face steps end on exact face minimizers.
     """
 
-    def __init__(self, instance: ProblemInstance, anchor: np.ndarray, H: float,
-                 p: int, beta: float, T: np.ndarray, g: np.ndarray,
-                 ev: PointEval | None = None):
-        self._instance = instance
-        self.T = np.asarray(T, dtype=float)
-        self.g = np.asarray(g, dtype=float)
-        self.anchor = np.asarray(anchor, dtype=float)
-        self.beta_used = float(beta)
-        self.H = float(H)
-        self.p = int(p)
-        m = instance.metric
-        if ev is None:
-            ev = evaluate(instance, self.anchor, H, p, self.T)
-        elif not np.array_equal(ev.x, self.T):
-            raise InvariantViolation("evaluation was taken at a point other than T")
+    def __init__(self, instance: ProblemInstance, beta: float, ev: PointEval,
+                 g: np.ndarray):
         if ev.grad is None:
             raise InvariantViolation("accepted point outside the domain of f")
+        self._instance = instance
+        self.T, self.anchor, self.H, self.p = ev.x, ev.anchor, ev.H, ev.p
+        self.g = np.asarray(g, dtype=float)
+        self.beta_used = float(beta)
         self.f, self.grad_f = ev.value, ev.grad
-        reg_grad = self.grad_f + H * prox_power(m, self.T - self.anchor, p)[1]
+        m = instance.metric
         self.r = m.norm(self.T - self.anchor)
         witness_tol = 100.0 * subproblem_tol(m.dual_norm(self.grad_f)
                                              + m.dual_norm(self.g))
         if not instance.simple.in_subdifferential(self.T, self.g, tol=witness_tol):
             raise InvariantViolation("g is not in the subdifferential of psi at T")
         self.grad_F_norm = m.dual_norm(self.grad_f + self.g)
-        self.reg_grad_norm = m.dual_norm(reg_grad + self.g)
-        slack = ACCEPTANCE_ABS + ACCEPTANCE_REL * self.grad_F_norm
-        if self.reg_grad_norm > beta * self.grad_F_norm + slack:
+        self.reg_grad_norm = m.dual_norm(ev.reg_grad + self.g)
+        if not acceptable(self.reg_grad_norm, self.grad_F_norm, beta):
             raise InvariantViolation(
                 "acceptance inequality violated: "
                 f"{self.reg_grad_norm:.3e} > {beta:.3g} * {self.grad_F_norm:.3e}")

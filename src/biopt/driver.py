@@ -74,17 +74,6 @@ def psi_star(state: EstimatingState, psi: SimpleOracle) -> float:
     return psi_value(state, psi, estimating_min(state, psi))
 
 
-def _absorb(state: EstimatingState, a: float,
-            pieces: list[tuple[float, np.ndarray, float, np.ndarray]]) -> None:
-    """Add a * (sum_j w_j l_{T_j}) to the affine accumulators.
-
-    Each piece is (weight, T, f(T), grad f(T)); l_T(x) = f(T) + <grad f(T), x - T>.
-    """
-    for w, T, fT, gT in pieces:
-        state.s = state.s + a * w * gT
-        state.const += a * w * (fT - float(gT @ T))
-
-
 def step_rates(mode: str, H: float, p: int,
                beta: float | None) -> tuple[float, float]:
     """(c0, b0): a_k^2/A_{k+1} = c0 g_k^{(1-p)/p} and B_cert grows by
@@ -103,13 +92,17 @@ def step_rates(mode: str, H: float, p: int,
 def _advance(state: EstimatingState, instance: ProblemInstance, rates,
              p: int, g_k: float, pieces, x_next: np.ndarray) -> float | None:
     """Step tail: move to x_next; unless it is optimal (then None), solve for
-    a, absorb the pieces and advance A, B_cert, upsilon and k."""
+    a, add a * (sum_j w_j l_{T_j}) to the affine accumulators over the
+    pieces (w_j, T_j, f(T_j), grad f(T_j)), l_T(x) = f(T) + <grad f(T),
+    x - T>, and advance A, B_cert, upsilon and k."""
     state.x = x_next
     if g_k <= OPTIMAL_G:
         return None
     c0, b0 = rates
     a = solve_step_coefficient(state.A, c0 * g_k ** ((1.0 - p) / p))
-    _absorb(state, a, pieces)
+    for w, T, fT, gT in pieces:
+        state.s = state.s + a * w * gT
+        state.const += a * w * (fT - float(gT @ T))
     state.A += a
     state.B_cert += b0 * state.A * g_k ** ((p + 1) / p)
     state.upsilon = estimating_min(state, instance.simple)
@@ -154,19 +147,15 @@ def step_inexact(state: EstimatingState, instance: ProblemInstance, H: float,
                 "lower_iters": 0, "bisections": 0, "residual": 0.0}
 
     if seg is None:
-        bisections = 0
+        bisections, g_k, G_vec = 0, ap.grad_F_norm, ap.composite_grad()
         pieces = [(1.0, ap.T, ap.f, ap.grad_f)]
         x_next, f_next = ap.T, ap.f
-        g_k = ap.grad_F_norm
-        G_vec = ap.composite_grad()
     else:
-        bisections = seg.bisections
+        bisections, g_k, alpha = seg.bisections, seg.g_k, seg.alpha
         lower_iters += seg.lower_iters
-        alpha = seg.alpha
         pieces = [(w, T.T, T.f, T.grad_f)
                   for w, T in ((alpha, seg.T1), (1.0 - alpha, seg.T2))]
         x_next, f_next = alpha * seg.T1.T + (1.0 - alpha) * seg.T2.T, None
-        g_k = seg.g_k
         G_vec = alpha * seg.T1.composite_grad() \
             + (1.0 - alpha) * seg.T2.composite_grad()
     a = _advance(state, instance, step_rates("inexact", H, p, beta), p, g_k,
@@ -295,11 +284,25 @@ def _float_or_none(v):
     return None if v is None else float(v)
 
 
-def _require(obj: dict, fields: tuple[str, ...], where: str) -> None:
-    """Raise ValueError naming every one of fields that obj lacks."""
+def _require(obj: dict, fields: tuple[str, ...], where: str,
+             nullable: tuple[str, ...] = ()) -> None:
+    """Raise ValueError naming every one of fields that obj lacks, else the
+    first of fields and nullable, mode aside, that is not a number (_number);
+    one of nullable may also be null or absent."""
     missing = [name for name in fields if name not in obj]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(missing)}")
+    values = [obj[name] for name in fields]
+    values += [v for v in map(obj.get, nullable) if v is not None]
+    try:  # the common case first: finite numbers, no bool, null or string
+        if set(map(type, values)) <= {float, int} and math.isfinite(sum(values)):
+            return
+    except OverflowError:  # an int beyond the float range
+        pass
+    for name in fields + nullable:
+        v = obj.get(name)
+        if name != "mode" and not (v is None and name in nullable or _number(v)):
+            raise ValueError(f"{where} has {name} = {v!r}, not a finite number")
 
 
 def _number(v, kind=numbers.Real) -> bool:
@@ -359,8 +362,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
     check_run_args(mode, p, beta, H, M_next, budget, epsilon, R)
     x0 = start_point(instance, x0)
     if mode == "superfast":
-        if M_next is None:
-            M_next = instance.smooth.deriv_bound(p + 1)
+        M_next = instance.smooth.deriv_bound(p + 1) if M_next is None else M_next
         if M_next is None or M_next <= 0:
             raise ValueError("superfast mode needs a positive M_{p+1} bound")
         H = rel_smooth_params(p, M_next).H
@@ -442,9 +444,10 @@ def rate_fit(trace: RunTrace, k_min: int, k_max: int) -> tuple[float, list[str]]
 
     Gaps at or below 1e-14 are dropped (double-precision floor); returns the
     slope and any warnings emitted along the way.  ValueError names any k or
-    F_val a record lacks.
+    F_val a record lacks or F_star, k or F_val of the wrong type.
     """
     warnings = []
+    _require(trace.config, (), "trace config", nullable=("F_star",))
     F_star = trace.config.get("F_star")
     if F_star is None:
         raise BioptError("trace has no known optimal value")
@@ -533,14 +536,16 @@ def verify_trace(trace: RunTrace) -> dict:
     arithmetic on the recorded fields and the config (see
     invariant_violations), so tampered or stripped traces fail loudly.
     ValueError names any field that every check reads and the config or a
-    record lacks.
+    record lacks, and any field a check reads that has the wrong type.
     """
     _require(trace.config, ("mode", "p", "H", "beta", "F_star", "R", "R0"),
-             "trace config")
+             "trace config", nullable=("F_star", "R", "R0"))
     checks = {name: [] for name in FAMILIES}
     prev = None
     for i, rec in enumerate(trace.records):
-        _require(rec, ("k", "F_val", "A", "B_cert"), f"trace record {i}")
+        _require(rec, ("k", "F_val", "A", "B_cert"), f"trace record {i}",
+                 nullable=("a", "g_k", "residual", "psi_star", "psi_at_xstar",
+                           "gap_cert", "F_gap"))
         for name in invariant_violations(trace.config, prev, rec):
             checks[name].append(rec["k"])
         prev = rec

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .acceptance import (ACCEPTANCE_ABS, ACCEPTANCE_REL, AcceptedPoint, evaluate,
+from .acceptance import (ACCEPTANCE_ABS, AcceptedPoint, acceptable, evaluate,
                          subproblem_tol)
 from .config import (AcceptanceFailure, DomainViolation, OptimalityReached,
                      SubproblemStall)
@@ -120,10 +120,7 @@ def bregman_term(vx: float, gx: np.ndarray, vz: float, d: np.ndarray) -> float:
 def bregman(sf: ScalingFunction, x: np.ndarray, z: np.ndarray) -> float:
     """beta_rho(x, z) = rho(z) - rho(x) - <grad rho(x), z - x>; nonnegative."""
     x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
-    vz, _ = sf.rho(z - sf.y)
-    vx, gx = sf.rho(x - sf.y)
-    d = z - x
-    return bregman_term(vx, gx, vz, d)
+    return bregman_term(*sf.rho(x - sf.y), sf.rho(z - sf.y)[0], z - x)
 
 
 def reg_bregman(instance: ProblemInstance, anchor: np.ndarray, H: float,
@@ -257,11 +254,11 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
     Starts at z0 = y; each step minimizes the Bregman-linearized model
     <grad f^p(z_i), x - z_i> + psi(x) + gain beta_rho(z_i, x) with the
     step's gain (_composite_step; linear rate factor at most 1 - mu/2 on
-    the operating region), recovers the constructive
-    psi-subgradient from the step's optimality condition, and tests
-    acceptance on the freshest iterate.  The step's PointEval of z_{i+1}
-    is the only evaluation of z_{i+1}: the gain's test, the acceptance
-    test, the next step and the AcceptedPoint reuse it.  Likewise the
+    the operating region), recovers the constructive psi-subgradient from
+    the step's optimality condition, and tests acceptable on the freshest
+    iterate.  The step's PointEval of z_{i+1} is the only evaluation of
+    z_{i+1}: the gain's test, the acceptance test, the next step and the
+    AcceptedPoint, which certifies it, reuse it.  Likewise the
     anchor's one evaluation (ScalingFunction.expansion) gives f and grad f
     at z0 = y, D^2 f(y) and the even forms; outside the domain of f it
     raises DomainViolation.
@@ -294,20 +291,10 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
             # composite gradient at the numerical floor: the point is optimal
             # and residual-ratio certificates would be pure roundoff
             raise OptimalityReached("anchor already optimal", point=nxt.x)
-        if lhs <= beta * rhs + ACCEPTANCE_REL * rhs:
-            return AcceptedPoint(instance, y, H, p, beta, nxt.x, g, ev=nxt), i
+        if acceptable(lhs, rhs, beta):
+            return AcceptedPoint(instance, beta, nxt, g), i
         z, rho_z = nxt, rho_next
     raise AcceptanceFailure("acceptance not reached", residual_history=history)
-
-
-def _descends(z, rho_z, nxt, rho_next, gain: float) -> bool:
-    """The relative descent inequality beta_{f^p}(z, z+) <= gain
-    beta_rho(z, z+) from the PointEvals and (rho, grad rho) at z and z+,
-    with a roundoff-level slack."""
-    d = nxt.x - z.x
-    slack = 1e-12 * (1.0 + abs(z.reg_value) + gain * rho_z[0])
-    return (bregman_term(z.reg_value, z.reg_grad, nxt.reg_value, d)
-            <= gain * bregman_term(*rho_z, rho_next[0], d) + slack)
 
 
 def _composite_step(sf: ScalingFunction, psi: SimpleOracle, z,
@@ -319,7 +306,7 @@ def _composite_step(sf: ScalingFunction, psi: SimpleOracle, z,
     The gain runs through 1, 2, 4, ... and the step is the first trial
     point inside the domain of f that passes the relative descent
     inequality beta_{f^p}(z, z+) <= gain beta_rho(z, z+) up to a
-    roundoff-level slack (_descends); after MAX_GAIN_DOUBLINGS doublings it
+    roundoff-level slack; after MAX_GAIN_DOUBLINGS doublings it
     raises DomainViolation if the last trial point left the domain, else
     SubproblemStall.  The Bregman composite gradient's linear rate uses
     only this inequality along the iterates, with factor 1 - mu/gain
@@ -339,7 +326,10 @@ def _composite_step(sf: ScalingFunction, psi: SimpleOracle, z,
         nxt = evaluate(instance, y, sf.H, sf.p, y + h)
         if nxt.grad is not None:
             rho_next = sf.rho(nxt.x - y, nxt.d)
-            if _descends(z, rho_z, nxt, rho_next, gain):
+            d = nxt.x - z.x
+            slack = 1e-12 * (1.0 + abs(z.reg_value) + gain * rho_z[0])
+            if (bregman_term(z.reg_value, z.reg_grad, nxt.reg_value, d)
+                    <= gain * bregman_term(*rho_z, rho_next[0], d) + slack):
                 return nxt, rho_next, gain
         gain *= 2.0
     if nxt.grad is None:

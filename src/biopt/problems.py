@@ -315,6 +315,9 @@ class QuadraticOracle(SmoothOracle):
         self.Q = np.array(Q, dtype=float)
         self.Q.flags.writeable = False
         self.c = np.asarray(c, dtype=float)
+        if self.c.ndim != 1 or self.Q.shape != (self.c.size,) * 2:
+            raise ValueError(f"Q of shape {self.Q.shape} and c of shape "
+                             f"{self.c.shape}: need n x n and n")
         if not np.allclose(self.Q, self.Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
 
@@ -375,6 +378,11 @@ class ProblemInstance:
     optimum: tuple[np.ndarray, float] | None = None  # (x*, F*)
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        psi = self.simple
+        if psi.kind == "box" and {psi.lo.shape, psi.hi.shape} - {(1,), (self.dim,)}:
+            raise ValueError(f"box lo and hi need a scalar or {self.dim} entries each")
+
     def F(self, x: np.ndarray) -> float:
         pv = self.simple.value(x)
         if not math.isfinite(pv):
@@ -407,9 +415,8 @@ def build_example_1d() -> ProblemInstance:
     """F(x) = 1/2 x^2 + |x| on the line; unique minimizer x* = 0."""
     smooth = QuadraticOracle(np.array([[1.0]]), np.array([0.0]))
     psi = SimpleOracle("l1", weight=1.0)
-    inst = ProblemInstance(smooth, psi, Metric(dim=1), 1, name="example1d",
+    return ProblemInstance(smooth, psi, Metric(dim=1), 1, name="example1d",
                            optimum=(np.array([0.0]), 0.0))
-    return inst
 
 
 def build_separable(a_rows: np.ndarray, b: np.ndarray, family: str,
@@ -520,10 +527,7 @@ def load_instance(path: str) -> ProblemInstance:
     psi = SimpleOracle.from_json(spec.get("psi"))
     family = spec["family"]
     if family == "quadratic":
-        return build_quadratic(np.asarray(spec["Q"], dtype=float),
-                               np.asarray(spec["c"], dtype=float), psi=psi,
+        return build_quadratic(spec["Q"], spec["c"], psi=psi,
                                name=spec.get("name", "quadratic"))
-    return build_separable(np.asarray(spec["A"], dtype=float),
-                           np.asarray(spec["b"], dtype=float), family, psi=psi,
-                           slack_min=spec.get("slack_min"),
-                           name=spec.get("name"))
+    return build_separable(spec["A"], spec["b"], family, psi=psi,
+                           slack_min=spec.get("slack_min"), name=spec.get("name"))

@@ -285,9 +285,10 @@ def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
 
     Maintains tau1 < tau2 with beta1 <= 0 <= beta2; each halving solves the
     prox subproblem at the midpoint anchor and keeps the side whose sign
-    matches.  Terminates when the weighted product drops below the driver's
-    coefficient threshold (evaluated with the current bracket's g_k).
+    matches.  Terminates when the weighted product drops below 2 c0
+    g_k^{(p+1)/p}, c0 the inexact rate of step_rates, at the bracket's g_k.
     """
+    from .driver import step_rates  # here: driver imports this module
     x_k = np.asarray(x_k, dtype=float)
     u_k = np.asarray(u_k, dtype=float)
     tau1, tau2 = 0.0, 1.0
@@ -297,7 +298,7 @@ def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
     if not (beta1 < 0.0 < beta2):
         raise ValueError("bisection requires beta1 < 0 < beta2 at the endpoints")
     lower_total = 0
-    threshold_c = 0.5 * ((1.0 - beta) / H) ** (1.0 / p)
+    threshold_c = 2.0 * step_rates("inexact", H, p, beta)[0]
     for i in range(MAX_BISECTIONS + 1):
         alpha = beta2 / (beta2 - beta1)
         g_k = power_mean_norm(alpha, T1.grad_F_norm, T2.grad_F_norm, p)

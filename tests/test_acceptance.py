@@ -17,20 +17,12 @@ from biopt import (AcceptedPoint, Metric, ScalingFunction, bregman,
                    prox_power, rate_fit, reg_bregman, rel_smooth_params, run,
                    sprox_reference)
 
+from helpers import fd_grad
+
 
 def report(num, ok, desc):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"criterion {num} failed: {desc}"
-
-
-def fd_grad(fun, x, eps=1e-6):
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = eps
-        g[i] = (fun(x + e) - fun(x - e)) / (2 * eps)
-    return g
 
 
 @pytest.fixture(scope="module")

@@ -6,16 +6,9 @@ from biopt import (AcceptedPoint, InvariantViolation, build_example_1d,
                    build_logbar, build_quadratic, check_lemma_properties,
                    evaluate, exact_sprox_1d, rel_smooth_params,
                    solve_acceptable)
+from biopt.acceptance import ACCEPTANCE_ABS, ACCEPTANCE_REL, acceptable
 
-
-def fd_grad(fun, x, eps=1e-6):
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = eps
-        g[i] = (fun(x + e) - fun(x - e)) / (2 * eps)
-    return g
+from helpers import fd_grad
 
 
 def reg_value_grad(inst, anchor, H, p, x):
@@ -60,16 +53,24 @@ class TestIsAcceptable:
         inst = build_example_1d()
         for xbar in (2.0, -1.5, 0.7):
             res = exact_sprox_1d(xbar, 0.0)
-            ap = AcceptedPoint(inst, np.array([xbar]), 1.0, 3, 0.0, res.x_plus,
-                               np.array([res.g_plus]))
+            ev = evaluate(inst, np.array([xbar]), 1.0, 3, res.x_plus)
+            ap = AcceptedPoint(inst, 0.0, ev, np.array([res.g_plus]))
             assert ap.reg_grad_norm <= 1e-12 * (1.0 + ap.grad_F_norm)
 
     def test_far_point_rejected(self):
         inst = build_example_1d()
         with pytest.raises(InvariantViolation,
                            match="acceptance inequality violated"):
-            AcceptedPoint(inst, np.array([0.0]), 1.0, 3, 0.2,
-                          np.array([5.0]), np.array([1.0]))
+            AcceptedPoint(inst, 0.2, evaluate(inst, np.array([0.0]), 1.0, 3,
+                                              np.array([5.0])), np.array([1.0]))
+
+    @pytest.mark.parametrize("beta, rhs", [(0.0, 1.0), (0.25, 3.0), (0.2, 0.0)])
+    def test_decision_at_its_boundary(self, beta, rhs):
+        # solve_acceptable and AcceptedPoint both decide with acceptable:
+        # accepted at beta rhs + slack, rejected one ulp above it
+        edge = beta * rhs + (ACCEPTANCE_ABS + ACCEPTANCE_REL * rhs)
+        assert acceptable(edge, rhs, beta)
+        assert not acceptable(np.nextafter(edge, np.inf), rhs, beta)
 
 
 class TestAcceptedPoint:
@@ -106,8 +107,8 @@ class TestAcceptedPoint:
     def test_point_outside_domain_rejected(self):
         inst = build_logbar(10, 5, seed=0)
         with pytest.raises(InvariantViolation, match="outside the domain"):
-            AcceptedPoint(inst, inst.meta["x0"], 1.0, 2, 0.2,
-                          100.0 * np.ones(5), np.zeros(5))
+            AcceptedPoint(inst, 0.2, evaluate(inst, inst.meta["x0"], 1.0, 2,
+                                              100.0 * np.ones(5)), np.zeros(5))
 
     def test_failed_lemma_property_rejected(self, monkeypatch):
         # a point whose report holds one False fails under that name
@@ -119,15 +120,16 @@ class TestAcceptedPoint:
                               "descent_norm_form": None})
         with pytest.raises(InvariantViolation,
                            match="accepted-point property failed") as err:
-            AcceptedPoint(inst, ap.anchor, ap.H, ap.p, ap.beta_used, ap.T, ap.g)
+            AcceptedPoint(inst, ap.beta_used,
+                          evaluate(inst, ap.anchor, ap.H, ap.p, ap.T), ap.g)
         assert err.value.families == ["descent_inner_product"]
 
     def test_invalid_pair_rejected(self):
         inst = build_example_1d()
         with pytest.raises(InvariantViolation,
                            match="acceptance inequality violated"):
-            AcceptedPoint(inst, np.array([0.0]), 1.0, 3, 0.1,
-                          np.array([5.0]), np.array([1.0]))
+            AcceptedPoint(inst, 0.1, evaluate(inst, np.array([0.0]), 1.0, 3,
+                                              np.array([5.0])), np.array([1.0]))
 
     def test_composite_grad(self):
         inst, ap, _ = self.build_accepted()

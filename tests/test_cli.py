@@ -23,6 +23,19 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+# instance files whose shapes disagree: (content, the error's message)
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+BAD_INSTANCE_FILES = {
+    "q-shape.json": ({"family": "quadratic", "Q": [[1.0, 0.0, 0.0]], "c": [1.0]},
+                     "Q of shape (1, 3) and c of shape (1,): need n x n and n"),
+    "c-shape.json": ({"family": "quadratic", "Q": EYE2, "c": [1.0, 2.0, 3.0]},
+                     "Q of shape (2, 2) and c of shape (3,): need n x n and n"),
+    "box-shape.json": ({"family": "quadratic", "Q": EYE2, "c": [1.0, 2.0],
+                        "psi": {"kind": "box", "lo": [-1.0] * 3, "hi": 1.0}},
+                       "box lo and hi need a scalar or 2 entries each"),
+}
+
+
 class TestRun:
     def test_single_run(self, runner, tmp_path):
         cfg = {"instance": "example1d", "mode": "exact", "p": 3, "H": 1.0,
@@ -183,14 +196,22 @@ class TestRun:
         {"epsilon": 0}, {"epsilon": -1}, {"R": -1}, {"R": 0, "epsilon": 1e-3},
         {"p": 2.5}, {"budget": -3}, {"x0": [1.0, 2.0]},
         {"instance": 5}, {"instance": {"path": "inst.json"}},
+        {"instance": {"file": "q-shape.json"}}, {"instance": {"file": "c-shape.json"}},
+        {"instance": {"file": "box-shape.json"}},
     ])
     def test_malformed_config_is_usage_error(self, runner, tmp_path, change):
+        spec = change.get("instance")
+        name = spec.get("file") if isinstance(spec, dict) else None
+        if name is not None:  # an instance file with a shape mismatch
+            content, message = BAD_INSTANCE_FILES[name]
+            change = {"instance": {"file": write_config(tmp_path, content, name)}}
         cfg = dict({"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,
                     "budget": 5}, **change)
         result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
         assert result.exit_code == 2
         assert result.output.count("config error:") == 1
         assert "status=" not in result.output
+        assert name is None or message in result.output
 
     def test_bad_config_in_list_stops_before_any_run(self, runner, tmp_path):
         cfg = {"runs": [
@@ -367,10 +388,12 @@ class TestVerify:
         # exit 1 means a failed check or solver; a malformed trace is exit 2
         # for both commands that read one: not JSON, a line that is not an
         # object, a config or iteration record without a field every check
-        # reads (the message names each missing field), a string F_val
+        # reads (the message names each missing field), a string F_val, p or
+        # g_k or a huge F_val (the message names the field and its record)
         config = '{"type": "config", "F_star": 0.0, "p": 2}\n'
         full = ('{"type": "config", "mode": "exact", "p": 2, "H": 1.0, '
                 '"beta": 0.0, "F_star": 0.0, "R": 1.0, "R0": 0.5}\n')
+        record0 = '{"k": 0, "F_val": 1.0, "A": 0.0, "B_cert": 0.0}\n'
         no_config = "trace config lacks mode, H, beta, R, R0"
         junk = [("this is not ndjson\n", None, None), ('"x"\n', None, None),
                 ("[1, 2]\n", None, None),
@@ -379,7 +402,19 @@ class TestVerify:
                 (config + '{"k": 10, "A": 1.0, "F_val": "1.0"}\n',
                  no_config, None),
                 (full + '{"k": 0, "F_val": 1.0}\n{"F_val": 0.5}\n',
-                 "trace record 0 lacks A, B_cert", "trace record 1 lacks k")]
+                 "trace record 0 lacks A, B_cert", "trace record 1 lacks k"),
+                (full + record0.replace("1.0", '"1.0"'),
+                 "trace record 0 has F_val = '1.0', not a finite number",
+                 "trace record 0 has F_val = '1.0', not a finite number"),
+                # an integer beyond the float range
+                (full + record0.replace("1.0", "1" + "0" * 400),
+                 "trace record 0 has F_val = 1000", "trace record 0 has F_val = 1000"),
+                # fields only verify reads: one message, verify alone
+                (full.replace('"p": 2', '"p": "2"') + record0,
+                 "trace config has p = '2', not a finite number"),
+                (full + record0 + '{"k": 1, "F_val": 0.5, "A": 1.0, '
+                 '"B_cert": 0.1, "a": 1.0, "g_k": "x"}\n',
+                 "trace record 1 has g_k = 'x', not a finite number")]
         path = tmp_path / "junk.ndjson"
         for text, *messages in junk:
             path.write_text(text)

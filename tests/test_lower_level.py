@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import biopt.acceptance
 import biopt.driver
 import biopt.lower
 import biopt.numerics
@@ -16,15 +17,7 @@ from biopt import (AcceptanceFailure, AcceptedPoint, DomainViolation,
                    reg_bregman, rel_smooth_params, run, solve_acceptable,
                    sprox_reference, subproblem_solve, verify_trace)
 
-
-def fd_grad(fun, x, eps=1e-6):
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = eps
-        g[i] = (fun(x + e) - fun(x - e)) / (2 * eps)
-    return g
+from helpers import fd_grad
 
 
 class TestRelSmoothParams:
@@ -550,14 +543,14 @@ class TestSubgradientWitness:
     def test_untampered_witness_is_accepted(self):
         inst, y, ap = self.accepted()
         assert inst.simple.in_subdifferential(ap.T, ap.g, tol=1e-12)
-        AcceptedPoint(inst, y, 1.0, 2, 0.1, ap.T, ap.g)
+        AcceptedPoint(inst, 0.1, evaluate(inst, y, 1.0, 2, ap.T), ap.g)
 
     def test_wrong_sign_at_free_coordinate(self):
         inst, y, ap = self.accepted()
         g = ap.g.copy()
         g[0] = -g[0]
         with pytest.raises(InvariantViolation, match="subdifferential"):
-            AcceptedPoint(inst, y, 1.0, 2, 0.1, ap.T, g)
+            AcceptedPoint(inst, 0.1, evaluate(inst, y, 1.0, 2, ap.T), g)
 
     def test_beyond_weight_at_zero(self):
         inst, y, ap = self.accepted()
@@ -565,7 +558,7 @@ class TestSubgradientWitness:
         g = ap.g.copy()
         g[i] = 1.5 * inst.simple.weight
         with pytest.raises(InvariantViolation, match="subdifferential"):
-            AcceptedPoint(inst, y, 1.0, 2, 0.1, ap.T, g)
+            AcceptedPoint(inst, 0.1, evaluate(inst, y, 1.0, 2, ap.T), g)
 
 
 class TestOneEvaluationPerPoint:
@@ -658,14 +651,27 @@ class TestOneEvaluationPerPoint:
         assert len(evals) >= 150
         assert sum(evals) <= 1500
 
-    def test_accepted_point_rejects_evaluation_at_another_point(self):
+    def test_accepted_point_makes_no_prox_power_call(self, monkeypatch):
+        # the point certifies the step's own PointEval, regularized gradient
+        # included, so building it forms no d_{p+1} of its own
         inst = build_logbar(10, 4, seed=3)
         p = 2
         prm = rel_smooth_params(p, inst.smooth.deriv_bound(p + 1))
-        y = inst.meta["x0"]
-        ap, _ = solve_acceptable(inst, y, prm.H, p, 0.25)
-        ev = evaluate(inst, y, prm.H, p, ap.T)
-        AcceptedPoint(inst, y, prm.H, p, 0.25, ap.T, ap.g, ev=ev)
-        elsewhere = evaluate(inst, y, prm.H, p, ap.T + 1e-9)
-        with pytest.raises(InvariantViolation, match="other than T"):
-            AcceptedPoint(inst, y, prm.H, p, 0.25, ap.T, ap.g, ev=elsewhere)
+        prox_power = biopt.acceptance.prox_power
+        accepted_point = biopt.lower.AcceptedPoint
+        calls, building = [], []
+
+        def counted(*args):
+            calls.append(bool(building))
+            return prox_power(*args)
+
+        def build(*args, **kwargs):
+            building.append(True)
+            try:
+                return accepted_point(*args, **kwargs)
+            finally:
+                building.pop()
+        monkeypatch.setattr(biopt.acceptance, "prox_power", counted)
+        monkeypatch.setattr(biopt.lower, "AcceptedPoint", build)
+        solve_acceptable(inst, inst.meta["x0"], prm.H, p, 0.25)
+        assert calls and not any(calls)

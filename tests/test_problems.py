@@ -11,15 +11,7 @@ from biopt import (BioptError, Metric, ProblemInstance, QuadraticOracle,
                    build_example_1d, build_logbar, build_quadratic,
                    load_instance, newton_minimize)
 
-
-def fd_grad(fun, x, eps=1e-6):
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = eps
-        g[i] = (fun(x + e) - fun(x - e)) / (2 * eps)
-    return g
+from helpers import fd_grad
 
 
 def psi_to_json(psi):
