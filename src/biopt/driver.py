@@ -16,19 +16,22 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
 from .config import (BioptError, CertificateUndefined, InvariantViolation,
                      OptimalityReached)
 from .lower import rel_smooth_params, solve_acceptable
-from .numerics import Metric, monotone_root, solve_step_coefficient
+from .numerics import Metric, solve_step_coefficient
 from .problems import ProblemInstance, SimpleOracle
 from .segment import bisect_segment, make_sprox_oracle
 
 # a step with g_k at or below this ends the run as optimal: x moves, k stays
 OPTIMAL_G = 1e-14
+# cuts of the psi != 0 dual path that gap_certificate reads per array
+# operation: up to dim 15 all 2 dim + 2 at once; above it about log_32(2 dim)
+# reads of 32, so a certificate costs O(dim log dim), not O(dim^2)
+CUTS_PER_READ = 32
 FAMILIES = ("descent", "A_nondecreasing", "estimating_lower",
             "estimating_upper", "coefficient_equation", "residual_bound",
             "gap_bound")
@@ -78,7 +81,10 @@ def step_rates(mode: str, H: float, p: int,
                beta: float | None) -> tuple[float, float]:
     """(c0, b0): a_k^2/A_{k+1} = c0 g_k^{(1-p)/p} and B_cert grows by
     b0 A_{k+1} g_k^{(p+1)/p}; the exact driver ignores beta.  run and
-    verify_trace both call it, so it rejects a bad H or p with ValueError."""
+    verify_trace both call it, so it rejects a bad H or p, or a mode that
+    is none of the three, with ValueError."""
+    if mode not in ("exact", "inexact", "superfast"):
+        raise ValueError(f"unknown mode {mode!r}")
     if not (math.isfinite(H) and H > 0.0 and p >= 1):
         raise ValueError(f"H must be positive and finite and p >= 1, got "
                          f"H={H!r}, p={p!r}")
@@ -176,22 +182,24 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     the averaged linear model (s x + const)/A + psi(x); F_val = F(x_k).
 
     psi = 0 has the closed-form ball minimum.  Otherwise the bound is the
-    Lagrangian dual of the ball constraint at lam = e^t, with minimizer
-    x(lam) = scaled_prox(1/lam, x0 - B^{-1}s_hat/lam).  The dual is concave
-    with slope (||x(lam) - x0||^2 - R^2)/2 (Danskin), so it peaks where the
-    nondecreasing phi(t) = R^2 - ||x(e^t) - x0||^2 changes sign on
-    [-40, 40], which monotone_root finds.  Where the set F of coordinates at
-    which psi is smooth at x (SimpleOracle.free) is fixed, x solves
-    s_hat_F + psi'_F + lam B_FF (x - x0)_F = 0 (B is diagonal) and stays put
-    off F, so dx_F/dt = -(x - x0)_F and phi'(t) = 2||(x - x0)_F||^2, taken
-    from the same prox call as phi.
-    Any dual value is a sound lower bound, so whatever t is, the returned
-    gap dominates F(x_k) - F* when R >= ||x0 - x*||.  So phi is reported as
-    0, which ends the search, once |phi| is below its own roundoff: x_F is
-    x0_F - shift_F/lam (less the l1 threshold), good to a few ulps of
-    |x0_F| + |shift_F|/lam (off F the prox is exact), which moves
-    ||x - x0||^2 ~ R^2 by about 2R times that.  Without this the search
-    halves the band where phi is noise down to resolution.
+    Lagrangian dual of the ball constraint at a multiplier lam in
+    [e^-40, e^40], with minimizer x(lam) = scaled_prox(1/lam,
+    x0 - B^{-1}s_hat/lam).  The dual is concave with slope
+    (||x(lam) - x0||^2 - R^2)/2 (Danskin), so it peaks where the
+    nonincreasing ||x(lam) - x0||^2 falls to R^2, or at an end of the
+    bracket when it does not cross R^2 there.  The path changes piece only
+    at its cuts (SimpleOracle.path_cuts, at most 2 dim of them), and the
+    cut where x(lam) enters the ball is found by reading ||x(lam) - x0||^2
+    at CUTS_PER_READ cuts at a time (SimpleOracle.path_offsets): all of
+    them at once for dim <= 15.  On the piece before it the set F of
+    coordinates at which psi is smooth at x (SimpleOracle.free) is fixed;
+    off F x stays put and on F (x - x0)_F is -(shift + psi'/b)_F/lam (B is
+    diagonal), so ||x(lam) - x0||^2 = C + E/lam^2 there.  F is read at the
+    piece's geometric midpoint, C and E at its lower end, where x - x0 is
+    largest and least cancelled, and the crossing is
+    lam = sqrt(E/(R^2 - C)), kept within the piece.  Any lam gives a sound
+    lower bound, so the returned gap dominates F(x_k) - F* when
+    R >= ||x0 - x*||; this one is the dual's maximizer up to roundoff.
     """
     if state.A <= 0.0:
         raise CertificateUndefined("certificate undefined")
@@ -202,26 +210,39 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     if psi.kind == "zero":
         lower = float(s_hat @ state.x0) - R * m.dual_norm(s_hat) + c_hat
         return F_val - lower
-    shift = m.solve(s_hat)
+    shift, x0, R2 = m.solve(s_hat), state.x0, R * R
 
-    x0_scale = np.abs(state.x0)
-    shift_scale = np.abs(shift)
+    def path(lam: float) -> np.ndarray:
+        return psi.scaled_prox(1.0 / lam, x0 - shift / lam, m)
 
-    @cache
-    def at(t: float) -> tuple[float, float, float]:  # phi, phi' and the dual
-        lam = math.exp(t)
-        xh = psi.scaled_prox(1.0 / lam, state.x0 - shift / lam, m)
-        d = xh - state.x0
-        free = psi.free(xh)
-        excess = m.norm(d) ** 2 - R * R
-        scale = m.norm(np.where(free, x0_scale + shift_scale / lam, 0.0))
-        noise = 8.0 * sys.float_info.epsilon * R * (R + scale)
-        return (-excess if abs(excess) > noise else 0.0,
-                2.0 * m.norm(np.where(free, d, 0.0)) ** 2,
-                float(s_hat @ xh) + psi.value(xh) + c_hat + 0.5 * lam * excess)
-
-    t = monotone_root(lambda t: at(t)[0], -40.0, 40.0, lambda t: at(t)[1])
-    return F_val - at(t)[2]
+    lams = psi.path_cuts(x0, shift, m, math.exp(-40.0), math.exp(40.0))
+    # x(lams[out]) lies outside the ball and x(lams[inn]) inside it (-1 and
+    # len(lams): no such cut); narrow them to neighbours, reading up to
+    # CUTS_PER_READ cuts between them at a time
+    out, inn, row = -1, len(lams), None
+    while inn - out > 1:
+        idx = np.arange(out + 1, inn, -(-(inn - out - 1) // CUTS_PER_READ))
+        dx, dist2 = psi.path_offsets(x0, shift, m, lams[idx])
+        j = int(np.argmax(dist2 <= R2))
+        if dist2[j] > R2:
+            out, row = idx[-1], dx[-1]
+        else:
+            inn = idx[j]
+            if j > 0:
+                out, row = idx[j - 1], dx[j - 1]
+    if inn == 0:  # inside the ball from the smallest lam on
+        lam = float(lams[0])
+    elif inn == len(lams):  # outside it up to the largest
+        lam = float(lams[-1])
+    else:  # the crossing lies on the piece [lams[out], lams[inn]]
+        lo, hi = float(lams[out]), float(lams[inn])
+        free = psi.free(path(math.sqrt(lo * hi)))
+        C = m.norm(np.where(free, 0.0, row)) ** 2
+        E = (lo * m.norm(np.where(free, row, 0.0))) ** 2
+        lam = hi if C >= R2 else min(max(math.sqrt(E / (R2 - C)), lo), hi)
+    xh = path(lam)
+    excess = m.norm(xh - x0) ** 2 - R2
+    return F_val - (float(s_hat @ xh) + psi.value(xh) + c_hat + 0.5 * lam * excess)
 
 
 # ---------------------------------------------------------------------------

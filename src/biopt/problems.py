@@ -66,13 +66,46 @@ class SimpleOracle:
             raise ValueError("lam must be >= 0")
         if self.kind == "zero":
             return w.copy()
+        return self._prox(lam, w, self._diagonal(metric))
+
+    @staticmethod
+    def _diagonal(metric: Metric) -> np.ndarray:
         if not metric.is_diagonal:
             raise NotImplementedError("l1/box prox needs an identity or diagonal metric")
-        d = np.diag(metric.B) if not metric.is_identity else np.ones_like(w)
+        return np.diag(metric.B) if not metric.is_identity else np.ones(metric.dim)
+
+    def _prox(self, lam, w: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """scaled_prox for l1 or box with B = diag(d); a column of lam
+        applies one lam per row of w."""
         if self.kind == "l1":
             thr = lam * self.weight / d
             return np.sign(w) * np.maximum(np.abs(w) - thr, 0.0)
         return np.clip(w, self.lo, self.hi)
+
+    def path_cuts(self, x0: np.ndarray, shift: np.ndarray, metric: Metric,
+                  lo: float, hi: float) -> np.ndarray:
+        """lo, hi and the breakpoints between them, sorted, of the path
+        x(lam) = scaled_prox(1/lam, x0 - shift/lam) of an l1 or box psi:
+        where a coordinate changes piece, at most twice each (l1 where
+        |b x0 lam - b shift| = weight, b = diag B; box where
+        x0 - shift/lam meets lo or hi)."""
+        d = self._diagonal(metric)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.kind == "l1":
+                cuts = [(d * shift + g) / (d * x0) for g in (self.weight, -self.weight)]
+            else:
+                cuts = [shift / (x0 - self.lo), shift / (x0 - self.hi)]
+        cuts = np.concatenate(cuts)
+        return np.sort(np.concatenate(([lo, hi], cuts[(cuts > lo) & (cuts < hi)])))
+
+    def path_offsets(self, x0: np.ndarray, shift: np.ndarray, metric: Metric,
+                     lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows x(lam) - x0 of that path at each of lams and their
+        squared norms ||x(lam) - x0||_B^2, in one array operation."""
+        d = self._diagonal(metric)
+        col = lams[:, None]
+        dx = self._prox(1.0 / col, x0 - shift / col, d) - x0
+        return dx, (dx * dx) @ d
 
     def free(self, x: np.ndarray) -> np.ndarray:
         """Mask of the coordinates where psi is smooth at x (l1: x_i != 0;

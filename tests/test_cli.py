@@ -384,6 +384,18 @@ class TestVerify:
         assert result.exit_code == 2
         assert "H must be positive" in result.output
 
+    @pytest.mark.parametrize("mode", ["bogus", 5])
+    def test_unknown_mode_in_trace_is_usage_error(self, runner, tmp_path, mode):
+        # a mode none of the drivers has is a malformed trace (exit 2), not
+        # a replay with some other driver's rates that fails its checks
+        trace_path = self.run_and_trace(runner, tmp_path)
+        trace = RunTrace.from_ndjson(str(trace_path))
+        trace.config["mode"] = mode
+        trace.write_ndjson(str(trace_path))
+        result = runner.invoke(main, ["verify", str(trace_path)])
+        assert result.exit_code == 2
+        assert f"trace error: unknown mode {mode!r}" in result.output
+
     def test_corrupt_trace_is_usage_error(self, runner, tmp_path):
         # exit 1 means a failed check or solver; a malformed trace is exit 2
         # for both commands that read one: not JSON, a line that is not an
