@@ -43,6 +43,11 @@ class AcceptanceFailure(BioptError):
         self.residual_history = residual_history or []
 
 
+class RegionViolation(BioptError):
+    """A point was evaluated outside the operating region on which the
+    derivative bound that set H holds: a slack below slack_min."""
+
+
 class BisectionStall(BioptError):
     """Segment-search bisection cap exceeded."""
 

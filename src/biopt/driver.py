@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import (BioptError, CertificateUndefined, InvariantViolation,
-                     OptimalityReached)
+                     OptimalityReached, RegionViolation)
 from .lower import rel_smooth_params, solve_acceptable
 from .numerics import Metric, solve_step_coefficient
 from .problems import ProblemInstance, SimpleOracle
@@ -379,11 +379,19 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
     lower-level acceptance solver with an explicit H; "superfast" derives H
     from the declared derivative bound M_{p+1} of the smooth part.
     Malformed arguments raise ValueError (check_run_args, start_point).
+    Each record carries, as min_slack, the smallest slack the oracle
+    evaluated since the record before (SmoothOracle.pop_min_slack).  When
+    the oracle's own bound set H (superfast without M_next), a min_slack
+    below the oracle's slack_min, where that bound no longer holds, raises
+    RegionViolation.
     """
     check_run_args(mode, p, beta, H, M_next, budget, epsilon, R)
     x0 = start_point(instance, x0)
+    smooth = instance.smooth
+    slack_floor = None
     if mode == "superfast":
-        M_next = instance.smooth.deriv_bound(p + 1) if M_next is None else M_next
+        if M_next is None:
+            M_next, slack_floor = smooth.deriv_bound(p + 1), smooth.slack_min
         if M_next is None or M_next <= 0:
             raise ValueError("superfast mode needs a positive M_{p+1} bound")
         H = rel_smooth_params(p, M_next).H
@@ -428,6 +436,14 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         if state.A > 0.0 and R is not None:
             rec["gap_cert"] = gap_certificate(state, instance, R, F_val)
             rec["gap_bound"] = R * R / (2.0 * state.A)
+        min_slack = smooth.pop_min_slack()
+        if min_slack is not None:
+            rec["min_slack"] = min_slack
+            if slack_floor is not None and min_slack < slack_floor:
+                raise RegionViolation(
+                    f"slack {min_slack:.6g} below slack_min {slack_floor:.6g}: "
+                    f"a point left the region where the bound M_{p + 1} that "
+                    f"set H holds, at k={state.k}")
         bad = invariant_violations(
             config, trace.records[-1] if trace.records else None, rec)
         if bad:
@@ -436,6 +452,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         trace.records.append(rec)
         return rec
 
+    smooth.pop_min_slack()
     record(None)
     status = "budget"
     for _ in range(budget):

@@ -19,8 +19,8 @@ from .acceptance import (ACCEPTANCE_ABS, AcceptedPoint, acceptable, evaluate,
                          subproblem_tol)
 from .config import (AcceptanceFailure, DomainViolation, OptimalityReached,
                      SubproblemStall)
-from .numerics import Metric, prox_power, radial_solver
-from .problems import ProblemInstance, SimpleOracle
+from .numerics import Metric, eigen_radial_solver, prox_power, radial_solver
+from .problems import ProblemInstance, QuadraticOracle, SimpleOracle
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,13 @@ class ScalingFunction:
 
     @cached_property
     def radial(self):
-        """Solver g -> h of (D^2 f(y) + H ||h||^{p-1} B) h = -g, built once per y."""
-        return radial_solver(self.instance.metric, self.K, self.H, self.p)
+        """Solver g -> h of (D^2 f(y) + H ||h||^{p-1} B) h = -g, built once per
+        y; with the identity metric a quadratic f lends it Q's eigenbasis,
+        which the oracle computes once (QuadraticOracle.eigenbasis)."""
+        smooth, metric = self.instance.smooth, self.instance.metric
+        if metric.is_identity and isinstance(smooth, QuadraticOracle):
+            return eigen_radial_solver(*smooth.eigenbasis, self.H, self.p)
+        return radial_solver(metric, self.K, self.H, self.p)
 
 
 def bregman_term(vx: float, gx: np.ndarray, vz: float, d: np.ndarray) -> float:

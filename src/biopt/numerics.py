@@ -13,9 +13,10 @@ and r^2 = ||h||^2 + a^2, over eigen-coefficients (lam_i, w_i), by Newton on
 its reciprocal form, evaluated on Python floats because a numpy call costs
 more than a small loop at the sizes biopt meets); radial_solver (the
 secular equation (K + c r^{p-1}B) h = -g, on one eigendecomposition of K,
-through secular_shift; sprox_quadratic calls the core directly in Q's
-eigenbasis); golden_section (vectorized over per-element brackets; only the
-brute-force segment-search reference minimizes by it).
+through secular_shift, or on a basis the caller has: eigen_radial_solver;
+sprox_quadratic calls the core directly in Q's eigenbasis); golden_section
+(vectorized over per-element brackets; only the brute-force segment-search
+reference minimizes by it).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class Metric:
     """Euclidean metric induced by a dense SPD operator B.
 
     B = I is the default and keeps a fast path (no factorization applied).
+    is_identity and is_diagonal are decided once, here.
     """
 
     def __init__(self, B: np.ndarray | None = None, dim: int | None = None):
@@ -57,12 +59,8 @@ class Metric:
                     self._chol = np.linalg.cholesky(self.B)
                 except np.linalg.LinAlgError as exc:
                     raise ValueError("B must be positive definite") from exc
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.is_identity or bool(
-            np.count_nonzero(self.B - np.diag(np.diag(self.B))) == 0
-        )
+        self.is_diagonal = self.is_identity or bool(
+            np.count_nonzero(self.B - np.diag(np.diag(self.B))) == 0)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """B x (primal -> dual)."""
@@ -290,8 +288,8 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
     S = L^{-T} V, where V diagonalizes L^{-1} K L^{-T} = V diag(lam) V^T,
     gives S^T K S = diag(lam) and S^T B S = I.  So h = -S (w / (lam + s))
     with w = S^T g and the shift s from secular_shift.  K is decomposed
-    once, here; each solve makes the two basis changes S^T g and
-    S (w/(lam + s)).
+    once, here; each solve (eigen_radial_solver) makes the two basis
+    changes S^T g and S (w/(lam + s)).
     """
     K = np.asarray(K, dtype=float)
     if metric.is_identity:
@@ -300,7 +298,13 @@ def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
         Linv = np.linalg.inv(metric._chol)
         lam, V = np.linalg.eigh(Linv @ K @ Linv.T)
         S = Linv.T @ V
-    lam = np.maximum(lam, 0.0)  # K is PSD: negative eigenvalues are roundoff
+    # K is PSD: negative eigenvalues are roundoff
+    return eigen_radial_solver(np.maximum(lam, 0.0), S, c, p)
+
+
+def eigen_radial_solver(lam: np.ndarray, S: np.ndarray, c: float, p: int):
+    """radial_solver's (g, a) -> h in a basis S that is given: S^T K S =
+    diag(lam) with lam >= 0 and S^T B S = I."""
     lam_list = lam.tolist()
 
     def solve(g: np.ndarray, a: float = 0.0) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -215,8 +216,12 @@ class SmoothOracle:
     (f, grad f, a thunk of D^2 f, [h -> (D^{2k} f(y)[h]^{2k}, its h-gradient)
     for k = 1..q]), the data that build the scaling function rho_{y,H}.
     Outside the domain both return inf and None in place of the rest.
-    deriv_bound(order) gives a declared bound M_order(f), if any.
+    deriv_bound(order) gives a declared bound M_order(f), if any, which
+    holds where every slack is at least slack_min (everywhere when None);
+    pop_min_slack reports the smallest slack evaluated since its last call.
     """
+
+    slack_min: float | None = None
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -229,6 +234,12 @@ class SmoothOracle:
 
     def deriv_bound(self, order: int) -> float | None:
         """Uniform bound M_order(f) on the operating region, if declared."""
+        return None
+
+    def pop_min_slack(self) -> float | None:
+        """The smallest slack of a point in the domain of f evaluated since
+        the last call, which it forgets; None when f has no open domain of
+        slacks or no point was evaluated."""
         return None
 
     # Derived from the primitives for perfbench's tracer only, which wraps
@@ -260,6 +271,8 @@ class SeparableOracle(SmoothOracle):
 
     slack_min declares the operating region for log-barrier instances:
     derivative bounds are computed assuming all slacks stay >= slack_min.
+    The log-barrier's domain test keeps the smallest slack of the points
+    it admits, for pop_min_slack.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, family: str,
@@ -268,11 +281,18 @@ class SeparableOracle(SmoothOracle):
             raise ValueError(f"unknown family {family!r}")
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        if self.A.ndim != 2 or self.A.shape[0] != self.b.shape[0]:
-            raise ValueError("A rows must match b")
+        if self.A.ndim != 2 or self.A.shape[0] != self.b.shape[0] \
+                or not self.A.shape[0]:
+            raise ValueError("A needs at least one row, and its rows must match b")
+        if slack_min is not None and not (
+                isinstance(slack_min, numbers.Real) and not isinstance(slack_min, bool)
+                and 0.0 < slack_min < math.inf):
+            raise ValueError(f"slack_min must be a positive finite number, "
+                             f"got {slack_min!r}")
         self.family = family
         self.deriv, self.open_domain = _FAMILIES[family]
         self.slack_min = slack_min
+        self._min_slack = math.inf
 
     @property
     def dim(self) -> int:
@@ -281,7 +301,16 @@ class SeparableOracle(SmoothOracle):
     def _slacks(self, x: np.ndarray) -> np.ndarray | None:
         """t = A x - b, or None outside the domain of f."""
         t = self.A @ np.asarray(x, dtype=float) - self.b
-        return t if not self.open_domain or (t > 0.0).all() else None
+        if self.open_domain:
+            low = t.min()
+            if not low > 0.0:
+                return None
+            self._min_slack = min(self._min_slack, low)
+        return t
+
+    def pop_min_slack(self) -> float | None:
+        low, self._min_slack = self._min_slack, math.inf
+        return float(low) if low < math.inf else None
 
     def value(self, x: np.ndarray) -> float:
         t = self._slacks(x)
@@ -316,8 +345,16 @@ class SeparableOracle(SmoothOracle):
         if self.family == "log_barrier":
             if self.slack_min is None:
                 return None
+            # sum_i |<a_i, h>|^k is at most sum_i ||a_i||^k ||h||^k and, for
+            # k >= 2, max_i |<a_i, h>|^{k-2} ||A h||^2
+            # <= max_i ||a_i||^{k-2} ||A||_2^2 ||h||^k; ||A||_2^2 is the top
+            # eigenvalue of A^T A (an SVD would take 0.25 MB more memory)
             per_row = math.factorial(order - 1) / self.slack_min ** order
-            return float(per_row * np.sum(row_norms ** order))
+            total = np.sum(row_norms ** order)
+            if order >= 2:
+                total = min(total, np.max(row_norms) ** (order - 2)
+                            * np.linalg.eigvalsh(self.A.T @ self.A)[-1])
+            return float(per_row * total)
         if self.family == "power4":
             if order >= 5:
                 return 0.0

@@ -182,6 +182,19 @@ class TestRun:
         assert result.exit_code == 2
         assert "config error" in result.output
 
+    @pytest.mark.parametrize("slack_min", [0.0, -0.5, float("nan")])
+    def test_bad_slack_min_is_usage_error(self, runner, tmp_path, slack_min):
+        # slack_min 0 once made superfast divide by zero in deriv_bound
+        inst_path = write_config(tmp_path, {
+            "family": "log_barrier", "A": [[1.0], [-1.0]], "b": [0.0, -2.0],
+            "slack_min": slack_min}, "inst.json")
+        cfg = {"instance": {"file": inst_path}, "mode": "superfast", "p": 2,
+               "beta": 0.1, "x0": [1.0], "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error: slack_min must be a positive "
+                                   "finite number") == 1
+
     @pytest.mark.parametrize("H", [0.0, -1.0])
     def test_nonpositive_H_is_usage_error(self, runner, tmp_path, H):
         cfg = {"instance": "quad-3", "mode": "exact", "p": 2, "H": H,

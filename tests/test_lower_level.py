@@ -651,6 +651,20 @@ class TestOneEvaluationPerPoint:
         assert len(evals) >= 150
         assert sum(evals) <= 1500
 
+    def test_quadratic_radial_solves_share_one_eigh(self, monkeypatch):
+        # with the identity metric each anchor's radial solver takes Q's
+        # eigenbasis from the oracle (8 eigh calls on this run before)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        trace = run(build_builtin("quad-5", seed=1), "inexact", p=3, beta=0.1,
+                    H=1.0, budget=200, epsilon=1e-6)
+        assert trace.records[-1]["k"] >= 5
+        assert len(calls) == 1
+
     def test_accepted_point_makes_no_prox_power_call(self, monkeypatch):
         # the point certifies the step's own PointEval, regularized gradient
         # included, so building it forms no d_{p+1} of its own

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biopt import (DegenerateCoefficient, Metric, monotone_root, power_mean_norm,
-                   prox_power, solve_step_coefficient, uniform_convexity_gap)
+from biopt import (DegenerateCoefficient, Metric, SimpleOracle, monotone_root,
+                   power_mean_norm, prox_power, solve_step_coefficient,
+                   uniform_convexity_gap)
 from biopt import numerics
 
 
@@ -58,6 +59,21 @@ class TestMetric:
     def test_is_diagonal(self):
         assert Metric(np.diag([2.0, 3.0])).is_diagonal
         assert not Metric(random_spd(3, 3)).is_diagonal
+
+
+    def test_scaled_prox_counts_no_nonzeros(self, monkeypatch):
+        # is_diagonal is decided in __init__, not by a scan of B per prox
+        m = Metric(np.diag([2.0, 3.0, 0.5]))
+        count, calls = np.count_nonzero, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return count(*args, **kwargs)
+        monkeypatch.setattr(np, "count_nonzero", counted)
+        w = np.array([1.0, -0.1, 2.0])
+        for psi in (SimpleOracle("l1", weight=0.5), SimpleOracle("box", lo=-1.0, hi=1.0)):
+            psi.scaled_prox(0.3, w, m)
+        assert not calls
 
 
 class TestProxPower:

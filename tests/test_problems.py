@@ -173,6 +173,55 @@ class TestSeparableOracle:
         assert o.value_grad(np.array([-0.5])) == (math.inf, None)
         assert o.expansion_at(np.array([-0.5]), 2) == (math.inf, None, None, None)
 
+    @pytest.mark.parametrize("name, seed", [("logbar-10-5", 0), ("logbar-10-5", 2),
+                                            ("logbar-40-20", 0)])
+    def test_logbar_bound_takes_the_smaller_term(self, name, seed):
+        # M_k = (k-1)!/slack_min^k min(sum_i ||a_i||^k, max_i ||a_i||^{k-2}
+        # ||A||_2^2): it bounds (k-1)! sum_i |<a_i, h>|^k / slack_min^k, the
+        # largest |D^k f[h]^k| over unit h on the region, is no larger than
+        # the sum form, and a rotation of x with shuffled rows (the
+        # benchmark's isometry) moves it by roundoff only
+        o = build_builtin(name, seed=seed).smooth
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((o.dim, o.dim)))[0]
+        rows = rng.permutation(len(o.b))
+        turned = SeparableOracle((o.A @ U.T)[rows], o.b[rows], "log_barrier",
+                                 slack_min=o.slack_min)
+        hs = [np.linalg.svd(o.A)[2][0]] + [h / np.linalg.norm(h) for h in
+                                           rng.standard_normal((50, o.dim))]
+        norms = np.linalg.norm(o.A, axis=1)
+        for k in (3, 4, 5):
+            scale = math.factorial(k - 1) / o.slack_min ** k
+            M = o.deriv_bound(k)
+            assert M <= scale * np.sum(norms ** k)
+            assert turned.deriv_bound(k) == pytest.approx(M, rel=1e-12)
+            for h in hs:
+                assert scale * np.sum(np.abs(o.A @ h) ** k) <= M * (1.0 + 1e-12)
+        if (name, seed) == ("logbar-10-5", 0):  # the spectral term is the smaller
+            assert o.deriv_bound(4) < 0.7 * 6.0 / o.slack_min ** 4 * np.sum(norms ** 4)
+
+    @pytest.mark.parametrize("slack_min", [0.0, -0.5, math.nan, math.inf, True, "1"])
+    def test_slack_min_must_be_positive_and_finite(self, slack_min):
+        with pytest.raises(ValueError, match="slack_min must be a positive finite"):
+            SeparableOracle(np.ones((2, 1)), np.zeros(2), "log_barrier",
+                            slack_min=slack_min)
+
+    def test_domain_test_keeps_the_smallest_slack(self):
+        # slacks (x, 2 - x); a point outside the domain does not count
+        o = SeparableOracle(np.array([[1.0], [-1.0]]), np.array([0.0, -2.0]),
+                            "log_barrier")
+        assert o.pop_min_slack() is None
+        o.value(np.array([0.5]))
+        o.value_grad(np.array([1.75]))
+        o.expansion_at(np.array([1.0]), 1)
+        o.value(np.array([3.0]))
+        assert o.pop_min_slack() == 0.25
+        assert o.pop_min_slack() is None
+        for smooth in (SeparableOracle(np.ones((2, 1)), np.zeros(2), "power4"),
+                       QuadraticOracle(np.eye(1), np.zeros(1))):
+            smooth.value(np.array([-1.0]))
+            assert smooth.pop_min_slack() is None
+
     def test_logbar_deriv_bound_dominates_samples(self):
         inst = build_logbar(10, 3, seed=1)
         o = inst.smooth

@@ -7,10 +7,11 @@ from click.testing import CliRunner
 
 import biopt.driver
 from biopt import (BioptError, CertificateUndefined, InvariantViolation,
-                   Metric, ProblemInstance, QuadraticOracle, RunTrace,
-                   SimpleOracle, build_builtin, build_example_1d,
-                   build_quadratic, estimating_min, gap_certificate, new_state,
-                   psi_star, psi_value, rate_fit, run, verify_trace)
+                   Metric, ProblemInstance, QuadraticOracle, RegionViolation,
+                   RunTrace, SimpleOracle, build_builtin, build_example_1d,
+                   build_quadratic, build_separable, estimating_min,
+                   gap_certificate, new_state, psi_star, psi_value, rate_fit,
+                   rel_smooth_params, run, verify_trace)
 from biopt.cli import main
 
 
@@ -396,6 +397,57 @@ class TestRunInexact:
             R, A = trace.config["R"], last["A"]
             assert (last.get("gap_cert") is not None
                     and last["gap_cert"] <= 1e-3) or A >= R * R / (2 * 1e-3)
+
+
+class TestOperatingRegion:
+    """superfast takes H from a bound that holds where every slack is at
+    least slack_min; each record reports the smallest slack evaluated."""
+
+    def instance(self, factor):
+        # logbar-10-5 seed 0 with slack_min = factor x the smallest slack at x0
+        base = build_builtin("logbar-10-5", seed=0)
+        o, x0 = base.smooth, base.meta["x0"]
+        inst = build_separable(o.A, o.b, "log_barrier",
+                               slack_min=factor * float(np.min(o.A @ x0 - o.b)))
+        inst.optimum, inst.meta["x0"] = base.optimum, x0
+        return inst
+
+    def test_declared_region_holds(self):
+        inst = self.instance(0.25)
+        trace = run(inst, "superfast", p=3, beta=0.2, budget=30)
+        assert len(trace.records) == 31
+        assert min(r["min_slack"] for r in trace.records) >= inst.smooth.slack_min
+
+    def test_superfast_raises_below_slack_min(self):
+        inst = self.instance(1.5)
+        with pytest.raises(RegionViolation, match="below slack_min .* at k=0"):
+            run(inst, "superfast", p=3, beta=0.2, budget=30)
+        # a given M_next is the caller's claim, not the oracle's: no check
+        run(inst, "superfast", p=3, beta=0.2, budget=3, M_next=1e3)
+
+    def test_inexact_records_min_slack(self, tmp_path):
+        inst = self.instance(1.5)
+        o, x0 = inst.smooth, inst.meta["x0"]
+        H = rel_smooth_params(3, o.deriv_bound(4)).H
+        trace = run(inst, "inexact", p=3, beta=0.2, H=H, budget=10)
+        assert len(trace.records) == 11
+        # record 0 has evaluated x0 only
+        assert trace.records[0]["min_slack"] == np.min(o.A @ x0 - o.b)
+        assert all(0.0 < r["min_slack"] for r in trace.records)
+        nd, summary = tmp_path / "t.ndjson", tmp_path / "t.csv"
+        trace.write_ndjson(str(nd))
+        trace.write_csv(str(summary))
+        back = RunTrace.from_ndjson(str(nd))
+        assert [r["min_slack"] for r in back.records] == \
+            [r["min_slack"] for r in trace.records]
+        lines = summary.read_text().splitlines()
+        assert lines[0] == "k,F_gap,A,g_k,branch,bisections,lower_iters"
+        assert {len(line.split(",")) for line in lines} == {7}
+
+    def test_no_min_slack_without_slacks(self):
+        trace = run(build_builtin("quad-3", seed=1), "inexact", p=2, beta=0.1,
+                    H=1.0, budget=3)
+        assert not any("min_slack" in r for r in trace.records)
 
 
 class TestTraceIO:
