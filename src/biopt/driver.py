@@ -24,7 +24,7 @@ from .config import (BioptError, CertificateUndefined, InvariantViolation,
 from .lower import rel_smooth_params, solve_acceptable
 from .numerics import Metric, solve_step_coefficient
 from .problems import ProblemInstance, SimpleOracle
-from .segment import bisect_segment, make_sprox_oracle
+from .segment import bisect_segment, make_sprox_oracle, step_rates
 
 # a step with g_k at or below this ends the run as optimal: x moves, k stays
 OPTIMAL_G = 1e-14
@@ -75,24 +75,6 @@ def psi_value(state: EstimatingState, psi: SimpleOracle, x: np.ndarray) -> float
 def psi_star(state: EstimatingState, psi: SimpleOracle) -> float:
     """Psi_k^* = min Psi_k, through the closed-form minimizer."""
     return psi_value(state, psi, estimating_min(state, psi))
-
-
-def step_rates(mode: str, H: float, p: int,
-               beta: float | None) -> tuple[float, float]:
-    """(c0, b0): a_k^2/A_{k+1} = c0 g_k^{(1-p)/p} and B_cert grows by
-    b0 A_{k+1} g_k^{(p+1)/p}; the exact driver ignores beta.  run and
-    verify_trace both call it, so it rejects a bad H or p, or a mode that
-    is none of the three, with ValueError."""
-    if mode not in ("exact", "inexact", "superfast"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if not (math.isfinite(H) and H > 0.0 and p >= 1):
-        raise ValueError(f"H must be positive and finite and p >= 1, got "
-                         f"H={H!r}, p={p!r}")
-    if mode == "exact":
-        factor, b, base = 1.0, 0.5, (1.0 / H) ** (1.0 / p)
-    else:
-        factor, b, base = 0.25, 0.25, ((1.0 - beta) / H) ** (1.0 / p)
-    return factor * base, b * base
 
 
 def _advance(state: EstimatingState, instance: ProblemInstance, rates,
@@ -192,7 +174,7 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
     cut where x(lam) enters the ball is found by reading ||x(lam) - x0||^2
     at CUTS_PER_READ cuts at a time (SimpleOracle.path_offsets): all of
     them at once for dim <= 15.  On the piece before it the set F of
-    coordinates at which psi is smooth at x (SimpleOracle.free) is fixed;
+    coordinates at which psi is smooth at x (SimpleOracle.face) is fixed;
     off F x stays put and on F (x - x0)_F is -(shift + psi'/b)_F/lam (B is
     diagonal), so ||x(lam) - x0||^2 = C + E/lam^2 there.  F is read at the
     piece's geometric midpoint, C and E at its lower end, where x - x0 is
@@ -236,7 +218,7 @@ def gap_certificate(state: EstimatingState, instance: ProblemInstance,
         lam = float(lams[-1])
     else:  # the crossing lies on the piece [lams[out], lams[inn]]
         lo, hi = float(lams[out]), float(lams[inn])
-        free = psi.free(path(math.sqrt(lo * hi)))
+        free = psi.face(path(math.sqrt(lo * hi)))[1]
         C = m.norm(np.where(free, 0.0, row)) ** 2
         E = (lo * m.norm(np.where(free, row, 0.0))) ** 2
         lam = hi if C >= R2 else min(max(math.sqrt(E / (R2 - C)), lo), hi)
@@ -369,6 +351,21 @@ def start_point(instance: ProblemInstance, x0=None) -> np.ndarray:
     return x0
 
 
+def _derived_args(instance: ProblemInstance, mode: str, p: int, H, M_next):
+    """run's (H, slack_floor, oracle) from its checked arguments, or ValueError
+    (superfast: no M_{p+1} > 0; exact: no oracle); biopt run calls it too."""
+    if mode == "exact":
+        return H, None, make_sprox_oracle(instance, H, p)
+    smooth, slack_floor = instance.smooth, None
+    if mode == "superfast":
+        if M_next is None:
+            M_next, slack_floor = smooth.deriv_bound(p + 1), smooth.slack_min
+        if M_next is None or M_next <= 0:
+            raise ValueError("superfast mode needs a positive M_{p+1} bound")
+        H = rel_smooth_params(p, M_next).H
+    return H, slack_floor, None
+
+
 def run(instance: ProblemInstance, mode: str, p: int = 3,
         beta: float = 0.0, H: float | None = None, M_next: float | None = None,
         budget: int = 200, epsilon: float | None = None, R: float | None = None,
@@ -378,23 +375,16 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
     mode "exact" uses a closed-form segment-search oracle; "inexact" uses the
     lower-level acceptance solver with an explicit H; "superfast" derives H
     from the declared derivative bound M_{p+1} of the smooth part.
-    Malformed arguments raise ValueError (check_run_args, start_point).
-    Each record carries, as min_slack, the smallest slack the oracle
-    evaluated since the record before (SmoothOracle.pop_min_slack).  When
-    the oracle's own bound set H (superfast without M_next), a min_slack
+    Malformed arguments raise ValueError (check_run_args, _derived_args,
+    start_point).  Each record carries, as min_slack, the smallest slack the
+    oracle evaluated since the record before (SmoothOracle.pop_min_slack).
+    When the oracle's own bound set H (superfast without M_next), a min_slack
     below the oracle's slack_min, where that bound no longer holds, raises
     RegionViolation.
     """
     check_run_args(mode, p, beta, H, M_next, budget, epsilon, R)
+    H, slack_floor, oracle = _derived_args(instance, mode, p, H, M_next)
     x0 = start_point(instance, x0)
-    smooth = instance.smooth
-    slack_floor = None
-    if mode == "superfast":
-        if M_next is None:
-            M_next, slack_floor = smooth.deriv_bound(p + 1), smooth.slack_min
-        if M_next is None or M_next <= 0:
-            raise ValueError("superfast mode needs a positive M_{p+1} bound")
-        H = rel_smooth_params(p, M_next).H
 
     state = new_state(instance, x0)
     psi = instance.simple
@@ -402,8 +392,6 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
     R0 = None if x_star is None else instance.metric.norm(x0 - x_star)
     if R is None and R0 is not None:
         R = 1.01 * R0 + 1e-12
-
-    oracle = make_sprox_oracle(instance, H, p) if mode == "exact" else None
 
     config = {
         "instance": instance.name, "mode": mode, "p": p, "beta": beta,
@@ -436,7 +424,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         if state.A > 0.0 and R is not None:
             rec["gap_cert"] = gap_certificate(state, instance, R, F_val)
             rec["gap_bound"] = R * R / (2.0 * state.A)
-        min_slack = smooth.pop_min_slack()
+        min_slack = instance.smooth.pop_min_slack()
         if min_slack is not None:
             rec["min_slack"] = min_slack
             if slack_floor is not None and min_slack < slack_floor:
@@ -452,7 +440,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         trace.records.append(rec)
         return rec
 
-    smooth.pop_min_slack()
+    instance.smooth.pop_min_slack()
     record(None)
     status = "budget"
     for _ in range(budget):

@@ -140,47 +140,32 @@ def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
                psi: SimpleOracle, x: np.ndarray, tried: set) -> np.ndarray | None:
     """Minimizer of the q = 1 step subproblem on the face of x, if inside it.
 
-    The face holds the active coordinates A (l1: x_A = 0, signs sigma on
-    the rest; box: x_A at lo or hi) and frees F.  With h_A fixed there, the
-    step's stationarity on F is the secular equation
-    (K_FF + H r^{p-1} B_FF) h_F = -(c_F/gain + [l1] w sigma_F/gain + K_FA h_A),
+    The face (SimpleOracle.face) holds the active coordinates A at their
+    held values and frees F, where psi has the slope psi'_F.  With h_A
+    fixed there, the step's stationarity on F is the secular equation
+    (K_FF + H r^{p-1} B_FF) h_F = -(c_F/gain + K_FA h_A + psi'_F/gain),
     r^2 = ||h_F||^2 + ||h_A||^2, solved by a radial solver of the free block
     (the metric is diagonal) with the norm offset ||h_A|| (Byrd, Chin,
     Nocedal & Oztoprak, Math. Program. 159, 2016).  Returns the step h, or
     None when the face is in tried (which records it) or y + h leaves the
-    face (a sign changes or a bound is reached): there the minimizer over
-    the face is not the subproblem's.
+    face (its pattern on F is not x's): there the minimizer over the face
+    is not the subproblem's.
     """
-    y = sf.y
-    free = psi.free(x)
-    if psi.kind == "l1":
-        pattern = np.sign(x)
-        x_face = np.zeros_like(x)
-    else:
-        pattern = np.where(x >= psi.hi, 1.0, np.where(x <= psi.lo, -1.0, 0.0))
-        x_face = np.where(pattern > 0.0, psi.hi, psi.lo)
+    pattern, free, held, slope = psi.face(x)
     key = pattern.tobytes()
     if key in tried:
         return None
     tried.add(key)
-    h = np.where(free, 0.0, x_face - y)
+    h = np.where(free, 0.0, held - sf.y)
     if not free.any():
         return h
     m = sf.instance.metric
-    metric = Metric(None if m.is_identity else np.diag(np.diag(m.B)[free]),
+    metric = Metric(None if m.is_identity else np.diag(m.diagonal[free]),
                     dim=int(free.sum()))
-    g = c_shift[free] / gain + sf.K[np.ix_(free, ~free)] @ h[~free]
-    if psi.kind == "l1":
-        g = g + psi.weight * pattern[free] / gain
+    g = c_shift[free] / gain + sf.K[np.ix_(free, ~free)] @ h[~free] + slope / gain
     solve = radial_solver(metric, sf.K[np.ix_(free, free)], sf.H, sf.p)
     h[free] = solve(g, m.norm(h))
-    x_free = y[free] + h[free]
-    if psi.kind == "l1":
-        inside = np.all(np.sign(x_free) == pattern[free])
-    else:
-        lo, hi = (np.broadcast_to(b, x.shape)[free] for b in (psi.lo, psi.hi))
-        inside = np.all((lo < x_free) & (x_free < hi))
-    return h if inside else None
+    return h if np.all(psi.face(sf.y + h)[0][free] == pattern[free]) else None
 
 
 def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
@@ -220,7 +205,7 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     tol = subproblem_tol(m.dual_norm(c_shift))
 
     y = sf.y
-    faces = set() if sf.q == 1 and psi.kind != "zero" and m.is_diagonal else None
+    faces = set() if sf.q == 1 and m.is_diagonal else None
     t = 1.0 / gain
     h = None if faces is None else _face_step(sf, gain, c_shift, psi, y, faces)
     jumped = h is not None

@@ -32,7 +32,7 @@ class Metric:
     """Euclidean metric induced by a dense SPD operator B.
 
     B = I is the default and keeps a fast path (no factorization applied).
-    is_identity and is_diagonal are decided once, here.
+    is_identity, is_diagonal and diagonal (B's; ones for B = I) are set here.
     """
 
     def __init__(self, B: np.ndarray | None = None, dim: int | None = None):
@@ -59,8 +59,8 @@ class Metric:
                     self._chol = np.linalg.cholesky(self.B)
                 except np.linalg.LinAlgError as exc:
                     raise ValueError("B must be positive definite") from exc
-        self.is_diagonal = self.is_identity or bool(
-            np.count_nonzero(self.B - np.diag(np.diag(self.B))) == 0)
+        self.diagonal = np.diag(self.B)
+        self.is_diagonal = not np.count_nonzero(self.B - np.diag(self.diagonal))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """B x (primal -> dual)."""

@@ -73,7 +73,7 @@ class SimpleOracle:
     def _diagonal(metric: Metric) -> np.ndarray:
         if not metric.is_diagonal:
             raise NotImplementedError("l1/box prox needs an identity or diagonal metric")
-        return np.diag(metric.B) if not metric.is_identity else np.ones(metric.dim)
+        return metric.diagonal
 
     def _prox(self, lam, w: np.ndarray, d: np.ndarray) -> np.ndarray:
         """scaled_prox for l1 or box with B = diag(d); a column of lam
@@ -108,14 +108,20 @@ class SimpleOracle:
         dx = self._prox(1.0 / col, x0 - shift / col, d) - x0
         return dx, (dx * dx) @ d
 
-    def free(self, x: np.ndarray) -> np.ndarray:
-        """Mask of the coordinates where psi is smooth at x (l1: x_i != 0;
-        box: lo < x_i < hi; zero: all)."""
+    def face(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(pattern, free, held, slope) of psi's face at x, for l1 or box:
+        pattern keys the face (l1: sign x; box: +1 at or above hi, -1 at or
+        below lo, 0 between), free masks where psi is smooth (l1: x != 0;
+        box: lo < x < hi), held is where each other coordinate sits (l1: 0;
+        box: hi or lo) and slope is psi's gradient on the free coordinates."""
         if self.kind == "l1":
-            return x != 0.0
-        if self.kind == "box":
-            return (self.lo < x) & (x < self.hi)
-        return np.ones(x.shape, dtype=bool)
+            pattern = np.sign(x)
+            free = x != 0.0
+            return pattern, free, np.zeros_like(x), self.weight * pattern[free]
+        pattern = np.where(x < self.hi, np.where(x > self.lo, 0.0, -1.0), 1.0)
+        free = pattern == 0.0
+        return (pattern, free, np.where(pattern > 0.0, self.hi, self.lo),
+                np.zeros(np.count_nonzero(free)))
 
     def in_subdifferential(self, x: np.ndarray, g: np.ndarray, tol: float) -> bool:
         """Check g in partial psi(x) componentwise (diagonal-friendly kinds)."""

@@ -9,6 +9,7 @@ consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -264,6 +265,24 @@ def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
 # bisection scheme
 # ---------------------------------------------------------------------------
 
+def step_rates(mode: str, H: float, p: int,
+               beta: float | None) -> tuple[float, float]:
+    """(c0, b0): a_k^2/A_{k+1} = c0 g_k^{(1-p)/p} and B_cert grows by
+    b0 A_{k+1} g_k^{(p+1)/p}; the exact driver ignores beta.  The driver's
+    steps, bisect_segment and verify_trace call it, so it rejects a bad H
+    or p, or a mode that is none of the three, with ValueError."""
+    if mode not in ("exact", "inexact", "superfast"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not (math.isfinite(H) and H > 0.0 and p >= 1):
+        raise ValueError(f"H must be positive and finite and p >= 1, got "
+                         f"H={H!r}, p={p!r}")
+    if mode == "exact":
+        factor, b, base = 1.0, 0.5, (1.0 / H) ** (1.0 / p)
+    else:
+        factor, b, base = 0.25, 0.25, ((1.0 - beta) / H) ** (1.0 / p)
+    return factor * base, b * base
+
+
 @dataclass
 class SegmentResult:
     tau1: float
@@ -288,7 +307,6 @@ def bisect_segment(instance: ProblemInstance, x_k: np.ndarray, u_k: np.ndarray,
     matches.  Terminates when the weighted product drops below 2 c0
     g_k^{(p+1)/p}, c0 the inexact rate of step_rates, at the bracket's g_k.
     """
-    from .driver import step_rates  # here: driver imports this module
     x_k = np.asarray(x_k, dtype=float)
     u_k = np.asarray(u_k, dtype=float)
     tau1, tau2 = 0.0, 1.0

@@ -227,14 +227,31 @@ class TestRun:
         assert name is None or message in result.output
 
     def test_bad_config_in_list_stops_before_any_run(self, runner, tmp_path):
-        cfg = {"runs": [
-            {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0, "budget": 5},
-            {"instance": "quad-3", "mode": "exact", "p": 2, "budget": 5},
-        ]}
-        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
-        assert result.exit_code == 2
-        assert "exact mode needs H" in result.output
-        assert "status=" not in result.output
+        # errors that need the instance (exact mode's oracle, superfast's
+        # M_{p+1}) are found up front too: the first run writes no trace
+        l1_file = write_config(tmp_path, {
+            "family": "quadratic", "Q": EYE2, "c": [1.0, -1.0],
+            "psi": {"kind": "l1", "weight": 0.5}}, "l1.json")
+        trace = tmp_path / "first.ndjson"
+        for second, message in [
+            ({"instance": "quad-3", "mode": "exact", "p": 2, "budget": 5},
+             "exact mode needs H"),
+            ({"instance": {"file": l1_file}, "mode": "exact", "p": 2, "H": 1.0,
+              "budget": 5}, "no exact segment-search oracle"),
+            ({"instance": "quad-3", "mode": "superfast", "p": 2, "beta": 0.2,
+              "budget": 5}, "needs a positive M_{p+1} bound"),
+        ]:
+            cfg = {"runs": [
+                {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,
+                 "budget": 5, "trace": str(trace)},
+                second,
+            ]}
+            result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+            assert result.exit_code == 2
+            assert result.output.count("config error:") == 1
+            assert message in result.output
+            assert "status=" not in result.output
+            assert not trace.exists()
 
     def test_wrong_x0_in_list_stops_before_any_run(self, runner, tmp_path):
         # the x0 length is checked against each config's instance up front

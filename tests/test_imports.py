@@ -1,9 +1,12 @@
-"""No module of the library imports a name it never uses.
+"""Import and ownership guards on the library's source.
 
 No linter is a dependency, so this parses each module of src/biopt with
 ast: every name an import statement binds must be read somewhere in the
-same module.  __init__.py is skipped, as its imports are the package's
-public names.
+same module (__init__.py is skipped, as its imports are the package's
+public names), and no import sits inside a function, where it would hide
+an import cycle.  psi's faces and B's diagonal have one owner each
+(SimpleOracle.face, Metric.diagonal), so the drivers and the lower level
+read neither psi's parameters nor B.
 """
 
 import ast
@@ -34,3 +37,47 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[int]:
+    """Lines of the import statements inside a function body."""
+    return [node.lineno for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_guard_sees_a_function_import():
+    assert function_imports("import os\ndef f():\n    import math\n") == [3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_function_imports(path):
+    assert function_imports(path.read_text()) == []
+
+
+def owner_reads(source: str) -> list[str]:
+    """Reads of psi's weight, lo or hi or of a metric's B, and comparisons
+    of a kind with anything but "zero"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("weight", "lo", "hi", "B"):
+            found.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(s, ast.Attribute) and s.attr == "kind" for s in sides) \
+                    and not any(isinstance(s, ast.Constant) and s.value == "zero"
+                                for s in sides):
+                found.append(f"{node.lineno}: .kind")
+    return found
+
+
+def test_guard_sees_owner_reads():
+    source = ('psi.lo\nm.B\nm.B_cert\npsi.kind == "l1"\npsi.kind == "zero"\n'
+              'psi.kind in kinds\n')
+    assert owner_reads(source) == ["1: .lo", "2: .B", "4: .kind", "6: .kind"]
+
+
+@pytest.mark.parametrize("name", ["lower.py", "driver.py"])
+def test_faces_and_diagonal_have_one_owner(name):
+    assert owner_reads((SRC / name).read_text()) == []

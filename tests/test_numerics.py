@@ -60,6 +60,17 @@ class TestMetric:
         assert Metric(np.diag([2.0, 3.0])).is_diagonal
         assert not Metric(random_spd(3, 3)).is_diagonal
 
+    def test_diagonal(self):
+        # B's diagonal for every B: ones for the identity; a dense B has one
+        # too, but the l1/box prox still refuses it
+        np.testing.assert_array_equal(Metric(dim=3).diagonal, np.ones(3))
+        np.testing.assert_array_equal(Metric(np.diag([2.0, 3.0])).diagonal, [2.0, 3.0])
+        B = random_spd(3, 4)
+        dense = Metric(B)
+        np.testing.assert_array_equal(dense.diagonal, np.diag(B))
+        with pytest.raises(NotImplementedError):
+            SimpleOracle("box", lo=-1.0, hi=1.0).scaled_prox(1.0, np.zeros(3), dense)
+
 
     def test_scaled_prox_counts_no_nonzeros(self, monkeypatch):
         # is_diagonal is decided in __init__, not by a scan of B per prox

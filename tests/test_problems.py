@@ -80,6 +80,35 @@ class TestSimpleOracle:
         assert box.in_subdifferential(np.array([0.0]), np.array([-3.0]), tol=1e-8)
         assert not box.in_subdifferential(np.array([0.5]), np.array([1.0]), tol=1e-8)
 
+    def test_l1_face(self):
+        # the free mask is x != 0, so NaN is free; held coordinates sit at 0
+        psi = SimpleOracle("l1", weight=0.5)
+        x = np.array([0.0, -2.0, 3.0, -0.0, np.nan])
+        pattern, free, held, slope = psi.face(x)
+        np.testing.assert_array_equal(pattern, [0.0, -1.0, 1.0, 0.0, np.nan])
+        np.testing.assert_array_equal(free, x != 0.0)
+        np.testing.assert_array_equal(held[~free], [0.0, 0.0])
+        np.testing.assert_array_equal(slope, [-0.5, 0.5, np.nan])
+
+    def test_box_face(self):
+        # the free mask is lo < x < hi, so NaN is held, with pattern +1;
+        # lo == hi holds every x, at hi when x >= hi and at lo below it
+        lo = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, 2.0, 2.0, 2.0, -1.0])
+        hi = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 1.0])
+        x = np.array([-1.0, 1.0, 0.3, -4.0, 5.0, 2.0, 1.0, 3.0, np.nan])
+        psi = SimpleOracle("box", lo=lo, hi=hi)
+        pattern, free, held, slope = psi.face(x)
+        np.testing.assert_array_equal(pattern, [-1, 1, 0, -1, 1, 1, -1, 1, 1])
+        np.testing.assert_array_equal(free, (lo < x) & (x < hi))
+        np.testing.assert_array_equal(held[~free], [-1, 1, -1, 1, 2, 2, 2, 1])
+        np.testing.assert_array_equal(slope, [0.0])
+        # a scalar box broadcasts to x
+        pattern, free, held, slope = SimpleOracle("box", lo=0.0, hi=1.0).face(
+            np.array([0.0, 0.5, 2.0]))
+        np.testing.assert_array_equal(pattern, [-1, 0, 1])
+        np.testing.assert_array_equal(held, [0.0, 0.0, 1.0])
+        assert free.tolist() == [False, True, False] and slope.shape == (1,)
+
     def test_json_roundtrip(self):
         for psi in (SimpleOracle("zero"), SimpleOracle("l1", weight=0.3),
                     SimpleOracle("box", lo=[-1.0], hi=[2.0])):
