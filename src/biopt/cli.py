@@ -10,8 +10,7 @@ import sys
 import click
 
 from .config import BioptError
-from .driver import (RunTrace, _derived_args, check_run_args, rate_fit, run,
-                     start_point, verify_trace)
+from .driver import RunTrace, check_run, rate_fit, run, verify_trace
 from .problems import build_builtin, load_instance
 
 USAGE_EXIT = 2
@@ -49,13 +48,9 @@ def _run_args(cfg: dict) -> dict:
 
 def _prepared(cfg: dict):
     """(instance, x0) of a config that passes every check run makes."""
-    args = _run_args(cfg)
-    check_run_args(**args)
     seed = int(os.environ.get("BIOPT_SEED", cfg.get("seed", 0)))
     instance = _build_instance(cfg.get("instance", "example1d"), seed)
-    _derived_args(instance, args["mode"], args.get("p", 3), args.get("H"),
-                  args.get("M_next"))
-    return instance, start_point(instance, cfg.get("x0"))
+    return instance, check_run(instance, x0=cfg.get("x0"), **_run_args(cfg))[3]
 
 
 def _run_one(cfg: dict, prepared: tuple) -> str:

@@ -315,11 +315,16 @@ def _number(v, kind=numbers.Real) -> bool:
         and abs(v) <= sys.float_info.max
 
 
-def check_run_args(mode: str, p=3, beta=0.0, H=None, M_next=None, budget=200,
-                   epsilon=None, R=None) -> None:
-    """Raise ValueError unless run's arguments (x0 and instance aside) are
-    well formed; run calls it first, biopt run on every config before it
-    runs any."""
+def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
+              M_next=None, budget=200, epsilon=None, R=None, x0=None):
+    """run's (H, slack_floor, oracle, x0) from its arguments, or ValueError
+    unless they are well formed; run calls it first, biopt run on every
+    config before it runs any.  Superfast H comes from M_{p+1} in the
+    instance's norm: the oracle's Euclidean bound times
+    lambda_min(B)^{-(p+1)/2}, as ||h||_2 <= lambda_min(B)^{-1/2} ||h||, or
+    M_next as given; slack_floor is the oracle's slack_min when its bound
+    set H.  oracle is the exact segment-search oracle (exact mode), x0 the
+    given one, else the instance's, else zeros."""
     if mode not in ("exact", "inexact", "superfast"):
         raise ValueError(f"unknown mode {mode!r}")
     if not _number(p, numbers.Integral) or p < (2 if mode == "superfast" else 1):
@@ -336,34 +341,24 @@ def check_run_args(mode: str, p=3, beta=0.0, H=None, M_next=None, budget=200,
     for name, v in (("H", H), ("M_next", M_next), ("epsilon", epsilon), ("R", R)):
         if v is not None and not (_number(v) and v > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
-
-
-def start_point(instance: ProblemInstance, x0=None) -> np.ndarray:
-    """run's x0: the given one, else the instance's, else zeros; ValueError
-    unless its length is the instance's dimension.  biopt run calls it on
-    every config before it runs any."""
+    smooth, slack_floor, oracle = instance.smooth, None, None
+    if mode == "exact":
+        oracle = make_sprox_oracle(instance, H, p)
+    elif mode == "superfast":
+        if M_next is None:
+            M_next, slack_floor = smooth.deriv_bound(p + 1), smooth.slack_min
+            if M_next is not None and not instance.metric.is_identity:
+                M_next *= instance.metric.smallest_eigenvalue() ** (-(p + 1) / 2)
+        if M_next is None or M_next <= 0:
+            raise ValueError("superfast mode needs a positive M_{p+1} bound")
+        H = rel_smooth_params(p, M_next).H
     if x0 is None:
         x0 = instance.meta.get("x0")
     x0 = np.zeros(instance.dim) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (instance.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, the instance has "
                          f"dimension {instance.dim}")
-    return x0
-
-
-def _derived_args(instance: ProblemInstance, mode: str, p: int, H, M_next):
-    """run's (H, slack_floor, oracle) from its checked arguments, or ValueError
-    (superfast: no M_{p+1} > 0; exact: no oracle); biopt run calls it too."""
-    if mode == "exact":
-        return H, None, make_sprox_oracle(instance, H, p)
-    smooth, slack_floor = instance.smooth, None
-    if mode == "superfast":
-        if M_next is None:
-            M_next, slack_floor = smooth.deriv_bound(p + 1), smooth.slack_min
-        if M_next is None or M_next <= 0:
-            raise ValueError("superfast mode needs a positive M_{p+1} bound")
-        H = rel_smooth_params(p, M_next).H
-    return H, slack_floor, None
+    return H, slack_floor, oracle, x0
 
 
 def run(instance: ProblemInstance, mode: str, p: int = 3,
@@ -375,16 +370,15 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
     mode "exact" uses a closed-form segment-search oracle; "inexact" uses the
     lower-level acceptance solver with an explicit H; "superfast" derives H
     from the declared derivative bound M_{p+1} of the smooth part.
-    Malformed arguments raise ValueError (check_run_args, _derived_args,
-    start_point).  Each record carries, as min_slack, the smallest slack the
-    oracle evaluated since the record before (SmoothOracle.pop_min_slack).
+    Malformed arguments raise ValueError (check_run).  Each record carries,
+    as min_slack, the smallest slack the oracle evaluated since the record
+    before (SmoothOracle.pop_min_slack).
     When the oracle's own bound set H (superfast without M_next), a min_slack
     below the oracle's slack_min, where that bound no longer holds, raises
     RegionViolation.
     """
-    check_run_args(mode, p, beta, H, M_next, budget, epsilon, R)
-    H, slack_floor, oracle = _derived_args(instance, mode, p, H, M_next)
-    x0 = start_point(instance, x0)
+    H, slack_floor, oracle, x0 = check_run(instance, mode, p, beta, H, M_next,
+                                           budget, epsilon, R, x0)
 
     state = new_state(instance, x0)
     psi = instance.simple

@@ -62,6 +62,12 @@ class Metric:
         self.diagonal = np.diag(self.B)
         self.is_diagonal = not np.count_nonzero(self.B - np.diag(self.diagonal))
 
+    def smallest_eigenvalue(self) -> float:
+        """lambda_min(B), so that ||h||_2 <= lambda_min(B)^{-1/2} ||h||."""
+        if self.is_diagonal:
+            return float(self.diagonal.min())
+        return float(np.linalg.eigvalsh(self.B)[0])
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """B x (primal -> dual)."""
         return x if self.is_identity else self.B @ x

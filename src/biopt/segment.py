@@ -148,11 +148,12 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
 
 
 def make_sprox_oracle(instance: ProblemInstance, H: float, p: int):
-    """Pick the exact segment-search oracle matching the instance structure."""
+    """Pick the exact segment-search oracle matching the instance structure;
+    both solve the segment prox in the Euclidean norm, so both need B = I."""
     sm = instance.smooth
     if (instance.dim == 1 and isinstance(sm, QuadraticOracle)
             and sm.Q[0, 0] == 1.0 and sm.c[0] == 0.0
-            and instance.simple.kind == "l1"):
+            and instance.simple.kind == "l1" and instance.metric.is_identity):
         w = instance.simple.weight
 
         def oracle(xbar, u):

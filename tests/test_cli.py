@@ -9,7 +9,7 @@ import biopt.lower
 import biopt.problems
 from biopt.cli import main
 from biopt import RunTrace
-from biopt.driver import check_run_args, run
+from biopt.driver import check_run, run
 
 
 @pytest.fixture
@@ -315,14 +315,14 @@ class TestRun:
         assert result.output.count("status=") == 2
         assert log.read_text().split() == ["quad-3", "logbar-10-3"]
 
-    def test_check_run_args_defaults_are_runs(self):
-        # biopt run checks a config's arguments up front with check_run_args,
-        # which must then judge the values run falls back to
-        check = inspect.signature(check_run_args).parameters
+    def test_check_run_defaults_are_runs(self):
+        # biopt run checks a config up front with check_run, which must then
+        # judge the values run falls back to: the same parameters, in order
+        check = inspect.signature(check_run).parameters
         full = inspect.signature(run).parameters
         for name, param in check.items():
             assert param.default == full[name].default, name
-        assert list(check) == [n for n in full if n in check]
+        assert list(check) == list(full)
 
     def test_parallel_jobs_match_serial(self, runner, tmp_path):
         # the process-pool path (two workers) prints the serial lines, in order

@@ -4,7 +4,8 @@ No linter is a dependency, so this parses each module of src/biopt with
 ast: every name an import statement binds must be read somewhere in the
 same module (__init__.py is skipped, as its imports are the package's
 public names), and no import sits inside a function, where it would hide
-an import cycle.  psi's faces and B's diagonal have one owner each
+an import cycle.  No module imports a private (_-prefixed) name of
+another.  psi's faces and B's diagonal have one owner each
 (SimpleOracle.face, Metric.diagonal), so the drivers and the lower level
 read neither psi's parameters nor B.
 """
@@ -81,3 +82,22 @@ def test_guard_sees_owner_reads():
 @pytest.mark.parametrize("name", ["lower.py", "driver.py"])
 def test_faces_and_diagonal_have_one_owner(name):
     assert owner_reads((SRC / name).read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """_-prefixed names imported from a biopt module."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "biopt")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_guard_sees_a_private_import():
+    source = ("from .driver import _a, b\nfrom biopt.cli import _c\n"
+              "from os import _exit\nfrom __future__ import annotations\n")
+    assert private_imports(source) == ["_a", "_c"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []

@@ -332,6 +332,15 @@ class TestRunExact:
             want = 0.25 ** ((p + 1) / 2) / (H * R0 ** (p - 1)) * k ** ((3 * p + 1) / 2)
             assert rec["A"] >= want * (1.0 - 1e-9)
 
+    @pytest.mark.parametrize("b", [4.0, 0.25])
+    def test_1d_case_table_needs_identity_metric(self, b):
+        # the case table is the segment prox in the Euclidean norm; under
+        # B = [[4]] or [[0.25]] its steps broke the invariants at k = 1
+        inst = build_example_1d()
+        inst.metric = Metric(np.array([[b]]))
+        with pytest.raises(ValueError, match="no exact segment-search oracle"):
+            run(inst, "exact", p=3, H=1.0, x0=np.array([2.0]), R=3.0)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             run(build_example_1d(), "fastest")
@@ -387,6 +396,28 @@ class TestRunInexact:
         rep = verify_trace(trace)
         for name, res in rep.items():
             assert res["ok"], (name, res)
+
+    @pytest.mark.parametrize("s", [0.01, 4.0])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_superfast_reads_M_in_the_metric_norm(self, s, p):
+        # B = s I in x is the identity in y = sqrt(s) x, where the rows are
+        # a_i / sqrt(s): the oracle's bound, scaled to B's norm, gives the
+        # H of that identity run, and the two runs take the same steps
+        base = build_builtin("logbar-10-5", seed=0)
+        o, r = base.smooth, math.sqrt(s)
+        scaled = build_separable(o.A / r, o.b, "log_barrier", slack_min=o.slack_min)
+        scaled.optimum = (r * base.x_star, base.F_star)
+        scaled.meta["x0"] = r * base.meta["x0"]
+        base.metric = Metric(s * np.eye(base.dim))
+        args = dict(p=p, beta=0.2, epsilon=5e-3, budget=200)
+        got, want = run(base, "superfast", **args), run(scaled, "superfast", **args)
+        assert got.status == want.status == "gap_reached"
+        assert got.records[-1]["k"] == want.records[-1]["k"]
+        assert got.config["H"] == pytest.approx(want.config["H"], rel=1e-12)
+        for g, w in zip(got.records, want.records):
+            assert abs(g["F_val"] - w["F_val"]) <= 1e-12
+            if "gap_cert" in w:
+                assert g["gap_cert"] == pytest.approx(w["gap_cert"], rel=1e-7)
 
     def test_epsilon_stopping(self):
         inst = build_builtin("logbar-10-3", seed=2)
