@@ -14,7 +14,9 @@ its reciprocal form, evaluated on Python floats because a numpy call costs
 more than a small loop at the sizes biopt meets); radial_solver (the
 secular equation (K + c r^{p-1}B) h = -g, on one eigendecomposition of K,
 through secular_shift, or on a basis the caller has: eigen_radial_solver;
-sprox_quadratic calls the core directly in Q's eigenbasis); golden_section
+sprox_quadratic calls the core directly in Q's eigenbasis at the segment's
+ends, and solves an interior segment position as one more secular equation
+in the shift, whose bracket follows secular_shift's argument); golden_section
 (vectorized over per-element brackets; only the brute-force segment-search
 reference minimizes by it).
 """
@@ -166,7 +168,8 @@ def monotone_root(phi, lo: float, hi: float, dphi) -> float:
     sign change (phi at roundoff level), or when the midpoint equals an
     endpoint.  Noise of size eta in phi ends the search where |phi| is a
     few eta, but the band it masks may be halved to resolution, so callers
-    keep phi's own roundoff small (see sprox_quadratic).  A step that gains
+    keep phi's own roundoff small (secular_shift and sprox_quadratic build
+    phi from a norm of h, not from a residual).  A step that gains
     nothing across the root is no stop: two values and slopes cannot tell
     noise from a convex phi such as exp(x) - 1, where Newton from the left
     lands far right of the root.

@@ -474,6 +474,24 @@ class ProblemInstance:
         return None if self.optimum is None else self.optimum[1]
 
 
+def _quadratic_minimizer(Q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A minimizer x* of f(x) = 1/2 <Qx, x> - <c, x> for a PSD Q: Q x* = c.
+
+    Where numpy's solve finds Q singular, f has minimizers exactly when c
+    lies in Q's range; then x* is the least-squares solution, whose
+    residual is roundoff.  Otherwise f is unbounded below, a ValueError.
+    """
+    try:
+        return np.linalg.solve(Q, c)
+    except np.linalg.LinAlgError:
+        x = np.linalg.lstsq(Q, c, rcond=None)[0]
+    scale = np.linalg.norm(Q, 2) * np.linalg.norm(x) + np.linalg.norm(c)
+    if np.linalg.norm(Q @ x - c) > 1e-10 * scale:
+        raise ValueError("f is unbounded below: Q is singular and c is not "
+                         "in its range")
+    return x
+
+
 def build_quadratic(Q: np.ndarray, c: np.ndarray,
                     psi: SimpleOracle | None = None,
                     name: str = "quadratic") -> ProblemInstance:
@@ -482,7 +500,7 @@ def build_quadratic(Q: np.ndarray, c: np.ndarray,
     metric = Metric(dim=smooth.dim)
     optimum = None
     if psi.kind == "zero":
-        x_star = np.linalg.solve(smooth.Q, smooth.c)
+        x_star = _quadratic_minimizer(smooth.Q, smooth.c)
         optimum = (x_star, smooth.value(x_star))
     return ProblemInstance(smooth, psi, metric, smooth.dim, name=name, optimum=optimum)
 

@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .acceptance import AcceptedPoint
-from .config import BisectionStall
+from .config import BisectionStall, DegenerateCoefficient
 from .lower import solve_acceptable
 from .numerics import golden_section, monotone_root, power_mean_norm, secular_shift
 from .problems import ProblemInstance, QuadraticOracle
@@ -88,24 +88,40 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     Inner problem at anchor m = xbar + tau*u: (Q + s I) h = -grad f(m) with
     the shift s = H ||h||^{p-1}; x(tau) = m + h.  The tau-objective V(tau) =
     min_x f(x) + H d_{p+1}(x - m) is convex with the envelope slope
-    V'(tau) = <grad f(x), u>, so tau is where V' changes sign on [0, 1] (0,
-    1 or the root of V'), found by monotone_root.
+    V'(tau) = <grad f(x), u> = -s <h, u>, as grad f(x) = -s h by the inner
+    equation.  So tau is 0 when V'(0) >= 0, 1 when V'(1) <= 0, and otherwise
+    the interior point where h is orthogonal to u.
 
-    The whole tau search runs on Python floats in Q's eigenbasis Q = S
-    diag(lam) S^T, which the oracle computes once (QuadraticOracle.eigenbasis).
-    grad f(m) = grad f(xbar) + tau Q u is affine in tau, so w = S^T grad f(m)
-    comes from the transforms of grad f(xbar) and Q u, made once per call.
-    At each tau, secular_shift gives s, h~ = S^T h = -w/(lam + s), and, as
-    grad f(x) = -s h by the inner equation, V' = -s <h~, u~> with u~ = S^T u.
-    Both slopes are formed without cancellation, so near the root they
-    carry roundoff of their own size, not of the size of Qx and c.
-    Differentiating the inner equation in tau (m' = u) gives J x' = s u +
-    k <h, u> h with J = Q + s I + k h h^T and k = (p-1) s / ||h||^2, and
-    V'' = <Q u, x'>.  In the eigenbasis J is diag(lam + s) + k h~ h~^T, so by
-    Sherman-Morrison, with D = diag(1/(lam + s)),
-    V'' = s <lam u~, D u~> + k G^2 / (1 + k <h~, D h~>), G = <lam h~, D u~>.
-    The point at each tau is memoized, so V'' reuses the shift V' found, and
-    S maps h~ back once, at the returned tau.
+    Everything runs on Python floats in Q's eigenbasis Q = S diag(lam) S^T,
+    which the oracle computes once (QuadraticOracle.eigenbasis).  grad f(m)
+    = g0 + tau Q u with g0 = grad f(xbar), so w = S^T grad f(m) = w0 + tau w1
+    comes from two transforms made once per call, and h~ = S^T h =
+    -w/(lam + s) (0 where w_i = 0: at s = 0 a zero eigenvalue would give
+    0/0).  Each endpoint is one secular_shift solve, and S maps h~ back once.
+
+    The interior point is one root in the shift s.  For a fixed s, <h, u> =
+    0 is linear in tau: with D = diag(1/(lam + s)) and u~ = S^T u,
+    tau(s) = -<w0, D u~>/<w1, D u~>, whose denominator <Q u, (Q + s I)^{-1} u>
+    is positive unless Q u = 0.  Q u = 0 makes V' constant, so the endpoint
+    tests end the call; a non-positive denominator here is roundoff and
+    raises DegenerateCoefficient.  Minimizing out tau, h(s) solves
+    (Qs + s I) h = -g^ on the complement of u, where Qs = Q - Q u u^T Q/<Q u, u>
+    is the Schur complement and g^ = g0 + tau_f Q u, tau_f = -<g0, u>/<Q u, u>,
+    is grad f at f's minimizer on the line.  On that complement Qs's
+    eigenvalues lie in [lam_min, lam_max], as <Qs v, v> = min_t <Q(v + t u),
+    v + t u>.  So phi(s) = 1/||h(s)|| - (H/s)^{1/(p-1)} is increasing and
+    concave (1/||h|| is More & Sorensen's reciprocal form, and -(H/s)^{1/(p-1)}
+    is concave), and Newton in s never passes the root from the left.
+    secular_shift's bracket argument applied to ||g^||, with the eigenvalue
+    bounds, puts the root in [H (b_lo/2)^{p-1}, H b_hi^{p-1}] with b_lo =
+    min(||g^||/lam_max, (||g^||/H)^{1/p}) and b_hi = min(||g^||/lam_min,
+    (||g^||/H)^{1/p}).  monotone_root solves it with the slope
+    phi'(s) = (<h~, D h~> + s <h~, D u~>^2/<w1, D u~>)/||h||^3
+    + (H/s)^{1/(p-1)}/((p-1) s), from d||h||^2/ds = 2 <h, h'> and h~' =
+    -D h~ - tau' D w1, where <h~', u~> = 0 gives tau' = -<h~, D u~>/<w1, D u~>
+    and <h~, D w1> = <h~, u~> - s <h~, D u~> = -s <h~, D u~>.  For p = 1 the
+    shift is H and tau = tau(H).  g^ = 0 means the line passes through a
+    minimizer of f: then h = 0 and tau = tau_f.
     """
     sm = instance.smooth
     if instance.simple.kind != "zero" or not instance.metric.is_identity:
@@ -117,34 +133,84 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     w0, w1 = S.T @ sm.value_grad(xbar)[1], S.T @ (sm.Q @ u)  # w = w0 + tau w1
     u_t = (S.T @ u).tolist()
 
-    @cache
-    def point(tau):  # h~(tau), the shift s and V'(tau)
+    def done(tau, h):  # roundoff can put an interior tau just outside [0, 1]
+        tau = min(max(tau, 0.0), 1.0)
+        return xbar + tau * u + S @ h, tau, np.zeros(instance.dim)
+
+    def point(tau):  # h~(tau) and V'(tau)
         w = w0 + tau * w1
         s = secular_shift(lam_list, w, H, p)
         h, hu = [], 0.0
         for lam_i, w_i, u_i in zip(lam_list, w.tolist(), u_t):
-            h_i = -w_i / (lam_i + s)
+            h_i = 0.0 if w_i == 0.0 else -w_i / (lam_i + s)
             h.append(h_i)
             hu += h_i * u_i
-        return h, s, -s * hu
+        return h, -s * hu
 
-    def slope(tau):
-        return point(tau)[2]
+    h, slope = point(0.0)
+    if slope >= 0.0:
+        return done(0.0, h)
+    h, slope = point(1.0)
+    if slope <= 0.0:
+        return done(1.0, h)
 
-    def curvature(tau):  # never at h = 0: there V' = 0 ends the search
-        h, s, _ = point(tau)
-        A = G = E = n2 = 0.0
-        for lam_i, h_i, u_i in zip(lam_list, h, u_t):
-            d = 1.0 / (lam_i + s)
-            A += lam_i * u_i * u_i * d
-            G += lam_i * h_i * u_i * d
-            E += h_i * h_i * d
+    coef = list(zip(w0.tolist(), w1.tolist(), u_t))
+
+    @cache
+    def at(s):  # tau(s), h~(s), ||h||^2 and ||h||^3 times phi'(s)'s first term
+        d = [1.0 / (lam_i + s) for lam_i in lam_list]
+        num = den = 0.0
+        for (w0_i, w1_i, u_i), d_i in zip(coef, d):
+            num += w0_i * u_i * d_i
+            den += w1_i * u_i * d_i
+        if not den > 0.0:
+            raise DegenerateCoefficient(
+                f"segment prox: <Qu, (Q + sI)^-1 u> = {den!r} at an interior tau")
+        tau = -num / den
+        h, n2, E, P = [], 0.0, 0.0, 0.0
+        for (w0_i, w1_i, u_i), d_i in zip(coef, d):
+            w_i = w0_i + tau * w1_i
+            h_i = 0.0 if w_i == 0.0 else -w_i * d_i  # d_i = inf if lam_i = 0, s tiny
+            h.append(h_i)
             n2 += h_i * h_i
-        k = (p - 1) * s / n2
-        return s * A + k * G * G / (1.0 + k * E)
+            E += h_i * h_i * d_i
+            P += h_i * u_i * d_i
+        return tau, h, n2, E + s * P * P / den
 
-    tau = monotone_root(slope, 0.0, 1.0, curvature)
-    return xbar + tau * u + S @ point(tau)[0], float(tau), np.zeros(instance.dim)
+    e = p - 1
+    if e == 0:
+        s = H
+    else:
+        # tau_f minimizes f on the line; g^ = grad f there
+        quu = sum(w1_i * u_i for _, w1_i, u_i in coef)
+        if not quu > 0.0:
+            raise DegenerateCoefficient(
+                f"segment prox: <Qu, u> = {quu!r} at an interior tau")
+        tau_f = -sum(w0_i * u_i for w0_i, _, u_i in coef) / quu
+        g_hat = math.sqrt(sum((w0_i + tau_f * w1_i) ** 2 for w0_i, w1_i, _ in coef))
+        if g_hat == 0.0:
+            return done(tau_f, [0.0] * len(lam_list))
+        root = (g_hat / H) ** (1.0 / p)
+        b_lo = min(g_hat / lam_list[-1], root) if lam_list[-1] > 0.0 else root
+        b_hi = min(g_hat / lam_list[0], root) if lam_list[0] > 0.0 else root
+
+        def phi(s):
+            # -inf and an infinite slope below the domain s > 0; h(s) = 0
+            # puts a zero of grad f on the line, so the root is left of s
+            if s <= 0.0:
+                return -math.inf
+            n2 = at(s)[2]
+            return (1.0 / math.sqrt(n2) if n2 else math.inf) - (H / s) ** (1.0 / e)
+
+        def dphi(s):
+            if s <= 0.0:
+                return math.inf
+            _, _, n2, slope = at(s)
+            return slope / (n2 * math.sqrt(n2)) + (H / s) ** (1.0 / e) / (e * s)
+
+        s = monotone_root(phi, H * (0.5 * b_lo) ** e, H * b_hi ** e, dphi)
+    tau, h, _, _ = at(s)
+    return done(tau, h)
 
 
 def make_sprox_oracle(instance: ProblemInstance, H: float, p: int):

@@ -167,6 +167,23 @@ class TestRun:
         assert result.exit_code == 0
         assert "filed exact" in result.output
 
+    @pytest.mark.parametrize("c, code", [([1.0, 1.0, 0.0], 0),
+                                         ([1.0, 1.0, 1.0], 2)])
+    def test_singular_quadratic_file(self, runner, tmp_path, c, code):
+        # a PSD Q with a zero eigenvalue runs when c is in its range; off
+        # it, f is unbounded below, a config error
+        inst_path = write_config(tmp_path, {
+            "family": "quadratic", "Q": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                         [0.0, 0.0, 0.0]], "c": c}, "inst.json")
+        cfg = {"instance": {"file": inst_path}, "mode": "exact", "p": 2,
+               "H": 1.0, "x0": [1.0, 1.0, 1.0], "budget": 50}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == code
+        if code:
+            assert "config error: f is unbounded below" in result.output
+        else:
+            assert "status=optimal" in result.output
+
     @pytest.mark.parametrize("psi", [
         {"kind": "l1", "weight": -0.5},
         {"kind": "box", "lo": [1.0, 1.0], "hi": [-1.0, -1.0]},

@@ -9,7 +9,7 @@ import biopt.problems
 from biopt import (BioptError, Metric, ProblemInstance, QuadraticOracle,
                    SeparableOracle, SimpleOracle, build_builtin,
                    build_example_1d, build_logbar, build_quadratic,
-                   load_instance, newton_minimize)
+                   load_instance, newton_minimize, run, verify_trace)
 
 from helpers import fd_grad
 
@@ -341,6 +341,26 @@ class TestInstances:
         np.testing.assert_allclose(inst.smooth.value_grad(inst.x_star)[1], np.zeros(4),
                                    atol=1e-10)
         assert inst.F(inst.x_star) == pytest.approx(inst.F_star)
+
+    def test_build_quadratic_singular_psd(self):
+        # a zero eigenvalue with c in Q's range: f has minimizers, and x* is
+        # the least-squares solution (numpy's solve refused Q)
+        inst = build_quadratic(np.diag([2.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0]))
+        np.testing.assert_allclose(inst.x_star, [0.5, 1.0, 0.0], atol=1e-15)
+        assert inst.F_star == pytest.approx(-0.75, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_singular_quadratic_exact_runs_verify(self, p):
+        inst = build_quadratic(np.diag([2.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0]))
+        trace = run(inst, "exact", p=p, H=1.0, budget=100, epsilon=1e-8,
+                    x0=np.ones(3))
+        assert trace.status in ("optimal", "gap_reached")
+        report = verify_trace(trace)
+        assert len(report) == 7 and all(v["ok"] for v in report.values())
+
+    def test_build_quadratic_unbounded_below(self):
+        with pytest.raises(ValueError, match="f is unbounded below"):
+            build_quadratic(np.diag([2.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]))
 
     def test_newton_on_quadratic_is_exact(self):
         Q = np.array([[3.0, 1.0], [1.0, 2.0]])

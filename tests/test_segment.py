@@ -3,12 +3,13 @@ import pytest
 
 import biopt.lower
 import biopt.segment as segment
-from biopt import (AcceptedPoint, BisectionStall, Metric, ProblemInstance,
-                   QuadraticOracle, SimpleOracle, bisect_segment, build_builtin,
-                   build_example_1d, build_logbar, build_quadratic,
+from biopt import (AcceptedPoint, BisectionStall, DegenerateCoefficient, Metric,
+                   ProblemInstance, QuadraticOracle, SimpleOracle, bisect_segment,
+                   build_builtin, build_example_1d, build_logbar, build_quadratic,
                    build_separable, exact_sprox_1d, exact_sprox_1d_general,
                    make_sprox_oracle, monotone_root, run, solve_acceptable,
-                   sprox_quadratic, sprox_reference)
+                   sprox_quadratic, sprox_reference, verify_trace)
+from biopt.numerics import secular_shift
 
 BRANCHES = {"interior", "tau0_pos", "tau0_neg", "tau1_pos", "tau1_neg"}
 
@@ -189,17 +190,22 @@ class TestSproxQuadratic:
         assert seen == {"tau0", "tau1", "interior"}
 
     def test_newton_in_tau_solve_count(self, monkeypatch):
-        # the draws of test_tau_first_order_condition; Newton on the envelope
-        # slope needs at most 16 tau points (V' evaluations, one secular
-        # solve each) per call with an interior tau (bisection in tau took
-        # 56 to 64)
-        points = []
+        # the draws of test_tau_first_order_condition: a call makes one
+        # secular solve per endpoint it tests, and an interior tau takes one
+        # root in the shift, 6 to 15 phi evaluations of O(dim) each on these
+        # draws (the search over tau took up to 16 whole secular solves)
+        solves, evals = [], []
+
+        def counted_shift(*args):
+            solves[-1] += 1
+            return secular_shift(*args)
 
         def spy(phi, lo, hi, dphi):
-            def counted(tau):
-                points[-1] += 1
-                return phi(tau)
+            def counted(s):
+                evals[-1] += 1
+                return phi(s)
             return monotone_root(counted, lo, hi, dphi)
+        monkeypatch.setattr(segment, "secular_shift", counted_shift)
         monkeypatch.setattr(segment, "monotone_root", spy)
         inst = build_builtin("quad-5", seed=1)
         x_star = np.linalg.solve(inst.smooth.Q, inst.smooth.c)
@@ -210,22 +216,29 @@ class TestSproxQuadratic:
             if rng.random() < 0.5:
                 u = rng.uniform(0.2, 1.5) * (x_star - xbar) + 0.1 * u
             H, p = rng.choice([0.5, 1.0, 4.0]), int(rng.integers(2, 5))
-            points.append(0)
+            solves.append(0)
+            evals.append(0)
             _, tau, _ = sprox_quadratic(inst, xbar, u, H, p)
             if 0.0 < tau < 1.0:
-                interior.append(points[-1])
-        assert len(points) == 60 and min(points) > 0
+                interior.append((solves[-1], evals[-1]))
+            else:
+                assert solves[-1] == (1 if tau == 0.0 else 2)
+                assert evals[-1] == 0
+        assert len(solves) == 60 and min(solves) > 0
         assert len(interior) >= 20
-        assert max(interior) <= 16
+        assert all(n == 2 for n, _ in interior)
+        assert max(m for _, m in interior) <= 15
 
     @pytest.mark.parametrize("d", [5, 10])
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_slope_derivative_matches_fd(self, monkeypatch, d, p):
-        # the V'' handed to monotone_root against central differences of V'
+        # the phi' handed to monotone_root against central differences of
+        # phi in the shift, on the bracket, where phi is increasing and
+        # concave: phi' is positive and does not increase
         found = []
 
         def spy(phi, lo, hi, dphi=None):
-            found.append((phi, dphi))
+            found.append((phi, dphi, lo, hi))
             return monotone_root(phi, lo, hi, dphi)
         monkeypatch.setattr(segment, "monotone_root", spy)
         inst = build_builtin(f"quad-{d}", seed=1)
@@ -235,12 +248,17 @@ class TestSproxQuadratic:
             xbar = rng.standard_normal(d)
             u = 1.5 * (x_star - xbar) + 0.1 * rng.standard_normal(d)
             sprox_quadratic(inst, xbar, u, 1.0, p)
-        slope, curvature = found[0]
-        delta = 1e-5
-        for tau in (0.2, 0.5, 0.8):
-            fd = (slope(tau + delta) - slope(tau - delta)) / (2.0 * delta)
-            assert curvature(tau) > 0.0
-            assert curvature(tau) == pytest.approx(fd, rel=1e-6)
+        phi, dphi, lo, hi = found[0]
+        assert phi(lo) < 0.0 < phi(hi)
+        slopes = []
+        for t in (0.2, 0.5, 0.8):
+            s = lo + t * (hi - lo)
+            delta = 1e-5 * s
+            fd = (phi(s + delta) - phi(s - delta)) / (2.0 * delta)
+            assert dphi(s) > 0.0
+            assert dphi(s) == pytest.approx(fd, rel=1e-6)
+            slopes.append(dphi(s))
+        assert slopes[0] >= slopes[1] >= slopes[2]
 
     @pytest.mark.parametrize("d", [5, 10])
     @pytest.mark.parametrize("p", [2, 3, 4])
@@ -277,6 +295,91 @@ class TestSproxQuadratic:
         trace = run(inst, "exact", p=3, H=1.0)
         assert len(trace.records) > 2
         assert calls == {"eigh": 1, "solve": 0}
+
+    def test_p1_takes_interior_tau_in_closed_form(self, monkeypatch):
+        # p = 1: the shift is H, so an interior tau is tau(H), with no root
+        # search; there x solves the inner problem and x - m is orthogonal
+        # to u
+        calls = []
+        monkeypatch.setattr(segment, "monotone_root",
+                            lambda *args: calls.append(args))
+        inst = build_builtin("quad-5", seed=1)
+        Q, c = inst.smooth.Q, inst.smooth.c
+        x_star = np.linalg.solve(Q, c)
+        rng = np.random.default_rng(11)
+        taus = set()
+        for _ in range(20):
+            xbar, u = rng.standard_normal(5), 2.0 * rng.standard_normal(5)
+            if rng.random() < 0.5:
+                u = rng.uniform(0.2, 1.5) * (x_star - xbar) + 0.1 * u
+            H = rng.choice([0.5, 1.0, 4.0])
+            x, tau, _ = sprox_quadratic(inst, xbar, u, H, 1)
+            h = x - (xbar + tau * u)
+            terms = np.linalg.norm(Q @ x) + np.linalg.norm(c) + H * np.linalg.norm(h)
+            assert np.linalg.norm(Q @ x - c + H * h) <= 1e-13 * terms
+            if 0.0 < tau < 1.0:
+                assert abs(h @ u) <= 1e-13 * np.linalg.norm(h) * np.linalg.norm(u)
+            taus.add("interior" if 0.0 < tau < 1.0 else tau)
+        assert taus == {0.0, 1.0, "interior"}
+        assert not calls
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_u_in_the_kernel_ends_at_an_endpoint(self, monkeypatch, p):
+        # Q u = 0 makes V'(tau) = <grad f(xbar), u> constant, so an endpoint
+        # test ends the call and the search in the shift never starts
+        calls = []
+        monkeypatch.setattr(segment, "monotone_root",
+                            lambda *args: calls.append(args))
+        inst = build_quadratic(np.diag([2.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0]))
+        rng = np.random.default_rng(p)
+        for _ in range(10):
+            xbar = rng.standard_normal(3)
+            u = np.array([0.0, 0.0, rng.standard_normal()])
+            _, tau, _ = sprox_quadratic(inst, xbar, u, 1.0, p)
+            assert tau in (0.0, 1.0)
+        assert not calls
+
+    def test_nonpositive_tau_denominator_is_typed(self):
+        # <Qu, (Q + sI)^-1 u> > 0 whenever Q u != 0 and S diagonalizes Q;
+        # a basis that does not (here a stale one) can drive it negative at
+        # an interior tau, which raises DegenerateCoefficient, not a bare
+        # arithmetic error
+        inst = build_quadratic(np.diag([1.0, 0.0]), np.array([-1.5, 0.0]))
+        r = np.sqrt(0.5)
+        inst.smooth.eigenbasis = (np.array([0.0, 4.0]),
+                                  np.array([[r, r], [r, -r]]))
+        with pytest.raises(DegenerateCoefficient, match="interior tau"):
+            sprox_quadratic(inst, np.array([-0.5, -1.0]), np.array([1.5, -2.5]),
+                            1.0, 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_line_through_a_minimizer(self, monkeypatch, p):
+        # g^ = grad f at f's minimizer on the line is 0: the segment passes
+        # through a minimizer of f, so h = 0 and tau is that minimizer's
+        # (dyadic data: tau_f = 0.5 and g^ = 0 hold exactly)
+        calls = []
+        monkeypatch.setattr(segment, "monotone_root",
+                            lambda *args: calls.append(args))
+        inst = build_quadratic(np.diag([2.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0]))
+        x, tau, _ = sprox_quadratic(inst, np.array([0.0, 0.75, 2.0]),
+                                    np.array([1.0, 0.5, 2.0]), 1.0, p)
+        assert tau == 0.5
+        np.testing.assert_array_equal(x, [0.5, 1.0, 3.0])
+        assert not calls
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_zero_eigenvalue_with_zero_gradient_component(self, p):
+        # Q = diag(2, 1, 0), c = (1, 1, 0): grad f vanishes exactly at an
+        # anchor, secular_shift returns s = 0, and h_i = -w_i/(lam_i + s)
+        # was 0/0 on the zero eigenvalue
+        Q, c = np.diag([2.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])
+        x_star = np.array([0.5, 1.0, 0.0])
+        inst = ProblemInstance(QuadraticOracle(Q, c), SimpleOracle("zero"),
+                               Metric(dim=3), 3, optimum=(x_star, -0.75))
+        trace = run(inst, "exact", p=p, H=1.0, budget=100, epsilon=1e-8,
+                    x0=np.ones(3))
+        assert trace.status == "optimal"
+        assert all(v["ok"] for v in verify_trace(trace).values())
 
     def test_rejects_wrong_structure(self):
         inst = build_example_1d()

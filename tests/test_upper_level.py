@@ -652,3 +652,27 @@ def test_run_is_deterministic():
     b = run(build_builtin("quad-3", seed=9), "exact", p=2, H=1.0, budget=20)
     assert [r["F_val"] for r in a.records] == [r["F_val"] for r in b.records]
     assert [r["A"] for r in a.records] == [r["A"] for r in b.records]
+
+
+def test_seeded_exact_sweep():
+    # exact runs off the fixed panels, on ROADMAP item 6's generator with
+    # psi = 0: Q = G^T G/d + delta I, p in 1..4 and H over four decades
+    rng = np.random.default_rng(0)
+    statuses = set()
+    for _ in range(100):
+        d = int(rng.integers(1, 7))
+        G = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-2, 2)
+        Q = G.T @ G / d + 10.0 ** rng.uniform(-3, 0) * np.eye(d)
+        c = rng.standard_normal(d) * 10.0 ** rng.uniform(-2, 2)
+        p, H = int(rng.integers(1, 5)), 10.0 ** rng.uniform(-2, 2)
+        x0 = rng.standard_normal(d) * 10.0 ** rng.uniform(-1, 1)
+        trace = run(build_quadratic(Q, c), "exact", p=p, H=H, budget=60,
+                    epsilon=1e-6, x0=x0)
+        assert trace.status in ("optimal", "gap_reached", "budget")
+        statuses.add(trace.status)
+        report = verify_trace(trace)
+        assert len(report) == 7 and all(v["ok"] for v in report.values())
+        for rec in trace.records:
+            if rec.get("F_gap") is not None and rec.get("gap_cert") is not None:
+                assert rec["F_gap"] <= rec["gap_cert"] + 1e-9
+    assert statuses == {"optimal", "gap_reached", "budget"}
