@@ -324,12 +324,14 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
     lambda_min(B)^{-(p+1)/2}, as ||h||_2 <= lambda_min(B)^{-1/2} ||h||, or
     M_next as given; slack_floor is the oracle's slack_min when its bound
     set H.  oracle is the exact segment-search oracle (exact mode), x0 the
-    given one, else the instance's, else zeros."""
+    given one, else the instance's, else zeros; f(x0) must be finite.  The
+    lower level's method is of order 2q, q = floor(p/2), so inexact and
+    superfast modes need p >= 2."""
     if mode not in ("exact", "inexact", "superfast"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not _number(p, numbers.Integral) or p < (2 if mode == "superfast" else 1):
-        raise ValueError(f"p must be an integer >= 1 (>= 2 for superfast "
-                         f"mode), got {p!r}")
+    if not _number(p, numbers.Integral) or p < (1 if mode == "exact" else 2):
+        raise ValueError(f"p must be an integer >= 1 (>= 2 for inexact and "
+                         f"superfast modes), got {p!r}")
     if not _number(budget, numbers.Integral) or budget < 0:
         raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
     if not _number(beta) or mode != "exact" and not 0.0 <= beta <= 3.0 / (3 * p + 2):
@@ -347,7 +349,7 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
     elif mode == "superfast":
         if M_next is None:
             M_next, slack_floor = smooth.deriv_bound(p + 1), smooth.slack_min
-            if M_next is not None and not instance.metric.is_identity:
+            if M_next is not None:
                 M_next *= instance.metric.smallest_eigenvalue() ** (-(p + 1) / 2)
         if M_next is None or M_next <= 0:
             raise ValueError("superfast mode needs a positive M_{p+1} bound")
@@ -358,6 +360,8 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
     if x0.shape != (instance.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, the instance has "
                          f"dimension {instance.dim}")
+    if not math.isfinite(smooth.value(x0)):
+        raise ValueError("x0 lies outside the domain of f: f(x0) is not finite")
     return H, slack_floor, oracle, x0
 
 

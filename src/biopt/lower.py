@@ -19,7 +19,7 @@ from .acceptance import (ACCEPTANCE_ABS, AcceptedPoint, acceptable, evaluate,
                          subproblem_tol)
 from .config import (AcceptanceFailure, DomainViolation, OptimalityReached,
                      SubproblemStall)
-from .numerics import Metric, eigen_radial_solver, prox_power, radial_solver
+from .numerics import eigen_radial_solver, prox_power, radial_solver
 from .problems import ProblemInstance, QuadraticOracle, SimpleOracle
 
 
@@ -113,7 +113,7 @@ class ScalingFunction:
         smooth, metric = self.instance.smooth, self.instance.metric
         if metric.is_identity and isinstance(smooth, QuadraticOracle):
             return eigen_radial_solver(*smooth.eigenbasis, self.H, self.p)
-        return radial_solver(metric, self.K, self.H, self.p)
+        return radial_solver(self.K, self.H, self.p, metric.W)
 
 
 def bregman_term(vx: float, gx: np.ndarray, vz: float, d: np.ndarray) -> float:
@@ -160,10 +160,9 @@ def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     if not free.any():
         return h
     m = sf.instance.metric
-    metric = Metric(None if m.is_identity else np.diag(m.diagonal[free]),
-                    dim=int(free.sum()))
+    W = None if m.W is None else m.W[np.ix_(free, free)]
     g = c_shift[free] / gain + sf.K[np.ix_(free, ~free)] @ h[~free] + slope / gain
-    solve = radial_solver(metric, sf.K[np.ix_(free, free)], sf.H, sf.p)
+    solve = radial_solver(sf.K[np.ix_(free, free)], sf.H, sf.p, W)
     h[free] = solve(g, m.norm(h))
     return h if np.all(psi.face(sf.y + h)[0][free] == pattern[free]) else None
 

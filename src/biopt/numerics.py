@@ -31,36 +31,33 @@ from .config import DegenerateCoefficient
 
 
 class Metric:
-    """Euclidean metric induced by a dense SPD operator B.
+    """Euclidean metric induced by an SPD operator B, factored once, here.
 
-    B = I is the default and keeps a fast path (no factorization applied).
-    is_identity, is_diagonal and diagonal (B's; ones for B = I) are set here.
+    W = L^{-T} for the Cholesky factor B = L L^T, so W^T B W = I and
+    B^{-1} = W W^T; W is None for B = I, which keeps a fast path.  W is
+    diagonal whenever B is.  is_identity, is_diagonal and diagonal (B's;
+    ones for B = I) are set here.
     """
 
     def __init__(self, B: np.ndarray | None = None, dim: int | None = None):
         if B is None:
             if dim is None:
                 raise ValueError("need B or dim")
-            self.dim = int(dim)
-            self.B = np.eye(self.dim)
-            self.is_identity = True
-            self._chol = None
-        else:
-            B = np.asarray(B, dtype=float)
-            if B.ndim != 2 or B.shape[0] != B.shape[1]:
-                raise ValueError("B must be square")
-            if not np.allclose(B, B.T, atol=1e-12):
-                raise ValueError("B must be symmetric")
-            self.dim = B.shape[0]
-            self.B = 0.5 * (B + B.T)
-            self.is_identity = bool(np.array_equal(self.B, np.eye(self.dim)))
-            if self.is_identity:
-                self._chol = None
-            else:
-                try:
-                    self._chol = np.linalg.cholesky(self.B)
-                except np.linalg.LinAlgError as exc:
-                    raise ValueError("B must be positive definite") from exc
+            B = np.eye(int(dim))
+        B = np.asarray(B, dtype=float)
+        if B.ndim != 2 or B.shape[0] != B.shape[1]:
+            raise ValueError("B must be square")
+        if not np.allclose(B, B.T, atol=1e-12):
+            raise ValueError("B must be symmetric")
+        self.dim = B.shape[0]
+        self.B = 0.5 * (B + B.T)
+        self.is_identity = bool(np.array_equal(self.B, np.eye(self.dim)))
+        self.W = None
+        if not self.is_identity:
+            try:
+                self.W = np.linalg.inv(np.linalg.cholesky(self.B)).T
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("B must be positive definite") from exc
         self.diagonal = np.diag(self.B)
         self.is_diagonal = not np.count_nonzero(self.B - np.diag(self.diagonal))
 
@@ -75,11 +72,8 @@ class Metric:
         return x if self.is_identity else self.B @ x
 
     def solve(self, g: np.ndarray) -> np.ndarray:
-        """B^{-1} g (dual -> primal), via the cached factorization."""
-        if self.is_identity:
-            return g
-        y = np.linalg.solve(self._chol, g)
-        return np.linalg.solve(self._chol.T, y)
+        """B^{-1} g = W (W^T g) (dual -> primal)."""
+        return g if self.W is None else self.W @ (self.W.T @ g)
 
     def norm(self, x: np.ndarray) -> float:
         if self.is_identity:
@@ -87,9 +81,9 @@ class Metric:
         return float(math.sqrt(max(float(x @ (self.B @ x)), 0.0)))
 
     def dual_norm(self, g: np.ndarray) -> float:
-        if self.is_identity:
-            return math.sqrt(float(g @ g))
-        return float(math.sqrt(max(float(g @ self.solve(g)), 0.0)))
+        """||W^T g||, as <g, B^{-1} g> = ||W^T g||^2."""
+        v = g if self.W is None else self.W.T @ g
+        return math.sqrt(float(v @ v))
 
 
 def prox_power(metric: Metric, x: np.ndarray, p: int) -> tuple[float, np.ndarray]:
@@ -287,26 +281,25 @@ def secular_shift(lam: list[float], w: np.ndarray, c: float, p: int,
     return monotone_root(phi, s_lo, s_hi, dphi)
 
 
-def radial_solver(metric: Metric, K: np.ndarray, c: float, p: int):
+def radial_solver(K: np.ndarray, c: float, p: int, W: np.ndarray | None = None):
     """Solver (g, a) -> h of (K + c r^{p-1} B) h = -g, r^2 = ||h||^2 + a^2,
     for symmetric PSD K, c > 0 and a norm offset a >= 0 (default 0).
 
     The offset is the norm of a block of the point held fixed elsewhere (a
     face of the composite step); a = 0 is the plain secular equation.  With
-    B = L L^T (Cholesky; L = I for the identity metric), the basis
-    S = L^{-T} V, where V diagonalizes L^{-1} K L^{-T} = V diag(lam) V^T,
-    gives S^T K S = diag(lam) and S^T B S = I.  So h = -S (w / (lam + s))
-    with w = S^T g and the shift s from secular_shift.  K is decomposed
-    once, here; each solve (eigen_radial_solver) makes the two basis
-    changes S^T g and S (w/(lam + s)).
+    B's factor W (Metric.W, W^T B W = I; None for B = I), the basis S = W V,
+    where V diagonalizes W^T K W = V diag(lam) V^T, gives S^T K S =
+    diag(lam) and S^T B S = I.  So h = -S (w / (lam + s)) with w = S^T g
+    and the shift s from secular_shift.  K is decomposed once, here; each
+    solve (eigen_radial_solver) makes the two basis changes S^T g and
+    S (w/(lam + s)).
     """
     K = np.asarray(K, dtype=float)
-    if metric.is_identity:
+    if W is None:
         lam, S = np.linalg.eigh(K)
     else:
-        Linv = np.linalg.inv(metric._chol)
-        lam, V = np.linalg.eigh(Linv @ K @ Linv.T)
-        S = Linv.T @ V
+        lam, V = np.linalg.eigh(W.T @ K @ W)
+        S = W @ V
     # K is PSD: negative eigenvalues are roundoff
     return eigen_radial_solver(np.maximum(lam, 0.0), S, c, p)
 

@@ -396,12 +396,16 @@ class QuadraticOracle(SmoothOracle):
                              f"{self.c.shape}: need n x n and n")
         if not np.allclose(self.Q, self.Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
+        lam = np.linalg.eigvalsh(self.Q)
+        if lam[0] < -1e-12 * np.abs(lam).max():
+            raise ValueError(f"Q must be positive semidefinite, its smallest "
+                             f"eigenvalue is {lam[0]:.6g}")
 
     @cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, S) with Q = S diag(lam) S^T and S orthogonal: one eigh per
-        oracle.  lam is clamped at 0, as Q is PSD and negative eigenvalues
-        are roundoff."""
+        oracle.  lam is clamped at 0, as Q is PSD (checked when the oracle is
+        built, to 1e-12 of max |lam|) and negative eigenvalues are roundoff."""
         lam, S = np.linalg.eigh(self.Q)
         return np.maximum(lam, 0.0), S
 

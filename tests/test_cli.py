@@ -283,6 +283,31 @@ class TestRun:
         assert "x0 has shape (1,)" in result.output
         assert "status=" not in result.output
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,
+          "x0": [float("nan"), 0.0, 0.0]}, "x0 lies outside the domain of f"),
+        ({"instance": "logbar-10-5", "mode": "superfast", "p": 2, "beta": 0.2,
+          "x0": [100.0] * 5}, "x0 lies outside the domain of f"),
+        ({"instance": {"file": "indefinite.json"}, "mode": "inexact", "p": 2,
+          "H": 1.0, "beta": 0.1}, "Q must be positive semidefinite"),
+        ({"instance": "quad-3", "mode": "inexact", "p": 1, "H": 1.0,
+          "beta": 0.1}, ">= 2 for inexact and superfast modes"),
+    ])
+    def test_refused_before_the_run(self, runner, tmp_path, cfg, message):
+        # each of these once ran and exited 1 with a solver failure
+        if isinstance(cfg["instance"], dict):
+            cfg = dict(cfg, instance={"file": write_config(tmp_path, {
+                "family": "quadratic", "Q": [[1.0, 0.0], [0.0, -1.0]],
+                "c": [0.0, 0.0]}, cfg["instance"]["file"])})
+        trace = tmp_path / "t.ndjson"
+        cfg = dict(cfg, budget=20, trace=str(trace))
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error:") == 1
+        assert message in result.output
+        assert "status=" not in result.output
+        assert not trace.exists()
+
     def test_superfast_with_H_is_usage_error(self, runner, tmp_path):
         # superfast derives H from M_{p+1}; a given H was silently replaced
         cfg = {"instance": "logbar-10-3", "mode": "superfast", "p": 2,

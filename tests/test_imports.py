@@ -7,7 +7,9 @@ public names), and no import sits inside a function, where it would hide
 an import cycle.  No module imports a private (_-prefixed) name of
 another.  psi's faces and B's diagonal have one owner each
 (SimpleOracle.face, Metric.diagonal), so the drivers and the lower level
-read neither psi's parameters nor B.
+read neither psi's parameters nor B.  B's factor has one owner too
+(Metric.W): no module but numerics calls cholesky or inv, and the drivers
+and the lower level construct no Metric.
 """
 
 import ast
@@ -101,3 +103,45 @@ def test_guard_sees_a_private_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def factor_calls(source: str) -> list[str]:
+    """Calls of cholesky, inv or Metric, as "function: name" with the
+    function or method (Class.method) whose body makes them."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in ("cholesky", "inv", "Metric"):
+                    found.append(f"{scope}: {name}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_guard_sees_factor_calls():
+    source = ("class M:\n    def __init__(self, B):\n"
+              "        self.W = np.linalg.inv(np.linalg.cholesky(B)).T\n"
+              "def f(B):\n    return Metric(B), inv\n")
+    assert factor_calls(source) == ["M.__init__: inv", "M.__init__: cholesky",
+                                    "f: Metric"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_b_is_factored_once(path):
+    # Metric.__init__ factors B (Metric.W) and nothing else factors or
+    # inverts; the drivers and the lower level take the metric they are
+    # given, as problems.py's builders make it
+    calls = factor_calls(path.read_text())
+    owner = ["Metric.__init__: inv", "Metric.__init__: cholesky"]
+    assert [c for c in calls if not c.endswith("Metric")] == (
+        owner if path.name == "numerics.py" else [])
+    if path.name in ("lower.py", "driver.py", "segment.py", "acceptance.py"):
+        assert calls == []

@@ -665,6 +665,28 @@ class TestOneEvaluationPerPoint:
         assert trace.records[-1]["k"] >= 5
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("kind, k", [("l1", 8), ("box", 5)])
+    def test_diagonal_metric_run_factors_nothing(self, kind, k, monkeypatch):
+        # Metric factors B once, when it is built: a composite run under a
+        # diagonal B (face steps, proximal-gradient steps, certificates)
+        # makes no linear solve, inverse or Cholesky factorization of its own
+        base = build_builtin("quad-10", seed=0)
+        d = base.dim
+        psi = (SimpleOracle("l1", weight=0.5) if kind == "l1"
+               else SimpleOracle("box", lo=-0.5 * np.ones(d), hi=0.5 * np.ones(d)))
+        inst = build_quadratic(base.smooth.Q, base.smooth.c, psi=psi)
+        inst.metric = Metric(np.diag(np.linspace(0.5, 2.0, d)))
+        calls = []
+        for name in ("solve", "inv", "cholesky"):
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        trace = run(inst, "inexact", p=2, beta=0.1, H=1.0, budget=200,
+                    epsilon=1e-4, R=10.0)
+        assert (trace.status, trace.records[-1]["k"]) == ("optimal", k)
+        assert calls == []
+
     def test_accepted_point_makes_no_prox_power_call(self, monkeypatch):
         # the point certifies the step's own PointEval, regularized gradient
         # included, so building it forms no d_{p+1} of its own

@@ -309,6 +309,18 @@ class TestQuadraticOracle:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticOracle(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
 
+    @pytest.mark.parametrize("lam", [[1.0, -1.0], [1.0, -1e-6]])
+    def test_rejects_indefinite(self, lam):
+        # Q = diag(1, -1) once ran to an acceptance or invariant failure
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            QuadraticOracle(np.diag(lam), np.zeros(2))
+
+    def test_keeps_roundoff_below_zero(self):
+        # lambda_min = -1e-13 max|lam|, roundoff's size, is accepted and clamped
+        U = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        Q = U @ np.diag([2.0, 1.0, -2e-13]) @ U.T
+        assert QuadraticOracle(0.5 * (Q + Q.T), np.zeros(3)).eigenbasis[0][0] == 0.0
+
     def test_owns_read_only_Q(self):
         # the cached eigenbasis cannot go stale: Q is the oracle's own
         # read-only copy, and the caller's array stays writable

@@ -341,6 +341,24 @@ class TestRunExact:
         with pytest.raises(ValueError, match="no exact segment-search oracle"):
             run(inst, "exact", p=3, H=1.0, x0=np.array([2.0]), R=3.0)
 
+    @pytest.mark.parametrize("name, mode, args, x0", [
+        ("quad-3", "exact", {"H": 1.0}, [math.nan, 0.0, 0.0]),
+        ("logbar-10-5", "superfast", {"beta": 0.2}, [100.0] * 5),
+    ])
+    def test_rejects_x0_outside_the_domain(self, name, mode, args, x0):
+        # these once ran and failed the gap_bound invariant at k = 0
+        with pytest.raises(ValueError, match="outside the domain of f"):
+            run(build_builtin(name, seed=0), mode, p=2, x0=np.array(x0), **args)
+
+    @pytest.mark.parametrize("mode, args", [("inexact", {"H": 1.0}),
+                                            ("superfast", {})])
+    def test_lower_level_modes_need_p_2(self, mode, args):
+        # q = floor(p/2) = 0 at p = 1: inexact runs ended in AcceptanceFailure
+        inst = build_builtin("logbar-10-5", seed=0)
+        with pytest.raises(ValueError, match=r"\(>= 2 for inexact and superfast"):
+            run(inst, mode, p=1, beta=0.1, **args)
+        assert run(inst, mode, p=2, beta=0.1, budget=1, **args).records
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             run(build_example_1d(), "fastest")
