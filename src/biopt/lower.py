@@ -109,7 +109,7 @@ class ScalingFunction:
     def radial(self):
         """Solver g -> h of (D^2 f(y) + H ||h||^{p-1} B) h = -g, built once per
         y; with the identity metric a quadratic f lends it Q's eigenbasis,
-        which the oracle computes once (QuadraticOracle.eigenbasis)."""
+        which the oracle makes when it is built (QuadraticOracle.eigenbasis)."""
         smooth, metric = self.instance.smooth, self.instance.metric
         if metric.is_identity and isinstance(smooth, QuadraticOracle):
             return eigen_radial_solver(*smooth.eigenbasis, self.H, self.p)

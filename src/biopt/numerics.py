@@ -17,8 +17,9 @@ through secular_shift, or on a basis the caller has: eigen_radial_solver;
 sprox_quadratic calls the core directly in Q's eigenbasis at the segment's
 ends, and solves an interior segment position as one more secular equation
 in the shift, whose bracket follows secular_shift's argument); golden_section
-(vectorized over per-element brackets; only the brute-force segment-search
-reference minimizes by it).
+(vectorized over per-element brackets; the brute-force segment-search
+reference minimizes by it, and the softplus derivative bound polishes its
+grid maxima with it).
 """
 
 from __future__ import annotations

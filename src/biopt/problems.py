@@ -14,7 +14,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +43,8 @@ class SimpleOracle:
         self.weight = float(weight)
         self.lo = None if lo is None else np.atleast_1d(np.asarray(lo, dtype=float))
         self.hi = None if hi is None else np.atleast_1d(np.asarray(hi, dtype=float))
-        if kind == "l1" and not self.weight >= 0.0:
-            raise ValueError(f"l1 psi needs a weight >= 0, got {self.weight!r}")
+        if kind == "l1" and not 0.0 <= self.weight < math.inf:
+            raise ValueError(f"l1 psi needs a finite weight >= 0, got {self.weight!r}")
         if kind == "box" and (self.lo is None or self.hi is None):
             raise ValueError("box psi needs lo and hi")
         if kind == "box" and not np.all(self.lo <= self.hi):
@@ -213,6 +212,15 @@ _FAMILIES = {
 # smooth oracles
 # ---------------------------------------------------------------------------
 
+def _finite(name: str, a) -> np.ndarray:
+    """a as a float array; a ValueError naming it if an entry is NaN or
+    infinite."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has an entry that is NaN or infinite")
+    return a
+
+
 class SmoothOracle:
     """Interface of the smooth part f: four methods.
 
@@ -285,11 +293,12 @@ class SeparableOracle(SmoothOracle):
                  slack_min: float | None = None):
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        if self.A.ndim != 2 or self.A.shape[0] != self.b.shape[0] \
-                or not self.A.shape[0]:
-            raise ValueError("A needs at least one row, and its rows must match b")
+        self.A = _finite("A", A)
+        self.b = _finite("b", b)
+        if self.A.ndim != 2 or not self.A.size \
+                or self.b.shape != (self.A.shape[0],):
+            raise ValueError("A needs at least one row and one column, and its "
+                             "rows must match b")
         if slack_min is not None and not (
                 isinstance(slack_min, numbers.Real) and not isinstance(slack_min, bool)
                 and 0.0 < slack_min < math.inf):
@@ -383,31 +392,28 @@ class SeparableOracle(SmoothOracle):
 class QuadraticOracle(SmoothOracle):
     """f(x) = 1/2 <Qx, x> - <c, x> with Q symmetric PSD; one Q x per point.
 
-    Q is the oracle's own read-only copy, so the eigenbasis cached from it
-    cannot go stale.
+    Q is the oracle's own read-only copy, and its one eigendecomposition is
+    made here, when the oracle is built: eigenbasis = (lam, S) with
+    Q = S diag(lam) S^T and S orthogonal.  It refuses a Q that is not PSD
+    (lam_min below -1e-12 max |lam|), gives M_2 = lam_max (deriv_bound),
+    and serves the exact segment prox and the radial solver.  lam is
+    clamped at 0, as the negative eigenvalues that pass are roundoff.
     """
 
     def __init__(self, Q: np.ndarray, c: np.ndarray):
-        self.Q = np.array(Q, dtype=float)
+        self.Q = _finite("Q", np.array(Q, dtype=float))
         self.Q.flags.writeable = False
-        self.c = np.asarray(c, dtype=float)
-        if self.c.ndim != 1 or self.Q.shape != (self.c.size,) * 2:
+        self.c = _finite("c", c)
+        if self.c.ndim != 1 or not self.c.size or self.Q.shape != (self.c.size,) * 2:
             raise ValueError(f"Q of shape {self.Q.shape} and c of shape "
-                             f"{self.c.shape}: need n x n and n")
+                             f"{self.c.shape}: need n x n and n with n >= 1")
         if not np.allclose(self.Q, self.Q.T, atol=1e-12):
             raise ValueError("Q must be symmetric")
-        lam = np.linalg.eigvalsh(self.Q)
+        lam, S = np.linalg.eigh(self.Q)
         if lam[0] < -1e-12 * np.abs(lam).max():
             raise ValueError(f"Q must be positive semidefinite, its smallest "
                              f"eigenvalue is {lam[0]:.6g}")
-
-    @cached_property
-    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, S) with Q = S diag(lam) S^T and S orthogonal: one eigh per
-        oracle.  lam is clamped at 0, as Q is PSD (checked when the oracle is
-        built, to 1e-12 of max |lam|) and negative eigenvalues are roundoff."""
-        lam, S = np.linalg.eigh(self.Q)
-        return np.maximum(lam, 0.0), S
+        self.eigenbasis = (np.maximum(lam, 0.0), S)
 
     @property
     def dim(self) -> int:
@@ -438,7 +444,7 @@ class QuadraticOracle(SmoothOracle):
 
     def deriv_bound(self, order: int) -> float | None:
         if order == 2:
-            return float(np.linalg.norm(self.Q, 2))
+            return float(self.eigenbasis[0][-1])
         if order >= 3:
             return 0.0
         return None

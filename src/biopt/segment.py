@@ -93,9 +93,10 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     the interior point where h is orthogonal to u.
 
     Everything runs on Python floats in Q's eigenbasis Q = S diag(lam) S^T,
-    which the oracle computes once (QuadraticOracle.eigenbasis).  grad f(m)
-    = g0 + tau Q u with g0 = grad f(xbar), so w = S^T grad f(m) = w0 + tau w1
-    comes from two transforms made once per call, and h~ = S^T h =
+    which the oracle makes when it is built, from the eigendecomposition
+    that also serves its PSD check and M_2 (QuadraticOracle.eigenbasis).
+    grad f(m) = g0 + tau Q u with g0 = grad f(xbar), so w = S^T grad f(m) =
+    w0 + tau w1 comes from two transforms made once per call, and h~ = S^T h =
     -w/(lam + s) (0 where w_i = 0: at s = 0 a zero eigenvalue would give
     0/0).  Each endpoint is one secular_shift solve, and S maps h~ back once.
 

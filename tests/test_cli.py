@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -183,6 +184,18 @@ class TestRun:
             assert "config error: f is unbounded below" in result.output
         else:
             assert "status=optimal" in result.output
+
+    def test_non_finite_quadratic_file(self, runner, tmp_path):
+        # json.dumps writes NaN as the literal NaN; the run was once refused
+        # at x0, as outside the domain of f
+        inst_path = write_config(tmp_path, {
+            "family": "quadratic", "Q": [[math.nan, 0.0], [0.0, 1.0]],
+            "c": [1.0, 1.0]}, "inst.json")
+        cfg = {"instance": {"file": inst_path}, "mode": "exact", "p": 2,
+               "H": 1.0, "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert "config error: Q has an entry that is NaN or infinite" in result.output
 
     @pytest.mark.parametrize("psi", [
         {"kind": "l1", "weight": -0.5},

@@ -9,7 +9,10 @@ another.  psi's faces and B's diagonal have one owner each
 (SimpleOracle.face, Metric.diagonal), so the drivers and the lower level
 read neither psi's parameters nor B.  B's factor has one owner too
 (Metric.W): no module but numerics calls cholesky or inv, and the drivers
-and the lower level construct no Metric.
+and the lower level construct no Metric.  So does a quadratic's spectrum
+(QuadraticOracle.eigenbasis): no module but numerics and problems calls
+eigh, eigvalsh or svd, and QuadraticOracle makes one such call, in
+__init__.
 """
 
 import ast
@@ -105,9 +108,9 @@ def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
 
 
-def factor_calls(source: str) -> list[str]:
-    """Calls of cholesky, inv or Metric, as "function: name" with the
-    function or method (Class.method) whose body makes them."""
+def named_calls(source: str, names: tuple[str, ...]) -> list[str]:
+    """Calls of any of names, as "function: name" with the function or
+    method (Class.method) whose body makes them."""
     found = []
 
     def visit(node, scope):
@@ -118,12 +121,17 @@ def factor_calls(source: str) -> list[str]:
             if isinstance(child, ast.Call):
                 fn = child.func
                 name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if name in ("cholesky", "inv", "Metric"):
+                if name in names:
                     found.append(f"{scope}: {name}")
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def factor_calls(source: str) -> list[str]:
+    """Calls of cholesky, inv or Metric."""
+    return named_calls(source, ("cholesky", "inv", "Metric"))
 
 
 def test_guard_sees_factor_calls():
@@ -145,3 +153,28 @@ def test_b_is_factored_once(path):
         owner if path.name == "numerics.py" else [])
     if path.name in ("lower.py", "driver.py", "segment.py", "acceptance.py"):
         assert calls == []
+
+
+SPECTRAL = ("eigh", "eigvalsh", "svd")
+
+
+def test_guard_sees_spectral_calls():
+    source = ("class Q:\n    def __init__(self, A):\n        np.linalg.eigh(A)\n"
+              "    def bound(self):\n        return svd(self.A)\n"
+              "def f(A):\n    return np.linalg.eigvalsh(A), np.linalg.norm(A)\n")
+    assert named_calls(source, SPECTRAL) == ["Q.__init__: eigh", "Q.bound: svd",
+                                             "f: eigvalsh"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_spectra_have_owners(path):
+    # QuadraticOracle.__init__ decomposes Q once, for the PSD check, M_2
+    # and the eigenbasis that the exact segment prox and the radial solver
+    # read; besides it only numerics (the radial solver's own basis, a
+    # dense B's lambda_min) and problems (||A||_2^2 for the log-barrier)
+    # decompose
+    calls = named_calls(path.read_text(), SPECTRAL)
+    if path.name not in ("numerics.py", "problems.py"):
+        assert calls == []
+    assert [c for c in calls if c.startswith("QuadraticOracle.")] == (
+        ["QuadraticOracle.__init__: eigh"] if path.name == "problems.py" else [])

@@ -9,7 +9,8 @@ import biopt.problems
 from biopt import (BioptError, Metric, ProblemInstance, QuadraticOracle,
                    SeparableOracle, SimpleOracle, build_builtin,
                    build_example_1d, build_logbar, build_quadratic,
-                   load_instance, newton_minimize, run, verify_trace)
+                   build_separable, load_instance, newton_minimize, run,
+                   verify_trace)
 
 from helpers import fd_grad
 
@@ -26,6 +27,12 @@ def psi_to_json(psi):
 
 
 class TestSimpleOracle:
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_l1_rejects_weight(self, weight):
+        # an infinite weight once ran to branch "optimal" with F = inf
+        with pytest.raises(ValueError, match="finite weight >= 0"):
+            SimpleOracle("l1", weight=weight)
+
     def test_l1_value(self):
         psi = SimpleOracle("l1", weight=2.0)
         assert psi.value(np.array([1.0, -3.0])) == pytest.approx(8.0)
@@ -288,6 +295,20 @@ class TestSeparableOracle:
         with pytest.raises(ValueError, match="rows must match"):
             SeparableOracle(np.ones((3, 2)), np.ones(4), "power4")
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2)])
+    def test_rejects_dimension_0(self, shape):
+        # a 0-column A once built an instance of dimension 0
+        with pytest.raises(ValueError, match="one row and one column"):
+            build_separable(np.ones(shape), np.ones(shape[0]), "power4")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["A", "b"])
+    def test_rejects_non_finite(self, name, value):
+        data = {"A": np.ones((3, 2)), "b": np.zeros(3)}
+        data[name][1] = value
+        with pytest.raises(ValueError, match=f"^{name} has an entry that is NaN"):
+            build_separable(data["A"], data["b"], "softplus")
+
 
 class TestQuadraticOracle:
     def test_values_and_gradients(self):
@@ -303,11 +324,26 @@ class TestQuadraticOracle:
         np.testing.assert_allclose(hessian(), Q)
         assert forms[0](x)[0] == pytest.approx(x @ Q @ x)
         assert forms[1](x)[0] == 0.0
+        assert o.deriv_bound(2) == pytest.approx(np.linalg.eigvalsh(Q)[-1], rel=1e-15)
         assert o.deriv_bound(3) == 0.0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticOracle(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
+
+    def test_rejects_dimension_0(self):
+        # lam[0] of an empty spectrum once raised a bare IndexError
+        with pytest.raises(ValueError, match="n >= 1"):
+            QuadraticOracle(np.zeros((0, 0)), np.zeros(0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["Q", "c"])
+    def test_rejects_non_finite(self, name, value):
+        # Q = [[inf, 0], [0, 1]] was accepted, and a NaN made x* NaN
+        data = {"Q": np.eye(2), "c": np.ones(2)}
+        data[name][0] = value
+        with pytest.raises(ValueError, match=f"^{name} has an entry that is NaN"):
+            build_quadratic(data["Q"], data["c"])
 
     @pytest.mark.parametrize("lam", [[1.0, -1.0], [1.0, -1e-6]])
     def test_rejects_indefinite(self, lam):
@@ -436,6 +472,19 @@ class TestInstances:
         assert inst.name == "tiny"
         assert inst.simple.kind == "l1"
         assert inst.F(np.array([1.0, 0.0])) == pytest.approx(1.0 - 1.0 + 0.5)
+
+    @pytest.mark.parametrize("name, text", [
+        ("Q", '"family": "quadratic", "Q": [[NaN, 0], [0, 1]], "c": [1, 1]'),
+        ("c", '"family": "quadratic", "Q": [[1, 0], [0, 1]], "c": [Infinity, 1]'),
+        ("A", '"family": "log_barrier", "A": [[1, 0], [0, -Infinity]], "b": [0, 0]'),
+        ("b", '"family": "softplus", "A": [[1, 0], [0, 1]], "b": [NaN, 0]')])
+    def test_load_instance_refuses_non_finite_literals(self, tmp_path, name, text):
+        # json reads NaN and Infinity; such a quadratic once loaded with
+        # F* = NaN and was refused only at x0, as outside the domain of f
+        path = tmp_path / "inst.json"
+        path.write_text("{" + text + "}")
+        with pytest.raises(ValueError, match=f"^{name} has an entry that is NaN"):
+            load_instance(str(path))
 
     def test_load_instance_separable(self, tmp_path):
         spec = {"family": "softplus", "A": [[1.0, 0.0], [0.0, 1.0]],

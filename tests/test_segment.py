@@ -284,17 +284,20 @@ class TestSproxQuadratic:
         assert "interior" in taus
 
     def test_exact_run_makes_one_eigh_and_no_solve(self, monkeypatch):
-        # Q's eigenbasis is computed once per oracle, and V'' needs no solve
-        inst = build_builtin("quad-5", seed=1)
-        calls = {"eigh": 0, "solve": 0}
+        # Q's one eigendecomposition is made when the oracle is built and
+        # serves the PSD check and the whole run; the run itself solves
+        # nothing (the build's solve is x*)
+        calls = {"eigh": 0, "eigvalsh": 0, "svd": 0, "solve": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(np.linalg, name)):
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(np.linalg, name, counted)
+        inst = build_builtin("quad-5", seed=1)
+        calls["solve"] = 0
         trace = run(inst, "exact", p=3, H=1.0)
         assert len(trace.records) > 2
-        assert calls == {"eigh": 1, "solve": 0}
+        assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 0, "solve": 0}
 
     def test_p1_takes_interior_tau_in_closed_form(self, monkeypatch):
         # p = 1: the shift is H, so an interior tau is tau(H), with no root
