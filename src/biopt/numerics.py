@@ -7,7 +7,8 @@ and their gradients are the regularizers used everywhere.
 
 The scalar solvers: monotone_root, biopt's one scalar root finder (the sign
 change of a nondecreasing function on a bracket, clamped to the bracket's
-ends, by safeguarded Newton with the caller's slope); secular_shift, the
+ends, by safeguarded Newton; the caller's phi(x) returns the pair (phi(x),
+phi'(x)), so each point is evaluated once); secular_shift, the
 one secular core (the shift of (diag(lam) + s I) h = -w with s = c r^{p-1}
 and r^2 = ||h||^2 + a^2, over eigen-coefficients (lam_i, w_i), by Newton on
 its reciprocal form, evaluated on Python floats because a numpy call costs
@@ -48,6 +49,8 @@ class Metric:
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("B must be square")
+        if not np.isfinite(B).all():
+            raise ValueError("B has an entry that is NaN or infinite")
         if not np.allclose(B, B.T, atol=1e-12):
             raise ValueError("B must be symmetric")
         self.dim = B.shape[0]
@@ -149,12 +152,12 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PHI2 = 1.0 - _INV_PHI
 
 
-def monotone_root(phi, lo: float, hi: float, dphi) -> float:
+def monotone_root(phi, lo: float, hi: float) -> float:
     """The point of [lo, hi] where the nondecreasing phi changes sign.
 
     That is lo when phi(lo) >= 0 (one evaluation), hi when phi(hi) <= 0,
     and otherwise a root of phi inside the bracket; lo == hi returns that
-    point.  The root is found by Newton steps with the slope dphi, taken
+    point.  The root is found by Newton steps with the slope phi', taken
     from the bracket end with the smaller |phi|, and the bracket is kept by
     the sign rule (phi(x) < 0 moves lo).  A step that leaves the bracket,
     or is longer than half the step before the last, is replaced by the
@@ -169,18 +172,17 @@ def monotone_root(phi, lo: float, hi: float, dphi) -> float:
     noise from a convex phi such as exp(x) - 1, where Newton from the left
     lands far right of the root.
     """
-    f_lo = phi(lo)
+    f_lo, d_lo = phi(lo)
     if f_lo >= 0.0:
         return lo
-    f_hi = phi(hi)
+    f_hi, d_hi = phi(hi)
     if f_hi <= 0.0:
         return hi
     step = step_before = hi - lo
     while True:
-        x, fx = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+        x, fx, d = (lo, f_lo, d_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi, d_hi)
         if fx == 0.0:
             return x
-        d = dphi(x)
         new = x - fx / d if d > 0.0 else math.nan
         if abs(new - x) < math.ulp(x):
             return x
@@ -190,13 +192,13 @@ def monotone_root(phi, lo: float, hi: float, dphi) -> float:
             if new == lo or new == hi:
                 return new
         step_before, step = step, abs(new - x)
-        f_new = phi(new)
+        f_new, d_new = phi(new)
         if newton and (f_new < 0.0) == (fx < 0.0) and abs(f_new) >= abs(fx):
             return x  # a Newton step that gains nothing: phi is at roundoff level
         if f_new < 0.0:
-            lo, f_lo = new, f_new
+            lo, f_lo, d_lo = new, f_new, d_new
         else:
-            hi, f_hi = new, f_new
+            hi, f_hi, d_hi = new, f_new, d_new
 
 
 def secular_shift(lam: list[float], w: np.ndarray, c: float, p: int,
@@ -233,14 +235,14 @@ def secular_shift(lam: list[float], w: np.ndarray, c: float, p: int,
     e = p - 1
     if e == 0:
         return c
-    w_list = w.tolist()
+    pairs = list(zip(lam, w.tolist()))
     # b_i = min(|w_i|/lam_i, (|w_i|/c)^{1/p}): 0 where w_i = 0, the power
     # root where lam_i = 0.  The roots use numpy's power, not Python's,
     # which differs in the last bit on a few percent of inputs
     roots = ((np.abs(w) / c) ** (1.0 / p)).tolist()
     b = [0.0 if w_i == 0.0 else root if lam_i == 0.0
          else min(abs(w_i) / lam_i, root)
-         for lam_i, w_i, root in zip(lam, w_list, roots)]
+         for (lam_i, w_i), root in zip(pairs, roots)]
     s_lo = max(c * (0.5 * max(b)) ** e, c * a ** e)
     s_hi = c * math.hypot(*b, a) ** e
     if s_hi == 0.0:
@@ -249,37 +251,28 @@ def secular_shift(lam: list[float], w: np.ndarray, c: float, p: int,
     # |z| <= 1 at s_hi, so z*z does not overflow on the bracket nor
     # underflow to 0 unless a_hat dominates it, and r_hat^3 is finite;
     # scale is a power of two, so the scaling itself rounds nothing
-    z_max = max(abs(w_i) / (lam_i + s_hi) for lam_i, w_i in zip(lam, w_list))
+    z_max = max(abs(w_i) / (lam_i + s_hi) for lam_i, w_i in pairs)
     scale = math.ldexp(1.0, math.frexp(max(z_max, a))[1])
-    coef = [(lam_i, w_i / scale) for lam_i, w_i in zip(lam, w_list)]
+    coef = [(lam_i, w_i / scale) for lam_i, w_i in pairs]
     a_hat = a / scale
+    inv_e = 1.0 / e
 
-    memo_s, memo = None, None
-
-    def terms(s):  # r(s) and sum(w^2/(lam+s)^3)/r(s)^3, for the last s:
-        nonlocal memo_s, memo  # monotone_root asks dphi(s) after phi(s)
-        if s != memo_s:
-            n2 = slope = 0.0
-            for lam_i, w_i in coef:
-                v = 1.0 / (lam_i + s)
-                z = w_i * v
-                q = z * z
-                n2 += q
-                slope += q * v
-            r_hat = math.hypot(math.sqrt(n2), a_hat)
-            memo_s = s
-            memo = scale * r_hat, slope / (scale * r_hat ** 3)
-        return memo
-
-    def phi(s):  # -inf and an infinite slope below the domain s > 0
-        return 1.0 / terms(s)[0] - (c / s) ** (1.0 / e) if s > 0.0 else -math.inf
-
-    def dphi(s):
+    def phi(s):  # (phi, phi'); -inf and an infinite slope below s > 0
         if s <= 0.0:
-            return math.inf
-        return terms(s)[1] + (c / s) ** (1.0 / e) / (e * s)
+            return -math.inf, math.inf
+        n2 = slope = 0.0
+        for lam_i, w_i in coef:
+            v = 1.0 / (lam_i + s)
+            z = w_i * v
+            q = z * z
+            n2 += q
+            slope += q * v
+        r_hat = math.hypot(math.sqrt(n2), a_hat)
+        power = (c / s) ** inv_e
+        return (1.0 / (scale * r_hat) - power,
+                slope / (scale * r_hat ** 3) + power / (e * s))
 
-    return monotone_root(phi, s_lo, s_hi, dphi)
+    return monotone_root(phi, s_lo, s_hi)
 
 
 def radial_solver(K: np.ndarray, c: float, p: int, W: np.ndarray | None = None):

@@ -47,8 +47,12 @@ class SimpleOracle:
             raise ValueError(f"l1 psi needs a finite weight >= 0, got {self.weight!r}")
         if kind == "box" and (self.lo is None or self.hi is None):
             raise ValueError("box psi needs lo and hi")
+        if kind == "box" and (np.isnan(self.lo).any() or np.isnan(self.hi).any()):
+            raise ValueError("box psi has a NaN bound")
         if kind == "box" and not np.all(self.lo <= self.hi):
             raise ValueError("box psi needs lo <= hi")
+        if kind == "box" and (np.isposinf(self.lo).any() or np.isneginf(self.hi).any()):
+            raise ValueError("box psi is empty: a bound has lo = +inf or hi = -inf")
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

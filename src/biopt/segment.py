@@ -72,10 +72,11 @@ def exact_sprox_1d_general(xbar: float, ubar: float, H: float, p: int,
             candidates.append((0.0, tau, g0, branch))
             continue
         span = abs(m) + weight + 1.0
-        x = monotone_root(
-            lambda x: x + s * weight + H * abs(x - m) ** (p - 1) * (x - m),
-            min(0.0, s * span), max(0.0, s * span),
-            lambda x: 1.0 + p * H * abs(x - m) ** (p - 1))
+
+        def phi(x):
+            a = abs(x - m) ** (p - 1)
+            return x + s * weight + H * a * (x - m), 1.0 + p * H * a
+        x = monotone_root(phi, min(0.0, s * span), max(0.0, s * span))
         candidates.append((x, tau, s * weight, branch))
     x, tau, g, branch = min(candidates, key=lambda c: objective(c[0], c[1]))
     return SproxResult(np.array([x]), tau, g, branch, objective(x, tau))
@@ -95,8 +96,9 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     Everything runs on Python floats in Q's eigenbasis Q = S diag(lam) S^T,
     which the oracle makes when it is built, from the eigendecomposition
     that also serves its PSD check and M_2 (QuadraticOracle.eigenbasis).
-    grad f(m) = g0 + tau Q u with g0 = grad f(xbar), so w = S^T grad f(m) =
-    w0 + tau w1 comes from two transforms made once per call, and h~ = S^T h =
+    grad f(m) = g0 + tau Q u with g0 = grad f(xbar) = Q xbar - c, so w =
+    S^T grad f(m) = w0 + tau w1 comes from two transforms made once per
+    call (the ends take w0 and w0 + w1), and h~ = S^T h =
     -w/(lam + s) (0 where w_i = 0: at s = 0 a zero eigenvalue would give
     0/0).  Each endpoint is one secular_shift solve, and S maps h~ back once.
 
@@ -116,7 +118,7 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
     secular_shift's bracket argument applied to ||g^||, with the eigenvalue
     bounds, puts the root in [H (b_lo/2)^{p-1}, H b_hi^{p-1}] with b_lo =
     min(||g^||/lam_max, (||g^||/H)^{1/p}) and b_hi = min(||g^||/lam_min,
-    (||g^||/H)^{1/p}).  monotone_root solves it with the slope
+    (||g^||/H)^{1/p}).  monotone_root solves it, reading phi and its slope
     phi'(s) = (<h~, D h~> + s <h~, D u~>^2/<w1, D u~>)/||h||^3
     + (H/s)^{1/(p-1)}/((p-1) s), from d||h||^2/ds = 2 <h, h'> and h~' =
     -D h~ - tau' D w1, where <h~', u~> = 0 gives tau' = -<h~, D u~>/<w1, D u~>
@@ -131,15 +133,14 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
         raise ValueError("sprox_quadratic needs a quadratic smooth part")
     lam, S = sm.eigenbasis
     lam_list = lam.tolist()
-    w0, w1 = S.T @ sm.value_grad(xbar)[1], S.T @ (sm.Q @ u)  # w = w0 + tau w1
+    w0, w1 = S.T @ (sm.Q @ xbar - sm.c), S.T @ (sm.Q @ u)  # w = w0 + tau w1
     u_t = (S.T @ u).tolist()
 
     def done(tau, h):  # roundoff can put an interior tau just outside [0, 1]
         tau = min(max(tau, 0.0), 1.0)
         return xbar + tau * u + S @ h, tau, np.zeros(instance.dim)
 
-    def point(tau):  # h~(tau) and V'(tau)
-        w = w0 + tau * w1
+    def point(w):  # h~ and V' at the anchor where S^T grad f = w
         s = secular_shift(lam_list, w, H, p)
         h, hu = [], 0.0
         for lam_i, w_i, u_i in zip(lam_list, w.tolist(), u_t):
@@ -148,10 +149,10 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
             hu += h_i * u_i
         return h, -s * hu
 
-    h, slope = point(0.0)
+    h, slope = point(w0)
     if slope >= 0.0:
         return done(0.0, h)
-    h, slope = point(1.0)
+    h, slope = point(w0 + w1)
     if slope <= 0.0:
         return done(1.0, h)
 
@@ -195,21 +196,20 @@ def sprox_quadratic(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
         b_lo = min(g_hat / lam_list[-1], root) if lam_list[-1] > 0.0 else root
         b_hi = min(g_hat / lam_list[0], root) if lam_list[0] > 0.0 else root
 
-        def phi(s):
-            # -inf and an infinite slope below the domain s > 0; h(s) = 0
-            # puts a zero of grad f on the line, so the root is left of s
+        def phi(s):  # (phi, phi')
+            # -inf below the domain s > 0; h(s) = 0 puts a zero of grad f
+            # on the line, so the root is left of s: +inf.  Both with an
+            # infinite slope
             if s <= 0.0:
-                return -math.inf
-            n2 = at(s)[2]
-            return (1.0 / math.sqrt(n2) if n2 else math.inf) - (H / s) ** (1.0 / e)
-
-        def dphi(s):
-            if s <= 0.0:
-                return math.inf
+                return -math.inf, math.inf
             _, _, n2, slope = at(s)
-            return slope / (n2 * math.sqrt(n2)) + (H / s) ** (1.0 / e) / (e * s)
+            if not n2:
+                return math.inf, math.inf
+            n = math.sqrt(n2)
+            power = (H / s) ** (1.0 / e)
+            return 1.0 / n - power, slope / (n2 * n) + power / (e * s)
 
-        s = monotone_root(phi, H * (0.5 * b_lo) ** e, H * b_hi ** e, dphi)
+        s = monotone_root(phi, H * (0.5 * b_lo) ** e, H * b_hi ** e)
     tau, h, _, _ = at(s)
     return done(tau, h)
 

@@ -212,6 +212,20 @@ class TestRun:
         assert result.exit_code == 2
         assert "config error" in result.output
 
+    def test_empty_box_file_is_usage_error(self, runner, tmp_path):
+        # json.dumps writes inf as the literal Infinity; a box with lo = hi
+        # = +inf was accepted and failed mid-run on "non-finite point"
+        inst_path = write_config(tmp_path, {
+            "family": "quadratic", "Q": [[2.0, 0.0], [0.0, 1.0]], "c": [1.0, -1.0],
+            "psi": {"kind": "box", "lo": [math.inf, -1.0], "hi": [math.inf, 1.0]}},
+            "inst.json")
+        assert "Infinity" in (tmp_path / "inst.json").read_text()
+        cfg = {"instance": {"file": inst_path}, "mode": "inexact", "p": 2,
+               "H": 1.0, "beta": 0.1, "budget": 20}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error: box psi is empty") == 1
+
     @pytest.mark.parametrize("slack_min", [0.0, -0.5, float("nan")])
     def test_bad_slack_min_is_usage_error(self, runner, tmp_path, slack_min):
         # slack_min 0 once made superfast divide by zero in deriv_bound

@@ -12,7 +12,8 @@ read neither psi's parameters nor B.  B's factor has one owner too
 and the lower level construct no Metric.  So does a quadratic's spectrum
 (QuadraticOracle.eigenbasis): no module but numerics and problems calls
 eigh, eigvalsh or svd, and QuadraticOracle makes one such call, in
-__init__.
+__init__.  And so does the scalar root finder (monotone_root): no module
+but numerics holds a `while True` loop or calls ulp.
 """
 
 import ast
@@ -108,9 +109,11 @@ def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
 
 
-def named_calls(source: str, names: tuple[str, ...]) -> list[str]:
-    """Calls of any of names, as "function: name" with the function or
-    method (Class.method) whose body makes them."""
+def named_calls(source: str, names: tuple[str, ...],
+                loops: bool = False) -> list[str]:
+    """Calls of any of names, and with loops also `while True` loops, as
+    "function: name" (or "function: while True") with the function or
+    method (Class.method) whose body holds them."""
     found = []
 
     def visit(node, scope):
@@ -123,6 +126,9 @@ def named_calls(source: str, names: tuple[str, ...]) -> list[str]:
                 name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
                 if name in names:
                     found.append(f"{scope}: {name}")
+            elif (loops and isinstance(child, ast.While)
+                  and isinstance(child.test, ast.Constant) and child.test.value is True):
+                found.append(f"{scope}: while True")
             visit(child, scope)
 
     visit(ast.parse(source), "")
@@ -178,3 +184,19 @@ def test_spectra_have_owners(path):
         assert calls == []
     assert [c for c in calls if c.startswith("QuadraticOracle.")] == (
         ["QuadraticOracle.__init__: eigh"] if path.name == "problems.py" else [])
+
+
+def test_guard_sees_root_finder_parts():
+    source = ("def root(phi):\n    while True:\n        math.ulp(1.0)\n"
+              "def scan():\n    while x:\n        ulp(x)\n    while 1:\n        pass\n")
+    assert named_calls(source, ("ulp",), loops=True) == [
+        "root: while True", "root: ulp", "scan: ulp"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_scalar_root_finder_has_one_owner(path):
+    # monotone_root owns the open-ended Newton loop and its ulp stop; every
+    # other scalar root search hands it a (phi, phi') callable
+    found = named_calls(path.read_text(), ("ulp",), loops=True)
+    assert found == (["monotone_root: while True", "monotone_root: ulp"]
+                     if path.name == "numerics.py" else [])

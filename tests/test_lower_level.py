@@ -17,7 +17,7 @@ from biopt import (AcceptanceFailure, AcceptedPoint, DomainViolation,
                    reg_bregman, rel_smooth_params, run, solve_acceptable,
                    sprox_reference, subproblem_solve, verify_trace)
 
-from helpers import fd_grad
+from helpers import fd_grad, recording_root
 
 
 class TestRelSmoothParams:
@@ -637,19 +637,11 @@ class TestOneEvaluationPerPoint:
         # secular evaluations in the whole run: 1359 in 186 radial solves
         # (7.31 per solve), each from its own bracket; starting each at the
         # previous solve's shift saves none on this run
-        evals, root = [], biopt.numerics.monotone_root
-
-        def counting_root(phi, lo, hi, dphi):
-            evals.append(0)
-
-            def counted(x):
-                evals[-1] += 1
-                return phi(x)
-            return root(counted, lo, hi, dphi)
-        monkeypatch.setattr(biopt.numerics, "monotone_root", counting_root)
+        searches = []
+        monkeypatch.setattr(biopt.numerics, "monotone_root", recording_root(searches))
         run(build_logbar(10, 5, seed=0), "superfast", p=3, beta=0.2, budget=200)
-        assert len(evals) >= 150
-        assert sum(evals) <= 1500
+        assert len(searches) >= 150
+        assert sum(map(len, searches)) <= 1500
 
     def test_quadratic_radial_solves_share_one_eigh(self, monkeypatch):
         # with the identity metric each anchor's radial solver takes Q's

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from biopt import (DegenerateCoefficient, Metric, SimpleOracle, monotone_root,
-                   power_mean_norm, prox_power, solve_step_coefficient,
-                   uniform_convexity_gap)
+import biopt.segment as segment
+from biopt import (DegenerateCoefficient, Metric, SimpleOracle, build_builtin,
+                   monotone_root, power_mean_norm, prox_power,
+                   solve_step_coefficient, sprox_quadratic, uniform_convexity_gap)
 from biopt import numerics
+from helpers import recording_root
 
 
 def prox_power_hessian(metric, x, p):
@@ -55,6 +57,15 @@ class TestMetric:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             Metric(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("B", [[[math.inf, 0.0], [0.0, 1.0]],
+                                   [[1.0, math.inf], [math.inf, 1.0]],
+                                   [[1.0, 0.0], [0.0, math.nan]]])
+    def test_rejects_non_finite(self, B):
+        # an infinite diagonal built W = 0, so every dual norm read 0, and a
+        # NaN was refused as "B must be symmetric"
+        with pytest.raises(ValueError, match="B has an entry that is NaN or infinite"):
+            Metric(np.array(B))
 
     def test_is_diagonal(self):
         assert Metric(np.diag([2.0, 3.0])).is_diagonal
@@ -197,17 +208,16 @@ class TestMonotoneRoot:
     def test_frozen_root(self):
         # x^3 = 2: the bracket [0, 1] lies below the root and clamps to hi;
         # [1, 2] holds it, and the root is found to full precision
-        cube = lambda x: x ** 3 - 2.0
-        slope = lambda x: 3.0 * x * x
-        assert monotone_root(cube, 0.0, 1.0, slope) == 1.0
-        x = monotone_root(cube, 1.0, 2.0, slope)
+        cube = lambda x: (x ** 3 - 2.0, 3.0 * x * x)
+        assert monotone_root(cube, 0.0, 1.0) == 1.0
+        x = monotone_root(cube, 1.0, 2.0)
         assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
 
     def test_root_below_bracket_returns_lo(self):
-        # x + 5 has its root left of [0, 1]: phi(lo) >= 0 clamps to lo
+        # x + 5 has its root left of [0, 1]: phi(lo) >= 0 clamps to lo.  A
+        # slope of None raises TypeError if it is ever read
         calls = []
-        x = monotone_root(lambda x: calls.append(x) or x + 5.0, 0.0, 1.0,
-                          no_slope)
+        x = monotone_root(lambda x: calls.append(x) or (x + 5.0, None), 0.0, 1.0)
         assert x == 0.0
         assert calls == [0.0]
 
@@ -215,13 +225,13 @@ class TestMonotoneRoot:
     def test_no_sign_change_raises_after_bounded_steps(self, sign):
         # without a sign change nothing is raised: phi(lo) >= 0 returns lo
         # after one evaluation, phi(hi) <= 0 returns hi after two, and
-        # neither asks for the slope
+        # neither reads the slope
         calls = []
 
         def phi(x):
             calls.append(x)
-            return sign
-        x = monotone_root(phi, 0.0, 1.0, no_slope)
+            return sign, None
+        x = monotone_root(phi, 0.0, 1.0)
         assert (x, calls) == ((0.0, [0.0]) if sign > 0.0 else (1.0, [0.0, 1.0]))
 
     def test_slope_path_converges_fast(self):
@@ -231,8 +241,8 @@ class TestMonotoneRoot:
 
         def phi(x):
             calls.append(x)
-            return x ** 3 - 2.0
-        x = monotone_root(phi, 0.0, 2.0, dphi=lambda x: 3.0 * x * x)
+            return x ** 3 - 2.0, 3.0 * x * x
+        x = monotone_root(phi, 0.0, 2.0)
         assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
         assert len(calls) <= 10
 
@@ -243,40 +253,50 @@ class TestMonotoneRoot:
 
         def phi(x):
             calls.append(x)
-            return x - 0.3
-        x = monotone_root(phi, 0.0, 1.0, dphi=lambda x: slope)
+            return x - 0.3, slope
+        x = monotone_root(phi, 0.0, 1.0)
         assert x == pytest.approx(0.3, abs=1e-15)
         assert len(calls) <= 200
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_slope_path_without_sign_change_raises(self, sign):
         # a usable slope changes nothing: an end is returned, not an error,
-        # and the slope is never evaluated
+        # and the slope is never read (a float that records its reads)
         calls, slopes = [], []
+
+        class Slope(float):
+            def __gt__(self, other):
+                slopes.append(other)
+                return float(self) > other
+
+            def __rtruediv__(self, other):
+                slopes.append(other)
+                return other / float(self)
 
         def phi(x):
             calls.append(x)
-            return sign
-        x = monotone_root(phi, 0.0, 1.0, dphi=lambda x: slopes.append(x) or 1.0)
+            return sign, Slope(1.0)
+        x = monotone_root(phi, 0.0, 1.0)
         assert x == (0.0 if sign > 0.0 else 1.0)
         assert len(calls) <= 2
         assert slopes == []
 
-    # None and the raising lambda both fail if the slope is ever asked for
-    @pytest.mark.parametrize("dphi", [None, lambda x: no_slope(x)])
+    # None and the raising lambda are no numbers: a slope of either raises
+    # TypeError if it is ever read
+    @pytest.mark.parametrize("slope", [None, lambda x: no_slope(x)])
     @pytest.mark.parametrize("guess, root", [(0.0, 1.0), (3.0, -5.0), (-1e-300, 7.5)])
-    def test_zero_width_guess_far_from_root(self, guess, root, dphi):
+    def test_zero_width_guess_far_from_root(self, guess, root, slope):
         # lo == hi is the whole bracket, so it is returned on either side
-        assert monotone_root(lambda x: x - root, guess, guess, dphi) == guess
+        assert monotone_root(lambda x: (x - root, slope), guess, guess) == guess
 
-    @pytest.mark.parametrize("dphi", [None, lambda x: no_slope(x)])
-    def test_zero_width_guess_at_root(self, dphi):
+    @pytest.mark.parametrize("slope", [None, lambda x: no_slope(x)])
+    def test_zero_width_guess_at_root(self, slope):
         calls = []
 
         def phi(x):
             calls.append(x)
-            return x - 0.25
-        assert monotone_root(phi, 0.25, 0.25, dphi) == 0.25
+            return x - 0.25, slope
+        assert monotone_root(phi, 0.25, 0.25) == 0.25
         assert calls == [0.25]
 
     @pytest.mark.parametrize("eta", [1e-12, 1e-10, 1e-8])
@@ -291,9 +311,9 @@ class TestMonotoneRoot:
 
             def phi(x):
                 calls.append(x)
-                return math.atan(x - r) + eta * (-1.0) ** len(calls)
-            x = monotone_root(phi, 0.0, 2.0,
-                              dphi=lambda x: 1.0 / (1.0 + (x - r) ** 2))
+                return (math.atan(x - r) + eta * (-1.0) ** len(calls),
+                        1.0 / (1.0 + (x - r) ** 2))
+            x = monotone_root(phi, 0.0, 2.0)
             assert abs(x - r) <= 3.0 * eta
             assert len(calls) <= bisection_calls(lambda x: math.atan(x - r),
                                                  0.0, 2.0)
@@ -313,11 +333,11 @@ class TestRadialSolverStress:
     BISECTION_BACKWARD = 10.9
 
     def test_residual_no_worse_than_bisection(self, monkeypatch):
-        worst_rel, worst_backward, evals = self.sweep(6, monkeypatch)
-        assert len(evals) == 1620
+        worst_rel, worst_backward, searches = self.sweep(6, monkeypatch)
+        assert len(searches) == 1620
         assert worst_rel <= self.BISECTION_REL
         assert worst_backward <= self.BISECTION_BACKWARD
-        assert max(evals) <= 20
+        assert max(map(len, searches)) <= 20
 
     @pytest.mark.parametrize("d", [1, 9, 40])
     def test_residual_across_dimensions(self, d, monkeypatch):
@@ -326,26 +346,46 @@ class TestRadialSolverStress:
         # follow.  At d = 40 the relative residual is left out: rounding h to
         # doubles alone leaves eps ||K|| ||h|| = 8.4e-5 ||g|| there (singular
         # K scaled by 1e4, ||g|| = 1e-8), and any h reads 1.1e-4 to 1.6e-4
-        worst_rel, worst_backward, evals = self.sweep(d, monkeypatch)
-        assert len(evals) == 1620
+        worst_rel, worst_backward, searches = self.sweep(d, monkeypatch)
+        assert len(searches) == 1620
         assert d >= 40 or worst_rel <= self.BISECTION_REL
         assert worst_backward <= self.BISECTION_BACKWARD
-        assert max(evals) <= 20
+        assert max(map(len, searches)) <= 20
+
+    def test_no_point_evaluated_twice(self, monkeypatch):
+        # phi returns its value and slope together, so no search evaluates
+        # a point twice: over this sweep, and over the segment draws of
+        # test_segment (sprox_quadratic on quad-5 and quad-10, whose
+        # secular solves land in the sweep's list, and the 1-D case table)
+        _, _, searches = self.sweep(6, monkeypatch)
+        interior = []
+        monkeypatch.setattr(segment, "monotone_root", recording_root(interior))
+        rng = np.random.default_rng(5)
+        for d in (5, 10):
+            inst = build_builtin(f"quad-{d}", seed=1)
+            x_star = np.linalg.solve(inst.smooth.Q, inst.smooth.c)
+            for _ in range(60):
+                xbar, u = rng.standard_normal(d), 2.0 * rng.standard_normal(d)
+                if rng.random() < 0.5:
+                    u = rng.uniform(0.2, 1.5) * (x_star - xbar) + 0.1 * u
+                H, p = rng.choice([0.5, 1.0, 4.0]), int(rng.integers(2, 5))
+                sprox_quadratic(inst, xbar, u, H, p)
+        n_interior = len(interior)
+        for H, p, w in ((1.0, 3, 1.0), (2.0, 2, 0.5), (0.5, 4, 2.0), (3.0, 5, 1.0)):
+            for scale in (1e-3, 1.0, 10.0):
+                for _ in range(100):
+                    xbar, ubar = scale * rng.uniform(-3.0, 3.0, size=2)
+                    segment.exact_sprox_1d_general(xbar, ubar, H, p, weight=w)
+        assert len(searches) > 1800 and n_interior >= 50
+        assert len(interior) - n_interior > 1300
+        for points in searches + interior:
+            assert len(set(points)) == len(points)
 
     def sweep(self, d, monkeypatch):
-        """Worst relative and backward residual and the secular evaluations
-        per solve over the sweep at dimension d."""
-        evals = []
-
-        def counting_root(phi, lo, hi, dphi):
-            n = len(evals)
-            evals.append(0)
-
-            def counted(x):
-                evals[n] += 1
-                return phi(x)
-            return monotone_root(counted, lo, hi, dphi)
-        monkeypatch.setattr(numerics, "monotone_root", counting_root)
+        """Worst relative and backward residual and the points each secular
+        solve evaluates over the sweep at dimension d."""
+        searches = []
+        monkeypatch.setattr(numerics, "monotone_root", recording_root(searches))
 
         rng = np.random.default_rng(0)
         V, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -374,7 +414,7 @@ class TestRadialSolverStress:
                                     worst_backward = max(
                                         worst_backward,
                                         res / (np.finfo(float).eps * scale))
-        return worst_rel, worst_backward, evals
+        return worst_rel, worst_backward, searches
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("a", [0.0, 0.3])

@@ -58,6 +58,24 @@ class TestSimpleOracle:
         grid = np.linspace(w - 2 * lam * weight - 1, w + 2 * lam * weight + 1, 4001)
         assert obj(x) <= np.min(obj(grid)) + 1e-9
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        ([math.nan, 0.0], [1.0, 1.0], "NaN bound"),
+        ([0.0, 0.0], [1.0, math.nan], "NaN bound"),
+        ([math.inf, 0.0], [math.inf, 1.0], "empty"),
+        ([-math.inf, 0.0], [-math.inf, 1.0], "empty"),
+    ])
+    def test_box_rejects_nan_or_empty(self, lo, hi, message):
+        # lo = hi = +inf was accepted, and a run on it died mid-way on a
+        # bare "non-finite point"
+        with pytest.raises(ValueError, match=message):
+            SimpleOracle("box", lo=lo, hi=hi)
+
+    def test_box_keeps_half_boxes(self):
+        psi = SimpleOracle("box", lo=[-math.inf, 0.0], hi=[1.0, math.inf])
+        assert psi.value(np.array([-1e300, 1e300])) == 0.0
+        np.testing.assert_array_equal(
+            psi.scaled_prox(1.0, np.array([5.0, -5.0]), Metric(dim=2)), [1.0, 0.0])
+
     def test_box_prox_clips(self):
         psi = SimpleOracle("box", lo=np.array([-1.0, 0.0]), hi=np.array([1.0, 2.0]))
         got = psi.scaled_prox(3.0, np.array([5.0, -5.0]), Metric(dim=2))

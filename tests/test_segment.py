@@ -10,6 +10,7 @@ from biopt import (AcceptedPoint, BisectionStall, DegenerateCoefficient, Metric,
                    make_sprox_oracle, monotone_root, run, solve_acceptable,
                    sprox_quadratic, sprox_reference, verify_trace)
 from biopt.numerics import secular_shift
+from helpers import recording_root
 
 BRANCHES = {"interior", "tau0_pos", "tau0_neg", "tau1_pos", "tau1_neg"}
 
@@ -194,19 +195,13 @@ class TestSproxQuadratic:
         # secular solve per endpoint it tests, and an interior tau takes one
         # root in the shift, 6 to 15 phi evaluations of O(dim) each on these
         # draws (the search over tau took up to 16 whole secular solves)
-        solves, evals = [], []
+        solves, searches = [], []
 
         def counted_shift(*args):
             solves[-1] += 1
             return secular_shift(*args)
-
-        def spy(phi, lo, hi, dphi):
-            def counted(s):
-                evals[-1] += 1
-                return phi(s)
-            return monotone_root(counted, lo, hi, dphi)
         monkeypatch.setattr(segment, "secular_shift", counted_shift)
-        monkeypatch.setattr(segment, "monotone_root", spy)
+        monkeypatch.setattr(segment, "monotone_root", recording_root(searches))
         inst = build_builtin("quad-5", seed=1)
         x_star = np.linalg.solve(inst.smooth.Q, inst.smooth.c)
         rng = np.random.default_rng(5)
@@ -217,13 +212,14 @@ class TestSproxQuadratic:
                 u = rng.uniform(0.2, 1.5) * (x_star - xbar) + 0.1 * u
             H, p = rng.choice([0.5, 1.0, 4.0]), int(rng.integers(2, 5))
             solves.append(0)
-            evals.append(0)
+            searches.clear()
             _, tau, _ = sprox_quadratic(inst, xbar, u, H, p)
+            evals = sum(map(len, searches))
             if 0.0 < tau < 1.0:
-                interior.append((solves[-1], evals[-1]))
+                interior.append((solves[-1], evals))
             else:
                 assert solves[-1] == (1 if tau == 0.0 else 2)
-                assert evals[-1] == 0
+                assert evals == 0
         assert len(solves) == 60 and min(solves) > 0
         assert len(interior) >= 20
         assert all(n == 2 for n, _ in interior)
@@ -232,14 +228,15 @@ class TestSproxQuadratic:
     @pytest.mark.parametrize("d", [5, 10])
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_slope_derivative_matches_fd(self, monkeypatch, d, p):
-        # the phi' handed to monotone_root against central differences of
-        # phi in the shift, on the bracket, where phi is increasing and
-        # concave: phi' is positive and does not increase
+        # the slope half of the (phi, phi') pair handed to monotone_root
+        # against central differences of its value half in the shift, on
+        # the bracket, where phi is increasing and concave: phi' is positive
+        # and does not increase
         found = []
 
-        def spy(phi, lo, hi, dphi=None):
-            found.append((phi, dphi, lo, hi))
-            return monotone_root(phi, lo, hi, dphi)
+        def spy(pair, lo, hi):
+            found.append((pair, lo, hi))
+            return monotone_root(pair, lo, hi)
         monkeypatch.setattr(segment, "monotone_root", spy)
         inst = build_builtin(f"quad-{d}", seed=1)
         x_star = np.linalg.solve(inst.smooth.Q, inst.smooth.c)
@@ -248,7 +245,8 @@ class TestSproxQuadratic:
             xbar = rng.standard_normal(d)
             u = 1.5 * (x_star - xbar) + 0.1 * rng.standard_normal(d)
             sprox_quadratic(inst, xbar, u, 1.0, p)
-        phi, dphi, lo, hi = found[0]
+        pair, lo, hi = found[0]
+        phi, dphi = (lambda s: pair(s)[0]), (lambda s: pair(s)[1])
         assert phi(lo) < 0.0 < phi(hi)
         slopes = []
         for t in (0.2, 0.5, 0.8):
