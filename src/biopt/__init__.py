@@ -3,8 +3,8 @@
 from .acceptance import AcceptedPoint, check_lemma_properties, evaluate
 from .config import (AcceptanceFailure, BioptError, BisectionStall,
                      CertificateUndefined, DegenerateCoefficient, DomainViolation,
-                     InvariantViolation, OptimalityReached, RegionViolation,
-                     SubproblemStall)
+                     InvariantViolation, NonFinitePoint, OptimalityReached,
+                     RegionViolation, SubproblemStall)
 from .driver import (EstimatingState, RunTrace, estimating_min, gap_certificate,
                      new_state, psi_star, psi_value, rate_fit, run, step_exact,
                      step_inexact, verify_trace)

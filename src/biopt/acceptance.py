@@ -8,7 +8,7 @@ regularized composite gradient is dominated by the plain composite gradient:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ def subproblem_tol(scale: float) -> float:
     return max(1e-12, 1e-10 * scale)
 
 
-@dataclass(frozen=True)
-class PointEval:
+class PointEval(NamedTuple):
     """f, grad f and f^p_{anchor,H} = f + H d_{p+1}(. - anchor) at x, from one
     oracle call; d = prox_power(x - anchor).  Outside the domain of f: value
     and reg_value inf, grad, reg_grad and d None."""
@@ -87,6 +86,9 @@ class AcceptedPoint:
         self._instance = instance
         self.T, self.anchor, self.H, self.p = ev.x, ev.anchor, ev.H, ev.p
         self.g = np.asarray(g, dtype=float)
+        if self.g.shape != self.T.shape:
+            raise InvariantViolation(f"g has shape {self.g.shape}, T has shape "
+                                     f"{self.T.shape}")
         self.beta_used = float(beta)
         self.f, self.grad_f = ev.value, ev.grad
         m = instance.metric
@@ -95,7 +97,9 @@ class AcceptedPoint:
                                              + m.dual_norm(self.g))
         if not instance.simple.in_subdifferential(self.T, self.g, tol=witness_tol):
             raise InvariantViolation("g is not in the subdifferential of psi at T")
-        self.grad_F_norm = m.dual_norm(self.grad_f + self.g)
+        self._composite = self.grad_f + self.g
+        self._composite.flags.writeable = False
+        self.grad_F_norm = m.dual_norm(self._composite)
         self.reg_grad_norm = m.dual_norm(ev.reg_grad + self.g)
         if not acceptable(self.reg_grad_norm, self.grad_F_norm, beta):
             raise InvariantViolation(
@@ -107,8 +111,8 @@ class AcceptedPoint:
                                      families=bad)
 
     def composite_grad(self) -> np.ndarray:
-        """grad f(T) + g (the dual vector whose norm drives the drivers)."""
-        return self.grad_f + self.g
+        """grad f(T) + g, read-only (the dual vector whose norm drives the drivers)."""
+        return self._composite
 
 
 def check_lemma_properties(accepted: AcceptedPoint,

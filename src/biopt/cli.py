@@ -100,10 +100,10 @@ def cmd_run(config_path, jobs):
         else:
             for line in map(_run_one, configs, prepared):
                 click.echo(line)
-    except BioptError as exc:
+    except BioptError as exc:  # every check of a config ran in _prepared
         click.echo(f"solver failure: {exc}", err=True)
         sys.exit(SOLVER_EXIT)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(USAGE_EXIT)
 

@@ -11,6 +11,10 @@ class DomainViolation(BioptError):
     """Smooth-part oracle evaluated outside its domain."""
 
 
+class NonFinitePoint(BioptError):
+    """A point with a NaN or infinite entry reached the regularizer."""
+
+
 class DegenerateCoefficient(BioptError):
     """Coefficient equation has no positive root (zero residual norm)."""
 

@@ -324,9 +324,9 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
     lambda_min(B)^{-(p+1)/2}, as ||h||_2 <= lambda_min(B)^{-1/2} ||h||, or
     M_next as given; slack_floor is the oracle's slack_min when its bound
     set H.  oracle is the exact segment-search oracle (exact mode), x0 the
-    given one, else the instance's, else zeros; f(x0) must be finite.  The
-    lower level's method is of order 2q, q = floor(p/2), so inexact and
-    superfast modes need p >= 2."""
+    given one, else the instance's, else zeros; f(x0) and psi(x0) must be
+    finite.  The lower level's method is of order 2q, q = floor(p/2), so
+    inexact and superfast modes need p >= 2."""
     if mode not in ("exact", "inexact", "superfast"):
         raise ValueError(f"unknown mode {mode!r}")
     if not _number(p, numbers.Integral) or p < (1 if mode == "exact" else 2):
@@ -362,6 +362,8 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
                          f"dimension {instance.dim}")
     if not math.isfinite(smooth.value(x0)):
         raise ValueError("x0 lies outside the domain of f: f(x0) is not finite")
+    if not math.isfinite(instance.simple.value(x0)):
+        raise ValueError("x0 lies outside the domain of psi: psi(x0) is not finite")
     return H, slack_floor, oracle, x0
 
 
@@ -414,7 +416,8 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
                         "residual"):
                 if key in step_info:
                     rec[key] = step_info[key]
-        rec["psi_star"] = psi_star(state, psi)
+        rec["psi_star"] = psi_value(state, psi, state.upsilon) \
+            if state.A > 0.0 else psi_star(state, psi)  # upsilon = argmin Psi_k
         if x_star is not None:
             rec["psi_at_xstar"] = psi_value(state, psi, x_star)
             rec["dist_x"] = instance.metric.norm(state.x - x_star)
@@ -564,6 +567,8 @@ def verify_trace(trace: RunTrace) -> dict:
     """
     _require(trace.config, ("mode", "p", "H", "beta", "F_star", "R", "R0"),
              "trace config", nullable=("F_star", "R", "R0"))
+    if not isinstance(trace.config["mode"], str):  # step_rates hashes it
+        raise ValueError(f"unknown mode {trace.config['mode']!r}")
     checks = {name: [] for name in FAMILIES}
     prev = None
     for i, rec in enumerate(trace.records):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +61,12 @@ class ScalingFunction:
 
     rho(h) gives rho and its gradient at x = y + h; every caller in the
     lower level (the descent test, the carried dual point, the step
-    subproblem's gradient) takes them from it.  Also caches, for this one
-    anchor, the oracle's expansion at y, D^2 f(y) and its radial solver;
-    nothing carries one step subproblem into the next.
+    subproblem's gradient) takes them from it.  Building it makes the
+    anchor's one oracle evaluation, expansion = (f(y), grad f(y), a thunk of
+    D^2 f(y), the even forms) (SmoothOracle.expansion_at), with forms =
+    [(form_k, (2k)!) for k = 1..q]; D^2 f(y) (K) and its radial solver are
+    built on first use, once for this one anchor; nothing carries one step
+    subproblem into the next.
     """
 
     def __init__(self, instance: ProblemInstance, y: np.ndarray, H: float, p: int):
@@ -73,21 +75,12 @@ class ScalingFunction:
         self.H = float(H)
         self.p = int(p)
         self.q = p // 2
-
-    @cached_property
-    def expansion(self):
-        """f(y), grad f(y), a thunk of D^2 f(y) and the even forms at y, from
-        one oracle evaluation (SmoothOracle.expansion_at)."""
-        expansion = self.instance.smooth.expansion_at(self.y, self.q)
-        if expansion[1] is None:
+        self.expansion = instance.smooth.expansion_at(self.y, self.q)
+        if self.expansion[1] is None:
             raise DomainViolation("anchor outside the domain of f")
-        return expansion
-
-    @cached_property
-    def forms(self):
-        """(h -> (D^{2k} f(y)[h]^{2k}, h-gradient), (2k)!) for k = 1..q, once per y."""
-        return [(form, math.factorial(2 * k))
-                for k, form in enumerate(self.expansion[3], 1)]
+        self.forms = [(form, math.factorial(2 * k))
+                      for k, form in enumerate(self.expansion[3], 1)]
+        self._K = self._radial = None
 
     def rho(self, h: np.ndarray, d=None) -> tuple[float, np.ndarray]:
         """rho and its gradient at y + h; d is prox_power(h) if already known."""
@@ -100,20 +93,25 @@ class ScalingFunction:
             grad = grad + fg / fac
         return val, grad
 
-    @cached_property
+    @property
     def K(self) -> np.ndarray:
-        """D^2 f(y), once per y."""
-        return self.expansion[2]()
+        """D^2 f(y)."""
+        if self._K is None:
+            self._K = self.expansion[2]()
+        return self._K
 
-    @cached_property
+    @property
     def radial(self):
-        """Solver g -> h of (D^2 f(y) + H ||h||^{p-1} B) h = -g, built once per
-        y; with the identity metric a quadratic f lends it Q's eigenbasis,
-        which the oracle makes when it is built (QuadraticOracle.eigenbasis)."""
-        smooth, metric = self.instance.smooth, self.instance.metric
-        if metric.is_identity and isinstance(smooth, QuadraticOracle):
-            return eigen_radial_solver(*smooth.eigenbasis, self.H, self.p)
-        return radial_solver(self.K, self.H, self.p, metric.W)
+        """Solver g -> h of (D^2 f(y) + H ||h||^{p-1} B) h = -g; with the
+        identity metric a quadratic f lends it Q's eigenbasis, which the
+        oracle makes when it is built (QuadraticOracle.eigenbasis)."""
+        if self._radial is None:
+            smooth, metric = self.instance.smooth, self.instance.metric
+            if metric.is_identity and isinstance(smooth, QuadraticOracle):
+                self._radial = eigen_radial_solver(*smooth.eigenbasis, self.H, self.p)
+            else:
+                self._radial = radial_solver(self.K, self.H, self.p, metric.W)
+        return self._radial
 
 
 def bregman_term(vx: float, gx: np.ndarray, vz: float, d: np.ndarray) -> float:
@@ -269,19 +267,19 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
     history = []
     for i in range(1, MAX_ACCEPTANCE_STEPS + 1):
         nxt, rho_next, gain = _composite_step(sf, psi, z, rho_z)
-        if psi.kind == "zero":
-            g = np.zeros(m.dim)
+        if psi.kind == "zero":  # g = 0
+            g, lhs, rhs = None, m.dual_norm(nxt.reg_grad), m.dual_norm(nxt.grad)
         else:
             g = gain * (rho_z[1] - rho_next[1]) - z.reg_grad
-        lhs = m.dual_norm(nxt.reg_grad + g)
-        rhs = m.dual_norm(nxt.grad + g)
+            lhs, rhs = m.dual_norm(nxt.reg_grad + g), m.dual_norm(nxt.grad + g)
         history.append(lhs)
         if rhs <= 100.0 * ACCEPTANCE_ABS:
             # composite gradient at the numerical floor: the point is optimal
             # and residual-ratio certificates would be pure roundoff
             raise OptimalityReached("anchor already optimal", point=nxt.x)
         if acceptable(lhs, rhs, beta):
-            return AcceptedPoint(instance, beta, nxt, g), i
+            return AcceptedPoint(instance, beta, nxt,
+                                 np.zeros(m.dim) if g is None else g), i
         z, rho_z = nxt, rho_next
     raise AcceptanceFailure("acceptance not reached", residual_history=history)
 

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .config import DegenerateCoefficient
+from .config import DegenerateCoefficient, NonFinitePoint
 
 
 class Metric:
@@ -93,18 +93,18 @@ class Metric:
 def prox_power(metric: Metric, x: np.ndarray, p: int) -> tuple[float, np.ndarray]:
     """Value and gradient of d_{p+1}(x) = ||x||^{p+1}/(p+1).
 
-    Gradient: ||x||^{p-1} B x.  A non-finite entry of x is a ValueError.
-    It makes ||x|| non-finite, so with B = I the entries are scanned only
-    then; otherwise they are scanned first, as B x of an inf would warn.
+    Gradient: ||x||^{p-1} B x.  A non-finite entry of x is a solver failure,
+    NonFinitePoint.  It makes ||x|| non-finite, so with B = I the entries
+    are scanned only then; otherwise first, as B x of an inf would warn.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     x = np.asarray(x, dtype=float)
     if not metric.is_identity and not np.isfinite(x).all():
-        raise ValueError("non-finite point")
+        raise NonFinitePoint("non-finite point")
     r = metric.norm(x)
     if not math.isfinite(r) and not np.isfinite(x).all():
-        raise ValueError("non-finite point")
+        raise NonFinitePoint("non-finite point")
     value = r ** (p + 1) / (p + 1)
     grad = (r ** (p - 1)) * metric.apply(x)
     return value, grad

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import biopt.acceptance
-from biopt import (AcceptedPoint, InvariantViolation, build_example_1d,
-                   build_logbar, build_quadratic, check_lemma_properties,
-                   evaluate, exact_sprox_1d, rel_smooth_params,
-                   solve_acceptable)
+from biopt import (AcceptedPoint, InvariantViolation, build_builtin,
+                   build_example_1d, build_logbar, build_quadratic,
+                   check_lemma_properties, evaluate, exact_sprox_1d,
+                   rel_smooth_params, solve_acceptable)
 from biopt.acceptance import ACCEPTANCE_ABS, ACCEPTANCE_REL, acceptable
 
 from helpers import fd_grad
@@ -136,6 +136,26 @@ class TestAcceptedPoint:
         np.testing.assert_allclose(ap.composite_grad(), ap.grad_f + ap.g)
         assert inst.metric.dual_norm(ap.composite_grad()) == pytest.approx(
             ap.grad_F_norm)
+
+    def test_composite_grad_is_read_only(self):
+        # it is formed once and handed to every caller: none may change it
+        _, ap, _ = self.build_accepted()
+        before = ap.composite_grad().copy()
+        with pytest.raises(ValueError, match="read-only"):
+            ap.composite_grad()[0] = 1.0
+        np.testing.assert_array_equal(ap.composite_grad(), before)
+
+    @pytest.mark.parametrize("g", [np.zeros(1), np.float64(0.0), np.zeros((5, 5))],
+                             ids=["shape-1", "scalar", "shape-5x5"])
+    def test_g_of_another_shape_rejected(self, g):
+        # on quad-5 a g of shape (1,) broadcast and was accepted, a scalar
+        # raised a bare ValueError and a 5 x 5 g a bare TypeError
+        inst = build_builtin("quad-5", seed=0)
+        ap, _ = solve_acceptable(inst, inst.meta["x0"], 1.0, 2, 0.1)
+        ev = evaluate(inst, ap.anchor, ap.H, ap.p, ap.T)
+        AcceptedPoint(inst, 0.1, ev, np.zeros(5))
+        with pytest.raises(InvariantViolation, match="g has shape"):
+            AcceptedPoint(inst, 0.1, ev, g)
 
 
 def test_residual_bracket_is_tight_in_beta():

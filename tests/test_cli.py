@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -107,6 +108,37 @@ class TestRun:
         assert result.exit_code == 1
         assert result.output.count("solver failure:") == 1
         assert "acceptance not reached" in result.output
+
+    def test_nan_step_is_solver_failure(self, runner, tmp_path, monkeypatch):
+        # a numerical failure inside a solve is exit 1; it was reported as
+        # "config error: non-finite point" with exit 2
+        monkeypatch.setattr(biopt.lower, "subproblem_solve",
+                            lambda sf, *args: np.full(sf.y.shape, np.nan))
+        cfg = {"instance": "quad-3", "mode": "inexact", "p": 2, "H": 1.0,
+               "beta": 0.1, "budget": 5}
+        with np.errstate(invalid="ignore"):
+            result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 1
+        assert result.output.count("solver failure:") == 1
+        assert "non-finite point" in result.output
+        assert "config error:" not in result.output
+
+    def test_x0_outside_psi_is_usage_error(self, runner, tmp_path):
+        # the run started at ones and wrote F_val = inf in record 0, a
+        # trace that biopt verify refuses
+        inst = write_config(tmp_path, {
+            "family": "quadratic", "Q": [[2.0, 0.0], [0.0, 1.0]], "c": [1.0, 0.0],
+            "psi": {"kind": "box", "lo": -0.5, "hi": 0.5}}, "box.json")
+        trace = tmp_path / "t.ndjson"
+        cfg = {"instance": {"file": inst}, "mode": "inexact", "p": 2, "H": 1.0,
+               "beta": 0.1, "budget": 20, "x0": [1.0, 1.0], "trace": str(trace)}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error:") == 1
+        assert "x0 lies outside the domain of psi: psi(x0) is not finite" \
+            in result.output
+        assert "status=" not in result.output
+        assert not trace.exists()
 
     def test_failed_reference_solve_exits_1(self, runner, tmp_path,
                                             monkeypatch):
@@ -487,6 +519,16 @@ class TestVerify:
     def test_unknown_mode_in_trace_is_usage_error(self, runner, tmp_path, mode):
         # a mode none of the drivers has is a malformed trace (exit 2), not
         # a replay with some other driver's rates that fails its checks
+        trace_path = self.run_and_trace(runner, tmp_path)
+        trace = RunTrace.from_ndjson(str(trace_path))
+        trace.config["mode"] = mode
+        trace.write_ndjson(str(trace_path))
+        result = runner.invoke(main, ["verify", str(trace_path)])
+        assert result.exit_code == 2
+        assert f"trace error: unknown mode {mode!r}" in result.output
+
+    @pytest.mark.parametrize("mode", [["inexact"], {"mode": "inexact"}])
+    def test_unhashable_mode_in_trace_is_usage_error(self, runner, tmp_path, mode):
         trace_path = self.run_and_trace(runner, tmp_path)
         trace = RunTrace.from_ndjson(str(trace_path))
         trace.config["mode"] = mode

@@ -426,9 +426,12 @@ class TestAdaptiveGain:
                 psi = (SimpleOracle("l1", weight=0.5) if case == "l1" else
                        SimpleOracle("box", lo=[-0.5] * d, hi=[0.5] * d))
                 inst = build_quadratic(base.smooth.Q, base.smooth.c, psi=psi)
+                # the box case starts at its point nearest ones: check_run
+                # refuses an x0 outside dom psi
+                x0 = np.ones(d) if case == "l1" else 0.5 * np.ones(d)
                 for p in (2, 3):
                     run(inst, "inexact", p=p, beta=0.1, H=1.0, epsilon=1e-4,
-                        R=10.0, x0=np.ones(d))
+                        R=10.0, x0=x0)
         assert len(steps) >= 40
         assert len(solves) >= len(steps)
         for sf, z, nxt, gain in steps:
@@ -600,6 +603,31 @@ class TestOneEvaluationPerPoint:
         assert iters[0] >= 150
         assert counts["iterate"] <= 1.1 * iters[0]
         assert counts["anchor"] == calls[0]
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_one_eigh_per_acceptance_solve(self, monkeypatch, seed):
+        # each anchor's ScalingFunction builds its radial solver once, from
+        # one eigendecomposition of D^2 f(y), however many steps it takes:
+        # on seed 2 some anchors take more than one (666 radial solves in
+        # 656 calls)
+        calls, eighs = [0], [0]
+        eigh = np.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            eighs[0] += 1
+            return eigh(*args, **kwargs)
+
+        def counted_solve(*args, **kwargs):
+            calls[0] += 1
+            return solve_acceptable(*args, **kwargs)
+
+        inst = build_builtin("logbar-10-5", seed=seed)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(biopt.driver, "solve_acceptable", counted_solve)
+        monkeypatch.setattr(biopt.segment, "solve_acceptable", counted_solve)
+        run(inst, "superfast", p=3, beta=0.2, budget=200)
+        assert calls[0] >= 100
+        assert eighs[0] == calls[0]
 
     def test_shifted_grad_evaluations_per_subproblem(self, monkeypatch):
         # 9 calls make 18 evaluations of grad rho: each starts with a face

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import biopt.segment as segment
-from biopt import (DegenerateCoefficient, Metric, SimpleOracle, build_builtin,
-                   monotone_root, power_mean_norm, prox_power,
+from biopt import (DegenerateCoefficient, Metric, NonFinitePoint, SimpleOracle,
+                   build_builtin, monotone_root, power_mean_norm, prox_power,
                    solve_step_coefficient, sprox_quadratic, uniform_convexity_gap)
 from biopt import numerics
 from helpers import recording_root
@@ -141,7 +141,7 @@ class TestProxPower:
     def test_nonfinite_rejected(self):
         for m in (Metric(dim=2), Metric(random_spd(2, 5))):
             for bad in (np.nan, np.inf, -np.inf):
-                with pytest.raises(ValueError, match="non-finite"):
+                with pytest.raises(NonFinitePoint, match="non-finite"):
                     prox_power(m, np.array([1.0, bad]), 2)
 
 

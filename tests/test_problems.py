@@ -105,6 +105,17 @@ class TestSimpleOracle:
         assert box.in_subdifferential(np.array([0.0]), np.array([-3.0]), tol=1e-8)
         assert not box.in_subdifferential(np.array([0.5]), np.array([1.0]), tol=1e-8)
 
+    def test_zero_psi_subdifferential_refuses_nan(self):
+        # g = 0 is the only subgradient of psi = 0; a NaN entry is not within
+        # any tolerance of it
+        psi = SimpleOracle("zero")
+        assert psi.in_subdifferential(np.zeros(3), np.array([0.0, 1e-9, -1e-9]),
+                                      tol=1e-8)
+        assert not psi.in_subdifferential(np.zeros(3), np.array([0.0, -2e-8, 0.0]),
+                                          tol=1e-8)
+        for g in ([np.nan, 0.0, 0.0], [0.0, 0.0, np.nan], [np.nan] * 3):
+            assert not psi.in_subdifferential(np.zeros(3), np.array(g), tol=1e-8)
+
     def test_l1_face(self):
         # the free mask is x != 0, so NaN is free; held coordinates sit at 0
         psi = SimpleOracle("l1", weight=0.5)
