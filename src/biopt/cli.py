@@ -8,6 +8,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from .config import BioptError
 from .driver import RunTrace, check_run, rate_fit, run, verify_trace
@@ -47,7 +48,12 @@ def _run_args(cfg: dict) -> dict:
 
 
 def _prepared(cfg: dict):
-    """(instance, x0) of a config that passes every check run makes."""
+    """(instance, x0) of a config that passes every check run makes, and
+    whose trace and summary paths, if given, are strings without a NUL."""
+    for key in ("trace", "summary"):
+        path = cfg.get(key)
+        if path and not (isinstance(path, str) and "\0" not in path):
+            raise ValueError(f"{key} must be a file path, got {path!r}")
     seed = int(os.environ.get("BIOPT_SEED", cfg.get("seed", 0)))
     instance = _build_instance(cfg.get("instance", "example1d"), seed)
     return instance, check_run(instance, x0=cfg.get("x0"), **_run_args(cfg))[3]
@@ -100,7 +106,8 @@ def cmd_run(config_path, jobs):
         else:
             for line in map(_run_one, configs, prepared):
                 click.echo(line)
-    except BioptError as exc:  # every check of a config ran in _prepared
+    # every config passed _prepared, so a failure here is the solver's
+    except (BioptError, np.linalg.LinAlgError) as exc:
         click.echo(f"solver failure: {exc}", err=True)
         sys.exit(SOLVER_EXIT)
     except OSError as exc:

@@ -416,8 +416,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
                         "residual"):
                 if key in step_info:
                     rec[key] = step_info[key]
-        rec["psi_star"] = psi_value(state, psi, state.upsilon) \
-            if state.A > 0.0 else psi_star(state, psi)  # upsilon = argmin Psi_k
+        rec["psi_star"] = psi_value(state, psi, state.upsilon)  # argmin Psi_k
         if x_star is not None:
             rec["psi_at_xstar"] = psi_value(state, psi, x_star)
             rec["dist_x"] = instance.metric.norm(state.x - x_star)
@@ -567,8 +566,6 @@ def verify_trace(trace: RunTrace) -> dict:
     """
     _require(trace.config, ("mode", "p", "H", "beta", "F_star", "R", "R0"),
              "trace config", nullable=("F_star", "R", "R0"))
-    if not isinstance(trace.config["mode"], str):  # step_rates hashes it
-        raise ValueError(f"unknown mode {trace.config['mode']!r}")
     checks = {name: [] for name in FAMILIES}
     prev = None
     for i, rec in enumerate(trace.records):

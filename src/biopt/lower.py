@@ -265,10 +265,11 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
     z = evaluate(instance, y, H, p, y, fg=sf.expansion[:2])
     rho_z = 0.0, np.zeros(m.dim)
     history = []
+    zero = np.zeros(m.dim) if psi.kind == "zero" else None
     for i in range(1, MAX_ACCEPTANCE_STEPS + 1):
         nxt, rho_next, gain = _composite_step(sf, psi, z, rho_z)
         if psi.kind == "zero":  # g = 0
-            g, lhs, rhs = None, m.dual_norm(nxt.reg_grad), m.dual_norm(nxt.grad)
+            g, lhs, rhs = zero, m.dual_norm(nxt.reg_grad), m.dual_norm(nxt.grad)
         else:
             g = gain * (rho_z[1] - rho_next[1]) - z.reg_grad
             lhs, rhs = m.dual_norm(nxt.reg_grad + g), m.dual_norm(nxt.grad + g)
@@ -278,8 +279,7 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
             # and residual-ratio certificates would be pure roundoff
             raise OptimalityReached("anchor already optimal", point=nxt.x)
         if acceptable(lhs, rhs, beta):
-            return AcceptedPoint(instance, beta, nxt,
-                                 np.zeros(m.dim) if g is None else g), i
+            return AcceptedPoint(instance, beta, nxt, g), i
         z, rho_z = nxt, rho_next
     raise AcceptanceFailure("acceptance not reached", residual_history=history)
 

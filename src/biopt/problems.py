@@ -166,8 +166,6 @@ def _logbar_deriv(t: np.ndarray, n: int) -> np.ndarray:
     # f(t) = -log t, f^{(n)}(t) = (-1)^n (n-1)! / t^n
     if n == 0:
         return -np.log(t)
-    if n in (1, 2):  # the same bits as the general form, without powers
-        return -1.0 / t if n == 1 else 1.0 / (t * t)
     return ((-1.0) ** n) * math.factorial(n - 1) / t ** n
 
 
@@ -357,8 +355,8 @@ class SeparableOracle(SmoothOracle):
         """h -> (sum_i w_i s_i^order, its h-gradient), s = A h."""
         def form(h: np.ndarray) -> tuple[float, np.ndarray]:
             s = self.A @ np.asarray(h, dtype=float)
-            ws = w * s if order == 2 else w * s ** (order - 1)
-            return float((w * s ** order).sum()), order * (self.A.T @ ws)
+            return (float((w * s ** order).sum()),
+                    order * (self.A.T @ (w * s ** (order - 1))))
         return form
 
     def deriv_bound(self, order: int) -> float | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -333,14 +333,12 @@ def sprox_reference(instance: ProblemInstance, xbar: np.ndarray, u: np.ndarray,
 # bisection scheme
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64, typed=True)
 def step_rates(mode: str, H: float, p: int,
                beta: float | None) -> tuple[float, float]:
     """(c0, b0): a_k^2/A_{k+1} = c0 g_k^{(1-p)/p} and B_cert grows by
     b0 A_{k+1} g_k^{(p+1)/p}; the exact driver ignores beta.  The driver's
     steps, bisect_segment and verify_trace call it, so it rejects a bad H
-    or p, or a mode that is none of the three, with ValueError.  Memoized,
-    as they call it per step or record; its arguments must be hashable."""
+    or p, or a mode that is none of the three, with ValueError."""
     if mode not in ("exact", "inexact", "superfast"):
         raise ValueError(f"unknown mode {mode!r}")
     if not (math.isfinite(H) and H > 0.0 and p >= 1):

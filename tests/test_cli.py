@@ -123,6 +123,32 @@ class TestRun:
         assert "non-finite point" in result.output
         assert "config error:" not in result.output
 
+    def test_linalg_error_in_a_run_is_solver_failure(self, runner, tmp_path,
+                                                     monkeypatch):
+        # numpy's LinAlgError is a ValueError; mid-run it is not a config error
+        def fail(*args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(biopt.lower, "subproblem_solve", fail)
+        cfg = {"instance": "quad-3", "mode": "inexact", "p": 2, "H": 1.0,
+               "beta": 0.1, "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 1
+        assert result.output.count("solver failure:") == 1
+        assert "config error:" not in result.output
+
+    @pytest.mark.parametrize("key", ["trace", "summary"])
+    @pytest.mark.parametrize("path", ["t\0.ndjson", ["t.ndjson"]])
+    def test_bad_output_path_is_usage_error(self, runner, tmp_path, key, path):
+        # refused before any run, as open() would fail only after the solve
+        # (and would open a file descriptor given as an int)
+        cfg = {"instance": "quad-3", "mode": "inexact", "p": 2, "H": 1.0,
+               "beta": 0.1, "budget": 5, key: path}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error:") == 1
+        assert f"{key} must be a file path" in result.output
+        assert "status=" not in result.output
+
     def test_x0_outside_psi_is_usage_error(self, runner, tmp_path):
         # the run started at ones and wrote F_val = inf in record 0, a
         # trace that biopt verify refuses
@@ -519,16 +545,6 @@ class TestVerify:
     def test_unknown_mode_in_trace_is_usage_error(self, runner, tmp_path, mode):
         # a mode none of the drivers has is a malformed trace (exit 2), not
         # a replay with some other driver's rates that fails its checks
-        trace_path = self.run_and_trace(runner, tmp_path)
-        trace = RunTrace.from_ndjson(str(trace_path))
-        trace.config["mode"] = mode
-        trace.write_ndjson(str(trace_path))
-        result = runner.invoke(main, ["verify", str(trace_path)])
-        assert result.exit_code == 2
-        assert f"trace error: unknown mode {mode!r}" in result.output
-
-    @pytest.mark.parametrize("mode", [["inexact"], {"mode": "inexact"}])
-    def test_unhashable_mode_in_trace_is_usage_error(self, runner, tmp_path, mode):
         trace_path = self.run_and_trace(runner, tmp_path)
         trace = RunTrace.from_ndjson(str(trace_path))
         trace.config["mode"] = mode
