@@ -32,11 +32,19 @@ def _load_config(path: str) -> list[dict]:
     return cfg
 
 
+def _file_path(key: str, path):
+    """path if it is a string without a NUL, else a ValueError naming key
+    (open() would take an int as a file descriptor)."""
+    if not (isinstance(path, str) and "\0" not in path):
+        raise ValueError(f"{key} must be a file path, got {path!r}")
+    return path
+
+
 def _build_instance(spec, seed: int):
     if isinstance(spec, str):
         return build_builtin(spec, seed=seed)
     if isinstance(spec, dict) and "file" in spec:
-        return load_instance(spec["file"])
+        return load_instance(_file_path("instance file", spec["file"]))
     raise ValueError("instance must be a builtin name or {\"file\": path}")
 
 
@@ -49,11 +57,11 @@ def _run_args(cfg: dict) -> dict:
 
 def _prepared(cfg: dict):
     """(instance, x0) of a config that passes every check run makes, and
-    whose trace and summary paths, if given, are strings without a NUL."""
+    whose instance file, trace and summary paths, if given, are strings
+    without a NUL."""
     for key in ("trace", "summary"):
-        path = cfg.get(key)
-        if path and not (isinstance(path, str) and "\0" not in path):
-            raise ValueError(f"{key} must be a file path, got {path!r}")
+        if cfg.get(key):
+            _file_path(key, cfg[key])
     seed = int(os.environ.get("BIOPT_SEED", cfg.get("seed", 0)))
     instance = _build_instance(cfg.get("instance", "example1d"), seed)
     return instance, check_run(instance, x0=cfg.get("x0"), **_run_args(cfg))[3]
@@ -85,7 +93,7 @@ def main():
 @main.command("run")
 @click.option("-c", "--config", "config_path", required=True,
               type=click.Path(), help="JSON config (single run or list).")
-@click.option("--jobs", default=1, show_default=True,
+@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
               help="Run independent configs in parallel.")
 def cmd_run(config_path, jobs):
     """Run driver(s) described by a config file and write traces."""
@@ -100,7 +108,8 @@ def cmd_run(config_path, jobs):
         sys.exit(USAGE_EXIT)
     try:
         if jobs > 1 and len(configs) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=min(jobs, len(configs))) as ex:
                 for line in ex.map(_run_one, configs, prepared):
                     click.echo(line)
         else:

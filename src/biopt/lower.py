@@ -63,10 +63,10 @@ class ScalingFunction:
     lower level (the descent test, the carried dual point, the step
     subproblem's gradient) takes them from it.  Building it makes the
     anchor's one oracle evaluation, expansion = (f(y), grad f(y), a thunk of
-    D^2 f(y), the even forms) (SmoothOracle.expansion_at), with forms =
-    [(form_k, (2k)!) for k = 1..q]; D^2 f(y) (K) and its radial solver are
-    built on first use, once for this one anchor; nothing carries one step
-    subproblem into the next.
+    D^2 f(y), even) (SmoothOracle.expansion_at), and rho(h) is even(h), the
+    sum over k with its h-gradient, plus H d_{p+1}(h).  D^2 f(y) (K) and its
+    radial solver are built on first use, once for this one anchor; nothing
+    carries one step subproblem into the next.
     """
 
     def __init__(self, instance: ProblemInstance, y: np.ndarray, H: float, p: int):
@@ -78,20 +78,14 @@ class ScalingFunction:
         self.expansion = instance.smooth.expansion_at(self.y, self.q)
         if self.expansion[1] is None:
             raise DomainViolation("anchor outside the domain of f")
-        self.forms = [(form, math.factorial(2 * k))
-                      for k, form in enumerate(self.expansion[3], 1)]
+        self.even = self.expansion[3]
         self._K = self._radial = None
 
     def rho(self, h: np.ndarray, d=None) -> tuple[float, np.ndarray]:
         """rho and its gradient at y + h; d is prox_power(h) if already known."""
         dval, dgrad = prox_power(self.instance.metric, h, self.p) if d is None else d
-        val = self.H * dval
-        grad = self.H * dgrad
-        for form, fac in self.forms:
-            fv, fg = form(h)
-            val += fv / fac
-            grad = grad + fg / fac
-        return val, grad
+        val, grad = self.even(h)
+        return self.H * dval + val, self.H * dgrad + grad
 
     @property
     def K(self) -> np.ndarray:
@@ -247,7 +241,7 @@ def solve_acceptable(instance: ProblemInstance, y: np.ndarray, H: float, p: int,
     z_{i+1}: the gain's test, the acceptance test, the next step and the
     AcceptedPoint, which certifies it, reuse it.  Likewise the
     anchor's one evaluation (ScalingFunction.expansion) gives f and grad f
-    at z0 = y, D^2 f(y) and the even forms; outside the domain of f it
+    at z0 = y, D^2 f(y) and the even part; outside the domain of f it
     raises DomainViolation.
 
     The loop carries rho(z_i) and the dual point grad rho(z_i), which the
@@ -304,7 +298,7 @@ def _composite_step(sf: ScalingFunction, psi: SimpleOracle, z,
     phi = f^p + psi, as it minimizes the model.  f^p - rho is f less its
     even Taylor terms at y, so the two Bregman distances nearly agree and
     gain 1 mostly passes.  The test needs no oracle call: f^p(z+) is in
-    z+'s PointEval and rho(z+) comes from its d_{p+1} and the even forms.
+    z+'s PointEval and rho(z+) comes from its d_{p+1} and the even part.
     """
     instance, y = sf.instance, sf.y
     gain = 1.0

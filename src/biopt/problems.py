@@ -2,8 +2,8 @@
 
 The smooth part f answers two questions of the lower level, each from one
 evaluation: f and grad f at a point (value_grad), and, at a prox center y,
-the contracted even-order forms D^{2k} f(y)[h]^{2k} with their h-gradients
-and the Hessian D^2 f(y) (expansion_at).  For separable
+the Hessian D^2 f(y) and the even Taylor part sum_k D^{2k} f(y)[h]^{2k} /
+(2k)! with its h-gradient (expansion_at).  For separable
 f(x) = sum_i f_i(<a_i, x> - b_i) these reduce to scalar derivative data of
 the f_i at the slacks, which keeps every oracle call O(N * dim).
 """
@@ -148,6 +148,8 @@ class SimpleOracle:
 
     @staticmethod
     def from_json(spec: dict | None) -> "SimpleOracle":
+        if spec is not None and not isinstance(spec, dict):
+            raise ValueError(f"psi must be a JSON object, got {spec!r}")
         if not spec or spec.get("kind") in (None, "none", "zero"):
             return SimpleOracle("zero")
         kind = spec["kind"]
@@ -231,8 +233,9 @@ class SmoothOracle:
     value(x) gives f(x), inf outside the domain of f.  value_grad(x) gives
     (f, grad f) from one evaluation, the data of each lower-level point.
     expansion_at(y, q) gives, from one evaluation at a prox center y,
-    (f, grad f, a thunk of D^2 f, [h -> (D^{2k} f(y)[h]^{2k}, its h-gradient)
-    for k = 1..q]), the data that build the scaling function rho_{y,H}.
+    (f, grad f, a thunk of D^2 f, h -> (sum_{k=1..q} D^{2k} f(y)[h]^{2k} /
+    (2k)!, its h-gradient)), the data that build the scaling function
+    rho_{y,H}; the oracle's _even_part folds the 1/(2k)! into its data once.
     Outside the domain both return inf and None in place of the rest.
     deriv_bound(order) gives a declared bound M_order(f), if any, which
     holds where every slack is at least slack_min (everywhere when None);
@@ -262,7 +265,8 @@ class SmoothOracle:
 
     # Derived from the primitives for perfbench's tracer only, which wraps
     # these names; nothing in the library calls them.  They go when the
-    # tracer wraps value_grad and expansion_at instead.
+    # tracer wraps value_grad and expansion_at instead.  An oracle's
+    # _even_form(y, order) is its _even_part at the one order, coefficient 1.
 
     def grad(self, x: np.ndarray) -> np.ndarray | None:
         return self.value_grad(x)[1]
@@ -281,7 +285,7 @@ class SmoothOracle:
     def _even_form_at(self, y: np.ndarray, order: int):
         if order < 2 or order % 2:
             raise ValueError("order must be even and >= 2")
-        return self.expansion_at(y, order // 2)[3][-1]
+        return self._even_form(y, order)
 
 
 class SeparableOracle(SmoothOracle):
@@ -346,18 +350,27 @@ class SeparableOracle(SmoothOracle):
         if t is None:
             return math.inf, None, None, None
         d2 = self.deriv(t, 2)
-        forms = [self._form(d2 if k == 1 else self.deriv(t, 2 * k), 2 * k)
-                 for k in range(1, q + 1)]
         return (float(self.deriv(t, 0).sum()), self.A.T @ self.deriv(t, 1),
-                lambda: (self.A * d2[:, None]).T @ self.A, forms)
+                lambda: (self.A * d2[:, None]).T @ self.A,
+                self._even_part([(2 * k, (d2 if k == 1 else self.deriv(t, 2 * k))
+                                  / math.factorial(2 * k)) for k in range(1, q + 1)]))
 
-    def _form(self, w: np.ndarray, order: int):
-        """h -> (sum_i w_i s_i^order, its h-gradient), s = A h."""
-        def form(h: np.ndarray) -> tuple[float, np.ndarray]:
+    def _even_form(self, y: np.ndarray, order: int):
+        return self._even_part([(order, self.deriv(self._slacks(y), order))])
+
+    def _even_part(self, weights: list):
+        """h -> (sum over (n, w) in weights of sum_i w_i s_i^n, its
+        h-gradient), s = A h: one A h and one A^T product per call."""
+        terms = [(n, w, n * w) for n, w in weights]
+
+        def even(h: np.ndarray) -> tuple[float, np.ndarray]:
             s = self.A @ np.asarray(h, dtype=float)
-            return (float((w * s ** order).sum()),
-                    order * (self.A.T @ (w * s ** (order - 1))))
-        return form
+            val = slope = 0.0
+            for n, w, nw in terms:
+                val += (w * s ** n).sum()
+                slope = slope + nw * s ** (n - 1)
+            return float(val), self.A.T @ slope
+        return even
 
     def deriv_bound(self, order: int) -> float | None:
         row_norms = np.linalg.norm(self.A, axis=1)
@@ -433,18 +446,19 @@ class QuadraticOracle(SmoothOracle):
 
     def expansion_at(self, y: np.ndarray, q: int):
         value, grad = self.value_grad(y)
-        zero = np.zeros_like(self.Q)
-        return (value, grad, self.Q.copy,
-                [self._form(self.Q if k == 1 else zero) for k in range(1, q + 1)])
+        return value, grad, self.Q.copy, self._even_part(0.5)
 
-    @staticmethod
-    def _form(Q: np.ndarray):
-        """h -> (<Q h, h>, 2 Q h)."""
-        def form(h: np.ndarray) -> tuple[float, np.ndarray]:
+    def _even_form(self, y: np.ndarray, order: int):
+        return self._even_part(1.0 if order == 2 else 0.0)
+
+    def _even_part(self, c: float):
+        """h -> (c <Q h, h>, 2c Q h): D^2 f[h]^2 at coefficient c, as the
+        higher forms of a quadratic vanish."""
+        def even(h: np.ndarray) -> tuple[float, np.ndarray]:
             h = np.asarray(h, dtype=float)
-            Qh = Q @ h
-            return float(h @ Qh), 2.0 * Qh
-        return form
+            Qh = self.Q @ h
+            return c * float(h @ Qh), (2.0 * c) * Qh
+        return even
 
     def deriv_bound(self, order: int) -> float | None:
         if order == 2:
@@ -632,6 +646,9 @@ def load_instance(path: str) -> ProblemInstance:
     """
     with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"instance file must hold a JSON object, got "
+                         f"{type(spec).__name__}")
     psi = SimpleOracle.from_json(spec.get("psi"))
     family = spec["family"]
     if family == "quadratic":

@@ -265,8 +265,11 @@ def test_criterion_9_gradients_and_determinism(tmp_path):
     _, g = sf.rho(xl - y)
     check(lambda z: sf.rho(z - y)[0], g, xl)
     h = 0.1 * rng.standard_normal(4)
-    for form in lb.smooth.expansion_at(y, 2)[3]:
-        check(lambda hh: form(hh)[0], form(h)[1], h)
+    even = lb.smooth.expansion_at(y, 2)[3]
+    check(lambda hh: even(hh)[0], even(h)[1], h)
+    for order in (2, 4):
+        check(lambda hh: lb.smooth.even_form(y, hh, order),
+              lb.smooth.even_form_grad(y, h, order), h)
 
     grads_ok = worst <= 1e-6
 

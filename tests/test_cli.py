@@ -270,6 +270,32 @@ class TestRun:
         assert result.exit_code == 2
         assert "config error" in result.output
 
+    @pytest.mark.parametrize("file", [0, True, "inst\0.json"])
+    def test_bad_instance_path_is_usage_error(self, runner, tmp_path, file):
+        # open() took 0 as stdin's file descriptor, and closed it, and True
+        # as stdout's
+        cfg = {"instance": {"file": file}, "mode": "exact", "p": 2, "H": 1.0,
+               "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error: instance file must be a "
+                                   "file path") == 1
+
+    @pytest.mark.parametrize("content, message", [
+        ([1, 2], "instance file must hold a JSON object, got list"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0], "psi": ["l1"]},
+         "psi must be a JSON object, got ['l1']"),
+    ])
+    def test_malformed_instance_file_is_usage_error(self, runner, tmp_path,
+                                                    content, message):
+        # both once raised a bare AttributeError, a traceback with exit 1
+        inst_path = write_config(tmp_path, content, "inst.json")
+        cfg = {"instance": {"file": inst_path}, "mode": "exact", "p": 2,
+               "H": 1.0, "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count(f"config error: {message}") == 1
+
     def test_empty_box_file_is_usage_error(self, runner, tmp_path):
         # json.dumps writes inf as the literal Infinity; a box with lo = hi
         # = +inf was accepted and failed mid-run on "non-finite point"
@@ -441,6 +467,46 @@ class TestRun:
         assert result.exit_code == 0
         assert result.output.count("status=") == 2
         assert log.read_text().split() == ["quad-3", "logbar-10-3"]
+
+    def test_pool_takes_no_more_workers_than_configs(self, runner, tmp_path,
+                                                     monkeypatch):
+        # the fork start method launches every worker up front, so --jobs 64
+        # forked 64 processes for two configs; the stub starts none
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+        monkeypatch.setattr(biopt.cli.concurrent.futures, "ProcessPoolExecutor",
+                            Pool)
+        cfg = {"runs": [
+            {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0, "budget": 5},
+            {"instance": "quad-2", "mode": "exact", "p": 2, "H": 1.0, "budget": 5},
+        ]}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg),
+                                      "--jobs", "64"])
+        assert result.exit_code == 0
+        assert result.output.count("status=") == 2
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_1_is_usage_error(self, runner, tmp_path, jobs):
+        cfg = {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,
+               "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg),
+                                      "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "--jobs" in result.output
+        assert "status=" not in result.output
 
     def test_check_run_defaults_are_runs(self):
         # biopt run checks a config up front with check_run, which must then

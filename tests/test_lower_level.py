@@ -14,8 +14,9 @@ from biopt import (AcceptanceFailure, AcceptedPoint, DomainViolation,
                    SimpleOracle, SubproblemStall, bregman,
                    build_builtin, build_example_1d, build_logbar,
                    build_quadratic, evaluate, exact_sprox_1d_general,
-                   reg_bregman, rel_smooth_params, run, solve_acceptable,
-                   sprox_reference, subproblem_solve, verify_trace)
+                   prox_power, reg_bregman, rel_smooth_params, run,
+                   solve_acceptable, sprox_reference, subproblem_solve,
+                   verify_trace)
 
 from helpers import fd_grad, recording_root
 
@@ -63,6 +64,30 @@ class TestScalingFunction:
         _, g = sf.rho(x - y)
         want = fd_grad(lambda z: sf.rho(z - y)[0], x)
         np.testing.assert_allclose(g, want, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", ["log_barrier", "quadratic"])
+    def test_rho_is_the_definition(self, family, p):
+        # rho = sum_{k=1..q} D^{2k} f(y)[h]^{2k} / (2k)! + H d_{p+1}(h), with
+        # the forms from even_form: at q = 1 halving is exact, so the folded
+        # coefficient changes no bit; at q = 2 the terms add in another order
+        inst = (build_logbar(10, 3, seed=6) if family == "log_barrier"
+                else build_builtin("quad-3", seed=4))
+        o, y, H = inst.smooth, np.ones(3), 4.0
+        h = np.array([0.05, -0.1, 0.08])
+        dval, dgrad = prox_power(inst.metric, h, p)
+        orders = range(2, 2 * (p // 2) + 1, 2)
+        want = (H * dval + sum(o.even_form(y, h, n) / math.factorial(n)
+                               for n in orders),
+                H * dgrad + sum(o.even_form_grad(y, h, n) / math.factorial(n)
+                                for n in orders))
+        got = ScalingFunction(inst, y, H, p).rho(h)
+        if p < 4:
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+        else:
+            assert got[0] == pytest.approx(want[0], rel=1e-13)
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-13)
 
     def test_truncation_order(self):
         # q = floor(p/2): p = 2 and p = 3 share q = 1
@@ -160,14 +185,12 @@ class TestSubproblemSolve:
         # a step that failed the test (which later made prox_power raise)
         class NanGradient(QuadraticOracle):
             def expansion_at(self, y, q):
-                *head, forms = super().expansion_at(y, q)
+                *head, even = super().expansion_at(y, q)
 
-                def nan_off_zero(form):
-                    def nan_form(h):
-                        value, grad = form(h)
-                        return value, grad if not h.any() else np.full(h.shape, np.nan)
-                    return nan_form
-                return (*head, [nan_off_zero(form) for form in forms])
+                def nan_even(h):
+                    value, grad = even(h)
+                    return value, grad if not h.any() else np.full(h.shape, np.nan)
+                return (*head, nan_even)
 
         inst = ProblemInstance(NanGradient(np.eye(2), np.zeros(2)),
                                SimpleOracle("l1", weight=0.5), Metric(dim=2), 2)

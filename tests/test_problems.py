@@ -212,17 +212,17 @@ class TestSeparableOracle:
         o = self.make()
         y = np.array([0.1, 0.3, -0.2])
         h = np.array([1.0, -2.0, 0.5])
-        _, _, hessian, forms = o.expansion_at(y, 1)
-        assert forms[0](h)[0] == pytest.approx(float(h @ (hessian() @ h)))
+        hessian = o.expansion_at(y, 1)[2]
+        assert o.even_form(y, h, 2) == pytest.approx(float(h @ (hessian() @ h)))
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_even_form_grad_matches_fd(self, order):
         o = self.make()
         y = np.array([0.1, 0.3, -0.2])
         h = np.array([1.0, -2.0, 0.5])
-        form = o.expansion_at(y, order // 2)[3][-1]
-        want = fd_grad(lambda hh: form(hh)[0], h)
-        np.testing.assert_allclose(form(h)[1], want, rtol=1e-5, atol=1e-7)
+        want = fd_grad(lambda hh: o.even_form(y, hh, order), h)
+        np.testing.assert_allclose(o.even_form_grad(y, h, order), want,
+                                   rtol=1e-5, atol=1e-7)
 
     def test_even_form_rejects_odd_order(self):
         # even_form survives only for the benchmark tracer, which wraps it
@@ -301,7 +301,7 @@ class TestSeparableOracle:
                 continue
             h = rng.standard_normal(3)
             h /= np.linalg.norm(h)
-            assert abs(o.expansion_at(x, 2)[3][1](h)[0]) <= M4 * (1.0 + 1e-12)
+            assert abs(o.even_form(x, h, 4)) <= M4 * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("order", [3, 4, 5, 6])
     def test_softplus_deriv_bound_dominates_samples(self, order):
@@ -346,13 +346,15 @@ class TestQuadraticOracle:
         o = QuadraticOracle(Q, c)
         x = np.array([0.3, 0.7])
         assert o.value(x) == pytest.approx(0.5 * x @ Q @ x - c @ x)
-        value, grad, hessian, forms = o.expansion_at(x, 2)
+        value, grad, hessian, even = o.expansion_at(x, 2)
         assert value == o.value(x)
         np.testing.assert_allclose(grad, Q @ x - c)
         np.testing.assert_array_equal(o.value_grad(x)[1], grad)
         np.testing.assert_allclose(hessian(), Q)
-        assert forms[0](x)[0] == pytest.approx(x @ Q @ x)
-        assert forms[1](x)[0] == 0.0
+        assert o.even_form(x, x, 2) == pytest.approx(x @ Q @ x)
+        assert o.even_form(x, x, 4) == 0.0
+        assert even(x)[0] == pytest.approx(0.5 * x @ Q @ x)
+        np.testing.assert_allclose(even(x)[1], Q @ x)
         assert o.deriv_bound(2) == pytest.approx(np.linalg.eigvalsh(Q)[-1], rel=1e-15)
         assert o.deriv_bound(3) == 0.0
 
@@ -399,6 +401,35 @@ class TestQuadraticOracle:
         np.testing.assert_allclose(S @ np.diag(lam) @ S.T, inst.smooth.Q, atol=1e-15)
         again = build_quadratic(inst.smooth.Q, inst.smooth.c)  # from a read-only Q
         np.testing.assert_array_equal(again.smooth.Q, inst.smooth.Q)
+
+
+def even_cases():
+    """(oracle, anchor y, step h) for each family and a quadratic."""
+    A = np.array([[1.0, 0.5, -0.2], [-0.3, 1.0, 0.4], [0.2, -0.1, 1.0],
+                  [0.6, 0.3, 0.1]])
+    lb = build_logbar(10, 3, seed=1)
+    Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    h = np.array([0.1, -0.2, 0.05])
+    return {"log_barrier": (lb.smooth, lb.meta["x0"], h),
+            "power4": (SeparableOracle(A, np.zeros(4), "power4"),
+                       np.array([0.3, -0.5, 0.8]), h),
+            "softplus": (SeparableOracle(A, np.zeros(4), "softplus"),
+                         np.array([0.1, 0.3, -0.2]), h),
+            "quadratic": (QuadraticOracle(Q, np.ones(3)), np.array([0.3, 0.7, -0.1]), h)}
+
+
+class TestEvenPart:
+    """expansion_at's even(h) = (sum_{k<=q} D^{2k} f(y)[h]^{2k} / (2k)!,
+    its h-gradient)."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("family", ["log_barrier", "power4", "softplus",
+                                        "quadratic"])
+    def test_grad_matches_fd(self, family, q):
+        o, y, h = even_cases()[family]
+        even = o.expansion_at(y, q)[3]
+        want = fd_grad(lambda hh: even(hh)[0], h)
+        np.testing.assert_allclose(even(h)[1], want, rtol=1e-6, atol=1e-9)
 
 
 class TestInstances:

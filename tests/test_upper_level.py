@@ -437,6 +437,20 @@ class TestRunInexact:
             if "gap_cert" in w:
                 assert g["gap_cert"] == pytest.approx(w["gap_cert"], rel=1e-7)
 
+    @pytest.mark.parametrize("p, F_final", [(4, -1.0694561958087978),
+                                            (5, -1.0746407283237847)])
+    def test_superfast_logbar_at_q2(self, p, F_final):
+        # p >= 4 takes the lower level's q = 2 path: the even part carries
+        # D^4 f, and the step subproblem is the proximal-gradient loop
+        inst = build_builtin("logbar-10-5", seed=0)
+        trace = run(inst, "superfast", p=p, beta=0.1, epsilon=5e-3, budget=40)
+        assert (trace.status, trace.records[-1]["k"]) == ("budget", 40)
+        rep = verify_trace(trace)
+        assert len(rep) == 7
+        for name, res in rep.items():
+            assert res["ok"], (name, res)
+        assert trace.records[-1]["F_val"] == pytest.approx(F_final, rel=1e-12)
+
     def test_epsilon_stopping(self):
         inst = build_builtin("logbar-10-3", seed=2)
         trace = run(inst, "superfast", p=2, beta=0.2, budget=400, epsilon=1e-3)
