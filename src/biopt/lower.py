@@ -66,7 +66,9 @@ class ScalingFunction:
     D^2 f(y), even) (SmoothOracle.expansion_at), and rho(h) is even(h), the
     sum over k with its h-gradient, plus H d_{p+1}(h).  D^2 f(y) (K) and its
     radial solver are built on first use, once for this one anchor; nothing
-    carries one step subproblem into the next.
+    carries one step subproblem into the next.  With the identity metric a
+    quadratic f lends its decompositions instead: Q's eigenbasis for the
+    radial solver and its face blocks' for the face steps (face_solver).
     """
 
     def __init__(self, instance: ProblemInstance, y: np.ndarray, H: float, p: int):
@@ -80,6 +82,9 @@ class ScalingFunction:
             raise DomainViolation("anchor outside the domain of f")
         self.even = self.expansion[3]
         self._K = self._radial = None
+        smooth = instance.smooth
+        self._quadratic = (smooth if instance.metric.is_identity
+                           and isinstance(smooth, QuadraticOracle) else None)
 
     def rho(self, h: np.ndarray, d=None) -> tuple[float, np.ndarray]:
         """rho and its gradient at y + h; d is prox_power(h) if already known."""
@@ -100,12 +105,28 @@ class ScalingFunction:
         identity metric a quadratic f lends it Q's eigenbasis, which the
         oracle makes when it is built (QuadraticOracle.eigenbasis)."""
         if self._radial is None:
-            smooth, metric = self.instance.smooth, self.instance.metric
-            if metric.is_identity and isinstance(smooth, QuadraticOracle):
-                self._radial = eigen_radial_solver(*smooth.eigenbasis, self.H, self.p)
+            if self._quadratic is not None:
+                self._radial = eigen_radial_solver(*self._quadratic.eigenbasis,
+                                                   self.H, self.p)
             else:
-                self._radial = radial_solver(self.K, self.H, self.p, metric.W)
+                self._radial = radial_solver(self.K, self.H, self.p,
+                                             self.instance.metric.W)
         return self._radial
+
+    def face_solver(self, free: np.ndarray):
+        """(K_FA, solver (g, a) -> h_F of the free block's secular equation
+        (K_FF + H r^{p-1} B_FF) h_F = -g, r^2 = ||h_F||^2 + a^2) for the
+        free mask free of a diagonal metric; K_FA couples F to the held
+        coordinates.  With the identity metric a quadratic f lends the
+        block's basis and Q_FA, decomposed once per face
+        (QuadraticOracle.face_basis); otherwise K_FF is decomposed here."""
+        if self._quadratic is not None:
+            lam, S, K_FA = self._quadratic.face_basis(free)
+            return K_FA, eigen_radial_solver(lam, S, self.H, self.p)
+        W = self.instance.metric.W
+        W = None if W is None else W[np.ix_(free, free)]
+        return (self.K[np.ix_(free, ~free)],
+                radial_solver(self.K[np.ix_(free, free)], self.H, self.p, W))
 
 
 def bregman_term(vx: float, gx: np.ndarray, vz: float, d: np.ndarray) -> float:
@@ -142,6 +163,12 @@ def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     None when the face is in tried (which records it) or y + h leaves the
     face (its pattern on F is not x's): there the minimizer over the face
     is not the subproblem's.
+
+    The block's solver comes from ScalingFunction.face_solver, which for a
+    quadratic f under the identity metric reuses the last face's
+    decomposition (QuadraticOracle.face_basis): the same eigh of the same
+    block, so the step is unchanged bit for bit and
+    TestFaceStep::test_second_call_matches_fresh_anchor still holds with ==.
     """
     pattern, free, held, slope = psi.face(x)
     key = pattern.tobytes()
@@ -151,11 +178,9 @@ def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     h = np.where(free, 0.0, held - sf.y)
     if not free.any():
         return h
-    m = sf.instance.metric
-    W = None if m.W is None else m.W[np.ix_(free, free)]
-    g = c_shift[free] / gain + sf.K[np.ix_(free, ~free)] @ h[~free] + slope / gain
-    solve = radial_solver(sf.K[np.ix_(free, free)], sf.H, sf.p, W)
-    h[free] = solve(g, m.norm(h))
+    K_FA, solve = sf.face_solver(free)
+    g = c_shift[free] / gain + K_FA @ h[~free] + slope / gain
+    h[free] = solve(g, sf.instance.metric.norm(h))
     return h if np.all(psi.face(sf.y + h)[0][free] == pattern[free]) else None
 
 

@@ -42,10 +42,15 @@ class Metric:
     """
 
     def __init__(self, B: np.ndarray | None = None, dim: int | None = None):
-        if B is None:
+        if B is None:  # B = I: nothing to check or factor
             if dim is None:
                 raise ValueError("need B or dim")
-            B = np.eye(int(dim))
+            self.dim = int(dim)
+            self.B = np.eye(self.dim)
+            self.is_identity = self.is_diagonal = True
+            self.W = None
+            self.diagonal = np.ones(self.dim)
+            return
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ValueError("B must be square")
@@ -284,18 +289,25 @@ def radial_solver(K: np.ndarray, c: float, p: int, W: np.ndarray | None = None):
     B's factor W (Metric.W, W^T B W = I; None for B = I), the basis S = W V,
     where V diagonalizes W^T K W = V diag(lam) V^T, gives S^T K S =
     diag(lam) and S^T B S = I.  So h = -S (w / (lam + s)) with w = S^T g
-    and the shift s from secular_shift.  K is decomposed once, here; each
-    solve (eigen_radial_solver) makes the two basis changes S^T g and
-    S (w/(lam + s)).
+    and the shift s from secular_shift.  K is decomposed once, here
+    (radial_basis); each solve (eigen_radial_solver) makes the two basis
+    changes S^T g and S (w/(lam + s)).
     """
+    return eigen_radial_solver(*radial_basis(K, W), c, p)
+
+
+def radial_basis(K: np.ndarray, W: np.ndarray | None = None):
+    """radial_solver's basis (lam, S) of K under B's factor W: S^T K S =
+    diag(lam), S^T B S = I, lam clamped at 0 (K is PSD: negative
+    eigenvalues are roundoff).  One eigh; callers that keep the basis
+    (QuadraticOracle.face_basis) hand it to eigen_radial_solver."""
     K = np.asarray(K, dtype=float)
     if W is None:
         lam, S = np.linalg.eigh(K)
     else:
         lam, V = np.linalg.eigh(W.T @ K @ W)
         S = W @ V
-    # K is PSD: negative eigenvalues are roundoff
-    return eigen_radial_solver(np.maximum(lam, 0.0), S, c, p)
+    return np.maximum(lam, 0.0), S
 
 
 def eigen_radial_solver(lam: np.ndarray, S: np.ndarray, c: float, p: int):

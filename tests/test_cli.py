@@ -285,10 +285,15 @@ class TestRun:
         ([1, 2], "instance file must hold a JSON object, got list"),
         ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0], "psi": ["l1"]},
          "psi must be a JSON object, got ['l1']"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0], "name": {"a": 1}},
+         "instance name must be a string, got dict"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0], "name": 3},
+         "instance name must be a string, got int"),
     ])
     def test_malformed_instance_file_is_usage_error(self, runner, tmp_path,
                                                     content, message):
-        # both once raised a bare AttributeError, a traceback with exit 1
+        # the first two once raised a bare AttributeError, a traceback with
+        # exit 1; a non-string name once ran and printed in the summary line
         inst_path = write_config(tmp_path, content, "inst.json")
         cfg = {"instance": {"file": inst_path}, "mode": "exact", "p": 2,
                "H": 1.0, "budget": 5}

@@ -18,6 +18,7 @@ from biopt import (AcceptanceFailure, AcceptedPoint, DomainViolation,
                    solve_acceptable, sprox_reference, subproblem_solve,
                    verify_trace)
 
+from biopt.numerics import radial_solver
 from helpers import fd_grad, recording_root
 
 
@@ -292,6 +293,147 @@ class TestFaceStep:
         assert np.max(np.abs(inside[0] - h)) > 1e-3
         monkeypatch.setattr(biopt.lower, "_face_step", lambda *args: None)
         np.testing.assert_allclose(h, self.solve(inst, y, c, 2), atol=1e-9)
+
+
+def fresh_face_step(sf, gain, c_shift, psi, x):
+    """_face_step with the free block decomposed by a fresh radial_solver,
+    as every face step did before QuadraticOracle kept its faces' bases."""
+    pattern, free, held, slope = psi.face(x)
+    h = np.where(free, 0.0, held - sf.y)
+    if not free.any():
+        return h
+    Q = sf.instance.smooth.Q
+    g = c_shift[free] / gain + Q[np.ix_(free, ~free)] @ h[~free] + slope / gain
+    solve = radial_solver(Q[np.ix_(free, free)], sf.H, sf.p)
+    h[free] = solve(g, sf.instance.metric.norm(h))
+    return h if np.all(psi.face(sf.y + h)[0][free] == pattern[free]) else None
+
+
+def quad10(kind="l1"):
+    base = build_builtin("quad-10", seed=0)
+    d = base.dim
+    psi = (SimpleOracle("l1", weight=0.5) if kind == "l1"
+           else SimpleOracle("box", lo=-0.5 * np.ones(d), hi=0.5 * np.ones(d)))
+    return build_quadratic(base.smooth.Q, base.smooth.c, psi=psi)
+
+
+def inexact_run(inst, p=2, H=1.0):
+    return run(inst, "inexact", p=p, beta=0.1, H=H, budget=200, epsilon=1e-4,
+               R=10.0)
+
+
+def counting_eigh(monkeypatch):
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestFaceMemo:
+    """A quadratic under the identity metric decomposes each face's free
+    block once (QuadraticOracle.face_basis), and keeps the last face only."""
+
+    @pytest.mark.parametrize("kind", ["l1", "box"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_face_step_matches_fresh_radial_solver(self, kind, p):
+        # the faces of the anchor (all free) and of three prox points, each
+        # met again after other faces and right after itself
+        inside = []
+        for seed in range(5):
+            inst, y, c = composite_case(kind, seed)
+            psi, rng = inst.simple, np.random.default_rng(seed)
+            points = [y] + [psi.scaled_prox(1.0, y + s * rng.standard_normal(y.size),
+                                            inst.metric) for s in (0.5, 2.0, 3.0)]
+            sf = ScalingFunction(inst, y, 1.0, p)
+            for x in points + points[::-1] + [points[1], points[1]]:
+                h = biopt.lower._face_step(sf, 1.0, c, psi, x, set())
+                expected = fresh_face_step(sf, 1.0, c, psi, x)
+                assert (h is None) == (expected is None)
+                assert h is None or np.array_equal(h, expected)
+                inside.append(h is not None)
+        assert sum(inside) >= 8
+
+    def test_memo_holds_one_face(self, monkeypatch):
+        smooth = quad10().smooth
+        free_a = np.arange(10) % 2 == 0
+        free_b = np.arange(10) < 7
+        calls = counting_eigh(monkeypatch)
+        smooth.face_basis(free_a)
+        smooth.face_basis(free_a)
+        assert len(calls) == 1
+        smooth.face_basis(free_b)
+        smooth.face_basis(free_a)  # b evicted a
+        assert len(calls) == 3
+        # all free is Q's own eigenbasis: no eigh, and a stays kept
+        lam, S, Q_FA = smooth.face_basis(np.ones(10, dtype=bool))
+        assert lam is smooth.eigenbasis[0] and Q_FA.shape == (10, 0)
+        smooth.face_basis(free_a)
+        assert len(calls) == 3
+
+    def test_one_eigh_per_face_change(self, monkeypatch):
+        inst = quad10()
+        faces, face_basis = [], inst.smooth.face_basis
+
+        def recorded(free):
+            faces.append(free.tobytes())
+            return face_basis(free)
+        monkeypatch.setattr(inst.smooth, "face_basis", recorded)
+        calls = counting_eigh(monkeypatch)
+        trace = inexact_run(inst)
+        assert trace.status == "optimal"
+        changes = sum(i == 0 or face != faces[i - 1] for i, face in enumerate(faces))
+        # one face solve per face step, each an eigh before the memo
+        assert len(calls) <= 1 + changes < len(faces)
+
+    @pytest.mark.parametrize("kind", ["l1", "box"])
+    def test_warm_memo_rerun_is_byte_identical(self, kind, tmp_path):
+        inst = quad10(kind)
+        files = []
+        for i in range(2):  # the second run starts with the memo warm
+            trace = inexact_run(inst)
+            trace.write_ndjson(str(tmp_path / f"{i}.ndjson"))
+            trace.write_csv(str(tmp_path / f"{i}.csv"))
+            files.append([(tmp_path / f"{i}.{ext}").read_bytes()
+                          for ext in ("ndjson", "csv")])
+        assert inst.smooth._face is not None
+        assert files[0] == files[1]
+
+    def test_memo_serves_no_other_metric(self):
+        # a diagonal B reassigned after an identity run decomposes its own
+        # blocks: the run equals one on a fresh instance with that B
+        B = Metric(np.diag(np.linspace(0.5, 2.0, 10)))
+        inst = quad10()
+        inexact_run(inst)
+        inst.metric = B
+        fresh = quad10()
+        fresh.metric = B
+        assert repr(inexact_run(inst).records) == repr(inexact_run(fresh).records)
+
+    def test_other_H_and_p_on_one_instance(self):
+        # the memo holds the basis of Q's block, which H and p do not enter:
+        # face steps of one face under other (H, p), and whole runs
+        inst, y, c = composite_case("l1", 0)
+        rng = np.random.default_rng(0)
+        x = inst.simple.scaled_prox(1.0, y + 0.5 * rng.standard_normal(y.size),
+                                    inst.metric)
+        steps = []
+        for point in (y, x):
+            for H, p in [(1.0, 2), (3.0, 3), (0.5, 2), (1.0, 3)]:
+                sf = ScalingFunction(inst, y, H, p)
+                h = biopt.lower._face_step(sf, 1.0, c, inst.simple, point, set())
+                expected = fresh_face_step(sf, 1.0, c, inst.simple, point)
+                assert (h is None) == (expected is None)
+                assert h is None or np.array_equal(h, expected)
+                steps.append(h is not None)
+        assert sum(steps) >= 4
+        inst = quad10()
+        for H, p in [(1.0, 2), (3.0, 3), (0.5, 2), (1.0, 3)]:
+            trace = inexact_run(inst, p=p, H=H)
+            assert repr(trace.records) == repr(inexact_run(quad10(), p=p, H=H).records)
+            assert all(fam["ok"] for fam in verify_trace(trace).values())
 
 
 class LeftOf(QuadraticOracle):

@@ -36,6 +36,19 @@ class TestMetric:
         assert np.array_equal(m.apply(x), x)
         assert np.array_equal(m.solve(x), x)
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_dim_is_the_identity_matrix(self, n):
+        # Metric(dim=n) sets its fields without building and checking B
+        fast, built = Metric(dim=n), Metric(np.eye(n))
+        assert vars(fast).keys() == vars(built).keys()
+        for name, value in vars(built).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(fast, name).dtype == value.dtype
+                assert np.array_equal(getattr(fast, name), value), name
+            else:
+                assert getattr(fast, name) == value, name
+        assert fast.W is None and fast.is_identity and fast.is_diagonal
+
     def test_spd_roundtrip(self):
         B = random_spd(5, 1)
         m = Metric(B)
