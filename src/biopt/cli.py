@@ -56,13 +56,16 @@ def _run_args(cfg: dict) -> dict:
 
 
 def _prepared(cfg: dict):
-    """(instance, x0) of a config that passes every check run makes, and
-    whose instance file, trace and summary paths, if given, are strings
-    without a NUL."""
+    """(instance, x0) of a config that passes every check run makes, whose
+    seed, if given, is an integer (not a bool), and whose instance file,
+    trace and summary paths, if given, are strings without a NUL."""
     for key in ("trace", "summary"):
         if cfg.get(key):
             _file_path(key, cfg[key])
-    seed = int(os.environ.get("BIOPT_SEED", cfg.get("seed", 0)))
+    seed = cfg.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = int(os.environ.get("BIOPT_SEED", seed))
     instance = _build_instance(cfg.get("instance", "example1d"), seed)
     return instance, check_run(instance, x0=cfg.get("x0"), **_run_args(cfg))[3]
 
@@ -156,12 +159,10 @@ def cmd_verify(trace_path):
     except (OSError, KeyError, TypeError, ValueError) as exc:
         click.echo(f"trace error: {exc}", err=True)
         sys.exit(USAGE_EXIT)
-    failed = False
-    for name, res in sorted(report.items()):
-        mark = "pass" if res["ok"] else f"FAIL at k={res['violations'][:5]}"
-        click.echo(f"{name}: {mark}")
-        failed = failed or not res["ok"]
-    if failed:
+    click.echo("\n".join(
+        f"{name}: " + ("pass" if res["ok"] else f"FAIL at k={res['violations'][:5]}")
+        for name, res in sorted(report.items())))
+    if not all(res["ok"] for res in report.values()):
         sys.exit(SOLVER_EXIT)
 
 

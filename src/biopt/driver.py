@@ -238,49 +238,76 @@ class RunTrace:
     status: str = "running"
 
     def write_ndjson(self, path: str) -> None:
+        """One sorted-key JSON object per line (the status line keeps its
+        insertion order), built as one text and written with one call."""
+        dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps's bytes
+        lines = [dumps({"type": "config", **self.config})]
+        lines += [dumps({"type": "iter", **rec}) for rec in self.records]
+        lines.append(json.dumps({"type": "status", "status": self.status}))
         with open(path, "w") as fh:
-            fh.write(json.dumps({"type": "config", **self.config},
-                                sort_keys=True) + "\n")
-            for rec in self.records:
-                fh.write(json.dumps({"type": "iter", **rec}, sort_keys=True) + "\n")
-            fh.write(json.dumps({"type": "status", "status": self.status}) + "\n")
+            fh.write("\n".join(lines) + "\n")
 
     def write_csv(self, path: str) -> None:
+        rows = [["k", "F_gap", "A", "g_k", "branch", "bisections", "lower_iters"]]
+        rows += [[rec["k"],
+                  "" if rec.get("F_gap") is None else "%.17g" % rec["F_gap"],
+                  "%.17g" % rec["A"],
+                  "" if rec.get("g_k") is None else "%.17g" % rec["g_k"],
+                  rec.get("branch", ""),
+                  rec.get("bisections", 0),
+                  rec.get("lower_iters", 0)] for rec in self.records]
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["k", "F_gap", "A", "g_k", "branch", "bisections",
-                         "lower_iters"])
-            for rec in self.records:
-                gap = rec.get("F_gap")
-                wr.writerow([
-                    rec["k"],
-                    "" if gap is None else "%.17g" % gap,
-                    "%.17g" % rec["A"],
-                    "" if rec.get("g_k") is None else "%.17g" % rec["g_k"],
-                    rec.get("branch", ""),
-                    rec.get("bisections", 0),
-                    rec.get("lower_iters", 0),
-                ])
+            csv.writer(fh).writerows(rows)
 
     @staticmethod
     def from_ndjson(path: str) -> "RunTrace":
+        """The trace in an NDJSON file (its lines as _ndjson_objects reads
+        them); the last config and status lines win."""
         config, records, status = {}, [], "unknown"
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError(f"trace line is not an object: {line[:40]}")
-                kind = obj.pop("type", "iter")
-                if kind == "config":
-                    config = obj
-                elif kind == "status":
-                    status = obj.get("status", "unknown")
-                else:
-                    records.append(obj)
+        for obj in _ndjson_objects(path):
+            kind = obj.pop("type", "iter")
+            if kind == "config":
+                config = obj
+            elif kind == "status":
+                status = obj.get("status", "unknown")
+            else:
+                records.append(obj)
         return RunTrace(config=config, records=records, status=status)
+
+
+def _ndjson_objects(path: str) -> list[dict]:
+    """The objects of an NDJSON file's non-blank lines, in order.
+
+    The lines are parsed as one JSON array, one line per row.  When every
+    line starts with { and ends with } and the file holds no other brace,
+    the array's elements are the lines: no string spans a row (JSON refuses
+    a raw newline in one), so each line's }, closing the innermost open
+    object, closes the object its own { opened.  Otherwise, or if the
+    array does not parse, the lines are parsed one at a time, and the first
+    that is not an object raises ValueError (a json.JSONDecodeError, or one
+    quoting the line).
+    """
+    try:
+        with open(path) as fh:
+            lines = [line for line in map(str.strip, fh.read().split("\n"))
+                     if line]
+        text = ",\n".join(lines)
+        if text.count("{") == text.count("}") == len(lines) \
+                and all(line[0] == "{" and line[-1] == "}" for line in lines):
+            return json.loads(f"[{text}]")
+    except ValueError:  # a UnicodeDecodeError too: the loop below reports it
+        pass
+    objs = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"trace line is not an object: {line[:40]}")
+            objs.append(obj)
+    return objs
 
 
 def _float_or_none(v):
@@ -288,20 +315,24 @@ def _float_or_none(v):
 
 
 def _require(obj: dict, fields: tuple[str, ...], where: str,
-             nullable: tuple[str, ...] = ()) -> None:
-    """Raise ValueError naming every one of fields that obj lacks, else the
-    first of fields and nullable, mode aside, that is not a number (_number);
-    one of nullable may also be null or absent."""
+             nullable: tuple[str, ...] = (), index: int | None = None) -> None:
+    """Raise ValueError naming obj (where, and index if given) and every one
+    of fields that obj lacks, else the first of fields and nullable, mode
+    aside, that is not a number (_number); one of nullable may also be null
+    or absent."""
     missing = [name for name in fields if name not in obj]
+    if not missing:
+        values = [obj[name] for name in fields]
+        values += [v for v in map(obj.get, nullable) if v is not None]
+        try:  # the common case first: finite numbers, no bool, null or string
+            if set(map(type, values)) <= {float, int} and math.isfinite(sum(values)):
+                return
+        except OverflowError:  # an int beyond the float range
+            pass
+    if index is not None:
+        where = f"{where} {index}"
     if missing:
         raise ValueError(f"{where} lacks {', '.join(missing)}")
-    values = [obj[name] for name in fields]
-    values += [v for v in map(obj.get, nullable) if v is not None]
-    try:  # the common case first: finite numbers, no bool, null or string
-        if set(map(type, values)) <= {float, int} and math.isfinite(sum(values)):
-            return
-    except OverflowError:  # an int beyond the float range
-        pass
     for name in fields + nullable:
         v = obj.get(name)
         if name != "mode" and not (v is None and name in nullable or _number(v)):
@@ -326,7 +357,8 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
     set H.  oracle is the exact segment-search oracle (exact mode), x0 the
     given one, else the instance's, else zeros; f(x0) and psi(x0) must be
     finite.  The lower level's method is of order 2q, q = floor(p/2), so
-    inexact and superfast modes need p >= 2."""
+    inexact and superfast modes need p >= 2.  The l1 and box prox need a
+    diagonal metric, so a psi other than zero needs one too."""
     if mode not in ("exact", "inexact", "superfast"):
         raise ValueError(f"unknown mode {mode!r}")
     if not _number(p, numbers.Integral) or p < (1 if mode == "exact" else 2):
@@ -343,6 +375,9 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
     for name, v in (("H", H), ("M_next", M_next), ("epsilon", epsilon), ("R", R)):
         if v is not None and not (_number(v) and v > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    if instance.simple.kind != "zero" and not instance.metric.is_diagonal:
+        raise ValueError(f"psi {instance.simple.kind} needs a diagonal "
+                         f"metric; the instance's metric is not diagonal")
     smooth, slack_floor, oracle = instance.smooth, None, None
     if mode == "exact":
         oracle = make_sprox_oracle(instance, H, p)
@@ -400,6 +435,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
         "x0": x0.tolist(),
     }
     trace = RunTrace(config=config)
+    rates = step_rates(mode, H, p, beta)
 
     def record(step_info: dict | None) -> dict:
         # a step that evaluated f at its new x reports it as "f"
@@ -433,7 +469,7 @@ def run(instance: ProblemInstance, mode: str, p: int = 3,
                     f"a point left the region where the bound M_{p + 1} that "
                     f"set H holds, at k={state.k}")
         bad = invariant_violations(
-            config, trace.records[-1] if trace.records else None, rec)
+            config, rates, trace.records[-1] if trace.records else None, rec)
         if bad:
             raise InvariantViolation(f"invariants {bad} failed at k={state.k}",
                                      k=state.k, families=bad)
@@ -478,7 +514,7 @@ def rate_fit(trace: RunTrace, k_min: int, k_max: int) -> tuple[float, list[str]]
     if F_star is None:
         raise BioptError("trace has no known optimal value")
     for i, rec in enumerate(trace.records):
-        _require(rec, ("k", "F_val"), f"trace record {i}")
+        _require(rec, ("k", "F_val"), "trace record", index=i)
     ks, gaps = [], []
     for rec in trace.records:
         k = rec["k"]
@@ -497,14 +533,16 @@ def rate_fit(trace: RunTrace, k_min: int, k_max: int) -> tuple[float, list[str]]
     return slope, warnings
 
 
-def invariant_violations(config: dict, prev: dict | None, rec: dict) -> list[str]:
+def invariant_violations(config: dict, rates: tuple[float, float],
+                         prev: dict | None, rec: dict) -> list[str]:
     """The invariant families that record rec breaks after record prev (None
-    for the first); run and verify_trace both call it.  Sums, bounds and
-    recurrences are recomputed from the config and the recorded k, F_val, A,
-    B_cert, a and g_k.  A field the config makes required fails each family
-    that reads it when it is missing."""
+    for the first); run and verify_trace both call it, with the config's
+    step_rates (c0, b0) as rates.  Sums, bounds and recurrences are
+    recomputed from the config and the recorded k, F_val, A, B_cert, a and
+    g_k.  A field the config makes required fails each family that reads it
+    when it is missing."""
     p, F_star, R, R0 = config["p"], config["F_star"], config["R"], config["R0"]
-    c0, b0 = step_rates(config["mode"], config["H"], p, config["beta"])
+    c0, b0 = rates
     k, F, A, B = rec["k"], rec["F_val"], rec["A"], rec["B_cert"]
     a, g_k, res = rec.get("a"), rec.get("g_k"), rec.get("residual")
     g_ok = g_k is not None and g_k > 0.0
@@ -564,15 +602,19 @@ def verify_trace(trace: RunTrace) -> dict:
     ValueError names any field that every check reads and the config or a
     record lacks, and any field a check reads that has the wrong type.
     """
-    _require(trace.config, ("mode", "p", "H", "beta", "F_star", "R", "R0"),
+    config = trace.config
+    _require(config, ("mode", "p", "H", "beta", "F_star", "R", "R0"),
              "trace config", nullable=("F_star", "R", "R0"))
     checks = {name: [] for name in FAMILIES}
     prev = None
     for i, rec in enumerate(trace.records):
-        _require(rec, ("k", "F_val", "A", "B_cert"), f"trace record {i}",
+        _require(rec, ("k", "F_val", "A", "B_cert"), "trace record",
                  nullable=("a", "g_k", "residual", "psi_star", "psi_at_xstar",
-                           "gap_cert", "F_gap"))
-        for name in invariant_violations(trace.config, prev, rec):
+                           "gap_cert", "F_gap"), index=i)
+        if prev is None:  # a config's rates are read only if it has records
+            rates = step_rates(config["mode"], config["H"], config["p"],
+                               config["beta"])
+        for name in invariant_violations(config, rates, prev, rec):
             checks[name].append(rec["k"])
         prev = rec
     return {name: {"ok": not bad, "violations": bad}

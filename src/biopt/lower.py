@@ -203,14 +203,15 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     s(h+d) <= s(h) + grad s(h) . d + ||d||^2/t, a factor 2 looser than the
     classical test; proximal gradient still converges for steps t < 2/L.
 
-    For q = 1, l1 or box psi and a diagonal metric, each step that misses
-    the tolerance is followed by a face step: the first time a call meets
-    a face, it jumps to the minimizer on that face when it lies strictly
-    inside it (_face_step).  The jump's point is returned when -grad s there
-    is a subgradient of psi to within the tolerance (the subproblem's
-    optimality condition, which AcceptedPoint checks of the step's witness
-    g = -grad s); otherwise the next step's residual accepts or rejects it,
-    so a wrong face costs only the proximal-gradient steps that follow.
+    For q = 1 and l1 or box psi (their prox needs a diagonal metric, which
+    check_run requires), each step that misses the tolerance is followed
+    by a face step: the first time a call meets a face, it jumps to the
+    minimizer on that face when it lies strictly inside it (_face_step).
+    The jump's point is returned when -grad s there is a subgradient of psi
+    to within the tolerance (the subproblem's optimality condition, which
+    AcceptedPoint checks of the step's witness g = -grad s); otherwise the
+    next step's residual accepts or rejects it, so a wrong face costs only
+    the proximal-gradient steps that follow.
 
     Each call starts with a face step on the anchor's face and backtracks
     from t = 1/gain; it depends only on its arguments.
@@ -221,7 +222,7 @@ def subproblem_solve(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     tol = subproblem_tol(m.dual_norm(c_shift))
 
     y = sf.y
-    faces = set() if sf.q == 1 and m.is_diagonal else None
+    faces = set() if sf.q == 1 else None
     t = 1.0 / gain
     h = None if faces is None else _face_step(sf, gain, c_shift, psi, y, faces)
     jumped = h is not None

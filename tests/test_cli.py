@@ -215,6 +215,16 @@ class TestRun:
         # a different seed builds a different instance, so F* moves
         assert a.config["F_star"] != b.config["F_star"]
 
+    @pytest.mark.parametrize("seed", [math.inf, 1.5, True])
+    def test_non_integer_seed_is_usage_error(self, runner, tmp_path, seed):
+        # int() once raised OverflowError on Infinity and ran 1.5 and true
+        # as seed 1
+        cfg = {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,
+               "budget": 5, "seed": seed}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output == f"config error: seed must be an integer, got {seed!r}\n"
+
     def test_instance_from_file(self, runner, tmp_path):
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(json.dumps(

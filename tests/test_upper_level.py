@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 
 import numpy as np
@@ -402,6 +403,18 @@ class TestRunInexact:
         with pytest.raises(ValueError, match=r"beta out of range"):
             run(inst, "inexact", p=3, beta=0.9, H=1.0)
 
+    def test_psi_needs_a_diagonal_metric(self):
+        # the l1 prox under a dense B once raised NotImplementedError mid-run
+        base = build_builtin("quad-5", seed=0)
+        inst = build_quadratic(base.smooth.Q, base.smooth.c,
+                               psi=SimpleOracle("l1", weight=0.5))
+        args = dict(p=2, beta=0.0, H=1.0, R=10.0, x0=np.ones(5))
+        inst.metric = Metric(np.eye(5) + 0.3 * np.ones((5, 5)))
+        with pytest.raises(ValueError, match="psi l1 needs a diagonal metric"):
+            run(inst, "inexact", **args)
+        inst.metric = Metric(np.diag(np.linspace(0.5, 2.0, 5)))
+        assert verify_trace(run(inst, "inexact", **args))["gap_bound"]["ok"]
+
     def test_superfast_needs_derivative_bound(self):
         inst = build_builtin("quad-3", seed=1)  # M_4 = 0 for a quadratic
         with pytest.raises(ValueError, match="positive M"):
@@ -537,6 +550,100 @@ class TestTraceIO:
         header = a.read_text().splitlines()[0]
         assert header == "k,F_gap,A,g_k,branch,bisections,lower_iters"
 
+    @staticmethod
+    def pinned_traces():
+        """An exact and an inexact l1 quad-5 run (both end optimal) and a
+        superfast logbar-10-5 run (budget); record 0 has null fields."""
+        quad = build_builtin("quad-5", seed=0)
+        l1 = build_quadratic(quad.smooth.Q, quad.smooth.c, name="quad-5-l1",
+                             psi=SimpleOracle("l1", weight=0.5))
+        return [run(quad, "exact", p=2, H=1.0, budget=50),
+                run(l1, "inexact", p=2, beta=0.1, H=1.0, budget=40,
+                    x0=np.ones(5)),
+                run(build_builtin("logbar-10-5", seed=0), "superfast", p=3,
+                    beta=0.2, budget=10)]
+
+    def test_bytes_are_pinned(self, tmp_path):
+        # NDJSON: one json.dumps(..., sort_keys=True) line per object, the
+        # status line in insertion order; CSV: %.17g fields, CRLF rows
+        def g17(v):
+            return "" if v is None else "%.17g" % v
+
+        traces = self.pinned_traces()
+        assert [t.status for t in traces] == ["optimal", "optimal", "budget"]
+        for trace in traces:
+            assert trace.records[0]["g_k"] is None
+            nd, summary = tmp_path / "t.ndjson", tmp_path / "t.csv"
+            trace.write_ndjson(str(nd))
+            trace.write_csv(str(summary))
+            objs = [{"type": "config", **trace.config}]
+            objs += [{"type": "iter", **rec} for rec in trace.records]
+            want = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+            want += '{"type": "status", "status": "%s"}\n' % trace.status
+            assert nd.read_bytes() == want.encode()
+            rows = ["k,F_gap,A,g_k,branch,bisections,lower_iters"]
+            rows += [f"{r['k']},{g17(r['F_gap'])},{g17(r['A'])},{g17(r['g_k'])},"
+                     f"{r['branch'] or ''},{r['bisections']},{r['lower_iters']}"
+                     for r in trace.records]
+            assert summary.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
+            back = RunTrace.from_ndjson(str(nd))
+            assert (back.config, back.records, back.status) == \
+                (trace.config, trace.records, trace.status)
+
+    def test_braces_in_strings_read_back(self, tmp_path):
+        # a string holding { or } is read line by line, to the same trace
+        trace = self.make_trace()
+        trace.config["instance"] = "quad-2 {x}"
+        trace.records[1]["branch"] = "}{"
+        path = tmp_path / "t.ndjson"
+        trace.write_ndjson(str(path))
+        back = RunTrace.from_ndjson(str(path))
+        assert (back.config, back.records, back.status) == \
+            (trace.config, trace.records, trace.status)
+
+    CONFIG = '{"type": "config", "mode": "exact", "p": 2}'
+    RECORD = '{"k": 0, "F_val": 1.0, "A": 0.0, "B_cert": 0.0}'
+    STATUS = '{"type": "status", "status": "budget"}'
+
+    @pytest.mark.parametrize("lines, message", [
+        ([CONFIG, RECORD + " " + STATUS], "Extra data: line 1 column 49"),
+        ([CONFIG, RECORD + ", " + STATUS], "Extra data: line 1 column 48"),
+        ([CONFIG, RECORD, "3.5", STATUS], "trace line is not an object: 3.5$"),
+        ([CONFIG, "[1, 2]", STATUS], r"trace line is not an object: \[1, 2\]$"),
+        ([CONFIG, RECORD, RECORD[:20]], "Expecting ',' delimiter: line 1 column 20"),
+        # a string that would run into the next line
+        (['{"type": "config", "mode": "x}', '{"}', STATUS],
+         "Unterminated string starting at: line 1 column 28"),
+        # two objects on a line, the second closed on the next one: as one
+        # array the lines hold two objects, but neither line is one
+        ([CONFIG + ', {"a": [{}', '{}]}'], "Extra data: line 1 column 44"),
+    ], ids=["two-objects", "two-objects-comma", "scalar", "non-object",
+            "truncated", "string-across-lines", "object-across-lines"])
+    def test_malformed_lines_are_refused(self, tmp_path, lines, message):
+        # the messages are the line-by-line reader's, one line at a time
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            RunTrace.from_ndjson(str(path))
+        result = CliRunner().invoke(main, ["verify", str(path)])
+        assert result.exit_code == 2
+        assert result.output.count("trace error:") == 1
+        assert len(result.output.splitlines()) == 1
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        trace = self.make_trace()
+        path = tmp_path / "t.ndjson"
+        trace.write_ndjson(str(path))
+        plain = CliRunner().invoke(main, ["verify", str(path)])
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n  \n".join(lines) + "\n\n\t\n")
+        back = RunTrace.from_ndjson(str(path))
+        assert (back.config, back.records, back.status) == \
+            (trace.config, trace.records, trace.status)
+        spaced = CliRunner().invoke(main, ["verify", str(path)])
+        assert (spaced.exit_code, spaced.output) == (plain.exit_code, plain.output) \
+            == (0, "".join(f"{name}: pass\n" for name in sorted(biopt.driver.FAMILIES)))
+
 
 class TestRateFit:
     def synthetic_trace(self, slope):
@@ -668,6 +775,20 @@ class TestVerifyTrace:
         else:
             assert result.exit_code == 1
             assert f"{family}: FAIL" in result.output
+
+    def test_config_rates_are_read_at_the_first_record(self):
+        # a trace without records replays nothing, so a mode none of the
+        # drivers has raises only once a record needs the rates
+        config = {"mode": "bogus", "p": 2, "H": 1.0, "beta": 0.0,
+                  "F_star": None, "R": None, "R0": None}
+        trace = RunTrace(config=config, records=[])
+        assert all(res["ok"] for res in verify_trace(trace).values())
+        trace.records.append({"k": 0, "F_val": 1.0, "A": 0.0})
+        with pytest.raises(ValueError, match="^trace record 0 lacks B_cert$"):
+            verify_trace(trace)
+        trace.records[0]["B_cert"] = 0.0
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            verify_trace(trace)
 
     def test_run_raises_on_broken_invariant(self, monkeypatch):
         monkeypatch.setattr(biopt.driver, "gap_certificate",
