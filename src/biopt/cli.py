@@ -58,14 +58,21 @@ def _run_args(cfg: dict) -> dict:
 def _prepared(cfg: dict):
     """(instance, x0) of a config that passes every check run makes, whose
     seed, if given, is an integer (not a bool), and whose instance file,
-    trace and summary paths, if given, are strings without a NUL."""
+    trace and summary paths, if given, are strings without a NUL.
+    BIOPT_SEED, if set, overrides the seed and must read as an integer."""
     for key in ("trace", "summary"):
         if cfg.get(key):
             _file_path(key, cfg[key])
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    seed = int(os.environ.get("BIOPT_SEED", seed))
+    env_seed = os.environ.get("BIOPT_SEED")
+    if env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"BIOPT_SEED must be an integer, "
+                             f"got {env_seed!r}") from None
     instance = _build_instance(cfg.get("instance", "example1d"), seed)
     return instance, check_run(instance, x0=cfg.get("x0"), **_run_args(cfg))[3]
 

@@ -357,8 +357,10 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
     set H.  oracle is the exact segment-search oracle (exact mode), x0 the
     given one, else the instance's, else zeros; f(x0) and psi(x0) must be
     finite.  The lower level's method is of order 2q, q = floor(p/2), so
-    inexact and superfast modes need p >= 2.  The l1 and box prox need a
-    diagonal metric, so a psi other than zero needs one too."""
+    inexact and superfast modes need p >= 2 and the oracle's derivatives up
+    to order 2q, or p + 1 where superfast reads M_{p+1} from it.  The l1
+    and box prox need a diagonal metric, so a psi other than zero needs one
+    too."""
     if mode not in ("exact", "inexact", "superfast"):
         raise ValueError(f"unknown mode {mode!r}")
     if not _number(p, numbers.Integral) or p < (1 if mode == "exact" else 2):
@@ -375,6 +377,11 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
     for name, v in (("H", H), ("M_next", M_next), ("epsilon", epsilon), ("R", R)):
         if v is not None and not (_number(v) and v > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    order = p + 1 if mode == "superfast" and M_next is None else 2 * (p // 2)
+    top = instance.smooth.max_order
+    if mode != "exact" and top is not None and order > top:
+        raise ValueError(f"{mode} mode at p = {p} needs derivatives of f up to "
+                         f"order {order}; its oracle gives them up to order {top}")
     if instance.simple.kind != "zero" and not instance.metric.is_diagonal:
         raise ValueError(f"psi {instance.simple.kind} needs a diagonal "
                          f"metric; the instance's metric is not diagonal")

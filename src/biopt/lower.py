@@ -18,7 +18,7 @@ from .acceptance import (ACCEPTANCE_ABS, AcceptedPoint, acceptable, evaluate,
                          subproblem_tol)
 from .config import (AcceptanceFailure, DomainViolation, OptimalityReached,
                      SubproblemStall)
-from .numerics import eigen_radial_solver, prox_power, radial_solver
+from .numerics import block_basis, eigen_radial_solver, prox_power
 from .problems import ProblemInstance, QuadraticOracle, SimpleOracle
 
 
@@ -64,11 +64,9 @@ class ScalingFunction:
     subproblem's gradient) takes them from it.  Building it makes the
     anchor's one oracle evaluation, expansion = (f(y), grad f(y), a thunk of
     D^2 f(y), even) (SmoothOracle.expansion_at), and rho(h) is even(h), the
-    sum over k with its h-gradient, plus H d_{p+1}(h).  D^2 f(y) (K) and its
+    sum over k with its h-gradient, plus H d_{p+1}(h).  D^2 f(y) (K) and the
     radial solver are built on first use, once for this one anchor; nothing
-    carries one step subproblem into the next.  With the identity metric a
-    quadratic f lends its decompositions instead: Q's eigenbasis for the
-    radial solver and its face blocks' for the face steps (face_solver).
+    carries one step subproblem into the next.
     """
 
     def __init__(self, instance: ProblemInstance, y: np.ndarray, H: float, p: int):
@@ -82,9 +80,6 @@ class ScalingFunction:
             raise DomainViolation("anchor outside the domain of f")
         self.even = self.expansion[3]
         self._K = self._radial = None
-        smooth = instance.smooth
-        self._quadratic = (smooth if instance.metric.is_identity
-                           and isinstance(smooth, QuadraticOracle) else None)
 
     def rho(self, h: np.ndarray, d=None) -> tuple[float, np.ndarray]:
         """rho and its gradient at y + h; d is prox_power(h) if already known."""
@@ -101,32 +96,25 @@ class ScalingFunction:
 
     @property
     def radial(self):
-        """Solver g -> h of (D^2 f(y) + H ||h||^{p-1} B) h = -g; with the
-        identity metric a quadratic f lends it Q's eigenbasis, which the
-        oracle makes when it is built (QuadraticOracle.eigenbasis)."""
+        """Solver g -> h of (D^2 f(y) + H ||h||^{p-1} B) h = -g: face_solver's
+        all-free solver."""
         if self._radial is None:
-            if self._quadratic is not None:
-                self._radial = eigen_radial_solver(*self._quadratic.eigenbasis,
-                                                   self.H, self.p)
-            else:
-                self._radial = radial_solver(self.K, self.H, self.p,
-                                             self.instance.metric.W)
+            self._radial = self.face_solver(np.ones(self.y.size, dtype=bool))[1]
         return self._radial
 
     def face_solver(self, free: np.ndarray):
         """(K_FA, solver (g, a) -> h_F of the free block's secular equation
         (K_FF + H r^{p-1} B_FF) h_F = -g, r^2 = ||h_F||^2 + a^2) for the
-        free mask free of a diagonal metric; K_FA couples F to the held
-        coordinates.  With the identity metric a quadratic f lends the
-        block's basis and Q_FA, decomposed once per face
-        (QuadraticOracle.face_basis); otherwise K_FF is decomposed here."""
-        if self._quadratic is not None:
-            lam, S, K_FA = self._quadratic.face_basis(free)
-            return K_FA, eigen_radial_solver(lam, S, self.H, self.p)
-        W = self.instance.metric.W
-        W = None if W is None else W[np.ix_(free, free)]
-        return (self.K[np.ix_(free, ~free)],
-                radial_solver(self.K[np.ix_(free, free)], self.H, self.p, W))
+        free mask free (B is diagonal unless all are free); K_FA couples F
+        to the held coordinates.  The basis is numerics.block_basis of K
+        under B's factor W, which a quadratic f keeps across anchors
+        (QuadraticOracle.face_basis)."""
+        smooth, W = self.instance.smooth, self.instance.metric.W
+        if isinstance(smooth, QuadraticOracle):
+            lam, S, K_FA = smooth.face_basis(free, W)
+        else:
+            lam, S, K_FA = block_basis(self.K, free, W)
+        return K_FA, eigen_radial_solver(lam, S, self.H, self.p)
 
 
 def bregman_term(vx: float, gx: np.ndarray, vz: float, d: np.ndarray) -> float:
@@ -165,9 +153,9 @@ def _face_step(sf: ScalingFunction, gain: float, c_shift: np.ndarray,
     is not the subproblem's.
 
     The block's solver comes from ScalingFunction.face_solver, which for a
-    quadratic f under the identity metric reuses the last face's
-    decomposition (QuadraticOracle.face_basis): the same eigh of the same
-    block, so the step is unchanged bit for bit and
+    quadratic f reuses the last face's decomposition
+    (QuadraticOracle.face_basis): the same eigh of the same block, so the
+    step is unchanged bit for bit and
     TestFaceStep::test_second_call_matches_fresh_anchor still holds with ==.
     """
     pattern, free, held, slope = psi.face(x)

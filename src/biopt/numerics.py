@@ -299,8 +299,7 @@ def radial_solver(K: np.ndarray, c: float, p: int, W: np.ndarray | None = None):
 def radial_basis(K: np.ndarray, W: np.ndarray | None = None):
     """radial_solver's basis (lam, S) of K under B's factor W: S^T K S =
     diag(lam), S^T B S = I, lam clamped at 0 (K is PSD: negative
-    eigenvalues are roundoff).  One eigh; callers that keep the basis
-    (QuadraticOracle.face_basis) hand it to eigen_radial_solver."""
+    eigenvalues are roundoff).  One eigh."""
     K = np.asarray(K, dtype=float)
     if W is None:
         lam, S = np.linalg.eigh(K)
@@ -308,6 +307,18 @@ def radial_basis(K: np.ndarray, W: np.ndarray | None = None):
         lam, V = np.linalg.eigh(W.T @ K @ W)
         S = W @ V
     return np.maximum(lam, 0.0), S
+
+
+def block_basis(K: np.ndarray, free: np.ndarray, W: np.ndarray | None = None):
+    """(lam_F, S_F, K_FA) for the free mask free: radial_basis of K_FF
+    under W_FF (B_FF's factor for a diagonal W, as on every face a
+    composite step meets; all free is radial_basis(K, W) for any W), and
+    the block K_FA that couples F to the held coordinates A."""
+    if free.all():
+        return (*radial_basis(K, W), K[:, :0])
+    block = np.ix_(free, free)
+    return (*radial_basis(K[block], None if W is None else W[block]),
+            K[np.ix_(free, ~free)])
 
 
 def eigen_radial_solver(lam: np.ndarray, S: np.ndarray, c: float, p: int):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import BioptError
-from .numerics import Metric, golden_section, radial_basis
+from .numerics import Metric, block_basis, golden_section
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +207,10 @@ def _softplus_deriv(t: np.ndarray, n: int) -> np.ndarray:
     raise NotImplementedError(f"softplus derivative order {n} not tabulated")
 
 
-_FAMILIES = {
-    "log_barrier": (_logbar_deriv, True),   # (deriv fn, has open domain t > 0)
-    "power4": (_power4_deriv, False),
-    "softplus": (_softplus_deriv, False),
+_FAMILIES = {  # (deriv fn, has open domain t > 0, highest order or None)
+    "log_barrier": (_logbar_deriv, True, None),
+    "power4": (_power4_deriv, False, None),
+    "softplus": (_softplus_deriv, False, 6),
 }
 
 
@@ -240,9 +240,11 @@ class SmoothOracle:
     deriv_bound(order) gives a declared bound M_order(f), if any, which
     holds where every slack is at least slack_min (everywhere when None);
     pop_min_slack reports the smallest slack evaluated since its last call.
+    max_order is the highest derivative order either can give (None: any).
     """
 
     slack_min: float | None = None
+    max_order: int | None = None
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -313,7 +315,7 @@ class SeparableOracle(SmoothOracle):
             raise ValueError(f"slack_min must be a positive finite number, "
                              f"got {slack_min!r}")
         self.family = family
-        self.deriv, self.open_domain = _FAMILIES[family]
+        self.deriv, self.open_domain, self.max_order = _FAMILIES[family]
         self.slack_min = slack_min
         self._min_slack = math.inf
 
@@ -416,16 +418,17 @@ class QuadraticOracle(SmoothOracle):
     and serves the exact segment prox and the radial solver.  lam is
     clamped at 0, as the negative eigenvalues that pass are roundoff.
 
-    face_basis(free) serves the lower level's face steps under the
-    identity metric (lower.ScalingFunction.face_solver): Q_FF is the same
-    at every anchor, so each face's block is decomposed once, not once per
-    face step.  The decomposition is numerics.radial_basis, the eigh that
-    radial_solver makes of the block, so every face step equals one with a
-    fresh radial_solver bit for bit; an all-free face reads eigenbasis.
-    Only the last face is kept: on the composite-cli panel a run makes 9.07
-    face solves, which this memo serves with 3.47 decompositions and an
-    unbounded one would with 3.40.  The memo holds arrays, not closures, so
-    a prepared instance still pickles.
+    face_basis(free, W) serves the lower level's radial and face solves
+    under B's factor W (lower.ScalingFunction.face_solver): Q and B are the
+    same at every anchor, so each face's block is decomposed once, not once
+    per solve, by numerics.block_basis, the eigh that radial_solver makes of
+    it; every solve equals one with a fresh radial_solver bit for bit, and
+    all free under B = I reads eigenbasis.  Only the last face and W are
+    kept (W by identity, so a reassigned instance.metric is never served
+    another's basis): a composite-cli panel run makes 9.07 face solves,
+    which this memo serves with 3.47 decompositions and an unbounded one
+    would with 3.40.  The memo holds arrays, not closures, so a prepared
+    instance still pickles.
     """
 
     def __init__(self, Q: np.ndarray, c: np.ndarray):
@@ -442,23 +445,21 @@ class QuadraticOracle(SmoothOracle):
             raise ValueError(f"Q must be positive semidefinite, its smallest "
                              f"eigenvalue is {lam[0]:.6g}")
         self.eigenbasis = (np.maximum(lam, 0.0), S)
-        self._face = None  # (free.tobytes(), lam_F, S_F, Q_FA) of the last face
+        self._face = None  # (free.tobytes(), W, lam_F, S_F, Q_FA) of the last face
 
     @property
     def dim(self) -> int:
         return self.Q.shape[0]
 
-    def face_basis(self, free: np.ndarray):
-        """(lam_F, S_F, Q_FA) for the free mask free: S_F^T Q_FF S_F =
-        diag(lam_F) with S_F orthogonal, and the block Q_FA that couples F
-        to the held coordinates A.  Callers must not write to them."""
-        if free.all():  # the block is Q, whose basis is already made
+    def face_basis(self, free: np.ndarray, W: np.ndarray | None = None):
+        """numerics.block_basis(Q, free, W), (lam_F, S_F, Q_FA), which
+        callers must not write to."""
+        if W is None and free.all():  # Q's own basis, already made
             return (*self.eigenbasis, self.Q[:, :0])
         key = free.tobytes()
-        if self._face is None or self._face[0] != key:
-            self._face = (key, *radial_basis(self.Q[np.ix_(free, free)]),
-                          self.Q[np.ix_(free, ~free)])
-        return self._face[1:]
+        if self._face is None or self._face[0] != key or self._face[1] is not W:
+            self._face = (key, W, *block_basis(self.Q, free, W))
+        return self._face[2:]
 
     def value(self, x: np.ndarray) -> float:
         return self.value_grad(x)[0]

@@ -225,6 +225,42 @@ class TestRun:
         assert result.exit_code == 2
         assert result.output == f"config error: seed must be an integer, got {seed!r}\n"
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_non_integer_env_seed_is_usage_error(self, runner, tmp_path, value):
+        # int()'s own message once stood alone: "invalid literal for int()
+        # with base 10: 'abc'" named no input
+        cfg = {"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0,
+               "budget": 5}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)],
+                               env={"BIOPT_SEED": value})
+        assert result.exit_code == 2
+        assert result.output == (f"config error: BIOPT_SEED must be an integer, "
+                                 f"got {value!r}\n")
+
+    @pytest.mark.parametrize("mode, p, order", [("superfast", 6, 7),
+                                                ("inexact", 8, 8)])
+    def test_untabulated_softplus_order_is_usage_error(self, runner, tmp_path,
+                                                        mode, p, order):
+        # softplus derivatives are tabulated up to order 6: superfast at
+        # p = 6 reads M_7 and inexact at p = 8 expands to order 8, which
+        # once raised NotImplementedError tracebacks (exit 1), the inexact
+        # one mid-run
+        rng = np.random.default_rng(0)
+        inst_path = tmp_path / "softplus.json"
+        inst_path.write_text(json.dumps(
+            {"family": "softplus", "A": rng.standard_normal((6, 3)).tolist(),
+             "b": rng.standard_normal(6).tolist()}))
+        cfg = {"instance": {"file": str(inst_path)}, "mode": mode, "p": p,
+               "budget": 5, **({"H": 1.0} if mode == "inexact" else {})}
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output.count("config error:") == 1
+        assert f"up to order {order}; its oracle gives them up to order 6" \
+            in result.output
+        # one order lower is tabulated, and check_run passes it
+        inst = biopt.problems.load_instance(str(inst_path))
+        check_run(inst, mode, p=p - 1, **({"H": 1.0} if mode == "inexact" else {}))
+
     def test_instance_from_file(self, runner, tmp_path):
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(json.dumps(

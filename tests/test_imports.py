@@ -9,7 +9,10 @@ another.  psi's faces and B's diagonal have one owner each
 (SimpleOracle.face, Metric.diagonal), so the drivers and the lower level
 read neither psi's parameters nor B.  B's factor has one owner too
 (Metric.W): no module but numerics calls cholesky or inv, and the drivers
-and the lower level construct no Metric.  So does a quadratic's spectrum
+and the lower level construct no Metric.  Whether B = I is asked only in
+numerics (Metric) and in segment's exact-oracle dispatch: the driver, the
+lower level and the acceptance test read no is_identity, as every metric
+takes one path there.  So does a quadratic's spectrum
 (QuadraticOracle.eigenbasis): no module but numerics and problems calls
 eigh, eigvalsh or svd, and QuadraticOracle makes one such call, in
 __init__.  And so does the scalar root finder (monotone_root): no module
@@ -88,6 +91,22 @@ def test_guard_sees_owner_reads():
 @pytest.mark.parametrize("name", ["lower.py", "driver.py"])
 def test_faces_and_diagonal_have_one_owner(name):
     assert owner_reads((SRC / name).read_text()) == []
+
+
+def identity_reads(source: str) -> list[str]:
+    """Reads of a metric's is_identity."""
+    return [f"{node.lineno}: .is_identity" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "is_identity"]
+
+
+def test_guard_sees_identity_reads():
+    source = "m.is_identity\nm.is_diagonal\nif metric.is_identity:\n    pass\n"
+    assert identity_reads(source) == ["1: .is_identity", "3: .is_identity"]
+
+
+@pytest.mark.parametrize("name", ["lower.py", "driver.py", "acceptance.py"])
+def test_one_path_for_every_metric(name):
+    assert identity_reads((SRC / name).read_text()) == []
 
 
 def private_imports(source: str) -> list[str]:

@@ -302,9 +302,10 @@ def fresh_face_step(sf, gain, c_shift, psi, x):
     h = np.where(free, 0.0, held - sf.y)
     if not free.any():
         return h
-    Q = sf.instance.smooth.Q
+    Q, W = sf.instance.smooth.Q, sf.instance.metric.W
     g = c_shift[free] / gain + Q[np.ix_(free, ~free)] @ h[~free] + slope / gain
-    solve = radial_solver(Q[np.ix_(free, free)], sf.H, sf.p)
+    solve = radial_solver(Q[np.ix_(free, free)], sf.H, sf.p,
+                          None if W is None else W[np.ix_(free, free)])
     h[free] = solve(g, sf.instance.metric.norm(h))
     return h if np.all(psi.face(sf.y + h)[0][free] == pattern[free]) else None
 
@@ -333,28 +334,32 @@ def counting_eigh(monkeypatch):
 
 
 class TestFaceMemo:
-    """A quadratic under the identity metric decomposes each face's free
-    block once (QuadraticOracle.face_basis), and keeps the last face only."""
+    """A quadratic decomposes each face's free block once per metric
+    (QuadraticOracle.face_basis), and keeps the last face only."""
 
     @pytest.mark.parametrize("kind", ["l1", "box"])
     @pytest.mark.parametrize("p", [2, 3])
     def test_face_step_matches_fresh_radial_solver(self, kind, p):
         # the faces of the anchor (all free) and of three prox points, each
-        # met again after other faces and right after itself
-        inside = []
-        for seed in range(5):
-            inst, y, c = composite_case(kind, seed)
-            psi, rng = inst.simple, np.random.default_rng(seed)
-            points = [y] + [psi.scaled_prox(1.0, y + s * rng.standard_normal(y.size),
-                                            inst.metric) for s in (0.5, 2.0, 3.0)]
-            sf = ScalingFunction(inst, y, 1.0, p)
-            for x in points + points[::-1] + [points[1], points[1]]:
-                h = biopt.lower._face_step(sf, 1.0, c, psi, x, set())
-                expected = fresh_face_step(sf, 1.0, c, psi, x)
-                assert (h is None) == (expected is None)
-                assert h is None or np.array_equal(h, expected)
-                inside.append(h is not None)
-        assert sum(inside) >= 8
+        # met again after other faces and right after itself, under B = I
+        # and a diagonal B; seven seeds, as under the diagonal B fewer l1
+        # face steps land inside their face
+        for diagonal in (False, True):
+            inside = []
+            for seed in range(7):
+                inst, y, c = composite_case(kind, seed, diagonal=diagonal)
+                psi, rng = inst.simple, np.random.default_rng(seed)
+                points = [y] + [psi.scaled_prox(1.0, y + s * rng.standard_normal(y.size),
+                                                inst.metric)
+                                for s in (0.5, 2.0, 3.0)]
+                sf = ScalingFunction(inst, y, 1.0, p)
+                for x in points + points[::-1] + [points[1], points[1]]:
+                    h = biopt.lower._face_step(sf, 1.0, c, psi, x, set())
+                    expected = fresh_face_step(sf, 1.0, c, psi, x)
+                    assert (h is None) == (expected is None)
+                    assert h is None or np.array_equal(h, expected)
+                    inside.append(h is not None)
+            assert sum(inside) >= 8
 
     def test_memo_holds_one_face(self, monkeypatch):
         smooth = quad10().smooth
@@ -374,19 +379,24 @@ class TestFaceMemo:
         assert len(calls) == 3
 
     def test_one_eigh_per_face_change(self, monkeypatch):
-        inst = quad10()
-        faces, face_basis = [], inst.smooth.face_basis
+        # under B = I and under a diagonal B
+        for B in (None, Metric(np.diag(np.linspace(0.5, 2.0, 10)))):
+            inst = quad10()
+            if B is not None:
+                inst.metric = B
+            faces, face_basis = [], inst.smooth.face_basis
 
-        def recorded(free):
-            faces.append(free.tobytes())
-            return face_basis(free)
-        monkeypatch.setattr(inst.smooth, "face_basis", recorded)
-        calls = counting_eigh(monkeypatch)
-        trace = inexact_run(inst)
-        assert trace.status == "optimal"
-        changes = sum(i == 0 or face != faces[i - 1] for i, face in enumerate(faces))
-        # one face solve per face step, each an eigh before the memo
-        assert len(calls) <= 1 + changes < len(faces)
+            def recorded(free, W=None):
+                faces.append(free.tobytes())
+                return face_basis(free, W)
+            monkeypatch.setattr(inst.smooth, "face_basis", recorded)
+            calls = counting_eigh(monkeypatch)
+            trace = inexact_run(inst)
+            assert trace.status == "optimal"
+            changes = sum(i == 0 or face != faces[i - 1]
+                          for i, face in enumerate(faces))
+            # one face solve per face step, each an eigh before the memo
+            assert len(calls) <= 1 + changes < len(faces)
 
     @pytest.mark.parametrize("kind", ["l1", "box"])
     def test_warm_memo_rerun_is_byte_identical(self, kind, tmp_path):
@@ -400,6 +410,20 @@ class TestFaceMemo:
                           for ext in ("ndjson", "csv")])
         assert inst.smooth._face is not None
         assert files[0] == files[1]
+
+    @pytest.mark.parametrize("B", [np.diag(np.linspace(0.5, 2.0, 10)),
+                                   np.eye(10) + 0.3 * np.ones((10, 10))],
+                             ids=["diagonal", "dense"])
+    def test_psi_zero_run_makes_one_eigh(self, B, monkeypatch):
+        # every anchor's radial solver is the all-free face under B's
+        # factor, decomposed once per run (one per anchor before)
+        inst = build_builtin("quad-10", seed=0)
+        inst.metric = Metric(B)
+        calls = counting_eigh(monkeypatch)
+        trace = run(inst, "inexact", p=2, beta=0.1, H=1.0, budget=200,
+                    epsilon=1e-6)
+        assert trace.status == "optimal" and trace.records[-1]["k"] >= 10
+        assert len(calls) == 1
 
     def test_memo_serves_no_other_metric(self):
         # a diagonal B reassigned after an identity run decomposes its own
