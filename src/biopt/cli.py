@@ -10,7 +10,7 @@ import sys
 import click
 import numpy as np
 
-from .config import BioptError
+from .config import CONFIG, INSTANCE_FILE, MODES, BioptError, check_keys
 from .driver import RunTrace, check_run, rate_fit, run, verify_trace
 from .problems import build_builtin, load_instance
 
@@ -19,11 +19,16 @@ SOLVER_EXIT = 1
 
 
 def _load_config(path: str) -> list[dict]:
+    """The runs of a config file: one object, a list of them, or an object
+    whose one key runs holds that list."""
     with open(path) as fh:
         cfg = json.load(fh)
-    if isinstance(cfg, dict) and "runs" in cfg:
+    if isinstance(cfg, dict) and set(cfg) == {"runs"}:
         cfg = cfg["runs"]
-    if isinstance(cfg, dict):
+        if not isinstance(cfg, list):
+            raise ValueError(f"runs must be a list of objects, got "
+                             f"{type(cfg).__name__}")
+    elif isinstance(cfg, dict):
         cfg = [cfg]
     if not isinstance(cfg, list) or not all(isinstance(c, dict) for c in cfg):
         raise ValueError("config must be an object or a list of objects")
@@ -32,40 +37,26 @@ def _load_config(path: str) -> list[dict]:
     return cfg
 
 
-def _file_path(key: str, path):
-    """path if it is a string without a NUL, else a ValueError naming key
-    (open() would take an int as a file descriptor)."""
-    if not (isinstance(path, str) and "\0" not in path):
-        raise ValueError(f"{key} must be a file path, got {path!r}")
-    return path
-
-
-def _build_instance(spec, seed: int):
-    if isinstance(spec, str):
-        return build_builtin(spec, seed=seed)
-    if isinstance(spec, dict) and "file" in spec:
-        return load_instance(_file_path("instance file", spec["file"]))
-    raise ValueError("instance must be a builtin name or {\"file\": path}")
-
-
 def _run_args(cfg: dict) -> dict:
-    """The keyword arguments of run that a config sets (mode defaults to exact)."""
-    return {"mode": cfg.get("mode", "exact"),
-            **{k: cfg[k] for k in ("p", "beta", "H", "M_next", "budget",
-                                   "epsilon", "R") if k in cfg}}
+    """The keyword arguments of run that a config sets: its mode (exact by
+    default) and its keys of kind "run" in config.CONFIG."""
+    return {"mode": cfg.get("mode", MODES[0]),
+            **{k: v for k, v in cfg.items() if CONFIG[k][0] == "run"}}
 
 
 def _prepared(cfg: dict):
-    """(instance, x0) of a config that passes every check run makes, whose
-    seed, if given, is an integer (not a bool), and whose instance file,
-    trace and summary paths, if given, are strings without a NUL.
-    BIOPT_SEED, if set, overrides the seed and must read as an integer."""
-    for key in ("trace", "summary"):
-        if cfg.get(key):
-            _file_path(key, cfg[key])
+    """(instance, x0) of a config whose keys pass config.CONFIG, whose seed,
+    if any, is for a quad or logbar builtin, and whose values pass every
+    check run makes.  BIOPT_SEED, if set, overrides the seed and must read
+    as an integer."""
+    check_keys(cfg, CONFIG, "config")
+    spec = cfg.get("instance", "example1d")
+    if isinstance(spec, dict):
+        check_keys(spec, INSTANCE_FILE, "instance", "instance ")
+    if "seed" in cfg and (isinstance(spec, dict) or spec == "example1d"):
+        raise ValueError(f"config with instance "
+                         f"{'file' if isinstance(spec, dict) else spec} takes no seed")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
     env_seed = os.environ.get("BIOPT_SEED")
     if env_seed is not None:
         try:
@@ -73,15 +64,16 @@ def _prepared(cfg: dict):
         except ValueError:
             raise ValueError(f"BIOPT_SEED must be an integer, "
                              f"got {env_seed!r}") from None
-    instance = _build_instance(cfg.get("instance", "example1d"), seed)
-    return instance, check_run(instance, x0=cfg.get("x0"), **_run_args(cfg))[3]
+    instance = (build_builtin(spec, seed=seed) if isinstance(spec, str)
+                else load_instance(spec["file"]))
+    return instance, check_run(instance, **_run_args(cfg))[3]
 
 
 def _run_one(cfg: dict, prepared: tuple) -> str:
     """Run one config on its _prepared (instance, x0) and return its
     summary line."""
     instance, x0 = prepared
-    trace = run(instance, x0=x0, **_run_args(cfg))
+    trace = run(instance, **dict(_run_args(cfg), x0=x0))
     if cfg.get("trace"):
         trace.write_ndjson(cfg["trace"])
     if cfg.get("summary"):

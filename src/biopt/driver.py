@@ -14,16 +14,15 @@ import csv
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import (BioptError, CertificateUndefined, InvariantViolation,
-                     OptimalityReached, RegionViolation)
+                     MODES, OptimalityReached, RegionViolation, number)
 from .lower import rel_smooth_params, solve_acceptable
 from .numerics import Metric, solve_step_coefficient
-from .problems import ProblemInstance, SimpleOracle
+from .problems import ProblemInstance, SimpleOracle, floats
 from .segment import bisect_segment, make_sprox_oracle, step_rates
 
 # a step with g_k at or below this ends the run as optimal: x moves, k stays
@@ -318,8 +317,8 @@ def _require(obj: dict, fields: tuple[str, ...], where: str,
              nullable: tuple[str, ...] = (), index: int | None = None) -> None:
     """Raise ValueError naming obj (where, and index if given) and every one
     of fields that obj lacks, else the first of fields and nullable, mode
-    aside, that is not a number (_number); one of nullable may also be null
-    or absent."""
+    aside, that is not a number (config.number); one of nullable may also
+    be null or absent."""
     missing = [name for name in fields if name not in obj]
     if not missing:
         values = [obj[name] for name in fields]
@@ -335,15 +334,8 @@ def _require(obj: dict, fields: tuple[str, ...], where: str,
         raise ValueError(f"{where} lacks {', '.join(missing)}")
     for name in fields + nullable:
         v = obj.get(name)
-        if name != "mode" and not (v is None and name in nullable or _number(v)):
+        if name != "mode" and not (v is None and name in nullable or number(v)):
             raise ValueError(f"{where} has {name} = {v!r}, not a finite number")
-
-
-def _number(v, kind=numbers.Real) -> bool:
-    """v is a number of that kind within the float range (a bool, a string,
-    an infinity or a NaN is not)."""
-    return isinstance(v, kind) and not isinstance(v, bool) \
-        and abs(v) <= sys.float_info.max
 
 
 def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
@@ -361,21 +353,21 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
     to order 2q, or p + 1 where superfast reads M_{p+1} from it.  The l1
     and box prox need a diagonal metric, so a psi other than zero needs one
     too."""
-    if mode not in ("exact", "inexact", "superfast"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if not _number(p, numbers.Integral) or p < (1 if mode == "exact" else 2):
+    if not number(p, numbers.Integral) or p < (1 if mode == "exact" else 2):
         raise ValueError(f"p must be an integer >= 1 (>= 2 for inexact and "
                          f"superfast modes), got {p!r}")
-    if not _number(budget, numbers.Integral) or budget < 0:
+    if not number(budget, numbers.Integral) or budget < 0:
         raise ValueError(f"budget must be an integer >= 0, got {budget!r}")
-    if not _number(beta) or mode != "exact" and not 0.0 <= beta <= 3.0 / (3 * p + 2):
+    if not number(beta) or mode != "exact" and not 0.0 <= beta <= 3.0 / (3 * p + 2):
         raise ValueError(f"beta out of range [0, 3/(3p+2)]: {beta!r}")
     if H is None and mode != "superfast":
         raise ValueError(f"{mode} mode needs H")
     if H is not None and mode == "superfast":
         raise ValueError("superfast mode derives H from M_next and takes no H")
     for name, v in (("H", H), ("M_next", M_next), ("epsilon", epsilon), ("R", R)):
-        if v is not None and not (_number(v) and v > 0.0):
+        if v is not None and not (number(v) and v > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
     order = p + 1 if mode == "superfast" and M_next is None else 2 * (p // 2)
     top = instance.smooth.max_order
@@ -398,7 +390,7 @@ def check_run(instance: ProblemInstance, mode: str, p=3, beta=0.0, H=None,
         H = rel_smooth_params(p, M_next).H
     if x0 is None:
         x0 = instance.meta.get("x0")
-    x0 = np.zeros(instance.dim) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = np.zeros(instance.dim) if x0 is None else floats("x0", x0)
     if x0.shape != (instance.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, the instance has "
                          f"dimension {instance.dim}")

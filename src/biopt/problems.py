@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
+import re
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import BioptError
+from .config import INSTANCE, BioptError, check_keys, number
 from .numerics import Metric, block_basis, golden_section
 
 
@@ -39,12 +40,12 @@ class SimpleOracle:
                  hi: np.ndarray | float | None = None):
         if kind not in ("zero", "l1", "box"):
             raise ValueError(f"unknown psi kind {kind!r}")
+        if kind == "l1" and not (number(weight) and weight >= 0.0):
+            raise ValueError(f"l1 psi needs a finite weight >= 0, got {weight!r}")
         self.kind = kind
         self.weight = float(weight)
-        self.lo = None if lo is None else np.atleast_1d(np.asarray(lo, dtype=float))
-        self.hi = None if hi is None else np.atleast_1d(np.asarray(hi, dtype=float))
-        if kind == "l1" and not 0.0 <= self.weight < math.inf:
-            raise ValueError(f"l1 psi needs a finite weight >= 0, got {self.weight!r}")
+        self.lo = None if lo is None else np.atleast_1d(floats("psi lo", lo))
+        self.hi = None if hi is None else np.atleast_1d(floats("psi hi", hi))
         if kind == "box" and (self.lo is None or self.hi is None):
             raise ValueError("box psi needs lo and hi")
         if kind == "box" and (np.isnan(self.lo).any() or np.isnan(self.hi).any()):
@@ -147,17 +148,11 @@ class SimpleOracle:
         return bool(np.all(ok))
 
     @staticmethod
-    def from_json(spec: dict | None) -> "SimpleOracle":
-        if spec is not None and not isinstance(spec, dict):
-            raise ValueError(f"psi must be a JSON object, got {spec!r}")
-        if not spec or spec.get("kind") in (None, "none", "zero"):
-            return SimpleOracle("zero")
-        kind = spec["kind"]
-        if kind == "l1":
-            return SimpleOracle("l1", weight=spec.get("weight", 1.0))
-        if kind == "box":
-            return SimpleOracle("box", lo=spec["lo"], hi=spec["hi"])
-        raise ValueError(f"unknown psi kind {kind!r}")
+    def from_json(spec: dict) -> "SimpleOracle":
+        """The psi of an instance file's psi object, whose keys
+        config.INSTANCE has checked; kind "none" is "zero"."""
+        kind = spec.get("kind", "zero")
+        return SimpleOracle(**dict(spec, kind="zero" if kind == "none" else kind))
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +213,24 @@ _FAMILIES = {  # (deriv fn, has open domain t > 0, highest order or None)
 # smooth oracles
 # ---------------------------------------------------------------------------
 
+def floats(name: str, a) -> np.ndarray:
+    """a as a float array; a ValueError naming it unless numpy reads a as
+    numbers: a number or a (nested, not ragged) list of them, not a string
+    or a list of only bools (a bool among numbers reads as 0 or 1)."""
+    try:
+        numeric = np.asarray(a).dtype.kind in "iuf"
+    except ValueError:  # a ragged list
+        numeric = False
+    if not numeric:
+        raise ValueError(f"{name} must be a number or a list of numbers, "
+                         f"got {reprlib.repr(a)}")
+    return np.asarray(a, dtype=float)
+
+
 def _finite(name: str, a) -> np.ndarray:
-    """a as a float array; a ValueError naming it if an entry is NaN or
+    """floats(name, a); a ValueError naming it if an entry is NaN or
     infinite."""
-    a = np.asarray(a, dtype=float)
+    a = floats(name, a)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has an entry that is NaN or infinite")
     return a
@@ -309,9 +318,7 @@ class SeparableOracle(SmoothOracle):
                 or self.b.shape != (self.A.shape[0],):
             raise ValueError("A needs at least one row and one column, and its "
                              "rows must match b")
-        if slack_min is not None and not (
-                isinstance(slack_min, numbers.Real) and not isinstance(slack_min, bool)
-                and 0.0 < slack_min < math.inf):
+        if slack_min is not None and not (number(slack_min) and slack_min > 0.0):
             raise ValueError(f"slack_min must be a positive finite number, "
                              f"got {slack_min!r}")
         self.family = family
@@ -424,15 +431,16 @@ class QuadraticOracle(SmoothOracle):
     per solve, by numerics.block_basis, the eigh that radial_solver makes of
     it; every solve equals one with a fresh radial_solver bit for bit, and
     all free under B = I reads eigenbasis.  Only the last face and W are
-    kept (W by identity, so a reassigned instance.metric is never served
-    another's basis): a composite-cli panel run makes 9.07 face solves,
-    which this memo serves with 3.47 decompositions and an unbounded one
-    would with 3.40.  The memo holds arrays, not closures, so a prepared
-    instance still pickles.
+    kept, and the all-free face under W apart from it, as a run may return
+    there after another face (W by identity, so a reassigned
+    instance.metric is never served another's basis): a composite-cli
+    panel run makes 9.07 face solves, which this memo serves with 3.47
+    decompositions and an unbounded one would with 3.40.  The memo holds
+    arrays, not closures, so a prepared instance still pickles.
     """
 
     def __init__(self, Q: np.ndarray, c: np.ndarray):
-        self.Q = _finite("Q", np.array(Q, dtype=float))
+        self.Q = np.array(_finite("Q", Q))
         self.Q.flags.writeable = False
         self.c = _finite("c", c)
         if self.c.ndim != 1 or not self.c.size or self.Q.shape != (self.c.size,) * 2:
@@ -445,7 +453,9 @@ class QuadraticOracle(SmoothOracle):
             raise ValueError(f"Q must be positive semidefinite, its smallest "
                              f"eigenvalue is {lam[0]:.6g}")
         self.eigenbasis = (np.maximum(lam, 0.0), S)
-        self._face = None  # (free.tobytes(), W, lam_F, S_F, Q_FA) of the last face
+        # (free.tobytes(), W, lam_F, S_F, Q_FA) of the last face with a held
+        # coordinate, and of the last all-free face
+        self._face = [None, None]
 
     @property
     def dim(self) -> int:
@@ -454,12 +464,13 @@ class QuadraticOracle(SmoothOracle):
     def face_basis(self, free: np.ndarray, W: np.ndarray | None = None):
         """numerics.block_basis(Q, free, W), (lam_F, S_F, Q_FA), which
         callers must not write to."""
-        if W is None and free.all():  # Q's own basis, already made
+        whole = bool(free.all())
+        if W is None and whole:  # Q's own basis, already made
             return (*self.eigenbasis, self.Q[:, :0])
-        key = free.tobytes()
-        if self._face is None or self._face[0] != key or self._face[1] is not W:
-            self._face = (key, W, *block_basis(self.Q, free, W))
-        return self._face[2:]
+        key, slot = free.tobytes(), self._face[whole]
+        if slot is None or slot[0] != key or slot[1] is not W:
+            slot = self._face[whole] = (key, W, *block_basis(self.Q, free, W))
+        return slot[2:]
 
     def value(self, x: np.ndarray) -> float:
         return self.value_grad(x)[0]
@@ -644,11 +655,14 @@ def build_logbar(N: int, dim: int, seed: int = 0) -> ProblemInstance:
 
 
 def build_builtin(name: str, seed: int = 0) -> ProblemInstance:
-    """Builtin benchmark instances: example1d, quad-<d>, logbar-<N>-<d>."""
+    """Builtin benchmark instances: example1d, quad-<d>, logbar-<N>-<d>;
+    a name of any other form is a ValueError."""
     if name == "example1d":
         return build_example_1d()
-    if name.startswith("quad-"):
-        dim = int(name.split("-")[1])
+    quad = re.fullmatch("quad-([0-9]+)", name)
+    logbar = re.fullmatch("logbar-([0-9]+)-([0-9]+)", name)
+    if quad:
+        dim = int(quad[1])
         rng = np.random.default_rng(seed)
         Gm = rng.standard_normal((dim, dim))
         Q = Gm.T @ Gm / dim + 0.5 * np.eye(dim)
@@ -656,28 +670,18 @@ def build_builtin(name: str, seed: int = 0) -> ProblemInstance:
         inst = build_quadratic(Q, c, name=name)
         inst.meta["x0"] = np.ones(dim)
         return inst
-    if name.startswith("logbar-"):
-        _, N, dim = name.split("-")
-        return build_logbar(int(N), int(dim), seed=seed)
+    if logbar:
+        return build_logbar(int(logbar[1]), int(logbar[2]), seed=seed)
     raise ValueError(f"unknown builtin instance {name!r}")
 
 
 def load_instance(path: str) -> ProblemInstance:
-    """Load an instance description from a JSON file.
-
-    Schema: {"family": ..., "A": [[...]], "b": [...],
-             "psi": {"kind": "none|l1|box", ...}, "slack_min": ...}.
-    family "quadratic" reads "Q" and "c" instead of "A"/"b".
-    """
+    """Load an instance from a JSON file whose keys config.INSTANCE lists:
+    Q and c for family "quadratic", A and b (and slack_min) otherwise."""
     with open(path) as fh:
         spec = json.load(fh)
-    if not isinstance(spec, dict):
-        raise ValueError(f"instance file must hold a JSON object, got "
-                         f"{type(spec).__name__}")
-    if not isinstance(spec.get("name", ""), str):
-        raise ValueError(f"instance name must be a string, got "
-                         f"{type(spec['name']).__name__}")
-    psi = SimpleOracle.from_json(spec.get("psi"))
+    check_keys(spec, INSTANCE, "instance file", "instance ")
+    psi = SimpleOracle.from_json(spec.get("psi", {}))
     family = spec["family"]
     if family == "quadratic":
         return build_quadratic(spec["Q"], spec["c"], psi=psi,

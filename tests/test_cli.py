@@ -1,6 +1,11 @@
+import copy
 import inspect
 import json
 import math
+import pathlib
+import random
+import re
+import string
 
 import numpy as np
 import pytest
@@ -11,7 +16,10 @@ import biopt.lower
 import biopt.problems
 from biopt.cli import main
 from biopt import RunTrace
+from biopt.config import CONFIG, INSTANCE
 from biopt.driver import check_run, run
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -137,10 +145,11 @@ class TestRun:
         assert "config error:" not in result.output
 
     @pytest.mark.parametrize("key", ["trace", "summary"])
-    @pytest.mark.parametrize("path", ["t\0.ndjson", ["t.ndjson"]])
+    @pytest.mark.parametrize("path", ["t\0.ndjson", ["t.ndjson"], [], 0, {}])
     def test_bad_output_path_is_usage_error(self, runner, tmp_path, key, path):
         # refused before any run, as open() would fail only after the solve
-        # (and would open a file descriptor given as an int)
+        # (and would open a file descriptor given as an int); [], 0 and {}
+        # once ran and wrote nothing
         cfg = {"instance": "quad-3", "mode": "inexact", "p": 2, "H": 1.0,
                "beta": 0.1, "budget": 5, key: path}
         result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
@@ -183,7 +192,9 @@ class TestRun:
         cases = [([{"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0}, 3],
                   "config must be an object or a list of objects"),
                  ([], "config has no runs"),
-                 ({"runs": []}, "config has no runs")]
+                 ({"runs": []}, "config has no runs"),
+                 # once read as one run of key "a", refused for want of H
+                 ({"runs": {"a": 1}}, "runs must be a list of objects, got dict")]
         for cfg, message in cases:
             result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
             assert result.exit_code == 2, cfg
@@ -335,11 +346,46 @@ class TestRun:
          "instance name must be a string, got dict"),
         ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0], "name": 3},
          "instance name must be a string, got int"),
+        ({"Q": EYE2, "c": [1.0, 1.0]}, "instance file lacks family"),
+        ({"family": "quadratic", "Q": EYE2}, "instance file lacks c"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0],
+          "psi": {"kind": "box", "lo": -1.0}}, "psi lacks hi"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0], "A": EYE2},
+         "instance file with family 'quadratic' takes no A"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0], "slack_min": 0.1},
+         "instance file with family 'quadratic' takes no slack_min"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0],
+          "psi": {"kind": "l1", "lo": -1.0}}, "psi with kind 'l1' takes no lo"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0], "psi": {"weight": 3}},
+         "psi with kind 'zero' takes no weight"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0],
+          "psi": {"kind": "l1", "weight": "3"}},
+         "l1 psi needs a finite weight >= 0, got '3'"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0],
+          "psi": {"kind": "l1", "weight": True}},
+         "l1 psi needs a finite weight >= 0, got True"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0],
+          "psi": {"kind": "box", "lo": -1.0, "hi": "1"}},
+         "psi hi must be a number or a list of numbers, got '1'"),
+        ({"family": "quadratic", "Q": EYE2, "c": [1.0, 1.0],
+          "psi": {"kind": "box", "lo": [[-1.0], [-1.0, -2.0]], "hi": 1.0}},
+         "psi lo must be a number or a list of numbers, got [[-1.0], [-1.0, -2.0]]"),
+        ({"family": "quadratic", "Q": EYE2, "c": ["1", "-1"]},
+         "c must be a number or a list of numbers, got ['1', '-1']"),
+        ({"family": "quadratic", "Q": [[1.0], [0.0, 1.0]], "c": [1.0, 1.0]},
+         "Q must be a number or a list of numbers, got [[1.0], [0.0, 1.0]]"),
+        ({"family": "log_barrier", "A": [[1.0], [-1.0]], "b": [True, False]},
+         "b must be a number or a list of numbers, got [True, False]"),
     ])
     def test_malformed_instance_file_is_usage_error(self, runner, tmp_path,
                                                     content, message):
         # the first two once raised a bare AttributeError, a traceback with
-        # exit 1; a non-string name once ran and printed in the summary line
+        # exit 1; a non-string name once ran and printed in the summary
+        # line; a missing family, c or hi was a bare KeyError ('family');
+        # a key the family or psi kind does not read was ignored; a weight
+        # of "3" or true ran as 3.0 or 1.0, a hi of "1" as 1.0 and a c of
+        # strings as numbers; a ragged Q was numpy's "setting an array
+        # element with a sequence", which named no key
         inst_path = write_config(tmp_path, content, "inst.json")
         cfg = {"instance": {"file": inst_path}, "mode": "exact", "p": 2,
                "H": 1.0, "budget": 5}
@@ -404,6 +450,36 @@ class TestRun:
         assert result.output.count("config error:") == 1
         assert "status=" not in result.output
         assert name is None or message in result.output
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"instance": "quad-3", "mdoe": "superfast", "budgt": 3, "p": 2, "H": 1.0},
+         "config has unknown key 'mdoe'"),
+        ({"instance": "quad-3", "mode": "exact", "budgt": 3, "p": 2, "H": 1.0},
+         "config has unknown key 'budgt'"),
+        ({"instance": "quad-3", "mode": "inexact", "p": 2, "H": 1.0, "beta": 0.1,
+          "M_next": 5.0}, "config with mode 'inexact' takes no M_next"),
+        ({"instance": "quad-3", "mode": "exact", "p": 2, "H": 1.0, "beta": 0.1},
+         "config with mode 'exact' takes no beta"),
+        ({"instance": "example1d", "mode": "exact", "p": 2, "H": 1.0, "seed": 5},
+         "config with instance example1d takes no seed"),
+        ({"instance": {"file": "inst.json"}, "mode": "exact", "p": 2, "H": 1.0,
+          "seed": 5}, "config with instance file takes no seed"),
+        ({"instance": {"file": "inst.json", "fiel": "inst.json"}, "mode": "exact",
+          "p": 2, "H": 1.0}, "instance has unknown key 'fiel'"),
+        ({"instance": "quad-2", "mode": "exact", "p": 2, "H": 1.0,
+          "x0": ["1", "1"]}, "x0 must be a number or a list of numbers, "
+                             "got ['1', '1']"),
+    ])
+    def test_key_the_mode_does_not_read_is_usage_error(self, runner, tmp_path,
+                                                       cfg, message):
+        # each was ignored: the first ran exact mode to optimal, exit 0, and
+        # x0's strings ran as numbers
+        trace = tmp_path / "t.ndjson"
+        cfg = dict(cfg, trace=str(trace))
+        result = runner.invoke(main, ["run", "-c", write_config(tmp_path, cfg)])
+        assert result.exit_code == 2
+        assert result.output == f"config error: {message}\n"
+        assert not trace.exists()
 
     def test_bad_config_in_list_stops_before_any_run(self, runner, tmp_path):
         # errors that need the instance (exact mode's oracle, superfast's
@@ -582,6 +658,98 @@ class TestRun:
         assert serial.exit_code == 0 and parallel.exit_code == 0
         assert len(serial.output.splitlines()) == 2
         assert parallel.output.splitlines() == serial.output.splitlines()
+
+
+# each field of a valid config and instance file is replaced by each of
+# these in turn, and once has its key misspelt (MISSPELT)
+FUZZ_VALUES = [None, True, "1", [], {}, -1, 0, 1.5, math.nan, math.inf, "",
+               "\u0000", [[1.0], [2.0, [3.0]]]]
+MISSPELT = object()
+
+
+def readme_table(header: str) -> list[list[str]]:
+    """The cells of each row of README's table whose header line starts
+    with header."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header)) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+class TestSchema:
+    def test_fuzzed_fields_exit_cleanly(self, runner, tmp_path):
+        # a seeded misspelling per key; no size or budget is drawn.  Each
+        # run exits 0, 1 or 2 without a traceback, a failed one with one
+        # error line, and a misspelt key is refused by name
+        rng = random.Random(0)
+        inst = {"family": "quadratic", "name": "fuzz", "Q": EYE2, "c": [1.0, -1.0],
+                "psi": {"kind": "l1", "weight": 0.5}}
+        cfg = {"instance": {"file": "inst.json"}, "mode": "inexact", "p": 2,
+               "beta": 0.1, "H": 1.0, "budget": 3, "epsilon": 1e-6, "R": 10.0,
+               "x0": [1.0, 1.0], "trace": "t.ndjson",
+               "summary": "s.csv"}
+        fields = ([("cfg", key) for key in cfg] + [("cfg", "instance", "file")]
+                  + [("inst", key) for key in inst]
+                  + [("inst", "psi", key) for key in inst["psi"]])
+        known = set(CONFIG) | set(INSTANCE) | set(INSTANCE["psi"][0]) | {"file"}
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            for field in fields:
+                for value in FUZZ_VALUES + [MISSPELT]:
+                    files = {"cfg": copy.deepcopy(cfg), "inst": copy.deepcopy(inst)}
+                    parent = files[field[0]]
+                    for key in field[1:-1]:
+                        parent = parent[key]
+                    key = field[-1]
+                    if value is MISSPELT:
+                        at = rng.randrange(len(key) + 1)
+                        typo = key[:at] + rng.choice(string.ascii_lowercase) + key[at:]
+                        assert typo not in known
+                        parent[typo] = parent.pop(key)
+                    else:
+                        parent[key] = value
+                    for name, content in files.items():
+                        with open(f"{name}.json", "w") as fh:
+                            json.dump(content, fh)
+                    result = runner.invoke(main, ["run", "-c", "cfg.json"])
+                    case = (field, "misspelt" if value is MISSPELT else value,
+                            result.output)
+                    assert result.exit_code in (0, 1, 2), case
+                    assert isinstance(result.exception, (SystemExit, type(None))), case
+                    assert "Traceback" not in result.output, case
+                    if value is MISSPELT:  # once ignored, and run
+                        assert result.exit_code == 2, case
+                        assert f"unknown key {typo!r}" in result.output, case
+                    if result.exit_code:
+                        assert len(result.output.splitlines()) == 1, case
+                        assert result.output.startswith(
+                            ("config error: ", "solver failure: ")), case
+
+    def test_readme_config_table_matches_the_schema(self):
+        documented = {}
+        for row in readme_table("| field "):
+            key, = re.findall(r"`(\w+)`", row[0])
+            documented[key] = (None if row[-1] == "all"
+                               else set(re.findall(r"`(\w+)`", row[-1])))
+        assert documented == {key: readers and set(readers)
+                              for key, (_, _, readers) in CONFIG.items()}
+
+    def test_readme_instance_table_matches_the_schema(self):
+        # family and psi kind rows give each key's readers, * its being required
+        documented = {}
+        for row in readme_table("| family or ψ kind"):
+            readers = None if row[0].startswith("every") \
+                else set(re.findall(r"`(\w+)`", row[0]))
+            for key, star in re.findall(r"`(\w+)`(\*?)", row[1]):
+                before = documented.get(key, (set(),))[0]
+                documented[key] = (readers and before | readers, star == "*")
+        expected = {key: (readers and set(readers), required)
+                    for table in (INSTANCE, INSTANCE["psi"][0])
+                    for key, (_, required, readers) in table.items()}
+        assert documented == expected
 
 
 class TestRateFit:

@@ -398,6 +398,28 @@ class TestFaceMemo:
             # one face solve per face step, each an eigh before the memo
             assert len(calls) <= 1 + changes < len(faces)
 
+    def test_all_free_face_keeps_its_own_slot(self, monkeypatch):
+        # under a diagonal B this run returns to the all-free face after a
+        # face with a held coordinate; sharing one slot, that face evicted
+        # it: 6 eigh calls for 5 faces
+        base = build_builtin("quad-5", seed=1)
+        inst = build_quadratic(base.smooth.Q, base.smooth.c,
+                               psi=SimpleOracle("l1", weight=0.5))
+        inst.metric = Metric(np.diag(np.linspace(0.5, 2.0, 5)))
+        faces, face_basis = [], inst.smooth.face_basis
+
+        def recorded(free, W=None):
+            faces.append(free.tobytes())
+            return face_basis(free, W)
+        monkeypatch.setattr(inst.smooth, "face_basis", recorded)
+        calls = counting_eigh(monkeypatch)
+        trace = run(inst, "inexact", p=2, beta=0.1, H=1.0, budget=200,
+                    epsilon=1e-4, R=10.0, x0=np.ones(5))
+        assert trace.status == "optimal"
+        whole = np.ones(5, dtype=bool).tobytes()
+        assert faces[0] == whole and faces[1] != whole and whole in faces[2:]
+        assert len(calls) == len(set(faces)) == 5
+
     @pytest.mark.parametrize("kind", ["l1", "box"])
     def test_warm_memo_rerun_is_byte_identical(self, kind, tmp_path):
         inst = quad10(kind)
@@ -408,7 +430,7 @@ class TestFaceMemo:
             trace.write_csv(str(tmp_path / f"{i}.csv"))
             files.append([(tmp_path / f"{i}.{ext}").read_bytes()
                           for ext in ("ndjson", "csv")])
-        assert inst.smooth._face is not None
+        assert inst.smooth._face[0] is not None
         assert files[0] == files[1]
 
     @pytest.mark.parametrize("B", [np.diag(np.linspace(0.5, 2.0, 10)),

@@ -515,6 +515,13 @@ class TestInstances:
         with pytest.raises(ValueError, match="unknown builtin"):
             build_builtin("rosenbrock")
 
+    @pytest.mark.parametrize("name", ["quad-abc", "quad-", "quad-3-1", "logbar-10",
+                                      "logbar-4-x", "logbar-4-2-1", "quad-٣"])
+    def test_malformed_builtin_name(self, name):
+        # quad-abc once failed in int() and logbar-10 in unpacking its parts
+        with pytest.raises(ValueError, match=f"^unknown builtin instance '{name}'$"):
+            build_builtin(name)
+
     def test_builtin_seed_determinism(self):
         a = build_builtin("quad-3", seed=11)
         b = build_builtin("quad-3", seed=11)
